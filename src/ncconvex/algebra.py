@@ -118,10 +118,70 @@ def _fmt_word(word: Word) -> str:
     return "*".join(pieces)
 
 
+def _compile_horner(signature: Signature, terms: dict) -> tuple:
+    """Horner plan of sum_w c_w w, with equal sub-polynomials merged.
+
+    The word trie gives q = c_0 + sum_l l * q_l, where q_l collects the
+    words of q that start with letter l, stripped of it.  Trie nodes
+    with the same coefficient and the same (letter, child) list are one
+    node (bottom-up hash-consing), so the expanded (x1+x2+x3)^8, whose
+    trie has 9,841 nodes, compiles to 8 steps.
+
+    The plan is a post-order tuple of steps (const, terms, frees); the
+    last step is the polynomial.  A step is const * I plus, for each of
+    its terms (letter, child, c), c * L_letter @ step[child], where step
+    -1 is I: a childless trie node c * I gets no step of its own, and c
+    is 1 for every other child.  Letters index the point's matrices, a's
+    first.  `frees` lists the steps whose last consumer this step is, so
+    an evaluator can drop them.  Loops only: word length is unbounded.
+    """
+    code = {("a", i + 1): i for i in range(signature.g_a)}
+    code.update({("x", i + 1): signature.g_a + i for i in range(signature.g_x)})
+    root: list = [0j, {}, -1]               # [coeff, {letter: node}, step]
+    for word, c in terms.items():
+        node = root
+        for letter in word:
+            kids = node[1]
+            nxt = kids.get(letter)
+            if nxt is None:
+                nxt = kids[letter] = [0j, {}, -1]
+            node = nxt
+        node[0] = c
+    steps: list = []
+    step_of: dict = {}                      # (const, terms) -> step index
+    stack: list = [(root, None)]            # (node, sorted edges once seen)
+    while stack:
+        node, edges = stack.pop()
+        if edges is None:
+            edges = sorted([(code[letter], kid)
+                            for letter, kid in node[1].items()])
+            stack.append((node, edges))
+            stack.extend([(kid, None) for _, kid in reversed(edges) if kid[1]])
+            continue
+        key = (node[0], tuple([(letter, kid[2], 1.0) if kid[1]
+                               else (letter, -1, kid[0])
+                               for letter, kid in edges]))
+        k = step_of.get(key)
+        if k is None:
+            k = step_of[key] = len(steps)
+            steps.append(key)
+        node[2] = k
+    last_use: dict = {}
+    for k, (_, step_terms) in enumerate(steps):
+        for _, child, _ in step_terms:
+            if child >= 0:
+                last_use[child] = k
+    frees: list = [[] for _ in steps]
+    for child, k in last_use.items():
+        frees[k].append(child)
+    return tuple((const, step_terms, tuple(sorted(f)))
+                 for (const, step_terms), f in zip(steps, frees))
+
+
 class NcPolynomial:
     """Finite complex combination of words over a fixed Signature."""
 
-    __slots__ = ("signature", "_terms")
+    __slots__ = ("signature", "_terms", "_plan")
 
     def __init__(self, signature: Signature, terms: dict | None = None,
                  _validated: bool = False):
@@ -131,6 +191,7 @@ class NcPolynomial:
             for word in terms:
                 self.signature.check_word(word)
         self._terms = terms
+        self._plan = None
 
     # -- constructors ---------------------------------------------------
 
@@ -166,6 +227,13 @@ class NcPolynomial:
     @property
     def n_terms(self) -> int:
         return len(self._terms)
+
+    @property
+    def horner_plan(self) -> tuple:
+        """Evaluation plan, compiled on first use; see _compile_horner."""
+        if self._plan is None:
+            self._plan = _compile_horner(self.signature, self._terms)
+        return self._plan
 
     def is_zero(self) -> bool:
         return not self._terms

@@ -20,7 +20,7 @@ from .algebra import NcPowerSeries, Signature
 from .convexity import test_convexity_at_CA, verify_convexity_witness
 from .errors import NcError
 from .evaluate import (NcFunction, PolynomialNcFunction, SeriesNcFunction,
-                       check_nc_function_axioms, eval_poly, eval_series)
+                       check_nc_function_axioms)
 from .onevar import (DiscreteMeasure, ScalarFn, convexity_test_1var,
                      g_transform, kraus_eval, loewner_matrix,
                      loewner_monotone_test, matrix_apply,
@@ -32,14 +32,16 @@ from .slices import VERDICT_CONSISTENT, certify_degree_two
 from .tolerances import WITNESS_TOL
 from .tuples import (HermTuple, derived_rng, hermitian_with_spectrum_in,
                      identity_tuple, matrix_to_json, tuple_from_json,
-                     tuple_to_json, zero_tuple)
+                     zero_tuple)
 
 SCHEMA = "ncconvex/1"
 _A_SALT = 1299709
 
 
 def _dump(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True)
+    # a non-finite number raises ValueError (exit 2) instead of printing
+    # Infinity or NaN, which strict JSON parsers reject
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
 
 
 def _emit(args, payload: dict, code: int) -> int:
@@ -57,8 +59,9 @@ def _write_witness(args, payload: dict) -> str:
     path = getattr(args, "witness_out", None) or "witness.json"
     payload = dict(payload)
     payload["schema"] = SCHEMA
+    text = _dump(payload)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_dump(payload) + "\n")
+        fh.write(text + "\n")
     return path
 
 
@@ -514,6 +517,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "trials", 1) < 1:
+            raise ValueError(f"--trials must be at least 1, got {args.trials}")
         return args.fn(args)
     except (NcError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,9 +1,11 @@
 """Evaluate nc polynomials and truncated x-power series on matrix tuples.
 
-Words evaluate by left-to-right matrix products with the empty word as
-the identity; a per-call cache of word prefixes keeps repeated monomials
-cheap without any cross-call state.  Matrix polynomials assemble their
-evaluated entries into one block matrix.
+Each NcPolynomial compiles once, on first evaluation, into a Horner plan
+over its word trie with equal sub-polynomials merged
+(NcPolynomial.horner_plan); evaluation runs that plan in a loop, so
+products group right to left and a step's matrix is dropped after its
+last use.  Matrix polynomials assemble their evaluated entries into one
+block matrix.
 
 The NcFunction wrappers give testers a uniform evaluator contract:
 F(A, X) -> square complex matrix, plus optional exact x-homogeneous
@@ -63,23 +65,26 @@ def _resolve_point(sig: Signature, A, X, n: Optional[int] = None):
     return a_mats, x_mats, size
 
 
-def _word_evaluator(a_mats, x_mats, size):
-    lookup = {}
-    for i, m in enumerate(a_mats):
-        lookup[("a", i + 1)] = m
-    for i, m in enumerate(x_mats):
-        lookup[("x", i + 1)] = m
-    cache = {(): np.eye(size, dtype=complex)}
-
-    def word_val(word):
-        hit = cache.get(word)
-        if hit is not None:
-            return hit
-        v = word_val(word[:-1]) @ lookup[word[-1]]
-        cache[word] = v
-        return v
-
-    return word_val
+def _run_plan(plan: tuple, mats: list, size: int) -> np.ndarray:
+    """Execute a Horner plan (NcPolynomial.horner_plan) on the letter
+    matrices, dropping each step's value after its last consumer."""
+    vals: list = [None] * len(plan)
+    for k, (const, terms, frees) in enumerate(plan):
+        acc = None
+        for letter, child, c in terms:
+            t = c * mats[letter] if child < 0 else mats[letter] @ vals[child]
+            if acc is None:
+                acc = t
+            else:
+                acc += t
+        if acc is None:
+            acc = np.zeros((size, size), dtype=complex)
+        if const:
+            acc.flat[::size + 1] += const
+        for f in frees:
+            vals[f] = None
+        vals[k] = acc
+    return vals[-1]
 
 
 def eval_poly(p, A=None, X=None, n: Optional[int] = None) -> np.ndarray:
@@ -93,17 +98,11 @@ def eval_poly(p, A=None, X=None, n: Optional[int] = None) -> np.ndarray:
     if isinstance(p, NcPolynomial):
         p = MatrixNcPolynomial.from_scalar(p)
     a_mats, x_mats, size = _resolve_point(p.signature, A, X, n)
-    word_val = _word_evaluator(a_mats, x_mats, size)
-
-    def entry_val(q: NcPolynomial) -> np.ndarray:
-        acc = np.zeros((size, size), dtype=complex)
-        for w, c in q.items():
-            acc += c * word_val(w)
-        return acc
-
+    mats = a_mats + x_mats
     if p.is_scalar():
-        return entry_val(p.entries[0][0])
-    return np.block([[entry_val(q) for q in row] for row in p.entries])
+        return _run_plan(p.entries[0][0].horner_plan, mats, size)
+    return np.block([[_run_plan(q.horner_plan, mats, size) for q in row]
+                     for row in p.entries])
 
 
 def _x_part_norm(x_mats, size) -> float:

@@ -3,8 +3,10 @@
 import json
 
 import numpy as np
+import pytest
 
 from conftest import run_cli as run
+from ncconvex.cli import _dump, main
 
 
 def test_eval_identity_magic(tmp_path):
@@ -129,3 +131,41 @@ def test_same_seed_byte_identical(tmp_path):
     b = run(args, tmp_path)
     assert a.stdout == b.stdout
     assert a.returncode == b.returncode == 0
+
+
+def test_eval_1024_letter_word_in_process(tmp_path, monkeypatch, capsys):
+    # words past about 990 letters used to raise RecursionError (exit 1)
+    monkeypatch.chdir(tmp_path)
+    code = main(["eval", "--expr", "(x1^128)^8", "--x-tuple", "identity2"])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    assert err == ""
+    doc = json.loads(out)
+    got = np.array([[complex(*cell) for cell in row]
+                    for row in doc["result"]["entries"]])
+    np.testing.assert_array_equal(got, np.eye(2))
+
+
+@pytest.mark.parametrize("command", [
+    ["convexity", "--preset", "square"],
+    ["convexity1", "--preset", "square"],
+    ["monotone", "--preset", "square"],
+    ["kraus", "--preset", "kraus-halfmass"],
+    ["certify", "--preset", "square"],
+])
+def test_zero_trials_is_a_usage_error(command, tmp_path, monkeypatch, capsys):
+    # zero trials used to pass with "min_eig": Infinity
+    monkeypatch.chdir(tmp_path)
+    code = main([*command, "--trials", "0"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_json_output_refuses_non_finite_numbers():
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError):
+            _dump({"min_eig": bad})

@@ -1,12 +1,16 @@
 """Evaluation: substitution homomorphism, series truncation, axioms."""
 
+import tracemalloc
+from itertools import product
+
 import numpy as np
 import pytest
 
-from ncconvex import (HermTuple, NcPowerSeries, PolynomialNcFunction,
-                      Signature, check_nc_function_axioms, derived_rng,
-                      eval_poly, eval_series, parse_polynomial,
-                      random_hermitian, trace_evaluator, x_var)
+from ncconvex import (HermTuple, MatrixNcPolynomial, NcPolynomial,
+                      NcPowerSeries, PolynomialNcFunction, Signature,
+                      check_nc_function_axioms, derived_rng, eval_poly,
+                      eval_series, parse_polynomial, random_hermitian,
+                      trace_evaluator, x_var)
 from ncconvex.errors import DomainError, SignatureError
 
 SIGX = Signature(0, 2)
@@ -140,3 +144,171 @@ def test_axioms_report_json_shape():
     assert d["test"] == "nc_function_axioms"
     assert d["pass"] is True
     assert "samples" in d and "tol" in d
+
+
+# -- Horner plan against an independent reference -----------------------------
+
+
+def _reference(p, a_mats, x_mats, n):
+    """sum_w c_w (A,X)^w, each word a left-to-right product."""
+    lookup = {("a", i + 1): m for i, m in enumerate(a_mats)}
+    lookup.update({("x", i + 1): m for i, m in enumerate(x_mats)})
+    acc = np.zeros((n, n), dtype=complex)
+    for word, c in p.items():
+        w = np.eye(n, dtype=complex)
+        for letter in word:
+            w = w @ lookup[letter]
+        acc += c * w
+    return acc
+
+
+def _random_poly(sig, rng, n_words, max_len):
+    letters = ([("a", i + 1) for i in range(sig.g_a)]
+               + [("x", i + 1) for i in range(sig.g_x)])
+    terms = {}
+    for _ in range(n_words):
+        word = tuple(letters[j] for j in
+                     rng.integers(len(letters), size=rng.integers(max_len + 1)))
+        terms[word] = complex(*rng.uniform(-1, 1, size=2))
+    return NcPolynomial(sig, terms)
+
+
+def _unit_norm_mats(g, n, rng, hermitian=True):
+    mats = []
+    for _ in range(g):
+        m = (random_hermitian(n, rng) if hermitian else
+             rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        mats.append(m / np.linalg.norm(m, 2))
+    return mats
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_plan_matches_reference_on_random_polynomials(n):
+    rng = np.random.default_rng(100 + n)
+    for sig in (Signature(0, 1), Signature(0, 3), Signature(2, 2)):
+        for _ in range(5):
+            p = _random_poly(sig, rng, n_words=int(rng.integers(1, 40)),
+                             max_len=6)
+            a_mats = _unit_norm_mats(sig.g_a, n, rng)
+            x_mats = _unit_norm_mats(sig.g_x, n, rng)
+            A = HermTuple(a_mats, kind="a", n=n)
+            X = HermTuple(x_mats, kind="x", n=n)
+            np.testing.assert_allclose(eval_poly(p, A, X),
+                                       _reference(p, a_mats, x_mats, n),
+                                       rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("expr, sig", [
+    ("0", Signature(1, 1)),
+    ("(2-3i)", Signature(1, 1)),
+    ("a1*a2 - 2*a2^3 + (1+i)*a1", Signature(2, 1)),
+    ("x1*x2*x1 + 2*x2*x2*x1", Signature(0, 2)),
+    ("a1*x1 + 0.5*x1*x1 - a1*a1*x1", Signature(1, 1)),
+])
+def test_plan_matches_reference_on_edge_cases(expr, sig):
+    p = parse_polynomial(expr, sig)
+    rng = np.random.default_rng(7)
+    a_mats = _unit_norm_mats(sig.g_a, 3, rng)
+    x_mats = _unit_norm_mats(sig.g_x, 3, rng)
+    got = eval_poly(p, HermTuple(a_mats, kind="a", n=3),
+                    HermTuple(x_mats, kind="x", n=3))
+    np.testing.assert_allclose(got, _reference(p, a_mats, x_mats, 3),
+                               rtol=0, atol=1e-12)
+
+
+def test_merging_fires_only_on_equal_sub_polynomials():
+    sig = Signature(0, 2)
+    # x1*x2 + x2*x2: both letters continue with x2, one step for both
+    # plus the root
+    same = parse_polynomial("x1*x2 + x2*x2", sig)
+    # same suffix, different coefficient: the continuations must stay apart
+    diff = parse_polynomial("x1*x2 + 3*x2*x2", sig)
+    assert len(same.horner_plan) == 2
+    assert len(diff.horner_plan) == 3
+    x1, x2 = _unit_norm_mats(2, 4, np.random.default_rng(8))
+    X = HermTuple([x1, x2], kind="x", n=4)
+    A = HermTuple([], kind="a", n=4)
+    np.testing.assert_allclose(eval_poly(diff, A, X),
+                               x1 @ x2 + 3 * x2 @ x2, rtol=0, atol=1e-12)
+    deep_same = parse_polynomial("x1*x2*x1 + x2*x2*x1", sig)
+    deep_diff = parse_polynomial("x1*x2*x1 + 2*x2*x2*x1", sig)
+    assert len(deep_same.horner_plan) == 3
+    assert len(deep_diff.horner_plan) == 5
+    np.testing.assert_allclose(eval_poly(deep_diff, A, X),
+                               x1 @ x2 @ x1 + 2 * x2 @ x2 @ x1,
+                               rtol=0, atol=1e-12)
+    # the x1-continuation of x1*x2 and of the root is one step, used by
+    # two later steps: it must live until the second of them
+    shared = parse_polynomial("x1*x2*x1 + x2*x1", sig)
+    assert len(shared.horner_plan) == 3
+    np.testing.assert_allclose(eval_poly(shared, A, X),
+                               x1 @ x2 @ x1 + x2 @ x1, rtol=0, atol=1e-12)
+
+
+def test_plan_matches_reference_for_matrix_polynomial():
+    sig = Signature(1, 2)
+    rng = np.random.default_rng(9)
+    grid = [[_random_poly(sig, rng, 12, 4) for _ in range(3)]
+            for _ in range(2)]
+    P = MatrixNcPolynomial(grid)
+    a_mats = _unit_norm_mats(1, 4, rng)
+    x_mats = _unit_norm_mats(2, 4, rng)
+    got = eval_poly(P, HermTuple(a_mats, kind="a", n=4),
+                    HermTuple(x_mats, kind="x", n=4))
+    want = np.block([[_reference(q, a_mats, x_mats, 4) for q in row]
+                     for row in grid])
+    assert got.shape == (8, 12)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_plan_matches_reference_on_non_hermitian_matrices():
+    # the complex-z slices evaluate at plain, non-Hermitian matrices
+    sig = Signature(1, 2)
+    rng = np.random.default_rng(10)
+    for n in (1, 3, 5):
+        p = _random_poly(sig, rng, 30, 5)
+        a_mats = _unit_norm_mats(1, n, rng, hermitian=False)
+        x_mats = [(0.3 - 0.8j) * m
+                  for m in _unit_norm_mats(2, n, rng, hermitian=False)]
+        np.testing.assert_allclose(eval_poly(p, a_mats, x_mats),
+                                   _reference(p, a_mats, x_mats, n),
+                                   rtol=0, atol=1e-12)
+
+
+def test_single_1024_letter_word_matches_matrix_power():
+    # words past about 990 letters used to raise RecursionError
+    p = parse_polynomial("(x1^128)^8", Signature(0, 1))
+    rng = np.random.default_rng(11)
+    (x,) = _unit_norm_mats(1, 3, rng)
+    np.testing.assert_allclose(
+        eval_poly(p, HermTuple([], kind="a", n=3), HermTuple([x], kind="x")),
+        np.linalg.matrix_power(x, 1024), rtol=0, atol=1e-12)
+
+
+def test_expanded_power_of_sum_collapses_to_few_steps():
+    p = parse_polynomial("(x1+x2+x3)^8", Signature(0, 3))
+    assert p.n_terms == 3 ** 8
+    assert len(p.horner_plan) <= 9
+
+
+def test_unmerged_plan_keeps_memory_bounded():
+    # every word gets its own coefficient, so no two trie nodes merge;
+    # live matrices stay at depth x arity, not one per word prefix
+    sig = Signature(0, 3)
+    words = list(product([("x", 1), ("x", 2), ("x", 3)], repeat=6))
+    p = NcPolynomial(sig, {w: 1.0 + 1e-3 * k for k, w in enumerate(words)})
+    n = 32
+    rng = np.random.default_rng(12)
+    x_mats = _unit_norm_mats(3, n, rng)
+    A = HermTuple([], kind="a", n=n)
+    X = HermTuple(x_mats, kind="x", n=n)
+    tracemalloc.start()
+    try:
+        got = eval_poly(p, A, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(p.horner_plan) == sum(3 ** d for d in range(6))
+    assert peak < 2 * 2 ** 20, peak
+    np.testing.assert_allclose(got, _reference(p, [], x_mats, n),
+                               rtol=0, atol=1e-10)
