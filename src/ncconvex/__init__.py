@@ -8,10 +8,9 @@ certification that a matrix-convex function has x-degree at most 2.
 """
 
 from .algebra import (MatrixNcPolynomial, NcPolynomial, NcPowerSeries,
-                      Signature, a_var, generators, involute, is_hermitian,
-                      x_homogeneous_parts, x_var)
-from .convexity import (ConvexityReport, test_convexity_at_A,
-                        test_convexity_at_CA, verify_convexity_witness)
+                      Signature, a_var, x_var)
+from .convexity import (Report, test_convexity_at_A, test_convexity_at_CA,
+                        verify_convexity_witness)
 from .errors import (DomainError, ExtractionError, NcError, ParseError,
                      ResourceLimitError, ShapeError, SignatureError,
                      SingularityError, UnitarityError)
@@ -19,10 +18,10 @@ from .evaluate import (AxiomsReport, CallableNcFunction, NcFunction,
                        PolynomialNcFunction, SeriesNcFunction,
                        as_nc_function, check_nc_function_axioms, eval_poly,
                        eval_series)
-from .onevar import (DiscreteMeasure, ScalarFn, TestReport,
-                     convexity_test_1var, g_transform, kraus_eval,
-                     kraus_scalar_fn, loewner_matrix, loewner_monotone_test,
-                     matrix_apply, pick_eval, verify_convexity1_witness)
+from .onevar import (DiscreteMeasure, ScalarFn, convexity_test_1var,
+                     g_transform, kraus_eval, kraus_scalar_fn, loewner_matrix,
+                     loewner_monotone_test, matrix_apply, pick_eval,
+                     verify_convexity1_witness, verify_monotone_witness)
 from .parsing import (infer_signature, load_corpus, parse, parse_polynomial,
                       render)
 from .presets import (CORPUS, PRESET_NAMES, KrausLiftFunction, get_preset,
@@ -33,9 +32,8 @@ from .slices import (VERDICT_CONSISTENT, VERDICT_HIGHER_ORDER,
                      SliceCoefficients, certify_degree_two,
                      extract_slice_coefficients, slice_matrix, slice_phi,
                      slice_scalar, test_slice_convexity_transfer)
-from .tuples import (CASetElement, HermTuple, ca_element, conjugate,
-                     derived_rng, direct_sum, haar_unitary,
-                     hermitian_with_spectrum_in, identity_tuple,
+from .tuples import (CASetElement, HermTuple, ca_element, derived_rng,
+                     haar_unitary, hermitian_with_spectrum_in, identity_tuple,
                      matrix_from_json, matrix_to_json, random_hermitian,
                      sample_x_ball, tuple_from_json, tuple_norm,
                      tuple_to_json, zero_tuple)
@@ -44,20 +42,18 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AxiomsReport", "CASetElement", "CallableNcFunction",
-    "CertificationReport", "ConvexityReport", "CORPUS", "DiscreteMeasure",
-    "DomainError", "ExtractionError", "HermTuple", "KrausLiftFunction",
-    "MatrixNcPolynomial", "NcError", "NcFunction", "NcPolynomial",
-    "NcPowerSeries", "ParseError", "PolynomialNcFunction", "PRESET_NAMES",
-    "ResourceLimitError", "ScalarFn", "SeriesNcFunction", "ShapeError",
-    "Signature", "SignatureError", "SingularityError", "SliceCoefficients",
-    "TestReport", "UnitarityError", "VERDICT_CONSISTENT",
-    "VERDICT_HIGHER_ORDER", "VERDICT_HYPOTHESIS_FAILS", "a_var",
-    "as_nc_function", "ca_element", "certify_degree_two",
-    "check_nc_function_axioms", "conjugate", "convexity_test_1var",
-    "corpus_polynomials", "derived_rng", "direct_sum", "eval_poly",
-    "eval_series", "extract_slice_coefficients", "g_transform", "generators",
-    "get_preset", "haar_unitary", "hermitian_with_spectrum_in",
-    "identity_tuple", "infer_signature", "involute", "is_hermitian",
+    "CertificationReport", "CORPUS", "DiscreteMeasure", "DomainError",
+    "ExtractionError", "HermTuple", "KrausLiftFunction", "MatrixNcPolynomial",
+    "NcError", "NcFunction", "NcPolynomial", "NcPowerSeries", "ParseError",
+    "PolynomialNcFunction", "PRESET_NAMES", "Report", "ResourceLimitError",
+    "ScalarFn", "SeriesNcFunction", "ShapeError", "Signature",
+    "SignatureError", "SingularityError", "SliceCoefficients",
+    "UnitarityError", "VERDICT_CONSISTENT", "VERDICT_HIGHER_ORDER",
+    "VERDICT_HYPOTHESIS_FAILS", "a_var", "as_nc_function", "ca_element",
+    "certify_degree_two", "check_nc_function_axioms", "convexity_test_1var",
+    "corpus_polynomials", "derived_rng", "eval_poly", "eval_series",
+    "extract_slice_coefficients", "g_transform", "get_preset", "haar_unitary",
+    "hermitian_with_spectrum_in", "identity_tuple", "infer_signature",
     "kraus_eval", "kraus_scalar_fn", "load_corpus", "loewner_matrix",
     "loewner_monotone_test", "matrix_apply", "matrix_from_json",
     "matrix_to_json", "parse", "parse_polynomial", "pick_eval",
@@ -66,5 +62,6 @@ __all__ = [
     "test_convexity_at_A", "test_convexity_at_CA",
     "test_slice_convexity_transfer", "trace_evaluator", "tuple_from_json",
     "tuple_norm", "tuple_to_json", "verify_convexity1_witness",
-    "verify_convexity_witness", "x_homogeneous_parts", "x_var", "zero_tuple",
+    "verify_convexity_witness", "verify_monotone_witness", "x_var",
+    "zero_tuple",
 ]

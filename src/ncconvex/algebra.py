@@ -403,12 +403,6 @@ def x_var(signature: Signature, index: int) -> NcPolynomial:
     return NcPolynomial.variable(signature, "x", index)
 
 
-def generators(signature: Signature) -> tuple[list[NcPolynomial], list[NcPolynomial]]:
-    sig = Signature(*signature)
-    return ([a_var(sig, i) for i in range(1, sig.g_a + 1)],
-            [x_var(sig, i) for i in range(1, sig.g_x + 1)])
-
-
 class MatrixNcPolynomial:
     """Rectangular grid of NcPolynomial entries over one Signature."""
 
@@ -548,15 +542,6 @@ class MatrixNcPolynomial:
         return out
 
 
-def is_hermitian(p, tol: float = 0.0) -> bool:
-    """Dispatch on NcPolynomial vs MatrixNcPolynomial."""
-    return p.is_hermitian(tol)
-
-
-def involute(p):
-    return p.involute()
-
-
 class NcPowerSeries:
     """Truncated series F_0 + F_1 + ... + F_d, part i homogeneous of
     x-degree i.  Parts are matrix polynomials (scalars are 1x1).  The
@@ -627,12 +612,6 @@ class NcPowerSeries:
     def __iter__(self) -> Iterator[MatrixNcPolynomial]:
         return iter(self.parts)
 
-    def sum_polynomial(self) -> MatrixNcPolynomial:
-        total = self.parts[0]
-        for part in self.parts[1:]:
-            total = total + part
-        return total
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, NcPowerSeries):
             return NotImplemented
@@ -657,7 +636,3 @@ class NcPowerSeries:
         parts = [MatrixNcPolynomial.from_json_dict(d) for d in data["parts"]]
         return cls(parts, radius=radius)
 
-
-def x_homogeneous_parts(p) -> NcPowerSeries:
-    """Grade a (matrix) polynomial by x-degree; see NcPowerSeries."""
-    return NcPowerSeries.from_polynomial(p)

@@ -22,13 +22,13 @@ from .errors import NcError
 from .evaluate import (NcFunction, PolynomialNcFunction, SeriesNcFunction,
                        check_nc_function_axioms)
 from .onevar import (DiscreteMeasure, ScalarFn, convexity_test_1var,
-                     g_transform, kraus_eval, loewner_matrix,
-                     loewner_monotone_test, matrix_apply,
-                     verify_convexity1_witness)
+                     g_transform, kraus_eval, loewner_monotone_test,
+                     matrix_apply, verify_convexity1_witness,
+                     verify_monotone_witness)
 from .parsing import infer_signature, parse_polynomial
 from .presets import (KrausLiftFunction, get_preset, random_base_tuple,
                       scalar_from_polynomial)
-from .slices import VERDICT_CONSISTENT, certify_degree_two
+from .slices import certify_degree_two
 from .tolerances import WITNESS_TOL
 from .tuples import (HermTuple, derived_rng, hermitian_with_spectrum_in,
                      identity_tuple, matrix_to_json, tuple_from_json,
@@ -53,16 +53,6 @@ def _emit(args, payload: dict, code: int) -> int:
         with open(args.json_out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     return code
-
-
-def _write_witness(args, payload: dict) -> str:
-    path = getattr(args, "witness_out", None) or "witness.json"
-    payload = dict(payload)
-    payload["schema"] = SCHEMA
-    text = _dump(payload)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
-    return path
 
 
 def _write_csv(path: str, header: str, rows) -> None:
@@ -123,23 +113,27 @@ def _tuple_from_arg(value: str, kind: str, g: int,
 # -- function sources ---------------------------------------------------------
 
 
-def _nc_function(args) -> tuple:
-    """Returns (NcFunction, descriptor dict, preset | None)."""
-    preset = None
+def _function_desc(args) -> dict:
+    """The descriptor of the function named by the flags; output and
+    witness files carry it, and the functions below rebuild from it."""
     if getattr(args, "preset", None):
-        preset = get_preset(args.preset)
-        return preset.make(), {"preset": preset.name}, preset
+        return {"preset": get_preset(args.preset).name}
     if getattr(args, "series_file", None):
         series = NcPowerSeries.from_json_dict(_load_json(args.series_file))
-        return (SeriesNcFunction(series, name=args.series_file),
-                {"series": series.to_json_dict()}, None)
+        return {"series": series.to_json_dict()}
     if getattr(args, "expr", None):
         sig = (_parse_signature(args.signature) if args.signature
                else infer_signature(args.expr))
-        p = parse_polynomial(args.expr, sig)
-        desc = {"expr": args.expr, "signature": f"{sig.g_a},{sig.g_x}"}
-        return PolynomialNcFunction(p, name=args.expr), desc, None
-    raise ValueError("provide a function: --expr, --series-file or --preset")
+        return {"expr": args.expr, "signature": f"{sig.g_a},{sig.g_x}"}
+    series_flag = ", --series-file" if hasattr(args, "series_file") else ""
+    raise ValueError(f"provide a function: --expr{series_flag} or --preset")
+
+
+def _nc_function(args) -> tuple:
+    """Returns (NcFunction, descriptor dict, preset | None)."""
+    desc = _function_desc(args)
+    preset = get_preset(desc["preset"]) if "preset" in desc else None
+    return _nc_function_from_descriptor(desc), desc, preset
 
 
 def _nc_function_from_descriptor(desc: dict) -> NcFunction:
@@ -153,35 +147,29 @@ def _nc_function_from_descriptor(desc: dict) -> NcFunction:
 
 
 def _scalar_function(args) -> tuple:
-    """Returns (ScalarFn, descriptor, default interval)."""
-    if getattr(args, "preset", None):
-        preset = get_preset(args.preset)
-        if preset.make_scalar is None:
-            raise ValueError(f"preset {preset.name!r} has no one-variable view")
-        fn = preset.make_scalar()
-        desc = {"preset": preset.name}
-        interval = preset.interval
-    elif getattr(args, "expr", None):
-        sig = (_parse_signature(args.signature)
-               if getattr(args, "signature", None)
-               else infer_signature(args.expr))
-        fn = scalar_from_polynomial(parse_polynomial(args.expr, sig),
-                                    name=args.expr)
-        desc = {"expr": args.expr, "signature": f"{sig.g_a},{sig.g_x}"}
-        interval = (-1.0, 1.0)
-    else:
-        raise ValueError("provide a function: --expr or --preset")
-    if getattr(args, "g_transform", False):
-        fn = g_transform(fn)
-        desc = dict(desc, g_transform=True)
-    if getattr(args, "interval", None):
+    """Returns (ScalarFn, descriptor, interval): --interval, else the
+    preset's, else (-1, 1)."""
+    desc = _function_desc(args)
+    if args.g_transform:
+        desc["g_transform"] = True
+    if args.interval:
         interval = _parse_interval(args.interval)
-    return fn, desc, interval
+    else:
+        interval = (get_preset(desc["preset"]).interval if "preset" in desc
+                    else (-1.0, 1.0))
+    return _scalar_from_descriptor(desc), desc, interval
 
 
 def _scalar_from_descriptor(desc: dict) -> ScalarFn:
     if "preset" in desc:
-        fn = get_preset(desc["preset"]).make_scalar()
+        preset = get_preset(desc["preset"])
+        if preset.make_scalar is None:
+            raise ValueError(f"preset {preset.name!r} has no one-variable view")
+        fn = preset.make_scalar()
+    elif "mu" in desc:                              # written by `kraus`
+        mu = DiscreteMeasure.from_json_dict(desc["mu"])
+        fn = KrausLiftFunction(desc["f0"], desc["f1"], desc["f2"],
+                               mu).scalar_fn()
     else:
         sig = _parse_signature(desc["signature"])
         fn = scalar_from_polynomial(parse_polynomial(desc["expr"], sig),
@@ -198,11 +186,62 @@ def _a_tuple(args, sig: Signature) -> HermTuple:
     return random_base_tuple(sig.g_a, size, derived_rng(args.seed, _A_SALT))
 
 
-def _repass(report_pass: bool, min_eig: float, tol: Optional[float],
-            hermitian_ok: bool = True) -> bool:
-    if tol is None:
-        return report_pass
-    return min_eig >= -tol and hermitian_ok
+def _passed(args, report) -> bool:
+    """The report's verdict, or its min_eig against --tol if given."""
+    if args.tol is None:
+        return report.passed
+    return (report.min_eig >= -args.tol
+            and report.extra.get("hermitian_ok", True))
+
+
+def _conclude(args, payload: dict, passed: bool, kind: str,
+              witness: Optional[dict]) -> int:
+    """Exit 0 on a pass; otherwise write the witness, if there is one,
+    as a file of the given kind and exit 1."""
+    if not passed and witness is not None:
+        path = getattr(args, "witness_out", None) or "witness.json"
+        # serialized before the file opens, so a refused payload leaves
+        # no empty witness behind
+        text = _dump({"kind": kind, "function": payload["function"],
+                      "witness": witness, "schema": SCHEMA})
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+        payload["witness_file"] = path
+    return _emit(args, payload, 0 if passed else 1)
+
+
+# witness kind -> (the subcommand that re-checks it, the loader of its
+# function descriptor, its verifier).  The lambdas look the verifier up
+# when they run, so a verifier replaced on this module is the one called.
+_VERIFIERS = {
+    "convexity": ("convexity", _nc_function_from_descriptor,
+                  lambda F, w: verify_convexity_witness(F, w)),
+    "hypothesis_fails": ("convexity", _nc_function_from_descriptor,
+                         lambda F, w: verify_convexity_witness(F, w)),
+    "convexity1": ("convexity1", _scalar_from_descriptor,
+                   lambda f, w: verify_convexity1_witness(f, w)),
+    "monotone": ("monotone", _scalar_from_descriptor,
+                 lambda f, w: verify_monotone_witness(f, w)),
+}
+
+
+def _verify(args) -> int:
+    """Re-check a witness file; exit 0 iff it still violates."""
+    data = _load_json(args.verify_witness)
+    kind = data.get("kind") if isinstance(data, dict) else None
+    if kind not in _VERIFIERS:
+        raise ValueError(f"no verifier for kind {kind!r}")
+    command, load, verify = _VERIFIERS[kind]
+    if command != args.command:
+        raise ValueError(f"a {kind} witness is re-checked by "
+                         f"'{command} --verify-witness', not '{args.command}'")
+    try:
+        eig = verify(load(data["function"]), data["witness"])
+    except KeyError as exc:
+        raise ValueError(f"{kind} witness file lacks {exc}") from exc
+    violates = eig < -WITNESS_TOL
+    return _emit(args, {"command": f"{command}-verify", "min_eig": eig,
+                        "violates": violates}, 0 if violates else 1)
 
 
 # -- subcommands --------------------------------------------------------------
@@ -233,14 +272,6 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_convexity(args) -> int:
-    if args.verify_witness:
-        data = _load_json(args.verify_witness)
-        F = _nc_function_from_descriptor(data["function"])
-        eig = verify_convexity_witness(F, data["witness"])
-        violates = eig < -WITNESS_TOL
-        return _emit(args, {"command": "convexity-verify",
-                            "min_eig": eig, "violates": violates},
-                     0 if violates else 1)
     F, desc, preset = _nc_function(args)
     epsilon = args.epsilon if args.epsilon is not None else (
         preset.epsilon if preset else 1.0)
@@ -248,70 +279,35 @@ def _cmd_convexity(args) -> int:
     report = test_convexity_at_CA(F, A, epsilon,
                                   multiplicities=_parse_ints(args.multiplicities),
                                   trials=args.trials, seed=args.seed)
-    passed = _repass(report.passed, report.min_defect_eig, args.tol,
-                     report.hermitian_ok)
+    passed = _passed(args, report)
     if args.csv_out:
         _write_csv(args.csv_out, "trial,defect_min_eig",
                    list(enumerate(report.trial_min_eigs)))
     payload = {"command": "convexity", "function": desc, "seed": args.seed,
                **report.to_json_dict(), "pass": passed}
-    if passed:
-        return _emit(args, payload, 0)
-    if report.witness is not None:
-        path = _write_witness(args, {"kind": "convexity", "function": desc,
-                                     "witness": report.witness})
-        payload["witness_file"] = path
-    return _emit(args, payload, 1)
+    return _conclude(args, payload, passed, "convexity", report.witness)
 
 
 def _cmd_monotone(args) -> int:
-    if args.verify_witness:
-        data = _load_json(args.verify_witness)
-        fn = _scalar_from_descriptor(data["function"])
-        eigs = np.linalg.eigvalsh(loewner_matrix(fn, data["witness"]["points"]))
-        violates = bool(eigs[0] < -WITNESS_TOL)
-        return _emit(args, {"command": "monotone-verify",
-                            "min_eig": float(eigs[0]), "violates": violates},
-                     0 if violates else 1)
     fn, desc, interval = _scalar_function(args)
     report = loewner_monotone_test(fn, interval, points_per_trial=args.points,
                                    trials=args.trials, seed=args.seed)
-    passed = _repass(report.passed, report.min_eig, args.tol)
+    passed = _passed(args, report)
     payload = {"command": "monotone", "function": desc, "seed": args.seed,
                "interval": list(interval), **report.to_json_dict(),
                "pass": passed}
-    if passed:
-        return _emit(args, payload, 0)
-    if report.witness is not None:
-        path = _write_witness(args, {"kind": "monotone", "function": desc,
-                                     "witness": report.witness})
-        payload["witness_file"] = path
-    return _emit(args, payload, 1)
+    return _conclude(args, payload, passed, "monotone", report.witness)
 
 
 def _cmd_convexity1(args) -> int:
-    if args.verify_witness:
-        data = _load_json(args.verify_witness)
-        fn = _scalar_from_descriptor(data["function"])
-        eig = verify_convexity1_witness(fn, data["witness"])
-        violates = eig < -WITNESS_TOL
-        return _emit(args, {"command": "convexity1-verify",
-                            "min_eig": eig, "violates": violates},
-                     0 if violates else 1)
     fn, desc, interval = _scalar_function(args)
     report = convexity_test_1var(fn, interval, size=args.size,
                                  trials=args.trials, seed=args.seed)
-    passed = _repass(report.passed, report.min_eig, args.tol)
+    passed = _passed(args, report)
     payload = {"command": "convexity1", "function": desc, "seed": args.seed,
                "interval": list(interval), "size": args.size,
                **report.to_json_dict(), "pass": passed}
-    if passed:
-        return _emit(args, payload, 0)
-    if report.witness is not None:
-        path = _write_witness(args, {"kind": "convexity1", "function": desc,
-                                     "witness": report.witness})
-        payload["witness_file"] = path
-    return _emit(args, payload, 1)
+    return _conclude(args, payload, passed, "convexity1", report.witness)
 
 
 def _cmd_kraus(args) -> int:
@@ -347,7 +343,7 @@ def _cmd_kraus(args) -> int:
 
     report = convexity_test_1var(fn, interval, size=args.size,
                                  trials=args.trials, seed=args.seed)
-    passed = _repass(report.passed, report.min_eig, args.tol) and cross_dev < 1e-9
+    passed = _passed(args, report) and cross_dev < 1e-9
     payload = {
         "command": "kraus", "function": desc, "seed": args.seed,
         "interval": list(interval),
@@ -359,13 +355,7 @@ def _cmd_kraus(args) -> int:
     if args.csv_out:
         _write_csv(args.csv_out, "t,f", list(zip(payload["sweep"]["points"],
                                                  values)))
-    if passed:
-        return _emit(args, payload, 0)
-    if report.witness is not None:
-        path = _write_witness(args, {"kind": "convexity1", "function": desc,
-                                     "witness": report.witness})
-        payload["witness_file"] = path
-    return _emit(args, payload, 1)
+    return _conclude(args, payload, passed, "convexity1", report.witness)
 
 
 def _cmd_certify(args) -> int:
@@ -380,14 +370,8 @@ def _cmd_certify(args) -> int:
         coeff_tol=args.tol if args.tol is not None else 1e-7)
     payload = {"command": "certify", "function": desc, "seed": args.seed,
                **report.to_json_dict()}
-    if report.verdict == VERDICT_CONSISTENT:
-        return _emit(args, payload, 0)
-    if report.witness is not None:
-        path = _write_witness(args, {"kind": report.verdict.lower(),
-                                     "function": desc,
-                                     "witness": report.witness})
-        payload["witness_file"] = path
-    return _emit(args, payload, 1)
+    return _conclude(args, payload, report.consistent, report.verdict.lower(),
+                     report.witness)
 
 
 def _cmd_axioms(args) -> int:
@@ -519,6 +503,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "trials", 1) < 1:
             raise ValueError(f"--trials must be at least 1, got {args.trials}")
+        if getattr(args, "verify_witness", None):
+            return _verify(args)
         return args.fn(args)
     except (NcError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,8 +23,9 @@ import numpy as np
 from .algebra import (MatrixNcPolynomial, NcPolynomial, NcPowerSeries,
                       Signature)
 from .errors import DomainError, ShapeError, SignatureError
-from .tuples import (HermTuple, haar_unitary, random_hermitian, tuple_norm,
-                     as_rng, tuple_to_json)
+from .tuples import (HermTuple, as_rng, block_diag, haar_unitary,
+                     matrices_norm, random_hermitian, tuple_norm,
+                     tuple_to_json)
 
 
 def _as_matrices(T) -> list:
@@ -105,16 +106,6 @@ def eval_poly(p, A=None, X=None, n: Optional[int] = None) -> np.ndarray:
                      for row in p.entries])
 
 
-def _x_part_norm(x_mats, size) -> float:
-    if not x_mats:
-        return 0.0
-    s = np.zeros((size, size), dtype=complex)
-    for m in x_mats:
-        s += m @ m.conj().T
-    top = float(np.linalg.eigvalsh(s)[-1])
-    return float(np.sqrt(max(top, 0.0)))
-
-
 def eval_series(F: NcPowerSeries, A=None, X=None, up_to: Optional[int] = None,
                 n: Optional[int] = None, with_increment: bool = False):
     """Partial sum of the x-homogeneous parts at (A, X).
@@ -124,7 +115,7 @@ def eval_series(F: NcPowerSeries, A=None, X=None, up_to: Optional[int] = None,
     convergence proxy.
     """
     a_mats, x_mats, size = _resolve_point(F.signature, A, X, n)
-    nx = _x_part_norm(x_mats, size)
+    nx = matrices_norm(x_mats, size)
     if not nx < F.radius:
         raise DomainError(
             f"tuple norm {nx:.6g} is outside the series radius {F.radius:.6g}")
@@ -172,9 +163,6 @@ class NcFunction:
 
     def x_parts(self) -> Optional[NcPowerSeries]:
         return None
-
-    def empty_a(self, n: int) -> HermTuple:
-        return HermTuple([], kind="a", n=n)
 
 
 class PolynomialNcFunction(NcFunction):
@@ -287,14 +275,6 @@ def _random_point(sig: Signature, n: int, rng) -> tuple:
     return A, X
 
 
-def _block_diag(M1: np.ndarray, M2: np.ndarray) -> np.ndarray:
-    n1, n2 = M1.shape[0], M2.shape[0]
-    out = np.zeros((n1 + n2, n1 + n2), dtype=complex)
-    out[:n1, :n1] = M1
-    out[n1:, n1:] = M2
-    return out
-
-
 def check_nc_function_axioms(F, sizes=(1, 2, 3, 4), samples: int = 100,
                              seed=0, tol: float = 1e-8) -> AxiomsReport:
     """Sampled check that F respects direct sums and unitary conjugation.
@@ -317,7 +297,7 @@ def check_nc_function_axioms(F, sizes=(1, 2, 3, 4), samples: int = 100,
         v1 = F(A1, X1)
         v2 = F(A2, X2)
         joint = F(A1.direct_sum(A2), X1.direct_sum(X2))
-        dev_ds = float(np.max(np.abs(joint - _block_diag(v1, v2))))
+        dev_ds = float(np.max(np.abs(joint - block_diag(v1, v2))))
         U = haar_unitary(n1, rng)
         dev_u = float(np.max(np.abs(F(A1.conjugate(U), X1.conjugate(U))
                                     - U.conj().T @ v1 @ U)))

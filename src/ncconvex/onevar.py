@@ -14,9 +14,10 @@ t, so inside |t| <= 1e-3 the transform evaluates a degree-3 Taylor
 polynomial built from derivatives of f at 0 instead.
 
 Monotonicity testing is the classical Loewner criterion: divided
-difference matrices with f' on the diagonal must be PSD.  All verdicts
-compare min eigenvalues against -PSD_TOL, with the stricter
--WITNESS_TOL band required before a counterexample is reported.
+difference matrices with f' on the diagonal must be PSD.  Both testers
+run on the sampling core of convexity.py, which compares min
+eigenvalues against -PSD_TOL and requires the stricter -WITNESS_TOL
+band before a counterexample is reported.
 """
 
 from __future__ import annotations
@@ -27,9 +28,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .convexity import Report, _defect_eigs, _falsify
 from .errors import DomainError, ShapeError, SingularityError
-from .tolerances import KRAUS_POLE_TOL, PSD_TOL, WITNESS_TOL
-from .tuples import (derived_rng, hermitian_with_spectrum_in, matrix_from_json,
+from .tolerances import KRAUS_POLE_TOL
+from .tuples import (hermitian_with_spectrum_in, matrix_from_json,
                      matrix_to_json)
 
 _FD_STEP = 1e-6
@@ -241,27 +243,7 @@ def g_transform(f: ScalarFn) -> ScalarFn:
     return ScalarFn(g, d1=dg, domain=f.domain, name=f"g[{f.name}]")
 
 
-# -- reports and testers -----------------------------------------------------
-
-
-@dataclass
-class TestReport:
-    test: str
-    passed: bool
-    min_eig: float
-    trials: int
-    witness: Optional[dict] = None
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "test": self.test,
-            "pass": bool(self.passed),
-            "min_eig": float(self.min_eig),
-            "trials": int(self.trials),
-        }
-        if self.witness is not None:
-            out["witness"] = self.witness
-        return out
+# -- testers ------------------------------------------------------------------
 
 
 def loewner_matrix(f: ScalarFn, points) -> np.ndarray:
@@ -291,7 +273,7 @@ def _distinct_points(rng, lo: float, hi: float, k: int) -> np.ndarray:
 
 def loewner_monotone_test(f: ScalarFn, interval: Optional[tuple] = None,
                           points_per_trial: int = 5, trials: int = 200,
-                          seed=0) -> TestReport:
+                          seed=0) -> Report:
     """Sampling falsifier for operator monotonicity on an interval.
 
     Fail is conclusive (the witness points re-verify standalone); pass
@@ -302,25 +284,31 @@ def loewner_monotone_test(f: ScalarFn, interval: Optional[tuple] = None,
         raise ValueError(f"need a finite interval, got ({lo}, {hi})")
     if points_per_trial < 2:
         raise ValueError("points_per_trial must be >= 2")
-    min_eig = math.inf
-    witness = None
-    for k in range(trials):
-        rng = derived_rng(seed, k)
+
+    def trial(rng, k):
         pts = _distinct_points(rng, lo, hi, points_per_trial)
-        eigs = np.linalg.eigvalsh(loewner_matrix(f, pts))
-        if eigs[0] < min_eig:
-            min_eig = float(eigs[0])
-            if min_eig < -WITNESS_TOL:
-                witness = {
-                    "points": [float(t) for t in pts],
-                    "loewner_eigs": [float(e) for e in eigs],
-                }
-    return TestReport(test="loewner_monotone", passed=(min_eig >= -PSD_TOL),
-                      min_eig=min_eig, trials=trials, witness=witness)
+        return loewner_matrix(f, pts), pts
+
+    def witness_of(pts, eigs):
+        return {"points": [float(t) for t in pts],
+                "loewner_eigs": [float(e) for e in eigs]}
+
+    return _falsify((seed,), trials, trial, witness_of, "loewner_monotone")
+
+
+def verify_monotone_witness(f: ScalarFn, witness: dict) -> float:
+    """Recompute the Loewner min eigenvalue of a stored witness."""
+    return float(_defect_eigs(loewner_matrix(f, witness["points"]),
+                              "witness")[0])
+
+
+def _defect_1var(f: ScalarFn, A, B, t: float) -> np.ndarray:
+    return (t * matrix_apply(f, A) + (1.0 - t) * matrix_apply(f, B)
+            - matrix_apply(f, t * A + (1.0 - t) * B))
 
 
 def convexity_test_1var(f: ScalarFn, interval: Optional[tuple] = None,
-                        size: int = 2, trials: int = 300, seed=0) -> TestReport:
+                        size: int = 2, trials: int = 300, seed=0) -> Report:
     """Midpoint-plus-random matrix convexity falsifier for one variable.
 
     Defect D = t f(A) + (1-t) f(B) - f(tA + (1-t)B) must stay PSD; the
@@ -329,42 +317,29 @@ def convexity_test_1var(f: ScalarFn, interval: Optional[tuple] = None,
     lo, hi = interval if interval is not None else f.domain
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"need a finite interval, got ({lo}, {hi})")
-    min_eig = math.inf
-    witness = None
-    for k in range(trials):
-        rng = derived_rng(seed, k)
+
+    def trial(rng, k):
         # every other trial pins t at the midpoint
         t = 0.5 if k % 2 == 0 else float(rng.uniform(0.0, 1.0))
         for _ in range(5):
             A = hermitian_with_spectrum_in(size, lo, hi, rng)
             B = hermitian_with_spectrum_in(size, lo, hi, rng)
             try:
-                D = (t * matrix_apply(f, A) + (1.0 - t) * matrix_apply(f, B)
-                     - matrix_apply(f, t * A + (1.0 - t) * B))
+                return _defect_1var(f, A, B, t), (A, B, t)
             except DomainError:
                 continue  # float dust pushed a mixed eigenvalue out; resample
-            break
-        else:
-            raise DomainError("could not sample spectra inside the interval")
-        eigs = np.linalg.eigvalsh((D + D.conj().T) / 2)
-        if eigs[0] < min_eig:
-            min_eig = float(eigs[0])
-            if min_eig < -WITNESS_TOL:
-                witness = {
-                    "A": matrix_to_json(A),
-                    "B": matrix_to_json(B),
-                    "t": t,
-                    "defect_eigs": [float(e) for e in eigs],
-                }
-    return TestReport(test="convexity_1var", passed=(min_eig >= -PSD_TOL),
-                      min_eig=min_eig, trials=trials, witness=witness)
+        raise DomainError("could not sample spectra inside the interval")
+
+    def witness_of(sample, eigs):
+        A, B, t = sample
+        return {"A": matrix_to_json(A), "B": matrix_to_json(B), "t": t,
+                "defect_eigs": [float(e) for e in eigs]}
+
+    return _falsify((seed,), trials, trial, witness_of, "convexity_1var")
 
 
 def verify_convexity1_witness(f: ScalarFn, witness: dict) -> float:
     """Recompute the defect min eigenvalue of a stored witness."""
-    A = matrix_from_json(witness["A"])
-    B = matrix_from_json(witness["B"])
-    t = float(witness["t"])
-    D = (t * matrix_apply(f, A) + (1.0 - t) * matrix_apply(f, B)
-         - matrix_apply(f, t * A + (1.0 - t) * B))
-    return float(np.linalg.eigvalsh((D + D.conj().T) / 2)[0])
+    D = _defect_1var(f, matrix_from_json(witness["A"]),
+                     matrix_from_json(witness["B"]), float(witness["t"]))
+    return float(_defect_eigs(D, "witness")[0])

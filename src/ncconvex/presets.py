@@ -205,25 +205,6 @@ def trace_evaluator(sig: Signature = Signature(0, 1)) -> CallableNcFunction:
     return CallableNcFunction(fn, sig, name="trace-broken")
 
 
-def graded_identity(sig: Signature = Signature(0, 1)) -> CallableNcFunction:
-    """(A, X) -> I_n; the constant nc function."""
-    sig = Signature(*sig)
-
-    def fn(A, X):
-        mats = list(A) + list(X)
-        if mats:
-            n = np.asarray(mats[0]).shape[0]
-        elif isinstance(A, HermTuple):
-            n = A.n
-        elif isinstance(X, HermTuple):
-            n = X.n
-        else:
-            n = 1
-        return np.eye(n, dtype=complex)
-
-    return CallableNcFunction(fn, sig, name="graded-identity")
-
-
 def random_base_tuple(g: int, kappa: int, seed, norm: float = 0.9,
                       kind: str = "a") -> HermTuple:
     """Random Hermitian g-tuple of size kappa scaled to the given tuple

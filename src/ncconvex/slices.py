@@ -23,18 +23,15 @@ returning digits it cannot back.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .convexity import ConvexityReport, test_convexity_at_CA
-from .errors import DomainError, ExtractionError, NcError
+from .convexity import Report, _falsify, test_convexity_at_CA
+from .errors import DomainError, ExtractionError
 from .evaluate import as_nc_function, eval_poly
-from .onevar import TestReport
-from .tolerances import (COEFF_ZERO_TOL, EXTRACTION_RESIDUAL_TOL, PSD_TOL,
-                         WITNESS_TOL)
+from .tolerances import COEFF_ZERO_TOL, EXTRACTION_RESIDUAL_TOL
 from .tuples import (HermTuple, ca_element, derived_rng,
                      hermitian_with_spectrum_in, sample_x_ball, tuple_norm,
                      tuple_to_json)
@@ -102,32 +99,9 @@ class SliceCoefficients:
     method: str  # "exact" or "dft"
     radius: Optional[float]
     residual: Optional[float]
-    context: dict = field(default_factory=dict)
 
     def __getitem__(self, i: int) -> complex:
         return complex(self.coeffs[i])
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-    def phi(self, z: complex) -> complex:
-        return complex(np.polyval(self.coeffs[::-1], z))
-
-    def high_order(self, tol: float = COEFF_ZERO_TOL) -> list:
-        """Indices i > 2 whose coefficient magnitude exceeds tol."""
-        return [i for i in range(3, len(self.coeffs))
-                if abs(self.coeffs[i]) > tol]
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "method": self.method,
-            "coeffs": [[float(c.real), float(c.imag)] for c in self.coeffs],
-        }
-        if self.radius is not None:
-            out["radius"] = float(self.radius)
-        if self.residual is not None:
-            out["residual"] = float(self.residual)
-        return out
 
 
 def extract_slice_coefficients(F, A: HermTuple, X: HermTuple, v,
@@ -153,8 +127,7 @@ def extract_slice_coefficients(F, A: HermTuple, X: HermTuple, v,
             Mi = eval_poly(parts[i], A, X)
             coeffs[i] = complex(v.conj() @ Mi @ v)
         return SliceCoefficients(coeffs=coeffs, method="exact", radius=None,
-                                 residual=None,
-                                 context={"n": A.n, "degree_cap": degree_cap})
+                                 residual=None)
 
     r = 0.5 if radius is None else float(radius)
     if r <= 0:
@@ -181,13 +154,12 @@ def extract_slice_coefficients(F, A: HermTuple, X: HermTuple, v,
             f"interpolation residual {residual:.3e} exceeds "
             f"{EXTRACTION_RESIDUAL_TOL}; raise degree_cap or shrink radius")
     return SliceCoefficients(coeffs=coeffs, method="dft", radius=r,
-                             residual=residual,
-                             context={"n": A.n, "degree_cap": degree_cap})
+                             residual=residual)
 
 
 def test_slice_convexity_transfer(F, A: HermTuple, X: HermTuple, v,
                                   delta: float = 0.2, t_size: int = 3,
-                                  trials: int = 200, seed=0) -> TestReport:
+                                  trials: int = 200, seed=0) -> Report:
     """Matrix convexity of T -> phi_v(T) on spectra in (1-delta, 1+delta).
 
     This is the transfer step: convexity of F near (A, 0) pushes down
@@ -197,10 +169,8 @@ def test_slice_convexity_transfer(F, A: HermTuple, X: HermTuple, v,
     F = as_nc_function(F)
     v = _unit_vector(v)
     lo, hi = 1.0 - delta, 1.0 + delta
-    min_eig = math.inf
-    witness = None
-    for k in range(trials):
-        rng = derived_rng(seed, k)
+
+    def trial(rng, k):
         d = int(rng.integers(1, t_size + 1))
         T1 = hermitian_with_spectrum_in(d, lo, hi, rng)
         T2 = hermitian_with_spectrum_in(d, lo, hi, rng)
@@ -208,20 +178,16 @@ def test_slice_convexity_transfer(F, A: HermTuple, X: HermTuple, v,
         P1 = slice_matrix(F, A, X, v, T1)
         P2 = slice_matrix(F, A, X, v, T2)
         PM = slice_matrix(F, A, X, v, t * T1 + (1.0 - t) * T2)
-        D = t * P1 + (1.0 - t) * P2 - PM
-        eigs = np.linalg.eigvalsh((D + D.conj().T) / 2)
-        if eigs[0] < min_eig:
-            min_eig = float(eigs[0])
-            if min_eig < -WITNESS_TOL:
-                witness = {
-                    "T1": [[float(x.real) for x in row] for row in T1],
-                    "T2": [[float(x.real) for x in row] for row in T2],
-                    "t": t,
-                    "defect_eigs": [float(e) for e in eigs],
-                }
-    return TestReport(test="slice_convexity_transfer",
-                      passed=(min_eig >= -PSD_TOL), min_eig=min_eig,
-                      trials=trials, witness=witness)
+        return t * P1 + (1.0 - t) * P2 - PM, (T1, T2, t)
+
+    def witness_of(sample, eigs):
+        T1, T2, t = sample
+        return {"T1": [[float(x.real) for x in row] for row in T1],
+                "T2": [[float(x.real) for x in row] for row in T2],
+                "t": t, "defect_eigs": [float(e) for e in eigs]}
+
+    return _falsify((seed,), trials, trial, witness_of,
+                    "slice_convexity_transfer")
 
 
 @dataclass
@@ -230,7 +196,7 @@ class CertificationReport:
     samples: int
     skipped: int
     max_high_order_coeff: float
-    convexity: ConvexityReport
+    convexity: Report
     epsilon: float
     degree_cap: int
     coeff_tol: float

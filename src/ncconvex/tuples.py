@@ -142,14 +142,9 @@ class HermTuple:
                 f"arity mismatch: {self.arity} vs {other.arity}")
         if self.kind != other.kind:
             raise ValueError(f"kind mismatch: {self.kind} vs {other.kind}")
-        n = self.n + other.n
-        out = []
-        for a, b in zip(self.entries, other.entries):
-            m = np.zeros((n, n), dtype=complex)
-            m[:self.n, :self.n] = a
-            m[self.n:, self.n:] = b
-            out.append(m)
-        return HermTuple(out, kind=self.kind, n=n)
+        return HermTuple([block_diag(a, b)
+                          for a, b in zip(self.entries, other.entries)],
+                         kind=self.kind, n=self.n + other.n)
 
     def conjugate(self, U: np.ndarray) -> "HermTuple":
         U = np.asarray(U, dtype=complex)
@@ -171,21 +166,26 @@ def _check_unitary(U: np.ndarray, n: int, tol: float = UNITARY_TOL) -> None:
 
 def tuple_norm(X: HermTuple) -> float:
     """sqrt of the top eigenvalue of sum_i X_i X_i*."""
-    if X.arity == 0:
+    return matrices_norm(X.entries, X.n)
+
+
+def matrices_norm(mats, n: int) -> float:
+    """tuple_norm of a plain sequence of n x n matrices."""
+    if not mats:
         return 0.0
-    s = np.zeros((X.n, X.n), dtype=complex)
-    for m in X.entries:
+    s = np.zeros((n, n), dtype=complex)
+    for m in mats:
         s += m @ m.conj().T
     top = float(np.linalg.eigvalsh(s)[-1])
     return float(np.sqrt(max(top, 0.0)))
 
 
-def direct_sum(Z: HermTuple, W: HermTuple) -> HermTuple:
-    return Z.direct_sum(W)
-
-
-def conjugate(Z: HermTuple, U: np.ndarray) -> HermTuple:
-    return Z.conjugate(U)
+def block_diag(M1: np.ndarray, M2: np.ndarray) -> np.ndarray:
+    n1, n2 = M1.shape[0], M2.shape[0]
+    out = np.zeros((n1 + n2, n1 + n2), dtype=complex)
+    out[:n1, :n1] = M1
+    out[n1:, n1:] = M2
+    return out
 
 
 def zero_tuple(g: int, n: int, kind: str = "x") -> HermTuple:
@@ -278,10 +278,6 @@ class CASetElement:
         self.m = m
         self.unitary = U
         self.tuple = HermTuple(realized, kind=base.kind, n=kappa * m)
-
-    @property
-    def size(self) -> int:
-        return self.base.n * self.m
 
     def __repr__(self) -> str:
         return f"CASetElement(kappa={self.base.n}, m={self.m})"

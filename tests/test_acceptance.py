@@ -101,10 +101,10 @@ def test_criterion_03_quartic_falsified_both_routes():
     re2 = (verify_convexity_witness(F, rep2.witness)
            if rep2.witness else 0.0)
     ok = (not rep1.passed and not rep2.passed
-          and rep1.min_eig < -1e-6 and rep2.min_defect_eig < -1e-6
+          and rep1.min_eig < -1e-6 and rep2.min_eig < -1e-6
           and re1 < -1e-6 and re2 < -1e-6)
     _record(3, ok, f"convexity1 min {rep1.min_eig:.2e}, at_A min "
-                   f"{rep2.min_defect_eig:.2e}, re-verified "
+                   f"{rep2.min_eig:.2e}, re-verified "
                    f"{re1:.2e}/{re2:.2e} (all <-1e-6)")
 
 
@@ -114,9 +114,9 @@ def test_criterion_04_square_passes_ca_levels():
     report = convexity_at_CA(F, _empty_a(2), epsilon=1.0,
                                   multiplicities=(1, 2, 3), trials=500,
                                   seed=104)
-    ok = report.passed and report.min_defect_eig >= -1e-10
+    ok = report.passed and report.min_eig >= -1e-10
     _record(4, ok, f"m in (1,2,3), 500 trials each, min defect eig "
-                   f"{report.min_defect_eig:.2e} (>=-1e-10)")
+                   f"{report.min_eig:.2e} (>=-1e-10)")
 
 
 def test_criterion_05_g_transform_pipeline():

@@ -169,3 +169,96 @@ def test_json_output_refuses_non_finite_numbers():
     for bad in (float("inf"), float("-inf"), float("nan")):
         with pytest.raises(ValueError):
             _dump({"min_eig": bad})
+
+
+# -- witness verification by kind ----------------------------------------------
+
+
+def _main(argv, capsys):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def _one_error_line(err) -> str:
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    assert "Traceback" not in err
+    return lines[0]
+
+
+_WITNESS_RUNS = {
+    "convexity": ["convexity", "--preset", "quartic", "--trials", "60",
+                  "--seed", "7"],
+    "convexity1": ["convexity1", "--preset", "quartic", "--trials", "60",
+                   "--seed", "7"],
+    "monotone": ["monotone", "--preset", "square", "--interval", "0.1,1",
+                 "--trials", "20", "--seed", "4"],
+    "hypothesis_fails": ["certify", "--preset", "quartic", "--trials", "60",
+                         "--seed", "2"],
+    "higher_order_present": ["certify", "--preset", "kraus-halfmass",
+                             "--trials", "20", "--samples", "5"],
+    "kraus": ["kraus", "--f2", "-2", "--mu", "0.5:1", "--trials", "50",
+              "--sweep-points", "5", "--matrix-checks", "2"],
+}
+
+
+def _witness_file(name, tmp_path, capsys) -> str:
+    path = str(tmp_path / f"{name}.json")
+    code, _, err = _main([*_WITNESS_RUNS[name], "--witness-out", path],
+                         capsys)
+    assert code == 1, err
+    return path
+
+
+@pytest.mark.parametrize("name, command", [
+    ("convexity", "convexity"),
+    ("convexity1", "convexity1"),
+    ("monotone", "monotone"),
+    ("hypothesis_fails", "convexity"),
+    ("kraus", "convexity1"),
+])
+def test_verify_witness_by_kind(name, command, tmp_path, monkeypatch,
+                                capsys):
+    monkeypatch.chdir(tmp_path)
+    path = _witness_file(name, tmp_path, capsys)
+    code, out, err = _main([command, "--verify-witness", path], capsys)
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["command"] == f"{command}-verify"
+    assert doc["violates"] is True and doc["min_eig"] < -1e-6
+
+
+@pytest.mark.parametrize("name, command", [
+    ("convexity1", "convexity"),
+    ("convexity1", "monotone"),
+    ("monotone", "convexity1"),
+])
+def test_verify_witness_of_another_kind_is_a_usage_error(
+        name, command, tmp_path, monkeypatch, capsys):
+    # used to crash with a KeyError traceback and exit 1
+    monkeypatch.chdir(tmp_path)
+    path = _witness_file(name, tmp_path, capsys)
+    code, out, err = _main([command, "--verify-witness", path], capsys)
+    assert code == 2 and out == ""
+    line = _one_error_line(err)
+    assert f"'{name} --verify-witness'" in line
+
+
+def test_higher_order_witness_has_no_verifier(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    path = _witness_file("higher_order_present", tmp_path, capsys)
+    code, out, err = _main(["convexity", "--verify-witness", path], capsys)
+    assert code == 2 and out == ""
+    assert "no verifier for kind 'higher_order_present'" in _one_error_line(err)
+
+
+def test_non_finite_loewner_matrix_exits_two(tmp_path, monkeypatch, capsys):
+    # x1^3 overflows on (1e150, 1e160); this used to surface as numpy's
+    # "Eigenvalues did not converge"
+    monkeypatch.chdir(tmp_path)
+    code, out, err = _main(["monotone", "--expr", "x1^3", "--interval",
+                            "1e150,1e160", "--trials", "5"], capsys)
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == ("error: trial 0: the defect matrix is "
+                                    "not finite")

@@ -1,13 +1,20 @@
-"""Matrix convexity on the x-ball at a base point and over C_A."""
+"""Matrix convexity on the x-ball at a base point and over C_A, and the
+sampling core every tester runs on."""
+
+import math
 
 import numpy as np
 import pytest
 
-from ncconvex import (HermTuple, PolynomialNcFunction, Signature,
-                      derived_rng, parse_polynomial, random_base_tuple,
-                      verify_convexity_witness)
+from ncconvex import (CallableNcFunction, HermTuple, NcError,
+                      PolynomialNcFunction, ScalarFn, Signature,
+                      convexity_test_1var, derived_rng,
+                      loewner_monotone_test, parse_polynomial,
+                      random_base_tuple, verify_convexity_witness)
 from ncconvex import test_convexity_at_A as convexity_at_A
 from ncconvex import test_convexity_at_CA as convexity_at_CA
+from ncconvex import test_slice_convexity_transfer as slice_transfer
+from ncconvex.convexity import _falsify
 
 
 def _fn(expr, sig):
@@ -23,8 +30,8 @@ def test_square_passes_at_sizes():
     for n in (1, 2, 4):
         rep = convexity_at_A(F, _empty_a(n), epsilon=1.0, trials=100,
                                   seed=51)
-        assert rep.passed, f"size {n}: {rep.min_defect_eig}"
-        assert rep.min_defect_eig >= -1e-12
+        assert rep.passed, f"size {n}: {rep.min_eig}"
+        assert rep.min_eig >= -1e-12
 
 
 def test_affine_defect_is_exactly_zero():
@@ -32,7 +39,7 @@ def test_affine_defect_is_exactly_zero():
     A = random_base_tuple(1, 2, derived_rng(52))
     rep = convexity_at_A(F, A, epsilon=1.0, trials=60, seed=52)
     assert rep.passed
-    assert abs(rep.min_defect_eig) < 1e-12
+    assert abs(rep.min_eig) < 1e-12
 
 
 def test_quartic_fails_with_reverifiable_witness():
@@ -81,7 +88,7 @@ def test_ca_identity_multiplicity_one_matches_base():
                                   trials=80, seed=55)
     assert merged.passed == base.passed
     assert merged.trials == 80
-    assert merged.alpha == {"kappa": 2, "m": 1}
+    assert merged.extra["alpha"] == {"kappa": 2, "m": 1}
 
 
 def test_ca_levels_accumulate_trials():
@@ -97,7 +104,7 @@ def test_hermitian_check_flags_nonhermitian_output():
     F = _fn("x1*x2", Signature(0, 2))
     rep = convexity_at_A(F, _empty_a(2), epsilon=1.0, trials=30,
                               seed=57)
-    assert not rep.hermitian_ok
+    assert not rep.extra["hermitian_ok"]
     assert not rep.passed
 
 
@@ -111,5 +118,104 @@ def test_report_determinism():
     F = _fn("x1^4", Signature(0, 1))
     r1 = convexity_at_A(F, _empty_a(2), epsilon=2.0, trials=120, seed=58)
     r2 = convexity_at_A(F, _empty_a(2), epsilon=2.0, trials=120, seed=58)
-    assert r1.min_defect_eig == r2.min_defect_eig
+    assert r1.min_eig == r2.min_eig
     assert r1.to_json_dict() == r2.to_json_dict()
+
+
+# -- the sampling core ---------------------------------------------------------
+
+
+def _scripted(min_eigs):
+    """A trial whose defect k is diag(min_eigs[k], 1); it records the
+    first draw of each trial's generator."""
+    draws = []
+
+    def trial(rng, k):
+        draws.append(float(rng.random()))
+        return np.diag([min_eigs[k], 1.0]), k
+
+    return trial, draws
+
+
+def test_core_witness_comes_from_the_worst_trial():
+    trial, _ = _scripted([0.5, -1e-3, -5e-2, -1e-7, -1e-2])
+    captured = []
+
+    def witness_of(k, eigs):
+        captured.append(k)
+        return {"trial": k, "eig": float(eigs[0])}
+
+    rep = _falsify((60,), 5, trial, witness_of, "scripted")
+    assert not rep.passed
+    assert rep.min_eig == pytest.approx(-5e-2, rel=1e-12)
+    assert rep.witness["trial"] == 2
+    # captured only when a trial sets a new minimum below -WITNESS_TOL
+    assert captured == [1, 2]
+    assert len(rep.trial_min_eigs) == 5
+    assert rep.to_json_dict()["test"] == "scripted"
+
+
+def test_core_minimum_inside_the_hysteresis_band_fails_without_witness():
+    trial, _ = _scripted([0.0, -1e-7, 2.0])
+
+    def witness_of(k, eigs):
+        raise AssertionError("no witness inside (-1e-6, -1e-8)")
+
+    rep = _falsify((61,), 3, trial, witness_of, "scripted")
+    assert not rep.passed
+    assert rep.witness is None
+    assert rep.min_eig == pytest.approx(-1e-7, rel=1e-9)
+    assert len(rep.trial_min_eigs) == 3
+
+
+def test_core_same_key_same_draws():
+    runs = []
+    for key in ((62, 3), (62, 3), (62, 4)):
+        trial, draws = _scripted([1.0] * 6)
+        rep = _falsify(key, 6, trial, None, "scripted")
+        assert rep.passed and rep.witness is None
+        assert len(rep.trial_min_eigs) == 6
+        runs.append(draws)
+    assert runs[0] == runs[1]
+    assert runs[0] != runs[2]
+    assert runs[0] == [float(derived_rng(62, 3, k).random())
+                       for k in range(6)]
+
+
+def test_core_refuses_a_non_finite_defect():
+    def trial(rng, k):
+        return np.diag([1.0, math.nan if k == 1 else 1.0]), k
+
+    with pytest.raises(NcError, match="trial 1"):
+        _falsify((63,), 3, trial, None, "scripted")
+
+
+def _nan_nc(sig):
+    def fn(A, X):
+        n = np.asarray(X[0]).shape[0]
+        return np.full((n, n), np.nan, dtype=complex)
+    return CallableNcFunction(fn, sig, name="all-nan")
+
+
+_NAN_SCALAR = ScalarFn(lambda t: math.nan, d1=lambda t: math.nan,
+                       name="all-nan")
+
+
+@pytest.mark.parametrize("run", [
+    lambda: convexity_at_A(_nan_nc(Signature(0, 1)), _empty_a(2),
+                           epsilon=1.0, trials=5, seed=64),
+    lambda: convexity_at_CA(_nan_nc(Signature(0, 1)), _empty_a(2),
+                            epsilon=1.0, trials=5, seed=64),
+    lambda: convexity_test_1var(_NAN_SCALAR, (-1.0, 1.0), trials=5,
+                                seed=64),
+    lambda: loewner_monotone_test(_NAN_SCALAR, (-1.0, 1.0), trials=5,
+                                  seed=64),
+    lambda: slice_transfer(_nan_nc(Signature(0, 1)), _empty_a(2),
+                           HermTuple([np.eye(2)], kind="x"), [1.0, 0.0],
+                           trials=5, seed=64),
+], ids=["at_A", "at_CA", "convexity_1var", "loewner", "slice_transfer"])
+def test_all_nan_evaluator_raises_instead_of_passing(run):
+    # NaN defects used to pass (min_eig = inf) or raise LinAlgError
+    with pytest.raises(NcError, match="trial 0: the defect matrix is not "
+                                      "finite"):
+        run()

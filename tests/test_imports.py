@@ -1,0 +1,65 @@
+"""Every module of the package uses what it imports.
+
+No lint tool is a dependency, so this is a small stdlib-`ast` check.
+`__init__.py` re-exports by design and is skipped.  A name counts as
+used when it appears as a bare name anywhere in the module, including
+annotations and quoted forward references such as `-> "HermTuple"`.
+"""
+
+import ast
+from pathlib import Path
+
+import ncconvex
+
+PACKAGE = Path(ncconvex.__file__).resolve().parent
+
+
+def _imported(tree) -> dict:
+    """Bound name -> line for every import outside `__future__`."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                names[bound] = node.lineno
+    return names
+
+
+def _used(tree) -> set:
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        for ann in (getattr(node, "annotation", None),
+                    getattr(node, "returns", None)):
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                used |= _used(ast.parse(ann.value, mode="eval"))
+    return used
+
+
+def unused_imports(path: Path) -> list:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = _used(tree)
+    return sorted(f"{path.stem}.{name} (line {line})"
+                  for name, line in _imported(tree).items()
+                  if name not in used)
+
+
+def test_checker_flags_an_unused_import(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("from __future__ import annotations\n"
+                   "import math\nimport numpy as np\n"
+                   "from .errors import NcError, ShapeError\n\n"
+                   "def f(x: 'ShapeError') -> float:\n"
+                   "    return np.sqrt(x) or 'math'\n")
+    assert unused_imports(mod) == ["mod.NcError (line 4)",
+                                   "mod.math (line 2)"]
+
+
+def test_package_modules_have_no_unused_imports():
+    found = [u for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "__init__.py"
+             for u in unused_imports(path)]
+    assert found == []

@@ -10,7 +10,7 @@ from ncconvex import (DiscreteMeasure, ScalarFn, convexity_test_1var,
                       kraus_eval, kraus_scalar_fn, loewner_matrix,
                       loewner_monotone_test, matrix_apply, pick_eval,
                       scalar_from_polynomial, verify_convexity1_witness,
-                      parse_polynomial, Signature)
+                      verify_monotone_witness, parse_polynomial, Signature)
 from ncconvex.errors import DomainError, SingularityError
 
 HALF = DiscreteMeasure.point_mass(0.5)
@@ -201,6 +201,8 @@ def test_square_is_not_operator_monotone():
     assert rep.witness is not None
     L = loewner_matrix(_scalar("x1^2"), rep.witness["points"])
     assert np.linalg.eigvalsh(L)[0] < -1e-6
+    again = verify_monotone_witness(_scalar("x1^2"), rep.witness)
+    assert again == min(rep.witness["loewner_eigs"])
 
 
 def test_sqrt_is_operator_monotone():

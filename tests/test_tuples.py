@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from ncconvex import (HermTuple, Signature, ca_element, derived_rng,
-                      direct_sum, haar_unitary, identity_tuple,
-                      random_hermitian, sample_x_ball, tuple_from_json,
-                      tuple_norm, tuple_to_json)
+                      haar_unitary, identity_tuple, random_hermitian,
+                      sample_x_ball, tuple_from_json, tuple_norm,
+                      tuple_to_json)
 from ncconvex.errors import ShapeError, UnitarityError
 from ncconvex.tuples import shuffle_permutation
 
@@ -55,7 +55,7 @@ def test_norm_is_subadditive():
 def test_direct_sum_stacks_spectra():
     S = _rand_tuple(1, 2, seed=8)
     T = _rand_tuple(1, 3, seed=9)
-    D = direct_sum(S, T)
+    D = S.direct_sum(T)
     assert D.n == 5
     got = np.sort(np.linalg.eigvalsh(D[0]))
     want = np.sort(np.concatenate([np.linalg.eigvalsh(S[0]),
