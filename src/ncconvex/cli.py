@@ -239,6 +239,8 @@ def _verify(args) -> int:
         eig = verify(load(data["function"]), data["witness"])
     except KeyError as exc:
         raise ValueError(f"{kind} witness file lacks {exc}") from exc
+    except (TypeError, IndexError, AttributeError) as exc:
+        raise ValueError(f"{kind} witness file is malformed: {exc}") from exc
     violates = eig < -WITNESS_TOL
     return _emit(args, {"command": f"{command}-verify", "min_eig": eig,
                         "violates": violates}, 0 if violates else 1)
@@ -313,9 +315,9 @@ def _cmd_convexity1(args) -> int:
 def _cmd_kraus(args) -> int:
     if args.preset:
         preset = get_preset(args.preset)
-        if not isinstance(preset.make(), KrausLiftFunction):
+        lift = preset.make()
+        if not isinstance(lift, KrausLiftFunction):
             raise ValueError(f"preset {preset.name!r} is not a Kraus lift")
-        lift: KrausLiftFunction = preset.make()
         f0, f1, f2, mu = lift.f0, lift.f1, lift.f2, lift.mu
         desc = {"preset": preset.name}
     else:

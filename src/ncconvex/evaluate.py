@@ -151,6 +151,10 @@ class NcFunction:
     extractor falls back to Fourier sampling in that case, which
     requires the evaluator to be analytic in a complex scale z on the
     extraction disk (analytic_in_z flag).
+
+    at_scales(A, X, zs) returns the stack of F(A, z X) over the leading
+    axis, shape (len(zs), N, N).  The default loops over __call__;
+    override it when F can evaluate a stack in one call.
     """
 
     signature: Signature
@@ -160,6 +164,10 @@ class NcFunction:
 
     def __call__(self, A, X) -> np.ndarray:
         raise NotImplementedError
+
+    def at_scales(self, A, X, zs) -> np.ndarray:
+        x_mats = _as_matrices(X)
+        return np.stack([self(A, [z * x for x in x_mats]) for z in zs])
 
     def x_parts(self) -> Optional[NcPowerSeries]:
         return None

@@ -38,6 +38,8 @@ class KrausLiftFunction(NcFunction):
         F(X) = f0 I + f1 X + (1/2) f2 sum_k w_k X^2 (I - lambda_k X)^{-1}.
 
     Defined wherever every resolvent exists; radius = 1/max|lambda|.
+    X[0] may carry a leading stack axis; the matrix products and the
+    resolvent solves broadcast over it.
     """
 
     def __init__(self, f0: float, f1: float, f2: float, mu: DiscreteMeasure,
@@ -54,7 +56,7 @@ class KrausLiftFunction(NcFunction):
 
     def __call__(self, A, X) -> np.ndarray:
         M = np.asarray(X[0], dtype=complex)
-        n = M.shape[0]
+        n = M.shape[-1]
         eye = np.eye(n, dtype=complex)
         acc = self.f0 * eye + self.f1 * M
         M2 = M @ M
@@ -67,6 +69,10 @@ class KrausLiftFunction(NcFunction):
                 raise SingularityError(
                     f"resolvent at atom {l} is singular") from exc
         return acc
+
+    def at_scales(self, A, X, zs) -> np.ndarray:
+        zs = np.asarray(zs, dtype=complex)
+        return self(A, [zs[:, None, None] * X[0]])
 
     def scalar_fn(self, domain: tuple = (-1.0, 1.0)) -> ScalarFn:
         return kraus_scalar_fn(self.f0, self.f1, self.f2, self.mu,

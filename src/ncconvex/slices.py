@@ -18,7 +18,9 @@ Numerics of the DFT route: coefficient i is recovered with noise about
 eps_machine * max|phi| / r^i, so small radii amplify high-order noise;
 the residual check on a rotated node set catches both that and
 aliasing, and the extractor refuses (ExtractionError) rather than
-returning digits it cannot back.
+returning digits it cannot back.  Both node sets, the interpolation
+nodes and the rotated check nodes, go through one F.at_scales call, so
+the checks that do not depend on z run once per extraction.
 """
 
 from __future__ import annotations
@@ -62,25 +64,30 @@ def slice_phi(F, A: HermTuple, X: HermTuple, xi: np.ndarray) -> np.ndarray:
     return F(a_lift, x_lift)
 
 
-def slice_scalar(F, A: HermTuple, X: HermTuple, v, z: complex) -> complex:
-    """phi(z) = v* F(A, zX) v; v is normalized on ingest."""
-    F = as_nc_function(F)
+def _phi_at(F, A: HermTuple, X: HermTuple, v, zs) -> np.ndarray:
+    """phi at every z in zs from one F.at_scales call; the z-free checks
+    run once and v is normalized on ingest."""
     v = _unit_vector(v)
-    z = complex(z)
-    if z.imag != 0.0 and not F.analytic_in_z:
+    zs = np.asarray(zs, dtype=complex)
+    if np.any(zs.imag != 0.0) and not F.analytic_in_z:
         raise DomainError(
             f"evaluator {F.name} is not declared analytic in z; "
             "complex slices are unavailable")
-    if not abs(z) * tuple_norm(X) < F.radius:
+    reach = float(np.max(np.abs(zs))) * tuple_norm(X)
+    if not reach < F.radius:
         raise DomainError(
-            f"|z|*|X| = {abs(z) * tuple_norm(X):.6g} is outside the "
-            f"radius {F.radius:.6g}")
-    x_scaled = [z * x for x in X.entries]
-    M = F(A, x_scaled)
-    if M.shape[0] != v.size:
+            f"|z|*|X| = {reach:.6g} is outside the radius {F.radius:.6g}")
+    stack = F.at_scales(A, X, zs)
+    if stack.shape[1] != v.size:
         raise ValueError(
-            f"direction vector has length {v.size}, evaluation is {M.shape}")
-    return complex(v.conj() @ M @ v)
+            f"direction vector has length {v.size}, evaluation is "
+            f"{stack.shape[1:]}")
+    return np.array([complex(v.conj() @ M @ v) for M in stack])
+
+
+def slice_scalar(F, A: HermTuple, X: HermTuple, v, z: complex) -> complex:
+    """phi(z) = v* F(A, zX) v; v is normalized on ingest."""
+    return complex(_phi_at(as_nc_function(F), A, X, v, [z])[0])
 
 
 def slice_matrix(F, A: HermTuple, X: HermTuple, v, T: np.ndarray) -> np.ndarray:
@@ -132,22 +139,20 @@ def extract_slice_coefficients(F, A: HermTuple, X: HermTuple, v,
     r = 0.5 if radius is None else float(radius)
     if r <= 0:
         raise ValueError("radius must be positive")
-    if not r * tuple_norm(X) < F.radius:
-        raise DomainError(
-            f"extraction radius {r} puts |z||X| = {r * tuple_norm(X):.6g} "
-            f"outside the evaluator radius {F.radius:.6g}")
     d = degree_cap
     nodes = r * np.exp(2j * np.pi * np.arange(d + 1) / (d + 1))
-    samples = np.array([slice_scalar(F, A, X, v, z) for z in nodes])
+    # a rotated node set checks the residual; it catches both roundoff
+    # blowup and aliasing from terms beyond degree_cap
+    check = r * np.exp(1j * np.pi * (2 * np.arange(d + 1) + 1) / (d + 1))
+    # _phi_at normalizes the unit v again, as the per-node calls did:
+    # dropping that pass moves the last digits of the coefficients
+    phi = _phi_at(F, A, X, v, np.concatenate([nodes, check]))
+    samples, actual = phi[:d + 1], phi[d + 1:]
     # c_i r^i = (1/n) sum_j phi_j e^{-2 pi i ij/n}; numpy's fft carries
     # the e^{-} kernel, so fft/n is the inverting transform here
     coeffs = np.fft.fft(samples) / (d + 1) / r ** np.arange(d + 1)
-    # residual on a rotated node set; catches both roundoff blowup and
-    # aliasing from terms beyond degree_cap
-    check = r * np.exp(1j * np.pi * (2 * np.arange(d + 1) + 1) / (d + 1))
     powers = check[:, None] ** np.arange(d + 1)[None, :]
     predicted = powers @ coeffs
-    actual = np.array([slice_scalar(F, A, X, v, z) for z in check])
     residual = float(np.max(np.abs(predicted - actual)))
     if residual > EXTRACTION_RESIDUAL_TOL:
         raise ExtractionError(

@@ -1,4 +1,4 @@
-"""The eight CLI examples of README.md, run in-process through `cli.main`.
+"""The nine CLI examples of README.md, run in-process through `cli.main`.
 
 Recording the reference outputs from a checkout:
 
@@ -29,6 +29,7 @@ EXAMPLES = (
      "300", "--seed", "1"],
     ["kraus", "--mu", "0.5:1", "--f2", "2", "--csv-out", "sweep.csv"],
     ["certify", "--preset", "mixed-ax", "--seed", "3"],
+    ["certify", "--preset", "kraus-halfmass", "--seed", "3"],
     ["axioms", "--preset", "mixed-ax", "--samples", "100", "--sizes",
      "1,2,3,4", "--seed", "2"],
 )

@@ -253,6 +253,30 @@ def test_higher_order_witness_has_no_verifier(tmp_path, monkeypatch, capsys):
     assert "no verifier for kind 'higher_order_present'" in _one_error_line(err)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("X", "oops"),
+    ("X", [{"n": 2, "entries": 5}]),
+    (None, [1, 2]),
+])
+def test_malformed_witness_is_a_usage_error(field, value, tmp_path,
+                                            monkeypatch, capsys):
+    # a right-kind file with a malformed field used to escape as a
+    # TypeError traceback, which exits 1 ("falsified") under python -m
+    monkeypatch.chdir(tmp_path)
+    path = _witness_file("convexity", tmp_path, capsys)
+    with open(path) as fh:
+        doc = json.load(fh)
+    if field is None:
+        doc["witness"] = value
+    else:
+        doc["witness"][field] = value
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    code, out, err = _main(["convexity", "--verify-witness", path], capsys)
+    assert code == 2 and out == ""
+    assert "convexity witness file is malformed" in _one_error_line(err)
+
+
 def test_non_finite_loewner_matrix_exits_two(tmp_path, monkeypatch, capsys):
     # x1^3 overflows on (1e150, 1e160); this used to surface as numpy's
     # "Eigenvalues did not converge"

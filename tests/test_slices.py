@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from ncconvex import (HermTuple, PolynomialNcFunction, Signature,
+from ncconvex import (CallableNcFunction, DiscreteMeasure, HermTuple,
+                      KrausLiftFunction, PolynomialNcFunction, Signature,
                       certify_degree_two, derived_rng,
                       extract_slice_coefficients, get_preset,
                       parse_polynomial, random_base_tuple, sample_x_ball,
@@ -11,7 +12,8 @@ from ncconvex import (HermTuple, PolynomialNcFunction, Signature,
                       VERDICT_CONSISTENT, VERDICT_HIGHER_ORDER,
                       VERDICT_HYPOTHESIS_FAILS)
 from ncconvex import test_slice_convexity_transfer as slice_transfer
-from ncconvex.errors import DomainError, ExtractionError
+from ncconvex.errors import (DomainError, ExtractionError,
+                             SingularityError)
 
 
 def _fn(expr, sig):
@@ -185,3 +187,74 @@ def test_certify_report_json():
     assert set(d) >= {"samples", "skipped", "max_high_order_coeff",
                       "convexity", "epsilon", "degree_cap", "coeff_tol"}
     assert d["convexity"]["pass"] is True
+
+
+# -- the stacked Fourier route ------------------------------------------------
+
+
+def _kraus_lifts():
+    two_atom = DiscreteMeasure(((0.5, 0.25), (-0.8, 0.75)))
+    return [get_preset("kraus-halfmass").make(),
+            KrausLiftFunction(0.5, -1.0, 2.0, two_atom, name="two-atom")]
+
+
+def test_kraus_at_scales_equals_per_z_calls():
+    zs = np.concatenate([[0.3, -0.2], 0.3 * np.exp(2j * np.pi * np.arange(5)
+                                                   / 5)])
+    for F in _kraus_lifts():
+        for n in range(1, 7):
+            X = _x_point(n, seed=(80, n))
+            stack = F.at_scales(_empty_a(n), X, zs)
+            assert stack.shape == (len(zs), n, n)
+            for z, M in zip(zs, stack):
+                assert np.array_equal(M, F(_empty_a(n), [complex(z) * X[0]]))
+
+
+def test_default_at_scales_loops_over_call():
+    F = _fn("a1*x1*a1 + x1^3", Signature(1, 1))
+    A = random_base_tuple(1, 3, derived_rng(83))
+    X = _x_point(3, seed=83, sig=Signature(1, 1))
+    zs = [0.5, 0.2 - 0.1j]
+    stack = F.at_scales(A, X, zs)
+    for z, M in zip(zs, stack):
+        assert np.array_equal(M, F(A, [z * X[0]]))
+
+
+def test_stacked_kraus_extraction_equals_looped_black_box():
+    # the wrapper takes NcFunction's per-z loop; the lift its own stack
+    for KH in _kraus_lifts():
+        loop = CallableNcFunction(KH, KH.signature, radius=KH.radius,
+                                  analytic_in_z=True, name="looped")
+        for n in (1, 2, 4, 6):
+            X = _x_point(n, seed=(81, n), eps=0.5)
+            rng = derived_rng(81, n)
+            v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            stacked = extract_slice_coefficients(KH, _empty_a(n), X, v,
+                                                 radius=0.25)
+            looped = extract_slice_coefficients(loop, _empty_a(n), X, v,
+                                                radius=0.25)
+            assert stacked.method == looped.method == "dft"
+            assert np.array_equal(stacked.coeffs, looped.coeffs)
+            assert stacked.residual == looped.residual
+
+
+def test_non_analytic_black_box_refused_before_any_evaluation():
+    calls = []
+
+    def fn(A, X):
+        calls.append(1)
+        return X[0] @ X[0]
+
+    F = CallableNcFunction(fn, Signature(0, 1), name="counted")
+    with pytest.raises(DomainError):
+        extract_slice_coefficients(F, _empty_a(2), _x_point(2, seed=82),
+                                   np.array([1.0, 0.0]))
+    assert calls == []
+
+
+def test_kraus_stack_with_a_singular_member_raises():
+    # I - X/2 at z = 2 has the exact zero pivot 1 - 2/2
+    KH = get_preset("kraus-halfmass").make()
+    X = HermTuple([np.diag([1.0, 0.5])], kind="x")
+    with pytest.raises(SingularityError):
+        KH.at_scales(_empty_a(2), X, [0.5, 2.0, 0.5j])
