@@ -83,6 +83,14 @@ def _parse_ints(text: str) -> tuple:
     return tuple(int(p) for p in text.split(",") if p.strip())
 
 
+def _parse_multiplicities(text: str) -> tuple:
+    ms = _parse_ints(text)
+    if not ms or min(ms) < 1:
+        raise ValueError(f"--multiplicities must list integers of at least "
+                         f"1, got {text!r}")
+    return ms
+
+
 def _parse_measure(text: str) -> DiscreteMeasure:
     """'0.5:1' or '-0.3:0.25,0.7:0.75' -> atoms."""
     atoms = []
@@ -180,7 +188,7 @@ def _scalar_from_descriptor(desc: dict) -> ScalarFn:
 
 
 def _a_tuple(args, sig: Signature) -> HermTuple:
-    size = getattr(args, "size", None) or 2
+    size = args.size
     if getattr(args, "a_tuple", None):
         return _tuple_from_arg(args.a_tuple, "a", sig.g_a, n=size)
     return random_base_tuple(sig.g_a, size, derived_rng(args.seed, _A_SALT))
@@ -278,9 +286,9 @@ def _cmd_convexity(args) -> int:
     epsilon = args.epsilon if args.epsilon is not None else (
         preset.epsilon if preset else 1.0)
     A = _a_tuple(args, F.signature)
-    report = test_convexity_at_CA(F, A, epsilon,
-                                  multiplicities=_parse_ints(args.multiplicities),
-                                  trials=args.trials, seed=args.seed)
+    report = test_convexity_at_CA(
+        F, A, epsilon, multiplicities=_parse_multiplicities(args.multiplicities),
+        trials=args.trials, seed=args.seed)
     passed = _passed(args, report)
     if args.csv_out:
         _write_csv(args.csv_out, "trial,defect_min_eig",
@@ -368,7 +376,7 @@ def _cmd_certify(args) -> int:
     report = certify_degree_two(
         F, A, epsilon, samples=args.samples, trials=args.trials,
         seed=args.seed, degree_cap=args.degree_cap,
-        multiplicities=_parse_ints(args.multiplicities),
+        multiplicities=_parse_multiplicities(args.multiplicities),
         coeff_tol=args.tol if args.tol is not None else 1e-7)
     payload = {"command": "certify", "function": desc, "seed": args.seed,
                **report.to_json_dict()}
@@ -503,8 +511,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "trials", 1) < 1:
-            raise ValueError(f"--trials must be at least 1, got {args.trials}")
+        for flag in ("trials", "samples", "size"):
+            value = getattr(args, flag, 1)
+            if value < 1:
+                raise ValueError(f"--{flag} must be at least 1, got {value}")
         if getattr(args, "verify_witness", None):
             return _verify(args)
         return args.fn(args)

@@ -4,11 +4,27 @@ the sampling core that every tester in the package runs on.
 Each tester is a sampling falsifier with a one-sided guarantee: a fail
 is conclusive and ships a witness that re-verifies standalone, a pass
 is evidence over the sampled ball, not a proof.  _falsify owns what
-they share: the per-trial generator, the defect eigensolve, the
-refusal of non-finite defects, and the PSD_TOL / WITNESS_TOL
-hysteresis.  Convexity witnesses are shrunk by halving the spread
-X - Y around the fixed mixing point while the violation persists, so
-reported counterexamples stay small.
+they share, and runs the trials in chunks of CHUNK, in three phases:
+
+  draw    each trial k takes its raw numbers from its own generator
+          derived_rng(*key, k), in trial order;
+  stack   the client turns a chunk's raw numbers into defect matrices
+          with stacked numpy calls (sampling, evaluation through
+          F.at_points), and _falsify takes the Hermitian parts, refuses
+          non-finite ones and runs one eigvalsh per matrix size;
+  replay  the trials are walked in order to track the minimum, apply
+          the PSD_TOL / WITNESS_TOL hysteresis, capture the witness
+          and raise a trial's error where a trial-by-trial run would.
+
+Stacked numpy calls give every member the bits it gets alone, so the
+outcome does not depend on CHUNK, and live memory is bounded by it, not
+by the trial count.  A chunk whose stacked evaluation raises runs again
+one trial at a time, each redrawn and evaluated on a one-trial stack,
+so an error names the trial that caused it.
+
+Convexity witnesses are shrunk by halving the spread X - Y around the
+fixed mixing point while the violation persists, so reported
+counterexamples stay small.
 
 test_convexity_at_CA repeats the base-point test at amplifications
 U*(I_m (x) A)U with the SAME epsilon at every multiplicity; the
@@ -27,9 +43,13 @@ import numpy as np
 from .errors import DomainError, NcError
 from .evaluate import as_nc_function, hermitian_deviation
 from .tolerances import EVAL_HERMITIAN_TOL, PSD_TOL, WITNESS_TOL
-from .tuples import (HermTuple, ca_element, derived_rng, sample_x_ball,
-                     tuple_from_json, tuple_to_json)
+from .tuples import (HermTuple, ca_element, derived_rng, draw_x_ball,
+                     hermitian_stack, matrices_norm, tuple_from_json,
+                     tuple_to_json, x_ball_points)
 
+# trials per stacked chunk: large enough that per-call overhead is
+# shared, small enough that a chunk's matrices stay a few hundred kB
+CHUNK = 64
 _LEVEL_SALT = 999983
 
 
@@ -59,54 +79,144 @@ class Report:
         return out
 
 
+def _hermitian_eigs(D: np.ndarray) -> list:
+    """Ascending eigenvalues of the Hermitian part of each defect in a
+    (c, N, N) stack, from one eigvalsh; None where the part is not
+    finite, since NaN compares false against every threshold and would
+    otherwise pass."""
+    H = (D + D.conj().swapaxes(-1, -2)) / 2
+    finite = np.isfinite(H).all(axis=(-2, -1))
+    out = [None] * len(H)
+    if finite.any():
+        eigs = np.linalg.eigvalsh(H if finite.all() else H[finite])
+        for i, e in zip(np.flatnonzero(finite), eigs):
+            out[i] = e
+    return out
+
+
 def _defect_eigs(D: np.ndarray, where: str) -> np.ndarray:
-    """Ascending eigenvalues of the Hermitian part of a defect matrix.
-    A non-finite defect raises: NaN compares false against every
-    threshold, so it would otherwise pass."""
-    H = (D + D.conj().T) / 2
-    if not np.isfinite(H).all():
+    """_hermitian_eigs of one defect matrix; a non-finite one raises."""
+    eigs = _hermitian_eigs(D[None])[0]
+    if eigs is None:
         raise NcError(f"{where}: the defect matrix is not finite")
-    return np.linalg.eigvalsh(H)
+    return eigs
 
 
-def _falsify(key: tuple, trials: int, trial, witness_of, test: str) -> Report:
-    """The sampling loop shared by every tester.
+def _eigs_by_size(D) -> list:
+    """_hermitian_eigs of a (c, N, N) stack, or of a list of square
+    matrices of mixed sizes with one eigvalsh per size."""
+    if isinstance(D, np.ndarray):
+        return _hermitian_eigs(D)
+    out = [None] * len(D)
+    by_size: dict = {}
+    for i, M in enumerate(D):
+        by_size.setdefault(M.shape, []).append(i)
+    for idx in by_size.values():
+        for i, e in zip(idx, _hermitian_eigs(np.stack([D[i] for i in idx]))):
+            out[i] = e
+    return out
 
-    trial(rng, k) draws sample k from rng = derived_rng(*key, k) and
-    returns (defect matrix, sample).  The run passes when the smallest
-    defect eigenvalue is >= -PSD_TOL.  witness_of(sample, eigs) runs
-    only when a trial sets a new minimum below -WITNESS_TOL, so the
-    witness comes from the worst trial and a minimum between the two
-    bands fails without one.
+
+def _run_chunk(key: tuple, ks: range, draw, defects):
+    """Yield (k, eigs, witness data) for the trials ks in order, and
+    raise a trial's error in its place.
+
+    Any exception a trial raises is held and raised again after the
+    trials before it are yielded, as a trial-by-trial loop would order
+    it; a black box may raise anything, so none is told apart here.
     """
+    samples, error = [], None
+    for k in ks:
+        try:
+            samples.append(draw(derived_rng(*key, k), k))
+        except Exception as exc:        # later trials are never reached
+            error = exc
+            break
+    D, data = [], []
+    if samples:
+        try:
+            D, data = defects(samples)
+        except Exception:
+            # one trial at a time, each redrawn from its own generator,
+            # until the first trial that fails alone
+            for k in ks[:len(samples)]:
+                try:
+                    Dk, dk = defects([draw(derived_rng(*key, k), k)])
+                except Exception as exc:
+                    error = exc
+                    break
+                D.append(Dk[0])
+                data.append(dk[0])
+    for k, eigs, d in zip(ks, _eigs_by_size(D), data):
+        if eigs is None:
+            raise NcError(f"trial {k}: the defect matrix is not finite")
+        yield k, eigs, d
+    if error is not None:
+        raise error
+
+
+def _falsify(key: tuple, trials: int, draw, defects, witness_of,
+             test: str) -> Report:
+    """The sampling loop shared by every tester, in chunks of CHUNK.
+
+    draw(rng, k) takes trial k's raw numbers from rng =
+    derived_rng(*key, k) and returns them as the trial's sample.
+    defects(samples) evaluates a list of samples with stacked calls and
+    returns (D, data): D the defect matrices, a (c, N, N) stack or a
+    list of square matrices, and data[i] what witness_of needs of
+    sample i.  When defects raises, the chunk runs again one trial at a
+    time, so on a one-trial list its error should name that trial.
+
+    The run passes when the smallest defect eigenvalue is >= -PSD_TOL.
+    witness_of(data, eigs) runs only when a trial sets a new minimum
+    below -WITNESS_TOL, so the witness comes from the worst trial and a
+    minimum between the two bands fails without one.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     min_eig = math.inf
     witness = None
     trial_eigs = []
-    for k in range(trials):
-        D, sample = trial(derived_rng(*key, k), k)
-        eigs = _defect_eigs(D, f"trial {k}")
-        eig = float(eigs[0])
-        trial_eigs.append(eig)
-        if eig < min_eig:
-            min_eig = eig
-            if eig < -WITNESS_TOL:
-                witness = witness_of(sample, eigs)
+    for start in range(0, trials, CHUNK):
+        ks = range(start, min(start + CHUNK, trials))
+        for k, eigs, data in _run_chunk(key, ks, draw, defects):
+            eig = float(eigs[0])
+            trial_eigs.append(eig)
+            if eig < min_eig:
+                min_eig = eig
+                if eig < -WITNESS_TOL:
+                    witness = witness_of(data, eigs)
     return Report(test=test, passed=min_eig >= -PSD_TOL, min_eig=min_eig,
                   trials=trials, witness=witness, trial_min_eigs=trial_eigs)
 
 
-def _defect(F, A: HermTuple, X: HermTuple, Y: HermTuple, t: float) -> tuple:
-    """(t F(A,X) + (1-t) F(A,Y) - F(A, tX+(1-t)Y), the Hermitian
-    deviation of F(A,X) and F(A,Y))."""
-    FX = F(A, X)
-    FY = F(A, Y)
-    FM = F(A, X.scale(t) + Y.scale(1.0 - t))
-    herm_dev = max(hermitian_deviation(FX), hermitian_deviation(FY))
-    return t * FX + (1.0 - t) * FY - FM, herm_dev
+def _mix(X: np.ndarray, Y: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """X.scale(t) + Y.scale(1 - t) on (c, g, n, n) stacks, with the
+    ingest HermTuple runs after each scale and after the sum."""
+    t = t[:, None, None, None]
+    return hermitian_stack(hermitian_stack(t * X)
+                           + hermitian_stack((1.0 - t) * Y))
 
 
-def _defect_min_eig(F, A, X, Y, t) -> float:
-    return float(_defect_eigs(_defect(F, A, X, Y, t)[0], "witness")[0])
+def _defects(F, A, X: np.ndarray, Y: np.ndarray, t: np.ndarray) -> tuple:
+    """(t F(A,X) + (1-t) F(A,Y) - F(A, tX+(1-t)Y), the larger Hermitian
+    deviation of F(A,X) and F(A,Y)) for stacks of points, from one
+    F.at_points call over the X, Y and mixed points."""
+    c = len(t)
+    vals = F.at_points(A, np.concatenate([X, Y, _mix(X, Y, t)]))
+    FX, FY, FM = vals[:c], vals[c:2 * c], vals[2 * c:]
+    dev = np.maximum(hermitian_deviation(FX), hermitian_deviation(FY))
+    t = t[:, None, None]
+    return t * FX + (1.0 - t) * FY - FM, dev
+
+
+def _one_point(T: HermTuple) -> np.ndarray:
+    return np.asarray(T.entries, dtype=complex).reshape(1, T.arity, T.n, T.n)
+
+
+def _defect_min_eig(F, A, X: HermTuple, Y: HermTuple, t: float) -> float:
+    D, _ = _defects(F, A, _one_point(X), _one_point(Y), np.array([t]))
+    return float(_defect_eigs(D[0], "witness")[0])
 
 
 def _shrink_witness(F, A, X, Y, t, start_eig):
@@ -129,6 +239,11 @@ def _shrink_witness(F, A, X, Y, t, start_eig):
     return best
 
 
+def _check_size(A: HermTuple) -> None:
+    if A.n < 1:
+        raise ValueError(f"the A-tuple size must be at least 1, got {A.n}")
+
+
 def test_convexity_at_A(F, A: HermTuple, epsilon: float, trials: int = 200,
                         seed=0, _alpha_desc: Optional[dict] = None,
                         _test_name: str = "convexity_at_A") -> Report:
@@ -142,32 +257,43 @@ def test_convexity_at_A(F, A: HermTuple, epsilon: float, trials: int = 200,
     if A.arity != sig.g_a:
         raise ValueError(
             f"A-tuple arity {A.arity} does not match signature g_a={sig.g_a}")
+    _check_size(A)
     n = A.n
     alpha_desc = _alpha_desc or {"kappa": n, "m": 1}
-    herm_devs = []
+    hermitian = []                      # per chunk: F Hermitian throughout
 
-    def trial(rng, k):
+    def draw(rng, k):
         t = 0.5 if k % 2 == 0 else float(rng.uniform(0.0, 1.0))
-        X, Y = sample_x_ball(sig, n, epsilon, 2, rng)
-        try:
-            D, herm_dev = _defect(F, A, X, Y, t)
-        except NcError as exc:
-            raise DomainError(
-                f"evaluation failed on trial {k} (t={t:.4f}, size {n}, "
-                f"|X|={X.norm():.4f}, |Y|={Y.norm():.4f}): {exc}") from exc
-        herm_devs.append(herm_dev)
-        return D, (X, Y, t)
+        return k, t, draw_x_ball(sig.g_x, n, epsilon, 2, rng)
 
-    def witness_of(sample, eigs):
-        X, Y, t = sample
-        Xs, Ys, eig = _shrink_witness(F, A, X, Y, t, float(eigs[0]))
+    def defects(samples):
+        ks, ts, balls = zip(*samples)
+        P = x_ball_points([xy for ball in balls for xy in ball])
+        X, Y = P[0::2], P[1::2]
+        try:
+            D, dev = _defects(F, A, X, Y, np.array(ts))
+        except NcError as exc:
+            if len(samples) > 1:
+                raise
+            raise DomainError(
+                f"evaluation failed on trial {ks[0]} (t={ts[0]:.4f}, size "
+                f"{n}, |X|={matrices_norm(X[0], n):.4f}, "
+                f"|Y|={matrices_norm(Y[0], n):.4f}): {exc}") from exc
+        hermitian.append(not (dev > EVAL_HERMITIAN_TOL).any())
+        return D, list(zip(X, Y, ts))
+
+    def witness_of(data, eigs):
+        X, Y, t = data
+        Xs, Ys, eig = _shrink_witness(F, A, HermTuple._trusted(X, "x", n),
+                                      HermTuple._trusted(Y, "x", n), t,
+                                      float(eigs[0]))
         return {"alpha": alpha_desc, "A": tuple_to_json(A),
                 "X": tuple_to_json(Xs), "Y": tuple_to_json(Ys),
                 "t": float(t), "defect_min_eig": float(eig), "n": int(n)}
 
     key = (seed,) if isinstance(seed, int) else tuple(seed)
-    report = _falsify(key, trials, trial, witness_of, _test_name)
-    hermitian_ok = not any(d > EVAL_HERMITIAN_TOL for d in herm_devs)
+    report = _falsify(key, trials, draw, defects, witness_of, _test_name)
+    hermitian_ok = all(hermitian)
     report.passed = report.passed and hermitian_ok
     report.extra = {"hermitian_ok": hermitian_ok, "epsilon": float(epsilon),
                     "alpha": alpha_desc}
@@ -180,6 +306,9 @@ def test_convexity_at_CA(F, A: HermTuple, epsilon: float,
     """Run the base-point test at U*(I_m (x) A)U for each multiplicity
     with a fresh Haar-like U, same epsilon throughout; merge by min."""
     F = as_nc_function(F)
+    _check_size(A)
+    if not len(multiplicities):
+        raise ValueError("multiplicities must name at least one level")
     reports = []
     for li, m in enumerate(multiplicities):
         alpha = ca_element(A, int(m), "random",

@@ -5,11 +5,14 @@ over its word trie with equal sub-polynomials merged
 (NcPolynomial.horner_plan); evaluation runs that plan in a loop, so
 products group right to left and a step's matrix is dropped after its
 last use.  Matrix polynomials assemble their evaluated entries into one
-block matrix.
+block matrix.  The x-matrices may carry a leading stack axis; the plan
+then runs once on the whole stack, with the same arithmetic per member
+as a member evaluated alone.
 
 The NcFunction wrappers give testers a uniform evaluator contract:
-F(A, X) -> square complex matrix, plus optional exact x-homogeneous
-parts when the function is an explicit polynomial or series.
+F(A, X) -> square complex matrix, F.at_points(A, Xs) -> the stack of F
+over many x-points, plus optional exact x-homogeneous parts when the
+function is an explicit polynomial or series.
 """
 
 from __future__ import annotations
@@ -37,7 +40,9 @@ def _as_matrices(T) -> list:
 
 
 def _resolve_point(sig: Signature, A, X, n: Optional[int] = None):
-    """Validate arities and sizes; returns (a_mats, x_mats, size)."""
+    """Validate arities and sizes; returns (a_mats, x_mats, shape), the
+    shape of the value: (size, size), with the x-matrices' stack axis in
+    front when they carry one."""
     a_mats = _as_matrices(A)
     x_mats = _as_matrices(X)
     if len(a_mats) != sig.g_a:
@@ -48,12 +53,17 @@ def _resolve_point(sig: Signature, A, X, n: Optional[int] = None):
             f"X-part has {len(x_mats)} entries, signature wants {sig.g_x}")
     size = None
     for m in a_mats + x_mats:
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
             raise ShapeError(f"point entry has shape {m.shape}, want square")
         if size is None:
-            size = m.shape[0]
-        elif m.shape[0] != size:
+            size = m.shape[-1]
+        elif m.shape[-1] != size:
             raise ShapeError("mixed matrix sizes across the evaluation point")
+    stacks = {m.shape[:-2] for m in x_mats} - {()}
+    if (any(m.ndim != 2 for m in a_mats) or any(m.ndim > 3 for m in x_mats)
+            or len(stacks) > 1):
+        raise ShapeError("only the x-matrices may carry a stack axis, and "
+                         "they must share it")
     for T in (A, X):
         if isinstance(T, HermTuple):
             if size is None:
@@ -63,12 +73,15 @@ def _resolve_point(sig: Signature, A, X, n: Optional[int] = None):
                     f"tuple declares size {T.n} but point entries are {size}")
     if size is None:
         size = 1 if n is None else int(n)
-    return a_mats, x_mats, size
+    return a_mats, x_mats, (stacks.pop() if stacks else ()) + (size, size)
 
 
-def _run_plan(plan: tuple, mats: list, size: int) -> np.ndarray:
+def _run_plan(plan: tuple, mats: list, shape: tuple) -> np.ndarray:
     """Execute a Horner plan (NcPolynomial.horner_plan) on the letter
-    matrices, dropping each step's value after its last consumer."""
+    matrices, dropping each step's value after its last consumer.  The
+    value has the given shape; a-only steps stay unstacked until they
+    meet a stacked term."""
+    diag = np.arange(shape[-1])
     vals: list = [None] * len(plan)
     for k, (const, terms, frees) in enumerate(plan):
         acc = None
@@ -76,16 +89,19 @@ def _run_plan(plan: tuple, mats: list, size: int) -> np.ndarray:
             t = c * mats[letter] if child < 0 else mats[letter] @ vals[child]
             if acc is None:
                 acc = t
-            else:
+            elif acc.ndim >= t.ndim:
                 acc += t
+            else:
+                acc = acc + t
         if acc is None:
-            acc = np.zeros((size, size), dtype=complex)
+            acc = np.zeros(shape[-2:], dtype=complex)
         if const:
-            acc.flat[::size + 1] += const
+            acc[..., diag, diag] += const
         for f in frees:
             vals[f] = None
         vals[k] = acc
-    return vals[-1]
+    out = vals[-1]
+    return out if out.shape == shape else np.broadcast_to(out, shape).copy()
 
 
 def eval_poly(p, A=None, X=None, n: Optional[int] = None) -> np.ndarray:
@@ -93,16 +109,17 @@ def eval_poly(p, A=None, X=None, n: Optional[int] = None) -> np.ndarray:
 
     A and X may be HermTuples or plain sequences of square matrices (the
     latter admit non-Hermitian entries, used by the complex-z slices).
-    For matrix polynomials the result is the (rows*n) x (cols*n) block
-    assembly.
+    The x-matrices may share a leading stack axis of points; the value
+    then carries it.  For matrix polynomials the result is the
+    (rows*n) x (cols*n) block assembly.
     """
     if isinstance(p, NcPolynomial):
         p = MatrixNcPolynomial.from_scalar(p)
-    a_mats, x_mats, size = _resolve_point(p.signature, A, X, n)
+    a_mats, x_mats, shape = _resolve_point(p.signature, A, X, n)
     mats = a_mats + x_mats
     if p.is_scalar():
-        return _run_plan(p.entries[0][0].horner_plan, mats, size)
-    return np.block([[_run_plan(q.horner_plan, mats, size) for q in row]
+        return _run_plan(p.entries[0][0].horner_plan, mats, shape)
+    return np.block([[_run_plan(q.horner_plan, mats, shape) for q in row]
                      for row in p.entries])
 
 
@@ -114,7 +131,10 @@ def eval_series(F: NcPowerSeries, A=None, X=None, up_to: Optional[int] = None,
     returns the spectral norm of the last added part, a cheap
     convergence proxy.
     """
-    a_mats, x_mats, size = _resolve_point(F.signature, A, X, n)
+    a_mats, x_mats, shape = _resolve_point(F.signature, A, X, n)
+    if len(shape) > 2:
+        raise ShapeError("a series evaluates at one point at a time")
+    size = shape[-1]
     nx = matrices_norm(x_mats, size)
     if not nx < F.radius:
         raise DomainError(
@@ -134,8 +154,9 @@ def eval_series(F: NcPowerSeries, A=None, X=None, up_to: Optional[int] = None,
     return total
 
 
-def hermitian_deviation(M: np.ndarray) -> float:
-    return float(np.max(np.abs(M - M.conj().T)))
+def hermitian_deviation(M: np.ndarray) -> np.ndarray:
+    """max |M - M*| of a square matrix, or of each member of a stack."""
+    return np.max(np.abs(M - M.conj().swapaxes(-1, -2)), axis=(-2, -1))
 
 
 # -- evaluator wrappers ------------------------------------------------------
@@ -153,8 +174,10 @@ class NcFunction:
     extraction disk (analytic_in_z flag).
 
     at_scales(A, X, zs) returns the stack of F(A, z X) over the leading
-    axis, shape (len(zs), N, N).  The default loops over __call__;
-    override it when F can evaluate a stack in one call.
+    axis, shape (len(zs), N, N).  at_points(A, Xs) returns the stack of
+    F(A, Xs[j]) for a (c, g_x, n, n) array Xs of Hermitian x-tuples,
+    shape (c, N, N).  Both defaults loop over __call__; override them
+    when F can evaluate a stack in one call.
     """
 
     signature: Signature
@@ -168,6 +191,14 @@ class NcFunction:
     def at_scales(self, A, X, zs) -> np.ndarray:
         x_mats = _as_matrices(X)
         return np.stack([self(A, [z * x for x in x_mats]) for z in zs])
+
+    def at_points(self, A, Xs) -> np.ndarray:
+        # each point reaches __call__ as an x-HermTuple, as the testers
+        # always passed it; the view keeps callers from writing into Xs
+        Xs = Xs.view()
+        Xs.flags.writeable = False
+        n = Xs.shape[-1]
+        return np.stack([self(A, HermTuple._trusted(X, "x", n)) for X in Xs])
 
     def x_parts(self) -> Optional[NcPowerSeries]:
         return None
@@ -185,6 +216,11 @@ class PolynomialNcFunction(NcFunction):
 
     def __call__(self, A, X) -> np.ndarray:
         return eval_poly(self.poly, A, X)
+
+    def at_points(self, A, Xs) -> np.ndarray:
+        if not Xs.shape[1]:              # no x-letter to carry the stack
+            return super().at_points(A, Xs)
+        return eval_poly(self.poly, A, [Xs[:, i] for i in range(Xs.shape[1])])
 
     def x_parts(self) -> NcPowerSeries:
         if self._parts is None:
@@ -292,6 +328,8 @@ def check_nc_function_axioms(F, sizes=(1, 2, 3, 4), samples: int = 100,
     offending sample is kept as a self-contained counterexample.
     """
     F = as_nc_function(F)
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     sig = F.signature
     rng = as_rng(seed)
     max_ds = 0.0

@@ -17,7 +17,9 @@ Monotonicity testing is the classical Loewner criterion: divided
 difference matrices with f' on the diagonal must be PSD.  Both testers
 run on the sampling core of convexity.py, which compares min
 eigenvalues against -PSD_TOL and requires the stricter -WITNESS_TOL
-band before a counterexample is reported.
+band before a counterexample is reported.  The convexity tester hands
+it whole chunks: one stacked eigh per matrix family, with f evaluated
+in Python on each eigenvalue.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ import numpy as np
 from .convexity import Report, _defect_eigs, _falsify
 from .errors import DomainError, ShapeError, SingularityError
 from .tolerances import KRAUS_POLE_TOL
-from .tuples import (hermitian_with_spectrum_in, matrix_from_json,
-                     matrix_to_json)
+from .tuples import (draw_spectral, matrix_from_json, matrix_to_json,
+                     spectral_lift)
 
 _FD_STEP = 1e-6
 _TAYLOR_ZONE = 1e-3
@@ -123,27 +125,46 @@ class DiscreteMeasure:
         return cls(tuple((p[0], p[1]) for p in data["atoms"]))
 
 
-def _ingest_hermitian(B) -> np.ndarray:
+def _ingest_hermitian(B, stacked: bool = False) -> np.ndarray:
+    """(B + B*)/2 of a square matrix, or of each member of a (c, n, n)
+    stack; a member further than 1e-10 from its adjoint is refused."""
     B = np.asarray(B, dtype=complex)
-    if B.ndim != 2 or B.shape[0] != B.shape[1]:
+    if B.ndim != 2 + stacked or B.shape[-1] != B.shape[-2]:
         raise ShapeError(f"matrix argument has shape {B.shape}")
-    dev = float(np.max(np.abs(B - B.conj().T)))
-    if dev > 1e-10:
-        raise ValueError(f"matrix argument is not Hermitian (deviation {dev:.3e})")
-    return (B + B.conj().T) / 2
+    Bh = B.conj().swapaxes(-1, -2)
+    dev = np.max(np.abs(B - Bh), axis=(-2, -1))
+    bad = np.flatnonzero(dev > 1e-10)
+    if bad.size:
+        raise ValueError("matrix argument is not Hermitian (deviation "
+                         f"{float(dev.flat[bad[0]]):.3e})")
+    return (B + Bh) / 2
+
+
+def _spectral_apply(f: ScalarFn, B: np.ndarray, active=None) -> tuple:
+    """f(B) = V diag(f(lambda)) V* for each member of an ingested (c, n, n)
+    stack, from one eigh.  Returns (values, eigenvalues, ok): ok marks
+    the members of `active` whose spectrum lies inside f's domain, and
+    f runs on those members' eigenvalues only."""
+    lam, V = np.linalg.eigh(B)
+    lo, hi = f.domain
+    ok = ((lo < lam) & (lam < hi)).all(axis=-1)
+    if active is not None:
+        ok &= active
+    fvals = np.zeros(lam.shape)
+    fvals[ok] = np.array([[f(l) for l in row] for row in lam[ok].tolist()],
+                         dtype=float).reshape(-1, lam.shape[-1])
+    return (V * fvals[..., None, :]) @ V.conj().swapaxes(-1, -2), lam, ok
 
 
 def matrix_apply(f: ScalarFn, B) -> np.ndarray:
     """Spectral calculus: f(B) = V diag(f(lambda)) V*."""
-    B = _ingest_hermitian(B)
-    lam, V = np.linalg.eigh(B)
-    lo, hi = f.domain
-    for l in lam:
-        if not lo < l < hi:
-            raise DomainError(
-                f"eigenvalue {l!r} outside the domain ({lo}, {hi}) of {f.name}")
-    fvals = np.array([f(l) for l in lam], dtype=float)
-    return (V * fvals) @ V.conj().T
+    values, lam, ok = _spectral_apply(f, _ingest_hermitian(B)[None])
+    if not ok[0]:
+        lo, hi = f.domain
+        l = next(l for l in lam[0] if not lo < l < hi)
+        raise DomainError(
+            f"eigenvalue {l!r} outside the domain ({lo}, {hi}) of {f.name}")
+    return values[0]
 
 
 def kraus_eval(f0: float, f1: float, f2: float, mu: DiscreteMeasure,
@@ -285,15 +306,18 @@ def loewner_monotone_test(f: ScalarFn, interval: Optional[tuple] = None,
     if points_per_trial < 2:
         raise ValueError("points_per_trial must be >= 2")
 
-    def trial(rng, k):
-        pts = _distinct_points(rng, lo, hi, points_per_trial)
-        return loewner_matrix(f, pts), pts
+    def draw(rng, k):
+        return _distinct_points(rng, lo, hi, points_per_trial)
+
+    def defects(samples):
+        return np.stack([loewner_matrix(f, pts) for pts in samples]), samples
 
     def witness_of(pts, eigs):
         return {"points": [float(t) for t in pts],
                 "loewner_eigs": [float(e) for e in eigs]}
 
-    return _falsify((seed,), trials, trial, witness_of, "loewner_monotone")
+    return _falsify((seed,), trials, draw, defects, witness_of,
+                    "loewner_monotone")
 
 
 def verify_monotone_witness(f: ScalarFn, witness: dict) -> float:
@@ -302,9 +326,16 @@ def verify_monotone_witness(f: ScalarFn, witness: dict) -> float:
                               "witness")[0])
 
 
-def _defect_1var(f: ScalarFn, A, B, t: float) -> np.ndarray:
-    return (t * matrix_apply(f, A) + (1.0 - t) * matrix_apply(f, B)
-            - matrix_apply(f, t * A + (1.0 - t) * B))
+def _defects_1var(f: ScalarFn, A: np.ndarray, B: np.ndarray,
+                  t: np.ndarray) -> tuple:
+    """(t f(A) + (1-t) f(B) - f(tA + (1-t)B), ok) for (c, n, n) stacks;
+    ok marks the members whose three spectra lie inside f's domain."""
+    t = t[:, None, None]
+    FA, _, ok = _spectral_apply(f, _ingest_hermitian(A, True))
+    FB, _, ok = _spectral_apply(f, _ingest_hermitian(B, True), ok)
+    FM, _, ok = _spectral_apply(
+        f, _ingest_hermitian(t * A + (1.0 - t) * B, True), ok)
+    return t * FA + (1.0 - t) * FB - FM, ok
 
 
 def convexity_test_1var(f: ScalarFn, interval: Optional[tuple] = None,
@@ -317,29 +348,57 @@ def convexity_test_1var(f: ScalarFn, interval: Optional[tuple] = None,
     lo, hi = interval if interval is not None else f.domain
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"need a finite interval, got ({lo}, {hi})")
+    if size < 1:
+        raise ValueError(f"size must be at least 1, got {size}")
 
-    def trial(rng, k):
-        # every other trial pins t at the midpoint
+    def spectra(rng):
+        return draw_spectral(rng, size, lo, hi) + draw_spectral(rng, size,
+                                                                lo, hi)
+
+    def draw(rng, k):
+        # every other trial pins t at the midpoint; the generator stays
+        # with the sample for resampling
         t = 0.5 if k % 2 == 0 else float(rng.uniform(0.0, 1.0))
-        for _ in range(5):
-            A = hermitian_with_spectrum_in(size, lo, hi, rng)
-            B = hermitian_with_spectrum_in(size, lo, hi, rng)
-            try:
-                return _defect_1var(f, A, B, t), (A, B, t)
-            except DomainError:
-                continue  # float dust pushed a mixed eigenvalue out; resample
+        return (t, rng) + spectra(rng)
+
+    def evaluate(ts, draws):
+        lam_a, parts_a, lam_b, parts_b = (np.array(d) for d in zip(*draws))
+        A, B = spectral_lift(lam_a, parts_a), spectral_lift(lam_b, parts_b)
+        return _defects_1var(f, A, B, np.array(ts)) + (A, B)
+
+    def resample(t, rng):
+        # float dust pushed a mixed eigenvalue out: attempts 2-5 draw
+        # on from the trial's own generator
+        for _ in range(4):
+            D, ok, A, B = evaluate([t], [spectra(rng)])
+            if ok[0]:
+                return D[0], A[0], B[0]
         raise DomainError("could not sample spectra inside the interval")
 
-    def witness_of(sample, eigs):
-        A, B, t = sample
+    def defects(samples):
+        ts = [s[0] for s in samples]
+        D, ok, A, B = evaluate(ts, [s[2:] for s in samples])
+        for i in np.flatnonzero(~ok):
+            D[i], A[i], B[i] = resample(*samples[i][:2])
+        return D, list(zip(A, B, ts))
+
+    def witness_of(data, eigs):
+        A, B, t = data
         return {"A": matrix_to_json(A), "B": matrix_to_json(B), "t": t,
                 "defect_eigs": [float(e) for e in eigs]}
 
-    return _falsify((seed,), trials, trial, witness_of, "convexity_1var")
+    return _falsify((seed,), trials, draw, defects, witness_of,
+                    "convexity_1var")
 
 
 def verify_convexity1_witness(f: ScalarFn, witness: dict) -> float:
     """Recompute the defect min eigenvalue of a stored witness."""
-    D = _defect_1var(f, matrix_from_json(witness["A"]),
-                     matrix_from_json(witness["B"]), float(witness["t"]))
-    return float(_defect_eigs(D, "witness")[0])
+    A = matrix_from_json(witness["A"])
+    B = matrix_from_json(witness["B"])
+    t = float(witness["t"])
+    D, ok = _defects_1var(f, A[None], B[None], np.array([t]))
+    if not ok[0]:
+        # matrix_apply names the first eigenvalue outside the domain
+        for M in (A, B, t * A + (1.0 - t) * B):
+            matrix_apply(f, M)
+    return float(_defect_eigs(D[0], "witness")[0])

@@ -74,6 +74,9 @@ class KrausLiftFunction(NcFunction):
         zs = np.asarray(zs, dtype=complex)
         return self(A, [zs[:, None, None] * X[0]])
 
+    def at_points(self, A, Xs) -> np.ndarray:
+        return self(A, [Xs[:, 0]])
+
     def scalar_fn(self, domain: tuple = (-1.0, 1.0)) -> ScalarFn:
         return kraus_scalar_fn(self.f0, self.f1, self.f2, self.mu,
                                domain=domain, name=f"{self.name}-scalar")

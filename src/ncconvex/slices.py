@@ -21,6 +21,10 @@ aliasing, and the extractor refuses (ExtractionError) rather than
 returning digits it cannot back.  Both node sets, the interpolation
 nodes and the rotated check nodes, go through one F.at_scales call, so
 the checks that do not depend on z run once per extraction.
+
+The slice-transfer tester runs on the sampling core of convexity.py and
+evaluates each chunk's slice matrices through one F.at_points call per
+size of T.
 """
 
 from __future__ import annotations
@@ -34,9 +38,8 @@ from .convexity import Report, _falsify, test_convexity_at_CA
 from .errors import DomainError, ExtractionError
 from .evaluate import as_nc_function, eval_poly
 from .tolerances import COEFF_ZERO_TOL, EXTRACTION_RESIDUAL_TOL
-from .tuples import (HermTuple, ca_element, derived_rng,
-                     hermitian_with_spectrum_in, sample_x_ball, tuple_norm,
-                     tuple_to_json)
+from .tuples import (HermTuple, ca_element, derived_rng, draw_spectral,
+                     sample_x_ball, spectral_lift, tuple_norm, tuple_to_json)
 
 VERDICT_CONSISTENT = "CONSISTENT_DEGREE_LE_2"
 VERDICT_HYPOTHESIS_FAILS = "HYPOTHESIS_FAILS"
@@ -51,17 +54,26 @@ def _unit_vector(v) -> np.ndarray:
     return v / nv
 
 
+def _tensor_lifts(A: HermTuple, X: HermTuple, xis: np.ndarray) -> tuple:
+    """The lifts A_i (x) I and X_i (x) xi for a (c, d, d) stack of xi: a
+    list of the a-lifts and a (c, g_x, nd, nd) stack of the x-lifts,
+    holding the products np.kron takes."""
+    c, d = xis.shape[0], xis.shape[-1]
+    eye = np.eye(d, dtype=complex)
+    n, g = X.n, X.arity
+    x = np.asarray(X.entries, dtype=complex).reshape(1, g, n, 1, n, 1)
+    x_lift = (x * xis[:, None, None, :, None, :]).reshape(c, g, n * d, n * d)
+    return [np.kron(a, eye) for a in A.entries], x_lift
+
+
 def slice_phi(F, A: HermTuple, X: HermTuple, xi: np.ndarray) -> np.ndarray:
     """F at the tensor lift (A (x) I, X (x) xi)."""
     F = as_nc_function(F)
     xi = np.asarray(xi, dtype=complex)
     if xi.ndim != 2 or xi.shape[0] != xi.shape[1]:
         raise ValueError(f"xi must be square, got shape {xi.shape}")
-    d = xi.shape[0]
-    eye = np.eye(d, dtype=complex)
-    a_lift = [np.kron(a, eye) for a in A.entries]
-    x_lift = [np.kron(x, xi) for x in X.entries]
-    return F(a_lift, x_lift)
+    a_lift, x_lift = _tensor_lifts(A, X, xi[None])
+    return F(a_lift, list(x_lift[0]))
 
 
 def _phi_at(F, A: HermTuple, X: HermTuple, v, zs) -> np.ndarray:
@@ -91,13 +103,18 @@ def slice_scalar(F, A: HermTuple, X: HermTuple, v, z: complex) -> complex:
 
 
 def slice_matrix(F, A: HermTuple, X: HermTuple, v, T: np.ndarray) -> np.ndarray:
-    """phi_v(T) = (v* (x) I) Phi(T) (v (x) I), a dim(T)-square matrix."""
+    """phi_v(T) = (v* (x) I) Phi(T) (v (x) I), a dim(T)-square matrix, for
+    Hermitian T.  T may carry a leading stack axis; F then evaluates the
+    whole stack through one F.at_points call."""
+    F = as_nc_function(F)
     v = _unit_vector(v)
     T = np.asarray(T, dtype=complex)
-    Phi = slice_phi(F, A, X, T)
-    d = T.shape[0]
-    W = np.kron(v.reshape(-1, 1), np.eye(d, dtype=complex))
-    return W.conj().T @ Phi @ W
+    if T.ndim not in (2, 3) or T.shape[-1] != T.shape[-2]:
+        raise ValueError(f"T must be square, got shape {T.shape}")
+    a_lift, x_lift = _tensor_lifts(A, X, T if T.ndim == 3 else T[None])
+    W = np.kron(v.reshape(-1, 1), np.eye(T.shape[-1], dtype=complex))
+    P = W.conj().T @ F.at_points(a_lift, x_lift) @ W
+    return P if T.ndim == 3 else P[0]
 
 
 @dataclass
@@ -175,23 +192,41 @@ def test_slice_convexity_transfer(F, A: HermTuple, X: HermTuple, v,
     v = _unit_vector(v)
     lo, hi = 1.0 - delta, 1.0 + delta
 
-    def trial(rng, k):
+    def draw(rng, k):
         d = int(rng.integers(1, t_size + 1))
-        T1 = hermitian_with_spectrum_in(d, lo, hi, rng)
-        T2 = hermitian_with_spectrum_in(d, lo, hi, rng)
+        T1 = draw_spectral(rng, d, lo, hi)
+        T2 = draw_spectral(rng, d, lo, hi)
         t = 0.5 if k % 2 == 0 else float(rng.uniform(0.0, 1.0))
-        P1 = slice_matrix(F, A, X, v, T1)
-        P2 = slice_matrix(F, A, X, v, T2)
-        PM = slice_matrix(F, A, X, v, t * T1 + (1.0 - t) * T2)
-        return t * P1 + (1.0 - t) * P2 - PM, (T1, T2, t)
+        return d, t, T1, T2
 
-    def witness_of(sample, eigs):
-        T1, T2, t = sample
+    def defects(samples):
+        # one stack per size d of T
+        D, data = [None] * len(samples), [None] * len(samples)
+        by_size: dict = {}
+        for i, s in enumerate(samples):
+            by_size.setdefault(s[0], []).append(i)
+        for idx in by_size.values():
+            group = [samples[i] for i in idx]
+            T1, T2 = (spectral_lift(np.array([s[j][0] for s in group]),
+                                    np.array([s[j][1] for s in group]))
+                      for j in (2, 3))
+            ts = [s[1] for s in group]
+            t = np.array(ts)[:, None, None]
+            c = len(idx)
+            P = slice_matrix(F, A, X, v,
+                             np.concatenate([T1, T2, t * T1 + (1.0 - t) * T2]))
+            Dd = t * P[:c] + (1.0 - t) * P[c:2 * c] - P[2 * c:]
+            for j, i in enumerate(idx):
+                D[i], data[i] = Dd[j], (T1[j], T2[j], ts[j])
+        return D, data
+
+    def witness_of(data, eigs):
+        T1, T2, t = data
         return {"T1": [[float(x.real) for x in row] for row in T1],
                 "T2": [[float(x.real) for x in row] for row in T2],
                 "t": t, "defect_eigs": [float(e) for e in eigs]}
 
-    return _falsify((seed,), trials, trial, witness_of,
+    return _falsify((seed,), trials, draw, defects, witness_of,
                     "slice_convexity_transfer")
 
 
@@ -242,6 +277,8 @@ def certify_degree_two(F, A: HermTuple, epsilon: float, samples: int = 50,
     absorbed into a verdict.
     """
     F = as_nc_function(F)
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     convexity = test_convexity_at_CA(F, A, epsilon,
                                      multiplicities=multiplicities,
                                      trials=trials, seed=seed)
@@ -287,7 +324,7 @@ def certify_degree_two(F, A: HermTuple, epsilon: float, samples: int = 50,
                         "alpha": {"kappa": A.n, "m": m},
                         "method": sc.method,
                     }
-    if samples > 0 and skipped == samples:
+    if skipped == samples:
         raise ExtractionError(
             f"all {samples} extraction samples failed; the verdict would "
             "be vacuous -- shrink the radius or raise degree_cap")

@@ -7,6 +7,11 @@ symmetrization (M + M*)/2, so downstream eigensolves can use eigh
 unconditionally.
 
 The tuple norm is the largest eigenvalue of (sum_i X_i X_i*)^(1/2).
+
+The samplers come in two halves so the testers can batch them: a draw
+that takes a sample's raw numbers from its generator, and a stacked
+build that turns the raw numbers of many samples into matrices with
+the same arithmetic, bit for bit, that one sample gets alone.
 """
 
 from __future__ import annotations
@@ -71,6 +76,17 @@ class HermTuple:
             self.n = int(n)
         self.entries = tuple(mats)
         self.kind = kind
+
+    @classmethod
+    def _trusted(cls, matrices, kind: str, n: int) -> "HermTuple":
+        """A tuple over matrices that have already passed ingest (for
+        instance the rows of hermitian_stack's output); no check, no
+        copy."""
+        T = object.__new__(cls)
+        T.entries = tuple(matrices)
+        T.n = n
+        T.kind = kind
+        return T
 
     # -- container protocol ----------------------------------------------
 
@@ -171,13 +187,19 @@ def tuple_norm(X: HermTuple) -> float:
 
 def matrices_norm(mats, n: int) -> float:
     """tuple_norm of a plain sequence of n x n matrices."""
-    if not mats:
+    if not len(mats):
         return 0.0
-    s = np.zeros((n, n), dtype=complex)
+    return float(stack_norms(mats))
+
+
+def stack_norms(mats) -> np.ndarray:
+    """tuple_norm of every tuple in a stack, given as the sequence of its
+    g >= 1 entries, each of shape (..., n, n)."""
+    s = np.zeros(np.shape(mats[0]), dtype=complex)
     for m in mats:
-        s += m @ m.conj().T
-    top = float(np.linalg.eigvalsh(s)[-1])
-    return float(np.sqrt(max(top, 0.0)))
+        s += m @ m.conj().swapaxes(-1, -2)
+    top = np.linalg.eigvalsh(s)[..., -1]
+    return np.sqrt(np.maximum(top, 0.0))
 
 
 def block_diag(M1: np.ndarray, M2: np.ndarray) -> np.ndarray:
@@ -201,29 +223,104 @@ def identity_tuple(g: int, n: int, kind: str = "x") -> HermTuple:
 # -- sampling ------------------------------------------------------------
 
 
+def _ginibre(rng, shape: tuple) -> np.ndarray:
+    """Complex Gaussian matrices: the real parts, then the imaginary
+    parts, drawn as one (2, *shape) block."""
+    return _complex(rng.standard_normal((2,) + shape))
+
+
+def _complex(parts: np.ndarray) -> np.ndarray:
+    """Complex matrices from a (..., 2, n, n) stack of real and
+    imaginary parts."""
+    return parts[..., 0, :, :] + 1j * parts[..., 1, :, :]
+
+
+def _haar_q(z: np.ndarray) -> np.ndarray:
+    """Haar unitaries from Ginibre samples z of shape (..., n, n): the QR
+    factor Q with the phases of R's diagonal moved into it."""
+    q, r = np.linalg.qr(z / np.sqrt(2.0))
+    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    d[np.abs(d) < 1e-300] = 1.0
+    return q * (d / np.abs(d))[..., None, :]
+
+
 def haar_unitary(n: int, rng) -> np.ndarray:
     """QR of a complex Ginibre sample with the R-diagonal phase fixed."""
-    rng = as_rng(rng)
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    q, r = np.linalg.qr(z / np.sqrt(2.0))
-    d = np.diagonal(r).copy()
-    d[np.abs(d) < 1e-300] = 1.0
-    return q * (d / np.abs(d))
+    return _haar_q(_ginibre(as_rng(rng), (n, n)))
+
+
+def _hermitian_from(g: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    return scale * (g + g.conj().swapaxes(-1, -2)) / 2
 
 
 def random_hermitian(n: int, rng, scale: float = 1.0) -> np.ndarray:
-    rng = as_rng(rng)
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return scale * (g + g.conj().T) / 2
+    return _hermitian_from(_ginibre(as_rng(rng), (n, n)), scale)
+
+
+def draw_spectral(rng, n: int, lo: float, hi: float) -> tuple:
+    """The raw numbers of hermitian_with_spectrum_in: the spectrum, then
+    the real and imaginary parts of the unitary's Ginibre sample."""
+    lam = rng.uniform(lo, hi, size=n)
+    return lam, rng.standard_normal((2, n, n))
+
+
+def spectral_lift(lam: np.ndarray, parts: np.ndarray) -> np.ndarray:
+    """U* diag(lam) U, symmetrized, for stacks lam (..., n) and parts
+    (..., 2, n, n) of draw_spectral output.  The product stays the
+    matmul by diag(lam) that one matrix always got, so no kernel can
+    round a stack member differently."""
+    u = _haar_q(_complex(parts))
+    diag = np.zeros(lam.shape + lam.shape[-1:])
+    idx = np.arange(lam.shape[-1])
+    diag[..., idx, idx] = lam
+    m = u.conj().swapaxes(-1, -2) @ diag @ u
+    return (m + m.conj().swapaxes(-1, -2)) / 2
 
 
 def hermitian_with_spectrum_in(n: int, lo: float, hi: float, rng) -> np.ndarray:
     """U* diag(lambda) U with lambda uniform in (lo, hi)."""
-    rng = as_rng(rng)
-    lam = rng.uniform(lo, hi, size=n)
-    u = haar_unitary(n, rng)
-    m = u.conj().T @ np.diag(lam) @ u
-    return (m + m.conj().T) / 2
+    return spectral_lift(*draw_spectral(as_rng(rng), n, lo, hi))
+
+
+def hermitian_stack(M: np.ndarray, tol: float = HERMITIAN_INGEST_TOL) -> np.ndarray:
+    """HermTuple's ingest on a stack of tuples of shape (..., g, n, n):
+    the same Hermiticity check per entry, then (M + M*)/2."""
+    Mh = M.conj().swapaxes(-1, -2)
+    if M.size:
+        dev = np.abs(M - Mh).max(axis=(-2, -1))
+        if (dev > tol).any():
+            bad = int(np.flatnonzero(dev > tol)[0])
+            raise ValueError(f"entry {bad % M.shape[-3]} is not Hermitian: "
+                             f"max deviation {float(dev.flat[bad]):.3e}")
+    return (M + Mh) / 2
+
+
+def draw_x_ball(g: int, n: int, epsilon: float, count: int, rng) -> list:
+    """The raw numbers of sample_x_ball, in its order: per sample, the
+    real and imaginary parts of g Ginibre matrices as one (g, 2, n, n)
+    draw, then the radius.  Returns [(parts, radius)] per sample."""
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    if not g:
+        return [(np.zeros((0, 2, n, n)), 0.0)] * count
+    return [(rng.standard_normal((g, 2, n, n)), rng.uniform(0.0, epsilon))
+            for _ in range(count)]
+
+
+def x_ball_points(draws) -> np.ndarray:
+    """Stacked x-tuples (c, g, n, n) from draw_x_ball samples: Hermitian
+    parts, ingested and rescaled to tuple norm r, ingested again."""
+    Z = np.array([z for z, _ in draws])
+    r = np.array([r for _, r in draws])
+    H = hermitian_stack(_hermitian_from(_complex(Z)))
+    if not Z.shape[1]:
+        return H
+    nx = stack_norms([H[:, i] for i in range(H.shape[1])])
+    pos = nx > 0
+    X = hermitian_stack((r / np.where(pos, nx, 1.0))[:, None, None, None] * H)
+    if not pos.all():                   # a zero tuple stays unscaled
+        X[~pos] = H[~pos]
+    return X
 
 
 def sample_x_ball(sig, n: int, epsilon: float, count: int, seed) -> list:
@@ -232,21 +329,13 @@ def sample_x_ball(sig, n: int, epsilon: float, count: int, seed) -> list:
     Gaussian Hermitian entries, rescaled so the tuple norm equals a
     radius drawn uniformly in (0, epsilon).  Deterministic under seed.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
     g = sig.g_x if hasattr(sig, "g_x") else int(sig)
-    rng = as_rng(seed)
-    out = []
-    for _ in range(count):
-        if g == 0:
-            out.append(HermTuple([], kind="x", n=n))
-            continue
-        mats = [random_hermitian(n, rng) for _ in range(g)]
-        X = HermTuple(mats, kind="x", n=n)
-        nx = tuple_norm(X)
-        r = rng.uniform(0.0, epsilon)
-        out.append(X.scale(r / nx) if nx > 0 else X)
-    return out
+    draws = draw_x_ball(g, n, epsilon, count, as_rng(seed))
+    if not draws:
+        return []
+    X = x_ball_points(draws)
+    X.flags.writeable = False
+    return [HermTuple._trusted(x, "x", n) for x in X]
 
 
 def shuffle_permutation(m: int, k: int) -> np.ndarray:

@@ -286,3 +286,28 @@ def test_non_finite_loewner_matrix_exits_two(tmp_path, monkeypatch, capsys):
     assert code == 2 and out == ""
     assert err.splitlines()[-1] == ("error: trial 0: the defect matrix is "
                                     "not finite")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["certify", "--preset", "square", "--samples", "0"], "--samples"),
+    (["convexity", "--preset", "square", "--size", "0"], "--size"),
+    (["certify", "--preset", "square", "--size", "0"], "--size"),
+    (["convexity1", "--preset", "square", "--size", "0"], "--size"),
+    (["kraus", "--size", "0"], "--size"),
+    (["axioms", "--preset", "square", "--samples", "0"], "--samples"),
+    (["convexity", "--preset", "square", "--multiplicities="],
+     "--multiplicities"),
+    (["certify", "--preset", "square", "--multiplicities=0,2"],
+     "--multiplicities"),
+])
+def test_zero_work_arguments_are_usage_errors(argv, flag, tmp_path,
+                                              monkeypatch, capsys):
+    # each used to pass from no work, run at another size, or crash
+    monkeypatch.chdir(tmp_path)
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {flag} "), err
+    assert list(tmp_path.iterdir()) == []

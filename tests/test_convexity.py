@@ -2,19 +2,22 @@
 sampling core every tester runs on."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ncconvex import (CallableNcFunction, HermTuple, NcError,
+import ncconvex.convexity as convexity
+from ncconvex import (CallableNcFunction, DomainError, HermTuple, NcError,
                       PolynomialNcFunction, ScalarFn, Signature,
-                      convexity_test_1var, derived_rng,
+                      convexity_test_1var, derived_rng, get_preset,
                       loewner_monotone_test, parse_polynomial,
-                      random_base_tuple, verify_convexity_witness)
+                      random_base_tuple, sample_x_ball,
+                      verify_convexity_witness)
 from ncconvex import test_convexity_at_A as convexity_at_A
 from ncconvex import test_convexity_at_CA as convexity_at_CA
 from ncconvex import test_slice_convexity_transfer as slice_transfer
-from ncconvex.convexity import _falsify
+from ncconvex.convexity import CHUNK, _falsify
 
 
 def _fn(expr, sig):
@@ -126,26 +129,29 @@ def test_report_determinism():
 
 
 def _scripted(min_eigs):
-    """A trial whose defect k is diag(min_eigs[k], 1); it records the
-    first draw of each trial's generator."""
+    """A tester whose defect k is diag(min_eigs[k], 1); its draw records
+    the first number of each trial's generator."""
     draws = []
 
-    def trial(rng, k):
+    def draw(rng, k):
         draws.append(float(rng.random()))
-        return np.diag([min_eigs[k], 1.0]), k
+        return k
 
-    return trial, draws
+    def defects(ks):
+        return np.stack([np.diag([min_eigs[k], 1.0]) for k in ks]), ks
+
+    return draw, defects, draws
 
 
 def test_core_witness_comes_from_the_worst_trial():
-    trial, _ = _scripted([0.5, -1e-3, -5e-2, -1e-7, -1e-2])
+    draw, defects, _ = _scripted([0.5, -1e-3, -5e-2, -1e-7, -1e-2])
     captured = []
 
     def witness_of(k, eigs):
         captured.append(k)
         return {"trial": k, "eig": float(eigs[0])}
 
-    rep = _falsify((60,), 5, trial, witness_of, "scripted")
+    rep = _falsify((60,), 5, draw, defects, witness_of, "scripted")
     assert not rep.passed
     assert rep.min_eig == pytest.approx(-5e-2, rel=1e-12)
     assert rep.witness["trial"] == 2
@@ -156,12 +162,12 @@ def test_core_witness_comes_from_the_worst_trial():
 
 
 def test_core_minimum_inside_the_hysteresis_band_fails_without_witness():
-    trial, _ = _scripted([0.0, -1e-7, 2.0])
+    draw, defects, _ = _scripted([0.0, -1e-7, 2.0])
 
     def witness_of(k, eigs):
         raise AssertionError("no witness inside (-1e-6, -1e-8)")
 
-    rep = _falsify((61,), 3, trial, witness_of, "scripted")
+    rep = _falsify((61,), 3, draw, defects, witness_of, "scripted")
     assert not rep.passed
     assert rep.witness is None
     assert rep.min_eig == pytest.approx(-1e-7, rel=1e-9)
@@ -171,8 +177,8 @@ def test_core_minimum_inside_the_hysteresis_band_fails_without_witness():
 def test_core_same_key_same_draws():
     runs = []
     for key in ((62, 3), (62, 3), (62, 4)):
-        trial, draws = _scripted([1.0] * 6)
-        rep = _falsify(key, 6, trial, None, "scripted")
+        draw, defects, draws = _scripted([1.0] * 6)
+        rep = _falsify(key, 6, draw, defects, None, "scripted")
         assert rep.passed and rep.witness is None
         assert len(rep.trial_min_eigs) == 6
         runs.append(draws)
@@ -183,11 +189,10 @@ def test_core_same_key_same_draws():
 
 
 def test_core_refuses_a_non_finite_defect():
-    def trial(rng, k):
-        return np.diag([1.0, math.nan if k == 1 else 1.0]), k
+    draw, defects, _ = _scripted([1.0, math.nan, 1.0])
 
     with pytest.raises(NcError, match="trial 1"):
-        _falsify((63,), 3, trial, None, "scripted")
+        _falsify((63,), 3, draw, defects, None, "scripted")
 
 
 def _nan_nc(sig):
@@ -219,3 +224,115 @@ def test_all_nan_evaluator_raises_instead_of_passing(run):
     with pytest.raises(NcError, match="trial 0: the defect matrix is not "
                                       "finite"):
         run()
+
+
+def test_core_witness_from_the_worst_trial_past_a_chunk_boundary():
+    eigs = [0.5] * (CHUNK + 1)
+    eigs[3], eigs[CHUNK] = -1e-3, -5e-2
+    draw, defects, _ = _scripted(eigs)
+    captured = []
+
+    def witness_of(k, e):
+        captured.append(k)
+        return {"trial": k}
+
+    rep = _falsify((64,), CHUNK + 1, draw, defects, witness_of, "scripted")
+    assert rep.witness == {"trial": CHUNK}
+    assert captured == [3, CHUNK]
+    assert rep.min_eig == -5e-2
+    assert len(rep.trial_min_eigs) == CHUNK + 1
+
+
+def test_core_refuses_zero_trials():
+    draw, defects, _ = _scripted([])
+    with pytest.raises(ValueError, match="trials"):
+        _falsify((65,), 0, draw, defects, None, "scripted")
+
+
+def _trial_x(seed, k, n, epsilon):
+    """The X that test_convexity_at_A draws for trial k."""
+    rng = derived_rng(seed, k)
+    if k % 2:
+        rng.uniform(0.0, 1.0)
+    return sample_x_ball(Signature(0, 1), n, epsilon, 2, rng)[0]
+
+
+def _square_except_at(X_bad, value=None):
+    """x1^2, except at X_bad: there it raises, or returns `value` filled."""
+    def fn(A, X):
+        M = np.asarray(X[0])
+        if np.array_equal(M, X_bad[0]):
+            if value is None:
+                raise NcError("refused")
+            return np.full(M.shape, value, dtype=complex)
+        return M @ M
+    return CallableNcFunction(fn, Signature(0, 1), name="square-except")
+
+
+@pytest.mark.parametrize("k", [3, CHUNK + 5])
+def test_evaluation_failing_at_trial_k_names_trial_k(k):
+    F = _square_except_at(_trial_x(70, k, 2, 1.0))
+    with pytest.raises(DomainError, match=rf"^evaluation failed on trial "
+                                          rf"{k} \(t=.*, size 2, .*\): refused$"):
+        convexity_at_A(F, _empty_a(2), epsilon=1.0, trials=2 * CHUNK,
+                       seed=70)
+
+
+@pytest.mark.parametrize("k", [4, CHUNK + 6])
+def test_non_finite_defect_at_trial_k_names_trial_k(k):
+    F = _square_except_at(_trial_x(71, k, 2, 1.0), math.nan)
+    with pytest.raises(NcError, match=rf"^trial {k}: the defect matrix is "
+                                      "not finite$"):
+        convexity_at_A(F, _empty_a(2), epsilon=1.0, trials=2 * CHUNK,
+                       seed=71)
+
+
+def test_outcome_does_not_depend_on_the_chunk(monkeypatch):
+    quartic = get_preset("quartic")
+
+    def run():
+        reps = [convexity_at_CA(quartic.make(), _empty_a(2), epsilon=2.0,
+                                multiplicities=(1, 2), trials=70, seed=72),
+                convexity_test_1var(quartic.make_scalar(), (-1.0, 1.0),
+                                    size=3, trials=70, seed=72),
+                slice_transfer(_fn("x1^2", Signature(0, 1)), _empty_a(2),
+                               HermTuple([np.diag([0.3, -0.2])], kind="x"),
+                               [1.0, 0.5], trials=70, seed=72)]
+        return [(r.to_json_dict(), r.trial_min_eigs) for r in reps]
+
+    reference = run()
+    assert reference[0][0]["witness"] and reference[1][0]["witness"]
+    monkeypatch.setattr(convexity, "CHUNK", 5)
+    assert run() == reference
+
+
+def test_stacks_are_bounded_by_the_chunk():
+    F = get_preset("kraus-halfmass").make()
+    A = _empty_a(3)
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            convexity_at_A(F, A, epsilon=0.5, trials=trials, seed=73)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(8)
+    # trial_min_eigs grows by one float per trial (about 15 kB here);
+    # a chunk's stacks are about 200 kB, so stacks kept past their chunk
+    # would add over 1 MB at 8 chunks
+    assert peak(8 * CHUNK) - peak(CHUNK) < 96 * 1024
+
+
+@pytest.mark.parametrize("run", [
+    lambda F: convexity_at_A(F, _empty_a(0), epsilon=1.0, trials=5),
+    lambda F: convexity_at_CA(F, _empty_a(0), epsilon=1.0, trials=5),
+    lambda F: convexity_at_CA(F, _empty_a(2), epsilon=1.0, trials=5,
+                              multiplicities=()),
+    lambda F: convexity_test_1var(get_preset("square").make_scalar(),
+                                  (-1.0, 1.0), size=0, trials=5),
+], ids=["at_A size 0", "at_CA size 0", "no multiplicities", "1var size 0"])
+def test_zero_work_arguments_raise(run):
+    with pytest.raises(ValueError):
+        run(_fn("x1^2", Signature(0, 1)))

@@ -6,12 +6,13 @@ from itertools import product
 import numpy as np
 import pytest
 
-from ncconvex import (HermTuple, MatrixNcPolynomial, NcPolynomial,
-                      NcPowerSeries, PolynomialNcFunction, Signature,
-                      check_nc_function_axioms, derived_rng, eval_poly,
-                      eval_series, parse_polynomial, random_hermitian,
-                      trace_evaluator, x_var)
-from ncconvex.errors import DomainError, SignatureError
+from ncconvex import (CallableNcFunction, HermTuple, MatrixNcPolynomial,
+                      NcPolynomial, NcPowerSeries, PolynomialNcFunction,
+                      SeriesNcFunction, Signature, check_nc_function_axioms,
+                      derived_rng, eval_poly, eval_series, get_preset,
+                      parse_polynomial, random_hermitian, trace_evaluator,
+                      x_var)
+from ncconvex.errors import DomainError, ShapeError, SignatureError
 
 SIGX = Signature(0, 2)
 
@@ -312,3 +313,59 @@ def test_unmerged_plan_keeps_memory_bounded():
     assert peak < 2 * 2 ** 20, peak
     np.testing.assert_allclose(got, _reference(p, [], x_mats, n),
                                rtol=0, atol=1e-10)
+
+
+# -- stacked evaluation --------------------------------------------------------
+
+
+def _matrix_2x2():
+    sig = Signature(1, 2)
+    x1, x2, a1 = (parse_polynomial(e, sig) for e in ("x1", "x2", "a1"))
+    return MatrixNcPolynomial([[x1 * x2 + x2 * x1, a1 * x1 + 2],
+                               [x1 * a1 + 2, x2 * a1 * x2 - 3 * a1]])
+
+
+def _series():
+    sig = Signature(1, 1)
+    return NcPowerSeries([parse_polynomial(e, sig) for e in
+                          ("a1 + 1", "x1 + a1*x1", "x1*a1*x1", "x1^3")],
+                         radius=1.0)
+
+
+STACKED = {
+    "constant and a-only leaf": lambda: PolynomialNcFunction(
+        parse_polynomial("a1 + x1^2 + 2", Signature(1, 1))),
+    "a-only": lambda: PolynomialNcFunction(
+        parse_polynomial("a1^2 + 2*a1 - 1", Signature(1, 1))),
+    "2x2 matrix polynomial": lambda: PolynomialNcFunction(_matrix_2x2()),
+    "series": lambda: SeriesNcFunction(_series()),
+    "kraus lift": lambda: get_preset("kraus-halfmass").make(),
+    "callable": lambda: CallableNcFunction(
+        lambda A, X: X[0] @ X[0] @ X[0] + A[0] @ X[0] + X.n,
+        Signature(1, 1)),
+}
+
+
+@pytest.mark.parametrize("make", STACKED.values(), ids=STACKED)
+def test_at_points_equals_per_point_calls(make):
+    F = make()
+    sig = F.signature
+    rng = derived_rng(80)
+    for n in range(1, 10):
+        # spectral norms below 1/2 keep the series and the resolvent defined
+        scale = 0.25 / np.sqrt(n)
+        A = HermTuple([random_hermitian(n, rng, scale)
+                       for _ in range(sig.g_a)], kind="a", n=n)
+        Xs = np.array([[random_hermitian(n, rng, scale)
+                        for _ in range(sig.g_x)] for _ in range(7)])
+        got = F.at_points(A, Xs)
+        want = np.stack([F(A, HermTuple(list(X), kind="x")) for X in Xs])
+        assert got.shape == want.shape
+        assert np.array_equal(got, want), n
+
+
+def test_eval_poly_refuses_a_stacked_a_part():
+    sig = Signature(1, 1)
+    with pytest.raises(ShapeError):
+        eval_poly(parse_polynomial("a1*x1", sig), [np.zeros((3, 2, 2))],
+                  [np.zeros((3, 2, 2))])

@@ -1,6 +1,7 @@
 """One-variable layer: spectral calculus, Kraus/Pick forms, Loewner."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -253,3 +254,21 @@ def test_report_json_shape():
     assert d["test"] == "convexity_1var"
     assert d["pass"] is True
     assert "witness" not in d
+
+
+def _pick(alpha, beta, mu):
+    return ScalarFn(lambda t: pick_eval(alpha, beta, mu, t).real,
+                    name="pick")
+
+
+def test_pick_function_is_operator_monotone_off_its_atoms():
+    # the Loewner matrix of a Pick function is alpha 11* plus
+    # sum_k w_k u_k u_k* with u_k(t) = 1/(lambda_k - t): PSD for w >= 0
+    good = _pick(0.3, 0.1, DiscreteMeasure(((-1.5, 0.5), (1.5, 1.0))))
+    rep = loewner_monotone_test(good, (-1.0, 1.0), trials=100, seed=81)
+    assert rep.passed and rep.witness is None
+    # DiscreteMeasure refuses a negative weight; pick_eval reads only atoms
+    bad = _pick(0.3, 0.1, SimpleNamespace(atoms=((-1.5, 0.5), (1.5, -1.0))))
+    rep = loewner_monotone_test(bad, (-1.0, 1.0), trials=100, seed=81)
+    assert not rep.passed and rep.min_eig < -1e-6
+    assert verify_monotone_witness(bad, rep.witness) < -1e-6

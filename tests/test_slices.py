@@ -258,3 +258,9 @@ def test_kraus_stack_with_a_singular_member_raises():
     X = HermTuple([np.diag([1.0, 0.5])], kind="x")
     with pytest.raises(SingularityError):
         KH.at_scales(_empty_a(2), X, [0.5, 2.0, 0.5j])
+
+
+def test_certify_refuses_zero_samples():
+    with pytest.raises(ValueError, match="samples"):
+        certify_degree_two(_fn("x1^2", Signature(0, 1)), _empty_a(2), 0.5,
+                           samples=0, trials=5)
