@@ -11,7 +11,8 @@ they share, and runs the trials in chunks of CHUNK, in three phases:
   stack   the client turns a chunk's raw numbers into defect matrices
           with stacked numpy calls (sampling, evaluation through
           F.at_points), and _falsify takes the Hermitian parts, refuses
-          non-finite ones and runs one eigvalsh per matrix size;
+          non-finite ones and runs one eigvalsh per stack (one stack
+          per defect size, when a tester's size varies);
   replay  the trials are walked in order to track the minimum, apply
           the PSD_TOL / WITNESS_TOL hysteresis, capture the witness
           and raise a trial's error where a trial-by-trial run would.
@@ -44,7 +45,7 @@ from .errors import DomainError, NcError
 from .evaluate import as_nc_function, hermitian_deviation
 from .tolerances import EVAL_HERMITIAN_TOL, PSD_TOL, WITNESS_TOL
 from .tuples import (HermTuple, ca_element, derived_rng, draw_x_ball,
-                     hermitian_stack, matrices_norm, tuple_from_json,
+                     hermitian_stack, stack_norms, tuple_from_json,
                      tuple_to_json, x_ball_points)
 
 # trials per stacked chunk: large enough that per-call overhead is
@@ -102,22 +103,22 @@ def _defect_eigs(D: np.ndarray, where: str) -> np.ndarray:
     return eigs
 
 
-def _eigs_by_size(D) -> list:
-    """_hermitian_eigs of a (c, N, N) stack, or of a list of square
-    matrices of mixed sizes with one eigvalsh per size."""
-    if isinstance(D, np.ndarray):
-        return _hermitian_eigs(D)
-    out = [None] * len(D)
-    by_size: dict = {}
-    for i, M in enumerate(D):
-        by_size.setdefault(M.shape, []).append(i)
-    for idx in by_size.values():
-        for i, e in zip(idx, _hermitian_eigs(np.stack([D[i] for i in idx]))):
-            out[i] = e
-    return out
+def _evaluate(samples: list, defects, group_by) -> tuple:
+    """(eigs, data) per sample.  defects runs once per group of samples
+    that share group_by(sample) (all of them when group_by is None), and
+    each group's defect stack gets one eigvalsh."""
+    groups: dict = {}
+    for i, s in enumerate(samples):
+        groups.setdefault(group_by and group_by(s), []).append(i)
+    eigs, data = [None] * len(samples), [None] * len(samples)
+    for idx in groups.values():
+        D, d = defects([samples[i] for i in idx])
+        for i, e, di in zip(idx, _hermitian_eigs(D), d):
+            eigs[i], data[i] = e, di
+    return eigs, data
 
 
-def _run_chunk(key: tuple, ks: range, draw, defects):
+def _run_chunk(key: tuple, ks: range, draw, defects, group_by):
     """Yield (k, eigs, witness data) for the trials ks in order, and
     raise a trial's error in its place.
 
@@ -132,40 +133,43 @@ def _run_chunk(key: tuple, ks: range, draw, defects):
         except Exception as exc:        # later trials are never reached
             error = exc
             break
-    D, data = [], []
+    eigs, data = [], []
     if samples:
         try:
-            D, data = defects(samples)
+            eigs, data = _evaluate(samples, defects, group_by)
         except Exception:
             # one trial at a time, each redrawn from its own generator,
             # until the first trial that fails alone
             for k in ks[:len(samples)]:
                 try:
-                    Dk, dk = defects([draw(derived_rng(*key, k), k)])
+                    ek, dk = _evaluate([draw(derived_rng(*key, k), k)],
+                                       defects, None)
                 except Exception as exc:
                     error = exc
                     break
-                D.append(Dk[0])
-                data.append(dk[0])
-    for k, eigs, d in zip(ks, _eigs_by_size(D), data):
-        if eigs is None:
+                eigs += ek
+                data += dk
+    for k, e, d in zip(ks, eigs, data):
+        if e is None:
             raise NcError(f"trial {k}: the defect matrix is not finite")
-        yield k, eigs, d
+        yield k, e, d
     if error is not None:
         raise error
 
 
 def _falsify(key: tuple, trials: int, draw, defects, witness_of,
-             test: str) -> Report:
+             test: str, group_by=None) -> Report:
     """The sampling loop shared by every tester, in chunks of CHUNK.
 
     draw(rng, k) takes trial k's raw numbers from rng =
     derived_rng(*key, k) and returns them as the trial's sample.
     defects(samples) evaluates a list of samples with stacked calls and
-    returns (D, data): D the defect matrices, a (c, N, N) stack or a
-    list of square matrices, and data[i] what witness_of needs of
-    sample i.  When defects raises, the chunk runs again one trial at a
-    time, so on a one-trial list its error should name that trial.
+    returns (D, data): D the (c, N, N) stack of defect matrices and
+    data[i] what witness_of needs of sample i.  When the defect size
+    varies between samples, group_by(sample) names it, and defects sees
+    one size at a time.  When defects raises, the chunk runs again one
+    trial at a time, so on a one-trial list its error should name that
+    trial.
 
     The run passes when the smallest defect eigenvalue is >= -PSD_TOL.
     witness_of(data, eigs) runs only when a trial sets a new minimum
@@ -179,7 +183,7 @@ def _falsify(key: tuple, trials: int, draw, defects, witness_of,
     trial_eigs = []
     for start in range(0, trials, CHUNK):
         ks = range(start, min(start + CHUNK, trials))
-        for k, eigs, data in _run_chunk(key, ks, draw, defects):
+        for k, eigs, data in _run_chunk(key, ks, draw, defects, group_by):
             eig = float(eigs[0])
             trial_eigs.append(eig)
             if eig < min_eig:
@@ -277,8 +281,8 @@ def test_convexity_at_A(F, A: HermTuple, epsilon: float, trials: int = 200,
                 raise
             raise DomainError(
                 f"evaluation failed on trial {ks[0]} (t={ts[0]:.4f}, size "
-                f"{n}, |X|={matrices_norm(X[0], n):.4f}, "
-                f"|Y|={matrices_norm(Y[0], n):.4f}): {exc}") from exc
+                f"{n}, |X|={stack_norms(X[0]):.4f}, "
+                f"|Y|={stack_norms(Y[0]):.4f}): {exc}") from exc
         hermitian.append(not (dev > EVAL_HERMITIAN_TOL).any())
         return D, list(zip(X, Y, ts))
 

@@ -27,7 +27,7 @@ from .algebra import (MatrixNcPolynomial, NcPolynomial, NcPowerSeries,
                       Signature)
 from .errors import DomainError, ShapeError, SignatureError
 from .tuples import (HermTuple, as_rng, block_diag, haar_unitary,
-                     matrices_norm, random_hermitian, tuple_norm,
+                     random_hermitian, stack_norms, tuple_norm,
                      tuple_to_json)
 
 
@@ -135,7 +135,7 @@ def eval_series(F: NcPowerSeries, A=None, X=None, up_to: Optional[int] = None,
     if len(shape) > 2:
         raise ShapeError("a series evaluates at one point at a time")
     size = shape[-1]
-    nx = matrices_norm(x_mats, size)
+    nx = float(stack_norms(x_mats))
     if not nx < F.radius:
         raise DomainError(
             f"tuple norm {nx:.6g} is outside the series radius {F.radius:.6g}")
@@ -178,6 +178,11 @@ class NcFunction:
     F(A, Xs[j]) for a (c, g_x, n, n) array Xs of Hermitian x-tuples,
     shape (c, N, N).  Both defaults loop over __call__; override them
     when F can evaluate a stack in one call.
+
+    F must be a pure function of (A, X): the testers evaluate a chunk of
+    trials in one batch and, when the batch raises, evaluate its trials
+    again one at a time, so a call count or hidden state is not kept in
+    step with the trials.
     """
 
     signature: Signature

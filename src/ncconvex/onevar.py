@@ -47,7 +47,8 @@ def _richardson(step_fn: Callable[[float], float], h: float) -> float:
 class ScalarFn:
     """Real function on an open interval with optional analytic
     derivatives; missing derivatives fall back to central finite
-    differences with Richardson refinement."""
+    differences with Richardson refinement.  The testers call fn on a
+    chunk of trials' eigenvalues at once, so it must be pure."""
 
     __slots__ = ("fn", "d1", "d2", "domain", "name")
 
@@ -396,9 +397,8 @@ def verify_convexity1_witness(f: ScalarFn, witness: dict) -> float:
     A = matrix_from_json(witness["A"])
     B = matrix_from_json(witness["B"])
     t = float(witness["t"])
-    D, ok = _defects_1var(f, A[None], B[None], np.array([t]))
-    if not ok[0]:
-        # matrix_apply names the first eigenvalue outside the domain
-        for M in (A, B, t * A + (1.0 - t) * B):
-            matrix_apply(f, M)
-    return float(_defect_eigs(D[0], "witness")[0])
+    # the tester's arithmetic, one matrix at a time, so the bits agree;
+    # matrix_apply names the first eigenvalue outside f's domain
+    D = (t * matrix_apply(f, A) + (1.0 - t) * matrix_apply(f, B)
+         - matrix_apply(f, t * A + (1.0 - t) * B))
+    return float(_defect_eigs(D, "witness")[0])

@@ -200,25 +200,17 @@ def test_slice_convexity_transfer(F, A: HermTuple, X: HermTuple, v,
         return d, t, T1, T2
 
     def defects(samples):
-        # one stack per size d of T
-        D, data = [None] * len(samples), [None] * len(samples)
-        by_size: dict = {}
-        for i, s in enumerate(samples):
-            by_size.setdefault(s[0], []).append(i)
-        for idx in by_size.values():
-            group = [samples[i] for i in idx]
-            T1, T2 = (spectral_lift(np.array([s[j][0] for s in group]),
-                                    np.array([s[j][1] for s in group]))
-                      for j in (2, 3))
-            ts = [s[1] for s in group]
-            t = np.array(ts)[:, None, None]
-            c = len(idx)
-            P = slice_matrix(F, A, X, v,
-                             np.concatenate([T1, T2, t * T1 + (1.0 - t) * T2]))
-            Dd = t * P[:c] + (1.0 - t) * P[c:2 * c] - P[2 * c:]
-            for j, i in enumerate(idx):
-                D[i], data[i] = Dd[j], (T1[j], T2[j], ts[j])
-        return D, data
+        # the core hands over one size d of T at a time
+        _, ts, T1s, T2s = zip(*samples)
+        T1, T2 = (spectral_lift(np.array([lam for lam, _ in Ts]),
+                                np.array([parts for _, parts in Ts]))
+                  for Ts in (T1s, T2s))
+        t = np.array(ts)[:, None, None]
+        c = len(ts)
+        P = slice_matrix(F, A, X, v,
+                         np.concatenate([T1, T2, t * T1 + (1.0 - t) * T2]))
+        return (t * P[:c] + (1.0 - t) * P[c:2 * c] - P[2 * c:],
+                list(zip(T1, T2, ts)))
 
     def witness_of(data, eigs):
         T1, T2, t = data
@@ -227,7 +219,7 @@ def test_slice_convexity_transfer(F, A: HermTuple, X: HermTuple, v,
                 "t": t, "defect_eigs": [float(e) for e in eigs]}
 
     return _falsify((seed,), trials, draw, defects, witness_of,
-                    "slice_convexity_transfer")
+                    "slice_convexity_transfer", group_by=lambda s: s[0])
 
 
 @dataclass

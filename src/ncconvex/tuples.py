@@ -2,7 +2,8 @@
 
 A HermTuple is an immutable tuple of same-size complex Hermitian
 matrices tagged with the variable class it instantiates ('a' or 'x').
-Ingest enforces Hermiticity within HERMITIAN_INGEST_TOL and stores the
+Ingest (hermitian_stack, the same for one tuple or a stack of them)
+enforces Hermiticity within HERMITIAN_INGEST_TOL and stores the
 symmetrization (M + M*)/2, so downstream eigensolves can use eigh
 unconditionally.
 
@@ -51,18 +52,10 @@ class HermTuple:
                  tol: float = HERMITIAN_INGEST_TOL):
         if kind not in ("a", "x"):
             raise ValueError(f"kind must be 'a' or 'x', got {kind!r}")
-        mats = []
-        for k, raw in enumerate(matrices):
-            m = np.asarray(raw, dtype=complex)
+        mats = [np.asarray(raw, dtype=complex) for raw in matrices]
+        for k, m in enumerate(mats):
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ShapeError(f"entry {k} has shape {m.shape}, want square")
-            dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-            if dev > tol:
-                raise ValueError(
-                    f"entry {k} is not Hermitian: max deviation {dev:.3e}")
-            m = (m + m.conj().T) / 2
-            m.flags.writeable = False
-            mats.append(m)
         if mats:
             sizes = {m.shape[0] for m in mats}
             if len(sizes) != 1:
@@ -70,6 +63,9 @@ class HermTuple:
             self.n = mats[0].shape[0]
             if n is not None and n != self.n:
                 raise ShapeError(f"declared n={n} but entries are {self.n}")
+            H = hermitian_stack(np.array(mats), tol)
+            H.flags.writeable = False
+            mats = list(H)
         else:
             if n is None:
                 raise ShapeError("empty tuple needs an explicit size n")
@@ -182,19 +178,14 @@ def _check_unitary(U: np.ndarray, n: int, tol: float = UNITARY_TOL) -> None:
 
 def tuple_norm(X: HermTuple) -> float:
     """sqrt of the top eigenvalue of sum_i X_i X_i*."""
-    return matrices_norm(X.entries, X.n)
+    return float(stack_norms(X.entries))
 
 
-def matrices_norm(mats, n: int) -> float:
-    """tuple_norm of a plain sequence of n x n matrices."""
+def stack_norms(mats):
+    """tuple_norm of every tuple in a stack, given as the sequence of its
+    g entries, each of shape (..., n, n); 0.0 for g = 0."""
     if not len(mats):
         return 0.0
-    return float(stack_norms(mats))
-
-
-def stack_norms(mats) -> np.ndarray:
-    """tuple_norm of every tuple in a stack, given as the sequence of its
-    g >= 1 entries, each of shape (..., n, n)."""
     s = np.zeros(np.shape(mats[0]), dtype=complex)
     for m in mats:
         s += m @ m.conj().swapaxes(-1, -2)
@@ -283,13 +274,19 @@ def hermitian_with_spectrum_in(n: int, lo: float, hi: float, rng) -> np.ndarray:
 
 
 def hermitian_stack(M: np.ndarray, tol: float = HERMITIAN_INGEST_TOL) -> np.ndarray:
-    """HermTuple's ingest on a stack of tuples of shape (..., g, n, n):
-    the same Hermiticity check per entry, then (M + M*)/2."""
+    """The ingest of HermTuple, for one tuple of shape (g, n, n) or a
+    stack of them (..., g, n, n): an entry further than tol from its
+    adjoint is refused, naming its index in the tuple, and otherwise
+    (M + M*)/2 is returned."""
     Mh = M.conj().swapaxes(-1, -2)
-    if M.size:
-        dev = np.abs(M - Mh).max(axis=(-2, -1))
-        if (dev > tol).any():
-            bad = int(np.flatnonzero(dev > tol)[0])
+    diff = np.abs(M - Mh)
+    # one whole-stack reduction when all is well; per entry, a NaN
+    # deviation compares false against tol and passes, as it always has
+    if diff.size and not diff.max() <= tol:
+        dev = diff.max(axis=(-2, -1))
+        over = np.flatnonzero(dev > tol)
+        if over.size:
+            bad = int(over[0])
             raise ValueError(f"entry {bad % M.shape[-3]} is not Hermitian: "
                              f"max deviation {float(dev.flat[bad]):.3e}")
     return (M + Mh) / 2

@@ -243,6 +243,29 @@ def test_core_witness_from_the_worst_trial_past_a_chunk_boundary():
     assert len(rep.trial_min_eigs) == CHUNK + 1
 
 
+def test_core_groups_defects_by_size_and_replays_in_trial_order():
+    # trial k has a (k % 3 + 1)-square defect with min eigenvalue -k
+    seen = []
+
+    def draw(rng, k):
+        return k % 3 + 1, k
+
+    def defects(samples):
+        sizes = {d for d, _ in samples}
+        seen.append(sizes)
+        return (np.stack([np.diag([-float(k)] + [1.0] * (d - 1))
+                          for d, k in samples]), samples)
+
+    rep = _falsify((66,), CHUNK + 5, draw, defects,
+                   lambda s, eigs: {"size": s[0], "trial": s[1]},
+                   "scripted", group_by=lambda s: s[0])
+    assert all(len(sizes) == 1 for sizes in seen)
+    assert len(seen) == 6               # three sizes in each of two chunks
+    assert rep.trial_min_eigs == [-float(k) for k in range(CHUNK + 5)]
+    last = CHUNK + 4
+    assert rep.witness == {"size": last % 3 + 1, "trial": last}
+
+
 def test_core_refuses_zero_trials():
     draw, defects, _ = _scripted([])
     with pytest.raises(ValueError, match="trials"):

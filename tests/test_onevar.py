@@ -13,6 +13,7 @@ from ncconvex import (DiscreteMeasure, ScalarFn, convexity_test_1var,
                       scalar_from_polynomial, verify_convexity1_witness,
                       verify_monotone_witness, parse_polynomial, Signature)
 from ncconvex.errors import DomainError, SingularityError
+from ncconvex.tuples import matrix_to_json
 
 HALF = DiscreteMeasure.point_mass(0.5)
 
@@ -230,6 +231,26 @@ def test_quartic_fails_and_witness_verifies():
     again = verify_convexity1_witness(f, rep.witness)
     assert again == pytest.approx(min(rep.witness["defect_eigs"]), rel=1e-9)
     assert again < -1e-6
+
+
+def test_convexity1_witness_check_stops_at_the_first_matrix_outside():
+    # spectral calculus matrix by matrix: f runs once per eigenvalue of
+    # A, and B's eigenvalue 3 outside (-2, 2) is named before the mixed
+    # point is formed
+    calls = []
+    f = ScalarFn(lambda t: calls.append(t) or t ** 4, domain=(-2.0, 2.0),
+                 name="t^4")
+    witness = {"A": matrix_to_json(np.diag([0.5, -0.5])),
+               "B": matrix_to_json(np.diag([1.0, 3.0])), "t": 0.5}
+    with pytest.raises(DomainError, match=r"eigenvalue \S*3\.0\S* outside"):
+        verify_convexity1_witness(f, witness)
+    assert sorted(calls) == [-0.5, 0.5]
+    # a spectrum outside the domain is reported before a later matrix
+    # is refused as non-Hermitian
+    witness["A"] = matrix_to_json(np.diag([0.5, 2.5]))
+    witness["B"] = matrix_to_json(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(DomainError, match=r"eigenvalue \S*2\.5\S* outside"):
+        verify_convexity1_witness(f, witness)
 
 
 def test_kraus_forms_are_matrix_convex():

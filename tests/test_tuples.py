@@ -28,6 +28,16 @@ def test_ingest_rejects_clearly_nonhermitian():
         HermTuple([M], kind="x")
 
 
+def test_ingest_names_the_entry_and_takes_a_tolerance():
+    off = np.array([[1.0, 1e-6], [0.0, 2.0]])
+    with pytest.raises(ValueError, match="entry 1 is not Hermitian: "
+                                         "max deviation 1.000e-06"):
+        HermTuple([np.eye(2), off], kind="x")
+    T = HermTuple([np.eye(2), off], kind="x", tol=1e-5)
+    np.testing.assert_array_equal(T[1], (off + off.T) / 2)
+    assert not T[1].flags.writeable
+
+
 def test_empty_tuple_needs_explicit_size():
     with pytest.raises(ShapeError):
         HermTuple([], kind="a")
