@@ -336,10 +336,10 @@ def _cmd_kraus(args) -> int:
     lo, hi = interval
     fn = KrausLiftFunction(f0, f1, f2, mu).scalar_fn(domain=(lo - 0.05, hi + 0.05))
 
-    # scalar sweep exercises the resolvent route on 1x1 matrices
+    # scalar sweep: the resolvent route on a stack of 1x1 matrices
     ts = np.linspace(lo, hi, args.sweep_points)
-    values = [float(kraus_eval(f0, f1, f2, mu, np.array([[t]]))[0, 0].real)
-              for t in ts]
+    values = kraus_eval(f0, f1, f2, mu, ts[:, None, None])[:, 0, 0].real
+    values = values.tolist()
 
     # cross-check the resolvent route against spectral calculus
     rng = derived_rng(args.seed, 4241)

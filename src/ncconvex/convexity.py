@@ -3,25 +3,29 @@ the sampling core that every tester in the package runs on.
 
 Each tester is a sampling falsifier with a one-sided guarantee: a fail
 is conclusive and ships a witness that re-verifies standalone, a pass
-is evidence over the sampled ball, not a proof.  _falsify owns what
-they share, and runs the trials in chunks of CHUNK, in three phases:
+is evidence over the sampled ball, not a proof.  _sampled is the one
+sampling loop of the package; the falsifiers reach it through _falsify
+and the degree-two certificate of slices.py calls it directly.  It runs
+the samples in chunks of CHUNK, in three phases:
 
-  draw    each trial k takes its raw numbers from its own generator
-          derived_rng(*key, k), in trial order;
-  stack   the client turns a chunk's raw numbers into defect matrices
-          with stacked numpy calls (sampling, evaluation through
-          F.at_points), and _falsify takes the Hermitian parts, refuses
-          non-finite ones and runs one eigvalsh per stack (one stack
-          per defect size, when a tester's size varies);
-  replay  the trials are walked in order to track the minimum, apply
-          the PSD_TOL / WITNESS_TOL hysteresis, capture the witness
-          and raise a trial's error where a trial-by-trial run would.
+  draw    each sample k takes its raw numbers from its own generator
+          derived_rng(*key, k), in sample order;
+  stack   the client's stage turns a chunk's raw numbers into results
+          with stacked numpy calls, once per group of samples of one
+          matrix size.  For the falsifiers that is sampling, evaluation
+          through F.at_points and the defect matrices, and _falsify
+          takes the Hermitian parts, refuses non-finite ones and runs
+          one eigvalsh per stack;
+  replay  the samples are walked in order; _falsify tracks the minimum,
+          applies the PSD_TOL / WITNESS_TOL hysteresis, captures the
+          witness and raises a trial's error where a trial-by-trial run
+          would.
 
 Stacked numpy calls give every member the bits it gets alone, so the
 outcome does not depend on CHUNK, and live memory is bounded by it, not
-by the trial count.  A chunk whose stacked evaluation raises runs again
-one trial at a time, each redrawn and evaluated on a one-trial stack,
-so an error names the trial that caused it.
+by the sample count.  A chunk whose stacked stage raises runs again one
+sample at a time, each redrawn and evaluated on a one-sample stack, so
+an error names the sample that caused it.
 
 Convexity witnesses are shrunk by halving the spread X - Y around the
 fixed mixing point while the violation persists, so reported
@@ -103,73 +107,80 @@ def _defect_eigs(D: np.ndarray, where: str) -> np.ndarray:
     return eigs
 
 
-def _evaluate(samples: list, defects, group_by) -> tuple:
-    """(eigs, data) per sample.  defects runs once per group of samples
-    that share group_by(sample) (all of them when group_by is None), and
-    each group's defect stack gets one eigvalsh."""
+def _evaluate(samples: list, stage, group_by) -> list:
+    """stage's result for each sample.  stage runs once per group of
+    samples that share group_by(sample) (all of them when group_by is
+    None) and returns one result per sample of its group, in order."""
     groups: dict = {}
     for i, s in enumerate(samples):
         groups.setdefault(group_by and group_by(s), []).append(i)
-    eigs, data = [None] * len(samples), [None] * len(samples)
+    out = [None] * len(samples)
     for idx in groups.values():
-        D, d = defects([samples[i] for i in idx])
-        for i, e, di in zip(idx, _hermitian_eigs(D), d):
-            eigs[i], data[i] = e, di
-    return eigs, data
+        for i, r in zip(idx, stage([samples[i] for i in idx])):
+            out[i] = r
+    return out
 
 
-def _run_chunk(key: tuple, ks: range, draw, defects, group_by):
-    """Yield (k, eigs, witness data) for the trials ks in order, and
-    raise a trial's error in its place.
+def _run_chunk(key: tuple, ks: range, draw, stage, group_by):
+    """Yield (k, result) for the samples ks in order, and raise a
+    sample's error in its place.
 
-    Any exception a trial raises is held and raised again after the
-    trials before it are yielded, as a trial-by-trial loop would order
-    it; a black box may raise anything, so none is told apart here.
+    Any exception a sample raises is held and raised again after the
+    samples before it are yielded, as a sample-by-sample loop would
+    order it; a black box may raise anything, so none is told apart
+    here.
     """
     samples, error = [], None
     for k in ks:
         try:
             samples.append(draw(derived_rng(*key, k), k))
-        except Exception as exc:        # later trials are never reached
+        except Exception as exc:        # later samples are never reached
             error = exc
             break
-    eigs, data = [], []
+    results = []
     if samples:
         try:
-            eigs, data = _evaluate(samples, defects, group_by)
+            results = _evaluate(samples, stage, group_by)
         except Exception:
-            # one trial at a time, each redrawn from its own generator,
-            # until the first trial that fails alone
+            # one sample at a time, each redrawn from its own generator,
+            # until the first sample that fails alone
             for k in ks[:len(samples)]:
                 try:
-                    ek, dk = _evaluate([draw(derived_rng(*key, k), k)],
-                                       defects, None)
+                    results += _evaluate([draw(derived_rng(*key, k), k)],
+                                         stage, None)
                 except Exception as exc:
                     error = exc
                     break
-                eigs += ek
-                data += dk
-    for k, e, d in zip(ks, eigs, data):
-        if e is None:
-            raise NcError(f"trial {k}: the defect matrix is not finite")
-        yield k, e, d
+    yield from zip(ks, results)
     if error is not None:
         raise error
 
 
+def _sampled(key: tuple, count: int, draw, stage, group_by=None):
+    """The package's sampling loop: (k, result) for k = 0 .. count-1 in
+    order, run in chunks of CHUNK.
+
+    draw(rng, k) takes sample k's raw numbers from rng =
+    derived_rng(*key, k) and returns them as the sample.  stage(samples)
+    turns a list of samples into one result per sample with stacked
+    calls; when the work differs between samples (a matrix size),
+    group_by(sample) names it and stage sees one group at a time.  When
+    stage raises on a chunk, the chunk runs again one sample at a time,
+    so on a one-sample list its error should name that sample.
+    """
+    for start in range(0, count, CHUNK):
+        yield from _run_chunk(key, range(start, min(start + CHUNK, count)),
+                              draw, stage, group_by)
+
+
 def _falsify(key: tuple, trials: int, draw, defects, witness_of,
              test: str, group_by=None) -> Report:
-    """The sampling loop shared by every tester, in chunks of CHUNK.
+    """The falsifiers' client of _sampled.
 
-    draw(rng, k) takes trial k's raw numbers from rng =
-    derived_rng(*key, k) and returns them as the trial's sample.
-    defects(samples) evaluates a list of samples with stacked calls and
+    defects(samples) evaluates a list of trials with stacked calls and
     returns (D, data): D the (c, N, N) stack of defect matrices and
-    data[i] what witness_of needs of sample i.  When the defect size
-    varies between samples, group_by(sample) names it, and defects sees
-    one size at a time.  When defects raises, the chunk runs again one
-    trial at a time, so on a one-trial list its error should name that
-    trial.
+    data[i] what witness_of needs of trial i; the core adds one
+    eigvalsh per stack.  draw and group_by are _sampled's.
 
     The run passes when the smallest defect eigenvalue is >= -PSD_TOL.
     witness_of(data, eigs) runs only when a trial sets a new minimum
@@ -178,18 +189,23 @@ def _falsify(key: tuple, trials: int, draw, defects, witness_of,
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+
+    def stage(samples):
+        D, data = defects(samples)
+        return zip(_hermitian_eigs(D), data)
+
     min_eig = math.inf
     witness = None
     trial_eigs = []
-    for start in range(0, trials, CHUNK):
-        ks = range(start, min(start + CHUNK, trials))
-        for k, eigs, data in _run_chunk(key, ks, draw, defects, group_by):
-            eig = float(eigs[0])
-            trial_eigs.append(eig)
-            if eig < min_eig:
-                min_eig = eig
-                if eig < -WITNESS_TOL:
-                    witness = witness_of(data, eigs)
+    for k, (eigs, data) in _sampled(key, trials, draw, stage, group_by):
+        if eigs is None:
+            raise NcError(f"trial {k}: the defect matrix is not finite")
+        eig = float(eigs[0])
+        trial_eigs.append(eig)
+        if eig < min_eig:
+            min_eig = eig
+            if eig < -WITNESS_TOL:
+                witness = witness_of(data, eigs)
     return Report(test=test, passed=min_eig >= -PSD_TOL, min_eig=min_eig,
                   trials=trials, witness=witness, trial_min_eigs=trial_eigs)
 

@@ -39,10 +39,12 @@ def _as_matrices(T) -> list:
     return [np.asarray(m, dtype=complex) for m in T]
 
 
-def _resolve_point(sig: Signature, A, X, n: Optional[int] = None):
+def _resolve_point(sig: Signature, A, X, n: Optional[int] = None,
+                   a_stack: bool = False):
     """Validate arities and sizes; returns (a_mats, x_mats, shape), the
     shape of the value: (size, size), with the x-matrices' stack axis in
-    front when they carry one."""
+    front when they carry one (with a_stack, the a-matrices may carry
+    it too)."""
     a_mats = _as_matrices(A)
     x_mats = _as_matrices(X)
     if len(a_mats) != sig.g_a:
@@ -59,8 +61,9 @@ def _resolve_point(sig: Signature, A, X, n: Optional[int] = None):
             size = m.shape[-1]
         elif m.shape[-1] != size:
             raise ShapeError("mixed matrix sizes across the evaluation point")
-    stacks = {m.shape[:-2] for m in x_mats} - {()}
-    if (any(m.ndim != 2 for m in a_mats) or any(m.ndim > 3 for m in x_mats)
+    fixed, free = ([], a_mats + x_mats) if a_stack else (a_mats, x_mats)
+    stacks = {m.shape[:-2] for m in free} - {()}
+    if (any(m.ndim != 2 for m in fixed) or any(m.ndim > 3 for m in free)
             or len(stacks) > 1):
         raise ShapeError("only the x-matrices may carry a stack axis, and "
                          "they must share it")
@@ -113,9 +116,15 @@ def eval_poly(p, A=None, X=None, n: Optional[int] = None) -> np.ndarray:
     then carries it.  For matrix polynomials the result is the
     (rows*n) x (cols*n) block assembly.
     """
+    return _eval(p, A, X, n)
+
+
+def _eval(p, A, X, n: Optional[int] = None, a_stack: bool = False):
+    """eval_poly; with a_stack the a-matrices may share the x-matrices'
+    stack axis, so one plan run serves a stack of whole points."""
     if isinstance(p, NcPolynomial):
         p = MatrixNcPolynomial.from_scalar(p)
-    a_mats, x_mats, shape = _resolve_point(p.signature, A, X, n)
+    a_mats, x_mats, shape = _resolve_point(p.signature, A, X, n, a_stack)
     mats = a_mats + x_mats
     if p.is_scalar():
         return _run_plan(p.entries[0][0].horner_plan, mats, shape)
@@ -162,6 +171,19 @@ def hermitian_deviation(M: np.ndarray) -> np.ndarray:
 # -- evaluator wrappers ------------------------------------------------------
 
 
+def _is_stack(X) -> bool:
+    """X is a (c, g, n, n) array of c points, not one tuple."""
+    return isinstance(X, np.ndarray) and X.ndim == 4
+
+
+def _read_only(M: np.ndarray) -> np.ndarray:
+    """A view that keeps a black box from writing into the caller's
+    stack."""
+    M = M.view()
+    M.flags.writeable = False
+    return M
+
+
 class NcFunction:
     """Uniform evaluator contract for the testers.
 
@@ -174,15 +196,18 @@ class NcFunction:
     extraction disk (analytic_in_z flag).
 
     at_scales(A, X, zs) returns the stack of F(A, z X) over the leading
-    axis, shape (len(zs), N, N).  at_points(A, Xs) returns the stack of
-    F(A, Xs[j]) for a (c, g_x, n, n) array Xs of Hermitian x-tuples,
-    shape (c, N, N).  Both defaults loop over __call__; override them
-    when F can evaluate a stack in one call.
+    axis, shape (len(zs), N, N); A and X may instead be (c, g, n, n)
+    arrays holding c points, and the value is then (c, len(zs), N, N).
+    at_points(A, Xs) returns the stack of F(A, Xs[j]) for a
+    (c, g_x, n, n) array Xs of Hermitian x-tuples, shape (c, N, N).
+    Both defaults loop over __call__ one point at a time, so a black box
+    sees the calls it would see point by point; override them when F can
+    evaluate a stack in one call.
 
-    F must be a pure function of (A, X): the testers evaluate a chunk of
-    trials in one batch and, when the batch raises, evaluate its trials
-    again one at a time, so a call count or hidden state is not kept in
-    step with the trials.
+    F must be a pure function of (A, X): the testers and the degree-two
+    certificate evaluate a chunk of samples in one batch and, when the
+    batch raises, evaluate its samples again one at a time, so a call
+    count or hidden state is not kept in step with the samples.
     """
 
     signature: Signature
@@ -194,16 +219,22 @@ class NcFunction:
         raise NotImplementedError
 
     def at_scales(self, A, X, zs) -> np.ndarray:
+        if _is_stack(X):
+            # each point reaches the one-point form as HermTuples, as the
+            # extractor always passed it
+            n = X.shape[-1]
+            return np.stack([self.at_scales(HermTuple._trusted(a, "a", n),
+                                            HermTuple._trusted(x, "x", n), zs)
+                             for a, x in zip(_read_only(A), _read_only(X))])
         x_mats = _as_matrices(X)
         return np.stack([self(A, [z * x for x in x_mats]) for z in zs])
 
     def at_points(self, A, Xs) -> np.ndarray:
         # each point reaches __call__ as an x-HermTuple, as the testers
-        # always passed it; the view keeps callers from writing into Xs
-        Xs = Xs.view()
-        Xs.flags.writeable = False
+        # always passed it
         n = Xs.shape[-1]
-        return np.stack([self(A, HermTuple._trusted(X, "x", n)) for X in Xs])
+        return np.stack([self(A, HermTuple._trusted(X, "x", n))
+                         for X in _read_only(Xs)])
 
     def x_parts(self) -> Optional[NcPowerSeries]:
         return None

@@ -126,9 +126,10 @@ class DiscreteMeasure:
         return cls(tuple((p[0], p[1]) for p in data["atoms"]))
 
 
-def _ingest_hermitian(B, stacked: bool = False) -> np.ndarray:
-    """(B + B*)/2 of a square matrix, or of each member of a (c, n, n)
-    stack; a member further than 1e-10 from its adjoint is refused."""
+def _ingest_hermitian(B, stacked: int = 0) -> np.ndarray:
+    """(B + B*)/2 of a square matrix, or of each member of a stack with
+    `stacked` leading axes; a member further than 1e-10 from its adjoint
+    is refused."""
     B = np.asarray(B, dtype=complex)
     if B.ndim != 2 + stacked or B.shape[-1] != B.shape[-2]:
         raise ShapeError(f"matrix argument has shape {B.shape}")
@@ -163,26 +164,35 @@ def matrix_apply(f: ScalarFn, B) -> np.ndarray:
     if not ok[0]:
         lo, hi = f.domain
         l = next(l for l in lam[0] if not lo < l < hi)
-        raise DomainError(
-            f"eigenvalue {l!r} outside the domain ({lo}, {hi}) of {f.name}")
+        raise DomainError(f"eigenvalue {float(l)!r} outside the domain "
+                          f"({lo}, {hi}) of {f.name}")
     return values[0]
 
 
 def kraus_eval(f0: float, f1: float, f2: float, mu: DiscreteMeasure,
                B) -> np.ndarray:
-    """Resolvent-route evaluation of the integral representation."""
-    B = _ingest_hermitian(B)
+    """Resolvent-route evaluation of the integral representation, for a
+    Hermitian (n, n) matrix or a (..., n, n) stack of them.  The first
+    member whose spectrum leaves (-1, 1) or comes near a pole raises, as
+    it would alone."""
+    B = np.asarray(B, dtype=complex)
+    B = _ingest_hermitian(B, max(B.ndim - 2, 0))
     mu.check_kraus()
     lam = np.linalg.eigvalsh(B)
-    if lam.size and (lam[0] <= -1.0 or lam[-1] >= 1.0):
-        raise DomainError(
-            f"spectrum [{lam[0]:.6g}, {lam[-1]:.6g}] not inside (-1, 1)")
-    gaps = [abs(1.0 - l * t) for l, _ in mu.atoms for t in lam]
-    if gaps and min(gaps) <= KRAUS_POLE_TOL:
-        raise SingularityError(
-            f"resolvent pole too close: min |1 - lambda*t| = {min(gaps):.3e}")
-    n = B.shape[0]
-    eye = np.eye(n, dtype=complex)
+    if lam.size:
+        lam = lam.reshape(-1, lam.shape[-1])
+        outside = (lam[:, 0] <= -1.0) | (lam[:, -1] >= 1.0)
+        gaps = np.abs(1.0 - np.multiply.outer([l for l, _ in mu.atoms], lam))
+        gap = gaps.min(axis=(0, 2), initial=np.inf)
+        bad = np.flatnonzero(outside | (gap <= KRAUS_POLE_TOL))
+        if bad.size:
+            j = bad[0]
+            if outside[j]:
+                raise DomainError(f"spectrum [{lam[j, 0]:.6g}, "
+                                  f"{lam[j, -1]:.6g}] not inside (-1, 1)")
+            raise SingularityError("resolvent pole too close: min "
+                                   f"|1 - lambda*t| = {gap[j]:.3e}")
+    eye = np.eye(B.shape[-1], dtype=complex)
     B2 = B @ B
     acc = f0 * eye + f1 * B
     for l, w in mu.atoms:
@@ -271,12 +281,13 @@ def g_transform(f: ScalarFn) -> ScalarFn:
 def loewner_matrix(f: ScalarFn, points) -> np.ndarray:
     """Divided-difference matrix; diagonal = f'."""
     pts = np.asarray(points, dtype=float)
+    vals = [f(t) for t in pts]          # f once per point
     k = pts.size
     L = np.empty((k, k), dtype=float)
     for i in range(k):
         L[i, i] = f.derivative(pts[i])
         for j in range(i + 1, k):
-            v = (f(pts[i]) - f(pts[j])) / (pts[i] - pts[j])
+            v = (vals[i] - vals[j]) / (pts[i] - pts[j])
             L[i, j] = v
             L[j, i] = v
     return L

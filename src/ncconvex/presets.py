@@ -26,7 +26,8 @@ import numpy as np
 
 from .algebra import NcPolynomial, Signature
 from .errors import SingularityError
-from .evaluate import CallableNcFunction, NcFunction, PolynomialNcFunction
+from .evaluate import (CallableNcFunction, NcFunction,
+                       PolynomialNcFunction, _is_stack)
 from .onevar import DiscreteMeasure, ScalarFn, kraus_scalar_fn
 from .parsing import parse_polynomial
 from .tuples import HermTuple, random_hermitian, tuple_norm, as_rng
@@ -38,8 +39,8 @@ class KrausLiftFunction(NcFunction):
         F(X) = f0 I + f1 X + (1/2) f2 sum_k w_k X^2 (I - lambda_k X)^{-1}.
 
     Defined wherever every resolvent exists; radius = 1/max|lambda|.
-    X[0] may carry a leading stack axis; the matrix products and the
-    resolvent solves broadcast over it.
+    X[0] may carry leading stack axes; the matrix products and the
+    resolvent solves broadcast over them.
     """
 
     def __init__(self, f0: float, f1: float, f2: float, mu: DiscreteMeasure,
@@ -71,8 +72,9 @@ class KrausLiftFunction(NcFunction):
         return acc
 
     def at_scales(self, A, X, zs) -> np.ndarray:
-        zs = np.asarray(zs, dtype=complex)
-        return self(A, [zs[:, None, None] * X[0]])
+        zs = np.asarray(zs, dtype=complex)[:, None, None]
+        # a stack of points scales to (c, len(zs), n, n) in one product
+        return self(A, [zs * X[:, None, 0] if _is_stack(X) else zs * X[0]])
 
     def at_points(self, A, Xs) -> np.ndarray:
         return self(A, [Xs[:, 0]])

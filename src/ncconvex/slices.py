@@ -19,12 +19,31 @@ eps_machine * max|phi| / r^i, so small radii amplify high-order noise;
 the residual check on a rotated node set catches both that and
 aliasing, and the extractor refuses (ExtractionError) rather than
 returning digits it cannot back.  Both node sets, the interpolation
-nodes and the rotated check nodes, go through one F.at_scales call, so
-the checks that do not depend on z run once per extraction.
+nodes and the rotated check nodes, go through one F.at_scales call.
 
-The slice-transfer tester runs on the sampling core of convexity.py and
-evaluates each chunk's slice matrices through one F.at_points call per
-size of T.
+Both routes work on a stack of samples (_extract);
+extract_slice_coefficients is its one-sample call.  The certificate's
+slice samples run on the sampling core of convexity.py, in its three
+phases:
+
+  draw    sample k takes, from derived_rng(seed, 7919, k), the Ginibre
+          block of its Haar unitary, its x-ball block and radius, then
+          its direction v;
+  stack   the samples of one multiplicity m are lifted to
+          U*(I_m (x) A)U, sampled in the x-ball and extracted as one
+          stack: one Horner plan run per homogeneous part on the exact
+          route, one F.at_scales call on the DFT route;
+  replay  the samples are walked in order for the largest coefficient
+          above degree two, the skips and the witness.
+
+A sample that the extractor refuses (ExtractionError, DomainError) is
+skipped and counted.  When a stack raises, its chunk runs again one
+sample at a time, so such an error from inside F still skips only its
+own sample and any other error is raised at the sample that causes it.
+A black box F must therefore be pure under certify too.
+
+The slice-transfer tester runs on the same core and evaluates each
+chunk's slice matrices through one F.at_points call per size of T.
 """
 
 from __future__ import annotations
@@ -34,12 +53,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .convexity import Report, _falsify, test_convexity_at_CA
+from .convexity import (Report, _falsify, _one_point, _sampled,
+                        test_convexity_at_CA)
 from .errors import DomainError, ExtractionError
-from .evaluate import as_nc_function, eval_poly
+from .evaluate import _eval, as_nc_function
 from .tolerances import COEFF_ZERO_TOL, EXTRACTION_RESIDUAL_TOL
-from .tuples import (HermTuple, ca_element, derived_rng, draw_spectral,
-                     sample_x_ball, spectral_lift, tuple_norm, tuple_to_json)
+from .tuples import (HermTuple, ca_lift, draw_spectral, draw_x_ball,
+                     matrix_to_json, spectral_lift, stack_norms,
+                     x_ball_points)
 
 VERDICT_CONSISTENT = "CONSISTENT_DEGREE_LE_2"
 VERDICT_HYPOTHESIS_FAILS = "HYPOTHESIS_FAILS"
@@ -76,30 +97,54 @@ def slice_phi(F, A: HermTuple, X: HermTuple, xi: np.ndarray) -> np.ndarray:
     return F(a_lift, list(x_lift[0]))
 
 
-def _phi_at(F, A: HermTuple, X: HermTuple, v, zs) -> np.ndarray:
-    """phi at every z in zs from one F.at_scales call; the z-free checks
-    run once and v is normalized on ingest."""
-    v = _unit_vector(v)
+def _letters(T: np.ndarray) -> list:
+    """The letters of a (c, g, n, n) stack of tuples, each (c, n, n)."""
+    return list(T.swapaxes(0, 1))
+
+
+def _compress(V: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """v_j* M_j v_j for a (c, N) stack of vectors and a (c, ..., N, N)
+    stack of matrices, from one product."""
+    lead = (len(V),) + (1,) * (M.ndim - 3)
+    return (V.conj().reshape(lead + (1, -1)) @ M
+            @ V.reshape(lead + (-1, 1)))[..., 0, 0]
+
+
+def _phi_at(F, A: np.ndarray, X: np.ndarray, V: np.ndarray, zs) -> tuple:
+    """(phi, refused) for a stack of points A (c, g_a, n, n), X
+    (c, g_x, n, n) and unit vectors V (c, n): phi[j] holds
+    v_j* F(A_j, z X_j) v_j at every z in zs, from one F.at_scales call
+    over the samples that pass the z-free checks, and refused[j] is the
+    DomainError of a sample that fails one (its row of phi stays 0)."""
     zs = np.asarray(zs, dtype=complex)
+    phi = np.zeros((len(V), len(zs)), dtype=complex)
     if np.any(zs.imag != 0.0) and not F.analytic_in_z:
-        raise DomainError(
+        return phi, [DomainError(
             f"evaluator {F.name} is not declared analytic in z; "
-            "complex slices are unavailable")
-    reach = float(np.max(np.abs(zs))) * tuple_norm(X)
-    if not reach < F.radius:
-        raise DomainError(
-            f"|z|*|X| = {reach:.6g} is outside the radius {F.radius:.6g}")
-    stack = F.at_scales(A, X, zs)
-    if stack.shape[1] != v.size:
-        raise ValueError(
-            f"direction vector has length {v.size}, evaluation is "
-            f"{stack.shape[1:]}")
-    return np.array([complex(v.conj() @ M @ v) for M in stack])
+            "complex slices are unavailable")] * len(V)
+    reach = float(np.max(np.abs(zs))) * np.broadcast_to(
+        stack_norms(_letters(X)), len(V))
+    refused = [None if r < F.radius else DomainError(
+        f"|z|*|X| = {r:.6g} is outside the radius {F.radius:.6g}")
+        for r in reach]
+    ok = reach < F.radius
+    if ok.any():
+        stack = F.at_scales(A[ok], X[ok], zs)
+        if stack.shape[2] != V.shape[1]:
+            raise ValueError(
+                f"direction vector has length {V.shape[1]}, evaluation is "
+                f"{stack.shape[2:]}")
+        phi[ok] = _compress(V[ok], stack)
+    return phi, refused
 
 
 def slice_scalar(F, A: HermTuple, X: HermTuple, v, z: complex) -> complex:
     """phi(z) = v* F(A, zX) v; v is normalized on ingest."""
-    return complex(_phi_at(as_nc_function(F), A, X, v, [z])[0])
+    phi, refused = _phi_at(as_nc_function(F), _one_point(A), _one_point(X),
+                           _unit_vector(v)[None], [z])
+    if refused[0] is not None:
+        raise refused[0]
+    return complex(phi[0, 0])
 
 
 def slice_matrix(F, A: HermTuple, X: HermTuple, v, T: np.ndarray) -> np.ndarray:
@@ -128,6 +173,57 @@ class SliceCoefficients:
         return complex(self.coeffs[i])
 
 
+def _extract(F, A: np.ndarray, X: np.ndarray, vs, degree_cap: int,
+             radius: Optional[float], force_dft: bool) -> list:
+    """extract_slice_coefficients for a stack of c samples: A
+    (c, g_a, n, n) and X (c, g_x, n, n) arrays and c direction vectors
+    vs, each normalized on ingest.  Returns per sample its
+    SliceCoefficients, or the ExtractionError or DomainError that
+    refuses it; any other error raises for the whole stack."""
+    if degree_cap < 2:
+        raise ValueError("degree_cap must be >= 2")
+    # one vector at a time: the norms of a stack differ in the last bit
+    V = np.array([_unit_vector(v) for v in vs])
+    d = degree_cap
+    parts = None if force_dft else F.x_parts()
+    if parts is not None:
+        coeffs = np.zeros((len(V), d + 1), dtype=complex)
+        a, x = _letters(A), _letters(X)
+        for i in range(min(d, parts.order) + 1):
+            # a- and x-letters share the stack axis: one plan run per part
+            coeffs[:, i] = _compress(V, _eval(parts[i], a, x, n=V.shape[1],
+                                              a_stack=True))
+        return [SliceCoefficients(coeffs=c, method="exact", radius=None,
+                                  residual=None) for c in coeffs]
+
+    r = 0.5 if radius is None else float(radius)
+    if r <= 0:
+        raise ValueError("radius must be positive")
+    nodes = r * np.exp(2j * np.pi * np.arange(d + 1) / (d + 1))
+    # a rotated node set checks the residual; it catches both roundoff
+    # blowup and aliasing from terms beyond degree_cap
+    check = r * np.exp(1j * np.pi * (2 * np.arange(d + 1) + 1) / (d + 1))
+    # each unit v is normalized again, as the per-node calls did:
+    # dropping that pass moves the last digits of the coefficients
+    V = np.array([_unit_vector(v) for v in V])
+    phi, refused = _phi_at(F, A, X, V, np.concatenate([nodes, check]))
+    samples, actual = phi[:, :d + 1], phi[:, d + 1:]
+    # c_i r^i = (1/n) sum_j phi_j e^{-2 pi i ij/n}; numpy's fft carries
+    # the e^{-} kernel, so fft/n is the inverting transform here
+    coeffs = np.fft.fft(samples) / (d + 1) / r ** np.arange(d + 1)
+    powers = check[:, None] ** np.arange(d + 1)[None, :]
+    # one matrix-vector product per sample, as one sample gets alone; a
+    # (c, d+1) @ (d+1, d+1) product rounds differently
+    predicted = (powers @ coeffs[..., None])[..., 0]
+    residuals = np.max(np.abs(predicted - actual), axis=-1).tolist()
+    return [err or (ExtractionError(
+        f"interpolation residual {res:.3e} exceeds "
+        f"{EXTRACTION_RESIDUAL_TOL}; raise degree_cap or shrink radius")
+        if res > EXTRACTION_RESIDUAL_TOL else
+        SliceCoefficients(coeffs=c, method="dft", radius=r, residual=res))
+        for err, c, res in zip(refused, coeffs, residuals)]
+
+
 def extract_slice_coefficients(F, A: HermTuple, X: HermTuple, v,
                                degree_cap: int = 8,
                                radius: Optional[float] = None,
@@ -140,43 +236,11 @@ def extract_slice_coefficients(F, A: HermTuple, X: HermTuple, v,
     rotated node set; residual above EXTRACTION_RESIDUAL_TOL raises
     ExtractionError instead of returning unbacked digits.
     """
-    F = as_nc_function(F)
-    if degree_cap < 2:
-        raise ValueError("degree_cap must be >= 2")
-    v = _unit_vector(v)
-    parts = None if force_dft else F.x_parts()
-    if parts is not None:
-        coeffs = np.zeros(degree_cap + 1, dtype=complex)
-        for i in range(min(degree_cap, parts.order) + 1):
-            Mi = eval_poly(parts[i], A, X)
-            coeffs[i] = complex(v.conj() @ Mi @ v)
-        return SliceCoefficients(coeffs=coeffs, method="exact", radius=None,
-                                 residual=None)
-
-    r = 0.5 if radius is None else float(radius)
-    if r <= 0:
-        raise ValueError("radius must be positive")
-    d = degree_cap
-    nodes = r * np.exp(2j * np.pi * np.arange(d + 1) / (d + 1))
-    # a rotated node set checks the residual; it catches both roundoff
-    # blowup and aliasing from terms beyond degree_cap
-    check = r * np.exp(1j * np.pi * (2 * np.arange(d + 1) + 1) / (d + 1))
-    # _phi_at normalizes the unit v again, as the per-node calls did:
-    # dropping that pass moves the last digits of the coefficients
-    phi = _phi_at(F, A, X, v, np.concatenate([nodes, check]))
-    samples, actual = phi[:d + 1], phi[d + 1:]
-    # c_i r^i = (1/n) sum_j phi_j e^{-2 pi i ij/n}; numpy's fft carries
-    # the e^{-} kernel, so fft/n is the inverting transform here
-    coeffs = np.fft.fft(samples) / (d + 1) / r ** np.arange(d + 1)
-    powers = check[:, None] ** np.arange(d + 1)[None, :]
-    predicted = powers @ coeffs
-    residual = float(np.max(np.abs(predicted - actual)))
-    if residual > EXTRACTION_RESIDUAL_TOL:
-        raise ExtractionError(
-            f"interpolation residual {residual:.3e} exceeds "
-            f"{EXTRACTION_RESIDUAL_TOL}; raise degree_cap or shrink radius")
-    return SliceCoefficients(coeffs=coeffs, method="dft", radius=r,
-                             residual=residual)
+    out = _extract(as_nc_function(F), _one_point(A), _one_point(X), [v],
+                   degree_cap, radius, force_dft)[0]
+    if isinstance(out, Exception):
+        raise out
+    return out
 
 
 def test_slice_convexity_transfer(F, A: HermTuple, X: HermTuple, v,
@@ -283,45 +347,66 @@ def certify_degree_two(F, A: HermTuple, epsilon: float, samples: int = 50,
 
     sig = F.signature
     extraction_radius = epsilon / 4.0
+
+    def draw(rng, k):
+        m = int(multiplicities[k % len(multiplicities)])
+        n = A.n * m
+        # ca_element's Ginibre block, sample_x_ball's numbers, then v
+        haar = rng.standard_normal((2, n, n))
+        ball = draw_x_ball(sig.g_x, n, epsilon / 2.0, 1, rng)[0]
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        return m, haar, ball, v
+
+    def stage(group):
+        # the core hands over one multiplicity at a time
+        ms, haars, balls, vs = zip(*group)
+        alphas = ca_lift(A, ms[0], np.array(haars))
+        X = x_ball_points(balls)
+        try:
+            out = _extract(F, alphas, X, vs, degree_cap, extraction_radius,
+                           False)
+        except (ExtractionError, DomainError) as exc:
+            if len(group) > 1:
+                raise
+            out = [exc]
+        return [None if isinstance(sc, Exception) else (sc, m, x, v)
+                for sc, m, x, v in zip(out, ms, X, vs)]
+
     max_high = 0.0
     skipped = 0
     offender = None
-    for k in range(samples):
-        rng = derived_rng(seed, 7919, k)
-        m = int(multiplicities[k % len(multiplicities)])
-        alpha = ca_element(A, m, "random", seed=rng)
-        n = alpha.tuple.n
-        X = sample_x_ball(sig, n, epsilon / 2.0, 1, rng)[0]
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        try:
-            sc = extract_slice_coefficients(F, alpha.tuple, X, v,
-                                            degree_cap=degree_cap,
-                                            radius=extraction_radius)
-        except (ExtractionError, DomainError):
+    for k, result in _sampled((seed, 7919), samples, draw, stage,
+                              group_by=lambda s: s[0]):
+        if result is None:
             skipped += 1
             continue
+        sc = result[0]
         for i in range(3, degree_cap + 1):
             mag = abs(sc[i])
             if mag > max_high:
                 max_high = mag
                 if mag > coeff_tol:
-                    offender = {
-                        "sample": k,
-                        "m": m,
-                        "i": i,
-                        "c_i": [float(sc[i].real), float(sc[i].imag)],
-                        "X": tuple_to_json(X),
-                        "v": [[float(c.real), float(c.imag)]
-                              for c in np.asarray(v, dtype=complex)],
-                        "alpha": {"kappa": A.n, "m": m},
-                        "method": sc.method,
-                    }
+                    offender = (k, i, result)
     if skipped == samples:
         raise ExtractionError(
             f"all {samples} extraction samples failed; the verdict would "
             "be vacuous -- shrink the radius or raise degree_cap")
-    verdict = VERDICT_HIGHER_ORDER if offender is not None else VERDICT_CONSISTENT
+    witness = None
+    if offender is not None:
+        k, i, (sc, m, X, v) = offender
+        witness = {
+            "sample": k,
+            "m": m,
+            "i": i,
+            "c_i": [float(sc[i].real), float(sc[i].imag)],
+            "X": [matrix_to_json(x) for x in X],
+            "v": [[float(c.real), float(c.imag)] for c in v],
+            "alpha": {"kappa": A.n, "m": m},
+            "method": sc.method,
+        }
+    verdict = (VERDICT_HIGHER_ORDER if witness is not None
+               else VERDICT_CONSISTENT)
     return CertificationReport(
         verdict=verdict, samples=samples, skipped=skipped,
         max_high_order_coeff=max_high, convexity=convexity, epsilon=epsilon,
-        degree_cap=degree_cap, coeff_tol=coeff_tol, witness=offender)
+        degree_cap=degree_cap, coeff_tol=coeff_tol, witness=witness)

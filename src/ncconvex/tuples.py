@@ -168,12 +168,19 @@ class HermTuple:
         return f"HermTuple(kind={self.kind!r}, g={self.arity}, n={self.n})"
 
 
-def _check_unitary(U: np.ndarray, n: int, tol: float = UNITARY_TOL) -> None:
-    if U.shape != (n, n):
+def _check_unitary(U: np.ndarray, n: int, tol: float = UNITARY_TOL,
+                   stacked: bool = False) -> None:
+    """U must be an n x n unitary within tol, or with stacked=True a
+    (c, n, n) stack of them; the first member that is not is named by
+    its deviation."""
+    if U.shape[stacked:] != (n, n) or U.ndim != 2 + stacked:
         raise ShapeError(f"conjugator has shape {U.shape}, want ({n},{n})")
-    dev = float(np.max(np.abs(U.conj().T @ U - np.eye(n))))
-    if dev > tol:
-        raise UnitarityError(f"matrix is not unitary: max |U*U - I| = {dev:.3e}")
+    dev = np.max(np.abs(U.conj().swapaxes(-1, -2) @ U - np.eye(n)),
+                 axis=(-2, -1))
+    bad = np.flatnonzero(dev > tol)
+    if bad.size:
+        raise UnitarityError("matrix is not unitary: max |U*U - I| = "
+                             f"{float(dev.flat[bad[0]]):.3e}")
 
 
 def tuple_norm(X: HermTuple) -> float:
@@ -356,17 +363,35 @@ class CASetElement:
         if m < 1:
             raise ValueError("multiplicity must be >= 1")
         U = np.asarray(U, dtype=complex)
-        kappa = base.n
-        _check_unitary(U, kappa * m, tol=1e-12)
-        lifted = [np.kron(np.eye(m), a) for a in base.entries]
-        realized = [U.conj().T @ la @ U for la in lifted]
+        _check_unitary(U, base.n * m, tol=1e-12)
+        H = _realize(base, m, U[None])[0]
+        H.flags.writeable = False
         self.base = base
         self.m = m
         self.unitary = U
-        self.tuple = HermTuple(realized, kind=base.kind, n=kappa * m)
+        self.tuple = HermTuple._trusted(H, base.kind, base.n * m)
 
     def __repr__(self) -> str:
         return f"CASetElement(kappa={self.base.n}, m={self.m})"
+
+
+def _realize(base: HermTuple, m: int, U: np.ndarray) -> np.ndarray:
+    """The ingested tuples U*(I_m (x) A)U, shape (c, g, n, n), for a
+    (c, n, n) stack of unitaries: one kron per letter of A, one
+    broadcast product over the stack."""
+    n = base.n * m
+    L = np.array([np.kron(np.eye(m), a) for a in base.entries])
+    Uh = U.conj().swapaxes(-1, -2)
+    return hermitian_stack(Uh[:, None] @ L.reshape(-1, n, n) @ U[:, None])
+
+
+def ca_lift(A: HermTuple, m: int, parts: np.ndarray) -> np.ndarray:
+    """The tuples of ca_element(A, m, "random") for a (c, 2, n, n) stack
+    of the raw Ginibre blocks its Haar unitaries come from: a (c, g, n, n)
+    stack, each member with the bits ca_element gives it alone."""
+    U = _haar_q(_complex(parts))
+    _check_unitary(U, A.n * m, tol=1e-12, stacked=True)
+    return _realize(A, m, U)
 
 
 def ca_element(A: HermTuple, m: int, U="random", seed=None) -> CASetElement:

@@ -1,0 +1,26 @@
+"""The certify runs of certify_examples.py against their outputs in
+data/certify_golden.json: exit codes, stdout, stderr and witness files,
+and the reports or errors of direct library calls, byte for byte."""
+
+import json
+from pathlib import Path
+
+from certify_examples import CLI_EXAMPLES, _library_runs, run_library
+from falsify_examples import run_cli
+
+GOLDEN = json.loads((Path(__file__).parent / "data"
+                     / "certify_golden.json").read_text())
+
+
+def test_cli_runs_are_byte_identical(tmp_path, monkeypatch):
+    assert [rec["argv"] for rec in GOLDEN["cli"]] == CLI_EXAMPLES
+    monkeypatch.chdir(tmp_path)
+    for rec in GOLDEN["cli"]:
+        assert run_cli(rec["argv"]) == rec, rec["argv"]
+
+
+def test_library_results_are_byte_identical():
+    runs = _library_runs()
+    assert [rec["name"] for rec in GOLDEN["library"]] == [n for n, _ in runs]
+    for rec, (name, thunk) in zip(GOLDEN["library"], runs):
+        assert run_library(name, thunk) == rec, name

@@ -106,6 +106,34 @@ def test_kraus_spectrum_guard_and_pole():
                    np.array([[1.0 - 1e-12]]) * (1 - 1e-12))
 
 
+def test_kraus_eval_on_a_stack_equals_per_matrix_calls():
+    mu = DiscreteMeasure(((0.5, 0.25), (-0.8, 0.75)))
+    rng = derived_rng(34)
+    for n in (1, 2, 3, 5):
+        B = np.array([hermitian_with_spectrum_in(n, -0.9, 0.9, rng)
+                      for _ in range(7)])
+        stack = kraus_eval(0.3, -0.2, 1.5, mu, B)
+        for Bj, Mj in zip(B, stack):
+            assert np.array_equal(Mj, kraus_eval(0.3, -0.2, 1.5, mu, Bj))
+    ts = np.linspace(-0.9, 0.9, 11)
+    sweep = kraus_eval(0.0, 0.0, 2.0, HALF, ts[:, None, None])
+    assert [M[0, 0] for M in sweep] == [
+        kraus_eval(0.0, 0.0, 2.0, HALF, np.array([[t]]))[0, 0] for t in ts]
+
+
+def test_kraus_stack_raises_for_its_first_bad_member():
+    near_pole = DiscreteMeasure.point_mass(1.0)
+    good, pole, outside = 0.5, 1.0 - 5e-9, 1.5
+    for ts, err, msg in (
+            ([good, pole, outside], SingularityError,
+             r"^resolvent pole too close: min \|1 - lambda\*t\| = 5\.000e-09$"),
+            ([good, outside, pole], DomainError,
+             r"^spectrum \[1\.5, 1\.5\] not inside \(-1, 1\)$")):
+        with pytest.raises(err, match=msg):
+            kraus_eval(0.0, 0.0, 2.0, near_pole,
+                       np.array(ts)[:, None, None])
+
+
 def test_kraus_scalar_derivatives():
     fn = kraus_scalar_fn(0.0, 0.0, 2.0, HALF)
     # f = t^2/(1-t/2): f' and f'' against a symbolic expansion
@@ -251,6 +279,28 @@ def test_convexity1_witness_check_stops_at_the_first_matrix_outside():
     witness["B"] = matrix_to_json(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(DomainError, match=r"eigenvalue \S*2\.5\S* outside"):
         verify_convexity1_witness(f, witness)
+
+
+def test_matrix_apply_names_the_eigenvalue_as_a_float():
+    f = ScalarFn(lambda t: t ** 4, domain=(-2.0, 2.0), name="t^4")
+    with pytest.raises(DomainError) as exc:
+        matrix_apply(f, np.diag([0.5, 3.0]))
+    assert str(exc.value) == ("eigenvalue 3.0 outside the domain "
+                              "(-2.0, 2.0) of t^4")
+
+
+def test_loewner_matrix_evaluates_f_once_per_point():
+    calls = []
+    f = ScalarFn(lambda t: calls.append(t) or t * t, d1=lambda t: 2.0 * t,
+                 name="t^2")
+    pts = [0.1, 0.3, 0.5, 0.7, 0.9]
+    L = loewner_matrix(f, pts)
+    assert calls == pts
+    assert np.array_equal(L, L.T)
+    calls.clear()
+    rep = loewner_monotone_test(f, (0.1, 1.0), trials=60, seed=24)
+    # t^2 is not operator monotone; the witness needs no further call
+    assert not rep.passed and len(calls) == 60 * 5
 
 
 def test_kraus_forms_are_matrix_convex():

@@ -1,19 +1,24 @@
 """Slice functions, coefficient extraction, degree-two certification."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import ncconvex.convexity as convexity
 from ncconvex import (CallableNcFunction, DiscreteMeasure, HermTuple,
                       KrausLiftFunction, PolynomialNcFunction, Signature,
-                      certify_degree_two, derived_rng,
+                      ca_element, certify_degree_two, derived_rng,
                       extract_slice_coefficients, get_preset,
                       parse_polynomial, random_base_tuple, sample_x_ball,
                       slice_matrix, slice_phi, slice_scalar, tuple_norm,
                       VERDICT_CONSISTENT, VERDICT_HIGHER_ORDER,
                       VERDICT_HYPOTHESIS_FAILS)
 from ncconvex import test_slice_convexity_transfer as slice_transfer
+from ncconvex.convexity import CHUNK
 from ncconvex.errors import (DomainError, ExtractionError,
                              SingularityError)
+from ncconvex.slices import _extract
 
 
 def _fn(expr, sig):
@@ -264,3 +269,149 @@ def test_certify_refuses_zero_samples():
     with pytest.raises(ValueError, match="samples"):
         certify_degree_two(_fn("x1^2", Signature(0, 1)), _empty_a(2), 0.5,
                            samples=0, trials=5)
+
+
+# -- certify's stacked samples ------------------------------------------------
+
+
+def _stack(tuples) -> np.ndarray:
+    n = tuples[0].n
+    return np.array([list(T.entries) for T in tuples],
+                    dtype=complex).reshape(len(tuples), -1, n, n)
+
+
+def _samples(sig, kappa, m, c, seed, eps=0.5):
+    """c slice samples as certify draws them: lifted A-tuples, x-points
+    and direction vectors."""
+    rng = derived_rng(seed)
+    A = random_base_tuple(sig.g_a, kappa, rng)
+    n = kappa * m
+    alphas = [ca_element(A, m, "random", seed=rng).tuple for _ in range(c)]
+    Xs = sample_x_ball(sig, n, eps, c, rng)
+    vs = rng.standard_normal((c, n)) + 1j * rng.standard_normal((c, n))
+    return alphas, Xs, vs
+
+
+def _narrow():
+    return CallableNcFunction(lambda A, X: X[0] @ X[0], Signature(0, 1),
+                              radius=0.15, analytic_in_z=True, name="narrow")
+
+
+@pytest.mark.parametrize("make, kw", [
+    (lambda: get_preset("mixed-ax").make(), {}),
+    (lambda: get_preset("mixed-ax").make(), {"force_dft": True}),
+    (lambda: get_preset("kraus-halfmass").make(), {"radius": 0.25}),
+    # residual refusals for the larger points
+    (lambda: get_preset("kraus-halfmass").make(),
+     {"radius": 0.1, "degree_cap": 3}),
+    # radius refusals for the larger points
+    (_narrow, {"radius": 0.25}),
+    (lambda: CallableNcFunction(lambda A, X: X[0] @ X[0], Signature(0, 1),
+                                name="opaque"), {}),
+], ids=["exact", "dft", "kraus", "residual", "radius", "not analytic"])
+def test_stacked_extraction_equals_one_sample_calls(make, kw):
+    F = make()
+    kw = {"degree_cap": 8, "radius": None, "force_dft": False, **kw}
+    alphas, Xs, vs = _samples(F.signature, 2, 2, 12, seed=90, eps=0.9)
+    stacked = _extract(F, _stack(alphas), _stack(Xs), vs, **kw)
+    kinds = set()
+    for A, X, v, got in zip(alphas, Xs, vs, stacked):
+        try:
+            want = extract_slice_coefficients(F, A, X, v, **kw)
+        except (ExtractionError, DomainError) as exc:
+            kinds.add("refused")
+            assert type(got) is type(exc) and str(got) == str(exc)
+            continue
+        kinds.add("coefficients")
+        assert np.array_equal(got.coeffs, want.coeffs)
+        assert (got.method, got.radius, got.residual) == (
+            want.method, want.radius, want.residual)
+    assert kinds == ({"refused"} if "opaque" in F.name else
+                     {"refused", "coefficients"} if F.name == "narrow"
+                     or kw["degree_cap"] == 3 else {"coefficients"})
+
+
+def test_default_at_scales_on_a_stack_calls_point_by_point():
+    calls = []
+
+    def fn(A, X):
+        calls.append((A, [x.copy() for x in X]))
+        return A[0] @ X[0] + X[0] @ X[0]
+
+    F = CallableNcFunction(fn, Signature(1, 1), analytic_in_z=True)
+    alphas, Xs, _ = _samples(F.signature, 2, 1, 3, seed=91)
+    zs = [0.5, 0.2 - 0.1j]
+    stack = F.at_scales(_stack(alphas), _stack(Xs), zs)
+    seen, calls[:] = calls[:], []
+    per_point = np.array([F.at_scales(A, X, zs) for A, X in zip(alphas, Xs)])
+    assert np.array_equal(stack, per_point)
+    assert len(seen) == len(calls) == 6
+    for (A1, X1), (A2, X2) in zip(seen, calls):
+        assert isinstance(A1, HermTuple) and A1.kind == "a"
+        assert np.array_equal(A1.entries, A2.entries)
+        assert np.array_equal(X1, X2)
+
+
+def test_kraus_at_scales_on_a_stack_equals_per_point_calls():
+    zs = 0.3 * np.exp(2j * np.pi * np.arange(5) / 5)
+    for F in _kraus_lifts():
+        for n in (1, 2, 4, 6):
+            _, Xs, _ = _samples(F.signature, n, 1, 4, seed=(92, n))
+            stack = F.at_scales(np.zeros((4, 0, n, n)), _stack(Xs), zs)
+            for X, M in zip(Xs, stack):
+                assert np.array_equal(M, F.at_scales(_empty_a(n), X, zs))
+
+
+def test_certify_extracts_each_multiplicity_of_a_chunk_in_one_call():
+    shapes = []
+
+    class Counted(KrausLiftFunction):
+        def at_scales(self, A, X, zs):
+            shapes.append(X.shape)
+            return super().at_scales(A, X, zs)
+
+    F = Counted(0.0, 0.0, 2.0, DiscreteMeasure.point_mass(0.5))
+    rep = certify_degree_two(F, _empty_a(2), 0.5, samples=CHUNK + 10,
+                             trials=5, seed=95, multiplicities=(1, 2, 3))
+    assert rep.skipped == 0
+    # one stacked call per multiplicity per chunk, in the order of their
+    # first samples, and no rerun
+    want = []
+    for ks in (range(CHUNK), range(CHUNK, CHUNK + 10)):
+        ms = [(1, 2, 3)[k % 3] for k in ks]
+        want += [(ms.count(m), 1, 2 * m, 2 * m) for m in dict.fromkeys(ms)]
+    assert shapes == want
+
+
+def test_certify_outcome_does_not_depend_on_the_chunk(monkeypatch):
+    def run():
+        return [certify_degree_two(
+            F, A, eps, samples=70, trials=10, seed=93,
+            multiplicities=(2, 1, 3), degree_cap=cap).to_json_dict()
+            for F, A, eps, cap in (
+                (get_preset("mixed-ax").make(),
+                 random_base_tuple(1, 2, derived_rng(93)), 0.5, 8),
+                (get_preset("kraus-halfmass").make(), _empty_a(2), 1.0, 3))]
+
+    reference = run()
+    assert reference[1]["skipped"] > 0 and reference[1]["witness"]
+    monkeypatch.setattr(convexity, "CHUNK", 5)
+    assert run() == reference
+
+
+def test_certify_stacks_are_bounded_by_the_chunk():
+    F = get_preset("kraus-halfmass").make()
+
+    def peak(samples):
+        tracemalloc.start()
+        try:
+            certify_degree_two(F, _empty_a(2), 0.5, samples=samples, trials=5,
+                               seed=94, multiplicities=(1, 2, 3))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(8)
+    # a chunk's stacks of the Fourier route are about 1 MB here, so
+    # stacks kept past their chunk would add several MB at 8 chunks
+    assert peak(8 * CHUNK) - peak(CHUNK) < 96 * 1024

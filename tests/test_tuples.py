@@ -8,7 +8,7 @@ from ncconvex import (HermTuple, Signature, ca_element, derived_rng,
                       sample_x_ball, tuple_from_json, tuple_norm,
                       tuple_to_json)
 from ncconvex.errors import ShapeError, UnitarityError
-from ncconvex.tuples import shuffle_permutation
+from ncconvex.tuples import _check_unitary, ca_lift, shuffle_permutation
 
 
 def _rand_tuple(g, n, seed, kind="x"):
@@ -113,6 +113,26 @@ def test_ca_element_is_unitarily_shuffled_kron():
         got = np.sort(np.linalg.eigvalsh(lifted))
         want = np.sort(np.tile(np.linalg.eigvalsh(base), 3))
         np.testing.assert_allclose(got, want, atol=1e-10)
+
+
+def test_ca_lift_equals_ca_element_per_member():
+    A = _rand_tuple(2, 2, seed=16, kind="a")
+    for m in (1, 2, 3):
+        rngs = [derived_rng(16, m, j) for j in range(5)]
+        stack = ca_lift(A, m, np.array([derived_rng(16, m, j).standard_normal(
+            (2, 2 * m, 2 * m)) for j in range(5)]))
+        assert stack.shape == (5, 2, 2 * m, 2 * m)
+        for rng, lifted in zip(rngs, stack):
+            el = ca_element(A, m, "random", seed=rng)
+            assert np.array_equal(lifted, np.array(el.tuple.entries))
+
+
+def test_stacked_unitarity_check_names_the_first_bad_member():
+    U = np.array([np.eye(2), 3.0 * np.eye(2), 2.0 * np.eye(2)], dtype=complex)
+    with pytest.raises(UnitarityError, match=r"= 8\.000e\+00$"):
+        _check_unitary(U, 2, tol=1e-12, stacked=True)
+    with pytest.raises(ShapeError):
+        _check_unitary(U, 2)
 
 
 def test_sample_x_ball_radius_and_determinism():
