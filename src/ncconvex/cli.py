@@ -25,11 +25,12 @@ from .onevar import (DiscreteMeasure, ScalarFn, convexity_test_1var,
                      g_transform, kraus_eval, loewner_monotone_test,
                      matrix_apply, verify_convexity1_witness,
                      verify_monotone_witness)
-from .parsing import infer_signature, parse_polynomial
+from .parsing import (_parse_signature_field, infer_signature,
+                      parse_polynomial)
 from .presets import (KrausLiftFunction, get_preset, random_base_tuple,
                       scalar_from_polynomial)
 from .slices import certify_degree_two
-from .tolerances import WITNESS_TOL
+from .tolerances import AXIOM_TOL, COEFF_ZERO_TOL, WITNESS_TOL
 from .tuples import (HermTuple, derived_rng, hermitian_with_spectrum_in,
                      identity_tuple, matrix_to_json, tuple_from_json,
                      zero_tuple)
@@ -60,13 +61,6 @@ def _write_csv(path: str, header: str, rows) -> None:
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(str(v) for v in row) + "\n")
-
-
-def _parse_signature(text: str) -> Signature:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"bad --signature {text!r}, want 'g_a,g_x'")
-    return Signature(int(parts[0]), int(parts[1]))
 
 
 def _parse_interval(text: str) -> tuple:
@@ -130,7 +124,7 @@ def _function_desc(args) -> dict:
         series = NcPowerSeries.from_json_dict(_load_json(args.series_file))
         return {"series": series.to_json_dict()}
     if getattr(args, "expr", None):
-        sig = (_parse_signature(args.signature) if args.signature
+        sig = (_parse_signature_field(args.signature) if args.signature
                else infer_signature(args.expr))
         return {"expr": args.expr, "signature": f"{sig.g_a},{sig.g_x}"}
     series_flag = ", --series-file" if hasattr(args, "series_file") else ""
@@ -149,7 +143,7 @@ def _nc_function_from_descriptor(desc: dict) -> NcFunction:
         return get_preset(desc["preset"]).make()
     if "series" in desc:
         return SeriesNcFunction(NcPowerSeries.from_json_dict(desc["series"]))
-    sig = _parse_signature(desc["signature"])
+    sig = _parse_signature_field(desc["signature"])
     return PolynomialNcFunction(parse_polynomial(desc["expr"], sig),
                                 name=desc["expr"])
 
@@ -179,7 +173,7 @@ def _scalar_from_descriptor(desc: dict) -> ScalarFn:
         fn = KrausLiftFunction(desc["f0"], desc["f1"], desc["f2"],
                                mu).scalar_fn()
     else:
-        sig = _parse_signature(desc["signature"])
+        sig = _parse_signature_field(desc["signature"])
         fn = scalar_from_polynomial(parse_polynomial(desc["expr"], sig),
                                     name=desc["expr"])
     if desc.get("g_transform"):
@@ -216,6 +210,17 @@ def _conclude(args, payload: dict, passed: bool, kind: str,
             fh.write(text + "\n")
         payload["witness_file"] = path
     return _emit(args, payload, 0 if passed else 1)
+
+
+def _conclude_report(args, command: str, desc: dict, report,
+                     **fields) -> int:
+    """A falsifier's run: its payload of the command's fields, the
+    report's and the verdict under --tol, concluded with the report's
+    witness as a file of the command's kind."""
+    passed = _passed(args, report)
+    payload = {"command": command, "function": desc, "seed": args.seed,
+               **fields, **report.to_json_dict(), "pass": passed}
+    return _conclude(args, payload, passed, command, report.witness)
 
 
 # witness kind -> (the subcommand that re-checks it, the loader of its
@@ -289,35 +294,26 @@ def _cmd_convexity(args) -> int:
     report = test_convexity_at_CA(
         F, A, epsilon, multiplicities=_parse_multiplicities(args.multiplicities),
         trials=args.trials, seed=args.seed)
-    passed = _passed(args, report)
     if args.csv_out:
         _write_csv(args.csv_out, "trial,defect_min_eig",
                    list(enumerate(report.trial_min_eigs)))
-    payload = {"command": "convexity", "function": desc, "seed": args.seed,
-               **report.to_json_dict(), "pass": passed}
-    return _conclude(args, payload, passed, "convexity", report.witness)
+    return _conclude_report(args, "convexity", desc, report)
 
 
 def _cmd_monotone(args) -> int:
     fn, desc, interval = _scalar_function(args)
     report = loewner_monotone_test(fn, interval, points_per_trial=args.points,
                                    trials=args.trials, seed=args.seed)
-    passed = _passed(args, report)
-    payload = {"command": "monotone", "function": desc, "seed": args.seed,
-               "interval": list(interval), **report.to_json_dict(),
-               "pass": passed}
-    return _conclude(args, payload, passed, "monotone", report.witness)
+    return _conclude_report(args, "monotone", desc, report,
+                            interval=list(interval))
 
 
 def _cmd_convexity1(args) -> int:
     fn, desc, interval = _scalar_function(args)
     report = convexity_test_1var(fn, interval, size=args.size,
                                  trials=args.trials, seed=args.seed)
-    passed = _passed(args, report)
-    payload = {"command": "convexity1", "function": desc, "seed": args.seed,
-               "interval": list(interval), "size": args.size,
-               **report.to_json_dict(), "pass": passed}
-    return _conclude(args, payload, passed, "convexity1", report.witness)
+    return _conclude_report(args, "convexity1", desc, report,
+                            interval=list(interval), size=args.size)
 
 
 def _cmd_kraus(args) -> int:
@@ -377,7 +373,7 @@ def _cmd_certify(args) -> int:
         F, A, epsilon, samples=args.samples, trials=args.trials,
         seed=args.seed, degree_cap=args.degree_cap,
         multiplicities=_parse_multiplicities(args.multiplicities),
-        coeff_tol=args.tol if args.tol is not None else 1e-7)
+        coeff_tol=args.tol if args.tol is not None else COEFF_ZERO_TOL)
     payload = {"command": "certify", "function": desc, "seed": args.seed,
                **report.to_json_dict()}
     return _conclude(args, payload, report.consistent, report.verdict.lower(),
@@ -388,7 +384,7 @@ def _cmd_axioms(args) -> int:
     F, desc, _ = _nc_function(args)
     report = check_nc_function_axioms(
         F, sizes=_parse_ints(args.sizes), samples=args.samples,
-        seed=args.seed, tol=args.tol if args.tol is not None else 1e-8)
+        seed=args.seed, tol=args.tol if args.tol is not None else AXIOM_TOL)
     payload = {"command": "axioms", "function": desc, "seed": args.seed,
                **report.to_json_dict()}
     return _emit(args, payload, 0 if report.passed else 1)

@@ -5,14 +5,16 @@ over its word trie with equal sub-polynomials merged
 (NcPolynomial.horner_plan); evaluation runs that plan in a loop, so
 products group right to left and a step's matrix is dropped after its
 last use.  Matrix polynomials assemble their evaluated entries into one
-block matrix.  The x-matrices may carry a leading stack axis; the plan
-then runs once on the whole stack, with the same arithmetic per member
-as a member evaluated alone.
+block matrix.  The a- and x-matrices may share one leading stack axis
+of points, each point with its own A and its own X; the plan then runs
+once on the whole stack, with the same arithmetic per member as a member
+evaluated alone.
 
 The NcFunction wrappers give testers a uniform evaluator contract:
-F(A, X) -> square complex matrix, F.at_points(A, Xs) -> the stack of F
-over many x-points, plus optional exact x-homogeneous parts when the
-function is an explicit polynomial or series.
+F(A, X) -> square complex matrix at one point, F.at_points(A, Xs) and
+F.at_scales(A, X, zs) -> F over stacks of points, plus optional exact
+x-homogeneous parts when the function is an explicit polynomial or
+series.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ import numpy as np
 from .algebra import (MatrixNcPolynomial, NcPolynomial, NcPowerSeries,
                       Signature)
 from .errors import DomainError, ShapeError, SignatureError
-from .tuples import (HermTuple, as_rng, block_diag, haar_unitary,
+from .tolerances import AXIOM_TOL
+from .tuples import (HermTuple, _letters, as_rng, block_diag, haar_unitary,
                      random_hermitian, stack_norms, tuple_norm,
                      tuple_to_json)
 
@@ -39,12 +42,10 @@ def _as_matrices(T) -> list:
     return [np.asarray(m, dtype=complex) for m in T]
 
 
-def _resolve_point(sig: Signature, A, X, n: Optional[int] = None,
-                   a_stack: bool = False):
+def _resolve_point(sig: Signature, A, X, n: Optional[int] = None):
     """Validate arities and sizes; returns (a_mats, x_mats, shape), the
-    shape of the value: (size, size), with the x-matrices' stack axis in
-    front when they carry one (with a_stack, the a-matrices may carry
-    it too)."""
+    shape of the value: (size, size), with the matrices' shared stack
+    axis in front when any of them carries one."""
     a_mats = _as_matrices(A)
     x_mats = _as_matrices(X)
     if len(a_mats) != sig.g_a:
@@ -61,12 +62,10 @@ def _resolve_point(sig: Signature, A, X, n: Optional[int] = None,
             size = m.shape[-1]
         elif m.shape[-1] != size:
             raise ShapeError("mixed matrix sizes across the evaluation point")
-    fixed, free = ([], a_mats + x_mats) if a_stack else (a_mats, x_mats)
-    stacks = {m.shape[:-2] for m in free} - {()}
-    if (any(m.ndim != 2 for m in fixed) or any(m.ndim > 3 for m in free)
-            or len(stacks) > 1):
-        raise ShapeError("only the x-matrices may carry a stack axis, and "
-                         "they must share it")
+    stacks = {m.shape[:-2] for m in a_mats + x_mats} - {()}
+    if any(m.ndim > 3 for m in a_mats + x_mats) or len(stacks) > 1:
+        raise ShapeError("the point's matrices may carry one leading stack "
+                         "axis, and must share it")
     for T in (A, X):
         if isinstance(T, HermTuple):
             if size is None:
@@ -112,19 +111,14 @@ def eval_poly(p, A=None, X=None, n: Optional[int] = None) -> np.ndarray:
 
     A and X may be HermTuples or plain sequences of square matrices (the
     latter admit non-Hermitian entries, used by the complex-z slices).
-    The x-matrices may share a leading stack axis of points; the value
-    then carries it.  For matrix polynomials the result is the
-    (rows*n) x (cols*n) block assembly.
+    The a- and x-matrices may share one leading stack axis of points; a
+    matrix without it serves every point, and the value carries the
+    axis.  For matrix polynomials the result is the (rows*n) x (cols*n)
+    block assembly.
     """
-    return _eval(p, A, X, n)
-
-
-def _eval(p, A, X, n: Optional[int] = None, a_stack: bool = False):
-    """eval_poly; with a_stack the a-matrices may share the x-matrices'
-    stack axis, so one plan run serves a stack of whole points."""
     if isinstance(p, NcPolynomial):
         p = MatrixNcPolynomial.from_scalar(p)
-    a_mats, x_mats, shape = _resolve_point(p.signature, A, X, n, a_stack)
+    a_mats, x_mats, shape = _resolve_point(p.signature, A, X, n)
     mats = a_mats + x_mats
     if p.is_scalar():
         return _run_plan(p.entries[0][0].horner_plan, mats, shape)
@@ -171,11 +165,6 @@ def hermitian_deviation(M: np.ndarray) -> np.ndarray:
 # -- evaluator wrappers ------------------------------------------------------
 
 
-def _is_stack(X) -> bool:
-    """X is a (c, g, n, n) array of c points, not one tuple."""
-    return isinstance(X, np.ndarray) and X.ndim == 4
-
-
 def _read_only(M: np.ndarray) -> np.ndarray:
     """A view that keeps a black box from writing into the caller's
     stack."""
@@ -195,14 +184,15 @@ class NcFunction:
     requires the evaluator to be analytic in a complex scale z on the
     extraction disk (analytic_in_z flag).
 
-    at_scales(A, X, zs) returns the stack of F(A, z X) over the leading
-    axis, shape (len(zs), N, N); A and X may instead be (c, g, n, n)
-    arrays holding c points, and the value is then (c, len(zs), N, N).
-    at_points(A, Xs) returns the stack of F(A, Xs[j]) for a
-    (c, g_x, n, n) array Xs of Hermitian x-tuples, shape (c, N, N).
-    Both defaults loop over __call__ one point at a time, so a black box
-    sees the calls it would see point by point; override them when F can
-    evaluate a stack in one call.
+    The stacked forms take points only as stacks.  at_scales(A, X, zs)
+    takes (c, g_a, n, n) and (c, g_x, n, n) arrays holding c points, each
+    with its own A, and returns F(A_j, z X_j) for every point and every
+    z, shape (c, len(zs), N, N).  at_points(A, Xs) returns the stack of
+    F(A, Xs[j]) for one a-tuple A and a (c, g_x, n, n) array Xs of
+    Hermitian x-tuples, shape (c, N, N).  Both defaults loop over
+    __call__ one point (and one z) at a time, so a black box sees the
+    calls it would see point by point; override them when F can evaluate
+    a stack in one call.
 
     F must be a pure function of (A, X): the testers and the degree-two
     certificate evaluate a chunk of samples in one batch and, when the
@@ -219,15 +209,12 @@ class NcFunction:
         raise NotImplementedError
 
     def at_scales(self, A, X, zs) -> np.ndarray:
-        if _is_stack(X):
-            # each point reaches the one-point form as HermTuples, as the
-            # extractor always passed it
-            n = X.shape[-1]
-            return np.stack([self.at_scales(HermTuple._trusted(a, "a", n),
-                                            HermTuple._trusted(x, "x", n), zs)
-                             for a, x in zip(_read_only(A), _read_only(X))])
-        x_mats = _as_matrices(X)
-        return np.stack([self(A, [z * x for x in x_mats]) for z in zs])
+        # each point's A reaches __call__ as an a-HermTuple and its z X as
+        # a list of matrices, as the extractor always passed them
+        n = X.shape[-1]
+        return np.stack([np.stack([self(HermTuple._trusted(a, "a", n),
+                                        [z * m for m in x]) for z in zs])
+                         for a, x in zip(_read_only(A), _read_only(X))])
 
     def at_points(self, A, Xs) -> np.ndarray:
         # each point reaches __call__ as an x-HermTuple, as the testers
@@ -256,7 +243,7 @@ class PolynomialNcFunction(NcFunction):
     def at_points(self, A, Xs) -> np.ndarray:
         if not Xs.shape[1]:              # no x-letter to carry the stack
             return super().at_points(A, Xs)
-        return eval_poly(self.poly, A, [Xs[:, i] for i in range(Xs.shape[1])])
+        return eval_poly(self.poly, A, _letters(Xs))
 
     def x_parts(self) -> NcPowerSeries:
         if self._parts is None:
@@ -356,7 +343,7 @@ def _random_point(sig: Signature, n: int, rng) -> tuple:
 
 
 def check_nc_function_axioms(F, sizes=(1, 2, 3, 4), samples: int = 100,
-                             seed=0, tol: float = 1e-8) -> AxiomsReport:
+                             seed=0, tol: float = AXIOM_TOL) -> AxiomsReport:
     """Sampled check that F respects direct sums and unitary conjugation.
 
     Only meaningful for graded evaluators (output side equals input

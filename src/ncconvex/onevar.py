@@ -32,7 +32,7 @@ import numpy as np
 
 from .convexity import Report, _defect_eigs, _falsify
 from .errors import DomainError, ShapeError, SingularityError
-from .tolerances import KRAUS_POLE_TOL
+from .tolerances import KRAUS_POLE_TOL, ONEVAR_INGEST_TOL
 from .tuples import (draw_spectral, matrix_from_json, matrix_to_json,
                      spectral_lift)
 
@@ -128,14 +128,14 @@ class DiscreteMeasure:
 
 def _ingest_hermitian(B, stacked: int = 0) -> np.ndarray:
     """(B + B*)/2 of a square matrix, or of each member of a stack with
-    `stacked` leading axes; a member further than 1e-10 from its adjoint
-    is refused."""
+    `stacked` leading axes; a member further than ONEVAR_INGEST_TOL from
+    its adjoint is refused."""
     B = np.asarray(B, dtype=complex)
     if B.ndim != 2 + stacked or B.shape[-1] != B.shape[-2]:
         raise ShapeError(f"matrix argument has shape {B.shape}")
     Bh = B.conj().swapaxes(-1, -2)
     dev = np.max(np.abs(B - Bh), axis=(-2, -1))
-    bad = np.flatnonzero(dev > 1e-10)
+    bad = np.flatnonzero(dev > ONEVAR_INGEST_TOL)
     if bad.size:
         raise ValueError("matrix argument is not Hermitian (deviation "
                          f"{float(dev.flat[bad[0]]):.3e})")
@@ -174,7 +174,7 @@ def kraus_eval(f0: float, f1: float, f2: float, mu: DiscreteMeasure,
     """Resolvent-route evaluation of the integral representation, for a
     Hermitian (n, n) matrix or a (..., n, n) stack of them.  The first
     member whose spectrum leaves (-1, 1) or comes near a pole raises, as
-    it would alone."""
+    it would alone, and a singular solve raises SingularityError."""
     B = np.asarray(B, dtype=complex)
     B = _ingest_hermitian(B, max(B.ndim - 2, 0))
     mu.check_kraus()
@@ -192,13 +192,25 @@ def kraus_eval(f0: float, f1: float, f2: float, mu: DiscreteMeasure,
                                   f"{lam[j, -1]:.6g}] not inside (-1, 1)")
             raise SingularityError("resolvent pole too close: min "
                                    f"|1 - lambda*t| = {gap[j]:.3e}")
+    return _kraus_resolvent(f0, f1, f2, mu, B)
+
+
+def _kraus_resolvent(f0: float, f1: float, f2: float, mu: DiscreteMeasure,
+                     B: np.ndarray) -> np.ndarray:
+    """f0 I + f1 B + (1/2) f2 sum_k w_k (I - lambda_k B)^{-1} B^2 for a
+    square matrix B or a stack of them, with no domain check; a singular
+    resolvent raises SingularityError."""
     eye = np.eye(B.shape[-1], dtype=complex)
     B2 = B @ B
     acc = f0 * eye + f1 * B
     for l, w in mu.atoms:
         if w == 0.0:
             continue
-        acc += 0.5 * f2 * w * np.linalg.solve(eye - l * B, B2)
+        try:
+            acc = acc + 0.5 * f2 * w * np.linalg.solve(eye - l * B, B2)
+        except np.linalg.LinAlgError as exc:
+            raise SingularityError(
+                f"resolvent at atom {l} is singular") from exc
     return acc
 
 

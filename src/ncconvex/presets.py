@@ -25,10 +25,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .algebra import NcPolynomial, Signature
-from .errors import SingularityError
-from .evaluate import (CallableNcFunction, NcFunction,
-                       PolynomialNcFunction, _is_stack)
-from .onevar import DiscreteMeasure, ScalarFn, kraus_scalar_fn
+from .evaluate import CallableNcFunction, NcFunction, PolynomialNcFunction
+from .onevar import (DiscreteMeasure, ScalarFn, _kraus_resolvent,
+                     kraus_scalar_fn)
 from .parsing import parse_polynomial
 from .tuples import HermTuple, random_hermitian, tuple_norm, as_rng
 
@@ -56,25 +55,13 @@ class KrausLiftFunction(NcFunction):
         self.name = name
 
     def __call__(self, A, X) -> np.ndarray:
-        M = np.asarray(X[0], dtype=complex)
-        n = M.shape[-1]
-        eye = np.eye(n, dtype=complex)
-        acc = self.f0 * eye + self.f1 * M
-        M2 = M @ M
-        for l, w in self.mu.atoms:
-            if w == 0.0:
-                continue
-            try:
-                acc = acc + 0.5 * self.f2 * w * np.linalg.solve(eye - l * M, M2)
-            except np.linalg.LinAlgError as exc:
-                raise SingularityError(
-                    f"resolvent at atom {l} is singular") from exc
-        return acc
+        return _kraus_resolvent(self.f0, self.f1, self.f2, self.mu,
+                                np.asarray(X[0], dtype=complex))
 
     def at_scales(self, A, X, zs) -> np.ndarray:
+        # the stack of points scales to (c, len(zs), n, n) in one product
         zs = np.asarray(zs, dtype=complex)[:, None, None]
-        # a stack of points scales to (c, len(zs), n, n) in one product
-        return self(A, [zs * X[:, None, 0] if _is_stack(X) else zs * X[0]])
+        return self(A, [zs * X[:, None, 0]])
 
     def at_points(self, A, Xs) -> np.ndarray:
         return self(A, [Xs[:, 0]])
@@ -179,11 +166,8 @@ def get_preset(name: str) -> Preset:
 
 # the polynomial members of the named preset family; kraus-halfmass is
 # a series lift, not a polynomial, so it stays out of this list
-CORPUS = (
-    ("square", Signature(0, 1), "x1^2"),
-    ("quartic", Signature(0, 1), "x1^4"),
-    ("mixed-ax", Signature(1, 1), "a1*x1*a1 + x1*a1*x1 + x1^2"),
-)
+CORPUS = tuple((p.name, p.signature, p.expr) for p in PRESETS.values()
+               if p.expr is not None)
 
 # display polynomials for involution / Hermitian classification tests;
 # the degree-81 word needs tuples of norm < 1 to evaluate sanely

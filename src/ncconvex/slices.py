@@ -56,10 +56,10 @@ import numpy as np
 from .convexity import (Report, _falsify, _one_point, _sampled,
                         test_convexity_at_CA)
 from .errors import DomainError, ExtractionError
-from .evaluate import _eval, as_nc_function
+from .evaluate import as_nc_function, eval_poly
 from .tolerances import COEFF_ZERO_TOL, EXTRACTION_RESIDUAL_TOL
-from .tuples import (HermTuple, ca_lift, draw_spectral, draw_x_ball,
-                     matrix_to_json, spectral_lift, stack_norms,
+from .tuples import (HermTuple, _letters, ca_lift, draw_spectral,
+                     draw_x_ball, matrix_to_json, spectral_lift, stack_norms,
                      x_ball_points)
 
 VERDICT_CONSISTENT = "CONSISTENT_DEGREE_LE_2"
@@ -97,14 +97,12 @@ def slice_phi(F, A: HermTuple, X: HermTuple, xi: np.ndarray) -> np.ndarray:
     return F(a_lift, list(x_lift[0]))
 
 
-def _letters(T: np.ndarray) -> list:
-    """The letters of a (c, g, n, n) stack of tuples, each (c, n, n)."""
-    return list(T.swapaxes(0, 1))
-
-
 def _compress(V: np.ndarray, M: np.ndarray) -> np.ndarray:
     """v_j* M_j v_j for a (c, N) stack of vectors and a (c, ..., N, N)
     stack of matrices, from one product."""
+    if M.shape[-1] != V.shape[1]:
+        raise ValueError(f"direction vector has length {V.shape[1]}, "
+                         f"evaluation is {M.shape[-2:]}")
     lead = (len(V),) + (1,) * (M.ndim - 3)
     return (V.conj().reshape(lead + (1, -1)) @ M
             @ V.reshape(lead + (-1, 1)))[..., 0, 0]
@@ -129,12 +127,7 @@ def _phi_at(F, A: np.ndarray, X: np.ndarray, V: np.ndarray, zs) -> tuple:
         for r in reach]
     ok = reach < F.radius
     if ok.any():
-        stack = F.at_scales(A[ok], X[ok], zs)
-        if stack.shape[2] != V.shape[1]:
-            raise ValueError(
-                f"direction vector has length {V.shape[1]}, evaluation is "
-                f"{stack.shape[2:]}")
-        phi[ok] = _compress(V[ok], stack)
+        phi[ok] = _compress(V[ok], F.at_scales(A[ok], X[ok], zs))
     return phi, refused
 
 
@@ -191,8 +184,8 @@ def _extract(F, A: np.ndarray, X: np.ndarray, vs, degree_cap: int,
         a, x = _letters(A), _letters(X)
         for i in range(min(d, parts.order) + 1):
             # a- and x-letters share the stack axis: one plan run per part
-            coeffs[:, i] = _compress(V, _eval(parts[i], a, x, n=V.shape[1],
-                                              a_stack=True))
+            coeffs[:, i] = _compress(V, eval_poly(parts[i], a, x,
+                                                  n=V.shape[1]))
         return [SliceCoefficients(coeffs=c, method="exact", radius=None,
                                   residual=None) for c in coeffs]
 

@@ -29,10 +29,23 @@ COEFF_DROP_TOL = 1e-14
 # Unitarity gate for conjugation inputs.
 UNITARY_TOL = 1e-10
 
+# Unitarity gate for the conjugators of C_A elements (CASetElement,
+# ca_lift); tighter than UNITARY_TOL, since these come from a QR factor
+# or are given exactly.
+CA_UNITARY_TOL = 1e-12
+
+# Hermiticity gate on the matrix arguments of the one-variable calculus
+# (matrix_apply, kraus_eval and the one-variable testers).
+ONEVAR_INGEST_TOL = 1e-10
+
 # Slice-coefficient extraction: interpolation residual above this is an
 # error; extracted coefficients above COEFF_ZERO_TOL count as nonzero.
 EXTRACTION_RESIDUAL_TOL = 1e-6
 COEFF_ZERO_TOL = 1e-7
+
+# Largest direct-sum or unitary-conjugation deviation the nc-function
+# axiom check accepts.
+AXIOM_TOL = 1e-8
 
 # Resolvent guard for the Kraus evaluator: min |1 - lambda*t| over
 # atoms and spectrum must exceed this.

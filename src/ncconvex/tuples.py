@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeError, SignatureError, UnitarityError
-from .tolerances import HERMITIAN_INGEST_TOL, UNITARY_TOL
+from .tolerances import CA_UNITARY_TOL, HERMITIAN_INGEST_TOL, UNITARY_TOL
 
 
 def derived_rng(*key) -> np.random.Generator:
@@ -311,6 +311,11 @@ def draw_x_ball(g: int, n: int, epsilon: float, count: int, rng) -> list:
             for _ in range(count)]
 
 
+def _letters(T: np.ndarray) -> list:
+    """The letters of a (c, g, n, n) stack of tuples, each (c, n, n)."""
+    return list(T.swapaxes(0, 1))
+
+
 def x_ball_points(draws) -> np.ndarray:
     """Stacked x-tuples (c, g, n, n) from draw_x_ball samples: Hermitian
     parts, ingested and rescaled to tuple norm r, ingested again."""
@@ -319,7 +324,7 @@ def x_ball_points(draws) -> np.ndarray:
     H = hermitian_stack(_hermitian_from(_complex(Z)))
     if not Z.shape[1]:
         return H
-    nx = stack_norms([H[:, i] for i in range(H.shape[1])])
+    nx = stack_norms(_letters(H))
     pos = nx > 0
     X = hermitian_stack((r / np.where(pos, nx, 1.0))[:, None, None, None] * H)
     if not pos.all():                   # a zero tuple stays unscaled
@@ -342,15 +347,6 @@ def sample_x_ball(sig, n: int, epsilon: float, count: int, seed) -> list:
     return [HermTuple._trusted(x, "x", n) for x in X]
 
 
-def shuffle_permutation(m: int, k: int) -> np.ndarray:
-    """Perfect shuffle P with P (I_m (x) A) P^T = A (x) I_m for k x k A."""
-    p = np.zeros((m * k, m * k))
-    for q in range(m):
-        for r in range(k):
-            p[r * m + q, q * k + r] = 1.0
-    return p
-
-
 # -- elements of the smallest A-closed set --------------------------------
 
 
@@ -363,7 +359,7 @@ class CASetElement:
         if m < 1:
             raise ValueError("multiplicity must be >= 1")
         U = np.asarray(U, dtype=complex)
-        _check_unitary(U, base.n * m, tol=1e-12)
+        _check_unitary(U, base.n * m, tol=CA_UNITARY_TOL)
         H = _realize(base, m, U[None])[0]
         H.flags.writeable = False
         self.base = base
@@ -390,7 +386,7 @@ def ca_lift(A: HermTuple, m: int, parts: np.ndarray) -> np.ndarray:
     of the raw Ginibre blocks its Haar unitaries come from: a (c, g, n, n)
     stack, each member with the bits ca_element gives it alone."""
     U = _haar_q(_complex(parts))
-    _check_unitary(U, A.n * m, tol=1e-12, stacked=True)
+    _check_unitary(U, A.n * m, tol=CA_UNITARY_TOL, stacked=True)
     return _realize(A, m, U)
 
 

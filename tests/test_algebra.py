@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ncconvex.algebra as algebra
 from ncconvex import (NcPolynomial, Signature, a_var, parse_polynomial, x_var)
 from ncconvex.algebra import (MatrixNcPolynomial, word_from_str, word_to_str,
                               x_count)
@@ -163,10 +164,12 @@ def test_power_expansion():
     assert p.coefficient(word_from_str("x1 x1")) == 1
 
 
-def test_term_cap_guards_blowup():
+def test_term_cap_guards_blowup(monkeypatch):
+    # a low cap trips the same guard at 2^10 terms instead of 2^20
+    monkeypatch.setattr(algebra, "TERM_CAP", 1000)
     sig = Signature(0, 2)
     p = x_var(sig, 1) + x_var(sig, 2)
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match=r"\(cap 1000\)"):
         _ = p ** 25  # 2^25 words
 
 

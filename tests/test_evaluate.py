@@ -13,7 +13,6 @@ from ncconvex import (CallableNcFunction, HermTuple, MatrixNcPolynomial,
                       parse_polynomial, random_hermitian, trace_evaluator,
                       x_var)
 from ncconvex.errors import DomainError, ShapeError, SignatureError
-from ncconvex.evaluate import _eval
 
 SIGX = Signature(0, 2)
 
@@ -365,11 +364,11 @@ def test_at_points_equals_per_point_calls(make):
         assert np.array_equal(got, want), n
 
 
-def test_eval_poly_refuses_a_stacked_a_part():
+def test_eval_poly_refuses_a_and_x_stacks_of_different_depths():
     sig = Signature(1, 1)
     with pytest.raises(ShapeError):
         eval_poly(parse_polynomial("a1*x1", sig), [np.zeros((3, 2, 2))],
-                  [np.zeros((3, 2, 2))])
+                  [np.zeros((4, 2, 2))])
 
 
 @pytest.mark.parametrize("expr", ["a1 + x1^2 + 2", "a1^2 + 2*a1 - 1",
@@ -381,7 +380,7 @@ def test_plan_on_stacked_a_and_x_letters_equals_per_point_calls(expr):
     for n in range(1, 8):
         A = np.array([random_hermitian(n, rng) for _ in range(6)])
         X = np.array([random_hermitian(n, rng) for _ in range(6)])
-        got = _eval(p, [A], [X], n=n, a_stack=True)
+        got = eval_poly(p, [A], [X], n=n)
         assert got.shape == (6, n, n)
         for Aj, Xj, M in zip(A, X, got):
             assert np.array_equal(M, eval_poly(p, [Aj], [Xj]))

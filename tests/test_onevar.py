@@ -134,6 +134,18 @@ def test_kraus_stack_raises_for_its_first_bad_member():
                        np.array(ts)[:, None, None])
 
 
+def test_kraus_eval_maps_a_singular_solve_to_singularity_error(monkeypatch):
+    # the pole check refuses every B whose solve could be singular, so a
+    # failing solver stands in for one that slips past it
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(SingularityError,
+                       match=r"^resolvent at atom 0\.5 is singular$"):
+        kraus_eval(0.0, 0.0, 2.0, HALF, np.diag([0.5, -0.5]))
+
+
 def test_kraus_scalar_derivatives():
     fn = kraus_scalar_fn(0.0, 0.0, 2.0, HALF)
     # f = t^2/(1-t/2): f' and f'' against a symbolic expansion

@@ -15,7 +15,7 @@ from ncconvex import (CallableNcFunction, DiscreteMeasure, HermTuple,
                       VERDICT_CONSISTENT, VERDICT_HIGHER_ORDER,
                       VERDICT_HYPOTHESIS_FAILS)
 from ncconvex import test_slice_convexity_transfer as slice_transfer
-from ncconvex.convexity import CHUNK
+from ncconvex.convexity import CHUNK, _one_point
 from ncconvex.errors import (DomainError, ExtractionError,
                              SingularityError)
 from ncconvex.slices import _extract
@@ -209,7 +209,8 @@ def test_kraus_at_scales_equals_per_z_calls():
     for F in _kraus_lifts():
         for n in range(1, 7):
             X = _x_point(n, seed=(80, n))
-            stack = F.at_scales(_empty_a(n), X, zs)
+            stack = F.at_scales(_one_point(_empty_a(n)), _one_point(X),
+                                zs)[0]
             assert stack.shape == (len(zs), n, n)
             for z, M in zip(zs, stack):
                 assert np.array_equal(M, F(_empty_a(n), [complex(z) * X[0]]))
@@ -220,7 +221,7 @@ def test_default_at_scales_loops_over_call():
     A = random_base_tuple(1, 3, derived_rng(83))
     X = _x_point(3, seed=83, sig=Signature(1, 1))
     zs = [0.5, 0.2 - 0.1j]
-    stack = F.at_scales(A, X, zs)
+    stack = F.at_scales(_one_point(A), _one_point(X), zs)[0]
     for z, M in zip(zs, stack):
         assert np.array_equal(M, F(A, [z * X[0]]))
 
@@ -262,7 +263,18 @@ def test_kraus_stack_with_a_singular_member_raises():
     KH = get_preset("kraus-halfmass").make()
     X = HermTuple([np.diag([1.0, 0.5])], kind="x")
     with pytest.raises(SingularityError):
-        KH.at_scales(_empty_a(2), X, [0.5, 2.0, 0.5j])
+        KH.at_scales(_one_point(_empty_a(2)), _one_point(X),
+                     [0.5, 2.0, 0.5j])
+
+
+def test_wrong_length_v_gets_one_message_on_both_routes():
+    F = get_preset("mixed-ax").make()
+    A = random_base_tuple(1, 3, derived_rng(96))
+    X = _x_point(3, seed=96, sig=Signature(1, 1))
+    for kw in ({}, {"force_dft": True}):
+        with pytest.raises(ValueError, match=r"^direction vector has length "
+                                             r"4, evaluation is \(3, 3\)$"):
+            extract_slice_coefficients(F, A, X, np.ones(4), **kw)
 
 
 def test_certify_refuses_zero_samples():
@@ -343,7 +355,8 @@ def test_default_at_scales_on_a_stack_calls_point_by_point():
     zs = [0.5, 0.2 - 0.1j]
     stack = F.at_scales(_stack(alphas), _stack(Xs), zs)
     seen, calls[:] = calls[:], []
-    per_point = np.array([F.at_scales(A, X, zs) for A, X in zip(alphas, Xs)])
+    per_point = np.array([F.at_scales(_one_point(A), _one_point(X), zs)[0]
+                          for A, X in zip(alphas, Xs)])
     assert np.array_equal(stack, per_point)
     assert len(seen) == len(calls) == 6
     for (A1, X1), (A2, X2) in zip(seen, calls):
@@ -359,7 +372,8 @@ def test_kraus_at_scales_on_a_stack_equals_per_point_calls():
             _, Xs, _ = _samples(F.signature, n, 1, 4, seed=(92, n))
             stack = F.at_scales(np.zeros((4, 0, n, n)), _stack(Xs), zs)
             for X, M in zip(Xs, stack):
-                assert np.array_equal(M, F.at_scales(_empty_a(n), X, zs))
+                assert np.array_equal(M, F.at_scales(
+                    _one_point(_empty_a(n)), _one_point(X), zs)[0])
 
 
 def test_certify_extracts_each_multiplicity_of_a_chunk_in_one_call():

@@ -8,7 +8,16 @@ from ncconvex import (HermTuple, Signature, ca_element, derived_rng,
                       sample_x_ball, tuple_from_json, tuple_norm,
                       tuple_to_json)
 from ncconvex.errors import ShapeError, UnitarityError
-from ncconvex.tuples import _check_unitary, ca_lift, shuffle_permutation
+from ncconvex.tuples import _check_unitary, ca_lift
+
+
+def shuffle_permutation(m: int, k: int) -> np.ndarray:
+    """Perfect shuffle P with P (I_m (x) A) P^T = A (x) I_m for k x k A."""
+    p = np.zeros((m * k, m * k))
+    for q in range(m):
+        for r in range(k):
+            p[r * m + q, q * k + r] = 1.0
+    return p
 
 
 def _rand_tuple(g, n, seed, kind="x"):
@@ -106,6 +115,11 @@ def test_ca_element_is_unitarily_shuffled_kron():
     el = ca_element(A, 3, "identity")
     for base, lifted in zip(A.entries, el.tuple.entries):
         np.testing.assert_allclose(lifted, np.kron(np.eye(3), base),
+                                   atol=1e-12)
+    # the perfect shuffle as U turns I_m (x) A into A (x) I_m
+    el_t = ca_element(A, 3, shuffle_permutation(3, 2).T)
+    for base, lifted in zip(A.entries, el_t.tuple.entries):
+        np.testing.assert_allclose(lifted, np.kron(base, np.eye(3)),
                                    atol=1e-12)
     # random U keeps the spectrum of each coordinate
     el2 = ca_element(A, 3, "random", seed=derived_rng(15))
