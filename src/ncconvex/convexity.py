@@ -16,10 +16,10 @@ the samples in chunks of CHUNK, in three phases:
           through F.at_points and the defect matrices, and _falsify
           takes the Hermitian parts, refuses non-finite ones and runs
           one eigvalsh per stack;
-  replay  the samples are walked in order; _falsify tracks the minimum,
-          applies the PSD_TOL / WITNESS_TOL hysteresis, captures the
-          witness and raises a trial's error where a trial-by-trial run
-          would.
+  replay  the samples are walked in order; _falsify tracks the minimum
+          and the worst trial and raises a trial's error where a
+          trial-by-trial run would; after it, the witness is built once,
+          from the worst trial.
 
 Stacked numpy calls give every member the bits it gets alone, so the
 outcome does not depend on CHUNK, and live memory is bounded by it, not
@@ -28,8 +28,8 @@ sample at a time, each redrawn and evaluated on a one-sample stack, so
 an error names the sample that caused it.
 
 Convexity witnesses are shrunk by halving the spread X - Y around the
-fixed mixing point while the violation persists, so reported
-counterexamples stay small.
+fixed mixing point while the violation persists, on the worst trial's
+own arrays, so reported counterexamples stay small.
 
 test_convexity_at_CA repeats the base-point test at amplifications
 U*(I_m (x) A)U with the SAME epsilon at every multiplicity; the
@@ -183,9 +183,9 @@ def _falsify(key: tuple, trials: int, draw, defects, witness_of,
     eigvalsh per stack.  draw and group_by are _sampled's.
 
     The run passes when the smallest defect eigenvalue is >= -PSD_TOL.
-    witness_of(data, eigs) runs only when a trial sets a new minimum
-    below -WITNESS_TOL, so the witness comes from the worst trial and a
-    minimum between the two bands fails without one.
+    The replay keeps the worst trial's (data, eigs); after it,
+    witness_of runs once on them if the minimum is below -WITNESS_TOL,
+    so a minimum between the two bands fails without a witness.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -195,7 +195,6 @@ def _falsify(key: tuple, trials: int, draw, defects, witness_of,
         return zip(_hermitian_eigs(D), data)
 
     min_eig = math.inf
-    witness = None
     trial_eigs = []
     for k, (eigs, data) in _sampled(key, trials, draw, stage, group_by):
         if eigs is None:
@@ -203,9 +202,8 @@ def _falsify(key: tuple, trials: int, draw, defects, witness_of,
         eig = float(eigs[0])
         trial_eigs.append(eig)
         if eig < min_eig:
-            min_eig = eig
-            if eig < -WITNESS_TOL:
-                witness = witness_of(data, eigs)
+            min_eig, worst = eig, (data, eigs)
+    witness = witness_of(*worst) if min_eig < -WITNESS_TOL else None
     return Report(test=test, passed=min_eig >= -PSD_TOL, min_eig=min_eig,
                   trials=trials, witness=witness, trial_min_eigs=trial_eigs)
 
@@ -234,22 +232,24 @@ def _one_point(T: HermTuple) -> np.ndarray:
     return np.asarray(T.entries, dtype=complex).reshape(1, T.arity, T.n, T.n)
 
 
-def _defect_min_eig(F, A, X: HermTuple, Y: HermTuple, t: float) -> float:
-    D, _ = _defects(F, A, _one_point(X), _one_point(Y), np.array([t]))
+def _defect_min_eig(F, A, X: np.ndarray, Y: np.ndarray, t: float) -> float:
+    """The smallest defect eigenvalue at one-point (1, g, n, n) stacks."""
+    D, _ = _defects(F, A, X, Y, np.array([t]))
     return float(_defect_eigs(D[0], "witness")[0])
 
 
 def _shrink_witness(F, A, X, Y, t, start_eig):
     """Halve the spread around the mixing point while the defect still
-    violates -WITNESS_TOL."""
-    P = X.scale(t) + Y.scale(1.0 - t)
-    D = X - Y
+    violates -WITNESS_TOL.  X and Y are one-point stacks; every scale
+    and sum is followed by the ingest HermTuple arithmetic runs."""
+    P = _mix(X, Y, np.array([t]))
+    D = hermitian_stack(X - Y)
     s = 1.0
     best = (X, Y, start_eig)
     for _ in range(40):
         s_next = s / 2.0
-        Xs = P + D.scale(s_next * (1.0 - t))
-        Ys = P - D.scale(s_next * t)
+        Xs = hermitian_stack(P + hermitian_stack(s_next * (1.0 - t) * D))
+        Ys = hermitian_stack(P - hermitian_stack(s_next * t * D))
         eig = _defect_min_eig(F, A, Xs, Ys, t)
         if eig < -WITNESS_TOL:
             best = (Xs, Ys, eig)
@@ -304,11 +304,10 @@ def test_convexity_at_A(F, A: HermTuple, epsilon: float, trials: int = 200,
 
     def witness_of(data, eigs):
         X, Y, t = data
-        Xs, Ys, eig = _shrink_witness(F, A, HermTuple._trusted(X, "x", n),
-                                      HermTuple._trusted(Y, "x", n), t,
+        Xs, Ys, eig = _shrink_witness(F, A, X[None], Y[None], t,
                                       float(eigs[0]))
         return {"alpha": alpha_desc, "A": tuple_to_json(A),
-                "X": tuple_to_json(Xs), "Y": tuple_to_json(Ys),
+                "X": tuple_to_json(Xs[0]), "Y": tuple_to_json(Ys[0]),
                 "t": float(t), "defect_min_eig": float(eig), "n": int(n)}
 
     key = (seed,) if isinstance(seed, int) else tuple(seed)
@@ -353,6 +352,5 @@ def verify_convexity_witness(F, witness: dict) -> float:
     F = as_nc_function(F)
     n = int(witness["n"])
     A = tuple_from_json(witness["A"], kind="a", n=n)
-    X = tuple_from_json(witness["X"], kind="x", n=n)
-    Y = tuple_from_json(witness["Y"], kind="x", n=n)
+    X, Y = (_one_point(tuple_from_json(witness[k], "x", n)) for k in "XY")
     return _defect_min_eig(F, A, X, Y, float(witness["t"]))

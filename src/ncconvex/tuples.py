@@ -424,8 +424,9 @@ def matrix_from_json(data: dict) -> np.ndarray:
     return m
 
 
-def tuple_to_json(T: HermTuple) -> list:
-    return [matrix_to_json(m) for m in T.entries]
+def tuple_to_json(T) -> list:
+    """A HermTuple, or a (g, n, n) array of its matrices, as JSON."""
+    return [matrix_to_json(m) for m in T]
 
 
 def tuple_from_json(data, kind: str = "x", n: int | None = None) -> HermTuple:

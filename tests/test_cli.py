@@ -1,16 +1,29 @@
 """CLI: exit codes, JSON shape, witness files, determinism."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import run_cli as run
+from conftest import run_cli
 from ncconvex.cli import _dump, main
 
 
-def test_eval_identity_magic(tmp_path):
-    r = run(["eval", "--expr", "x1", "--x-tuple", "identity3"], tmp_path)
+@pytest.fixture
+def run(tmp_path, monkeypatch, capsys):
+    """The CLI in-process with tmp_path as the working directory:
+    run(args) returns its exit code, stdout and stderr."""
+    monkeypatch.chdir(tmp_path)
+
+    def cli(args):
+        code, out, err = _main(args, capsys)
+        return SimpleNamespace(returncode=code, stdout=out, stderr=err)
+    return cli
+
+
+def test_eval_identity_magic(run):
+    r = run(["eval", "--expr", "x1", "--x-tuple", "identity3"])
     assert r.returncode == 0
     doc = json.loads(r.stdout)
     assert doc["schema"] == "ncconvex/1"
@@ -21,13 +34,13 @@ def test_eval_identity_magic(tmp_path):
     np.testing.assert_allclose(got, np.eye(3))
 
 
-def test_eval_with_a_tuple_file(tmp_path):
+def test_eval_with_a_tuple_file(run, tmp_path):
     a_file = tmp_path / "a.json"
     a_file.write_text(json.dumps([{
         "n": 2, "entries": [[[0.3, 0.0], [0.0, 0.0]],
                             [[0.0, 0.0], [-0.1, 0.0]]]}]))
     r = run(["eval", "--expr", "a1*x1 + x1*a1", "--signature", "1,1",
-             "--a-tuple", str(a_file), "--x-tuple", "identity2"], tmp_path)
+             "--a-tuple", str(a_file), "--x-tuple", "identity2"])
     assert r.returncode == 0
     doc = json.loads(r.stdout)
     got = np.array([[complex(*cell) for cell in row]
@@ -35,57 +48,56 @@ def test_eval_with_a_tuple_file(tmp_path):
     np.testing.assert_allclose(got, np.diag([0.6, -0.2]), atol=1e-12)
 
 
-def test_certify_square_consistent(tmp_path):
+def test_certify_square_consistent(run):
     r = run(["certify", "--expr", "x1^2", "--signature", "0,1",
-             "--size", "3", "--seed", "7"], tmp_path)
+             "--size", "3", "--seed", "7"])
     assert r.returncode == 0
     doc = json.loads(r.stdout)
     assert doc["verdict"] == "CONSISTENT_DEGREE_LE_2"
 
 
-def test_convexity1_quartic_emits_witness(tmp_path):
+def test_convexity1_quartic_emits_witness(run, tmp_path):
     r = run(["convexity1", "--preset", "quartic", "--size", "2",
-             "--seed", "7"], tmp_path)
+             "--seed", "7"])
     assert r.returncode == 1
     doc = json.loads(r.stdout)
     assert doc["pass"] is False
     wfile = tmp_path / "witness.json"
     assert wfile.exists()
     # the emitted witness re-verifies standalone
-    r2 = run(["convexity1", "--verify-witness", str(wfile)], tmp_path)
+    r2 = run(["convexity1", "--verify-witness", str(wfile)])
     assert r2.returncode == 0
     doc2 = json.loads(r2.stdout)
     assert doc2["violates"] is True
     assert doc2["min_eig"] < -1e-6
 
 
-def test_convexity_witness_roundtrip(tmp_path):
+def test_convexity_witness_roundtrip(run, tmp_path):
     wout = tmp_path / "w.json"
     r = run(["convexity", "--preset", "quartic", "--size", "2",
              "--epsilon", "2", "--trials", "400", "--seed", "3",
-             "--witness-out", str(wout)], tmp_path)
+             "--witness-out", str(wout)])
     assert r.returncode == 1
     assert wout.exists()
-    r2 = run(["convexity", "--verify-witness", str(wout)], tmp_path)
+    r2 = run(["convexity", "--verify-witness", str(wout)])
     assert r2.returncode == 0
     assert json.loads(r2.stdout)["violates"] is True
 
 
-def test_monotone_pass_and_fail(tmp_path):
+def test_monotone_pass_and_fail(run):
     ok = run(["monotone", "--preset", "kraus-halfmass", "--g-transform",
-              "--trials", "60", "--seed", "1"], tmp_path)
+              "--trials", "60", "--seed", "1"])
     assert ok.returncode == 0
     bad = run(["monotone", "--preset", "quartic", "--g-transform",
-               "--interval=-1,1", "--trials", "200", "--seed", "1"],
-              tmp_path)
+               "--interval=-1,1", "--trials", "200", "--seed", "1"])
     assert bad.returncode == 1
     assert json.loads(bad.stdout)["min_eig"] < -1e-6
 
 
-def test_kraus_subcommand(tmp_path):
+def test_kraus_subcommand(run, tmp_path):
     csv = tmp_path / "sweep.csv"
     r = run(["kraus", "--preset", "kraus-halfmass", "--trials", "60",
-             "--sweep-points", "11", "--csv-out", str(csv)], tmp_path)
+             "--sweep-points", "11", "--csv-out", str(csv)])
     assert r.returncode == 0
     doc = json.loads(r.stdout)
     assert doc["cross_check_max_dev"] < 1e-9
@@ -94,9 +106,9 @@ def test_kraus_subcommand(tmp_path):
     assert len(rows) == 12
 
 
-def test_axioms_subcommand(tmp_path):
+def test_axioms_subcommand(run):
     r = run(["axioms", "--expr", "x1^2", "--signature", "0,1",
-             "--samples", "25"], tmp_path)
+             "--samples", "25"])
     assert r.returncode == 0
     assert json.loads(r.stdout)["pass"] is True
 
@@ -108,7 +120,7 @@ def test_usage_errors_exit_two(tmp_path):
                  ["eval", "--expr", "x1"],
                  ["certify", "--preset", "nope"],
                  ["convexity1", "--expr", "x1^2", "--interval", "2,1"]):
-        r = run(args, tmp_path)
+        r = run_cli(args, tmp_path)
         assert r.returncode == 2, (args, r.stderr)
         lines = r.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), \
@@ -116,19 +128,19 @@ def test_usage_errors_exit_two(tmp_path):
         assert "Traceback" not in r.stderr
 
 
-def test_json_out_matches_stdout(tmp_path):
+def test_json_out_matches_stdout(run, tmp_path):
     out = tmp_path / "report.json"
     r = run(["axioms", "--expr", "x1^2", "--signature", "0,1",
-             "--samples", "10", "--json-out", str(out)], tmp_path)
+             "--samples", "10", "--json-out", str(out)])
     assert r.returncode == 0
     assert json.loads(out.read_text()) == json.loads(r.stdout)
 
 
-def test_same_seed_byte_identical(tmp_path):
+def test_same_seed_byte_identical(run):
     args = ["convexity", "--preset", "mixed-ax", "--size", "2",
             "--trials", "40", "--seed", "11"]
-    a = run(args, tmp_path)
-    b = run(args, tmp_path)
+    a = run(args)
+    b = run(args)
     assert a.stdout == b.stdout
     assert a.returncode == b.returncode == 0
 

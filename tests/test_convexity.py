@@ -18,6 +18,7 @@ from ncconvex import test_convexity_at_A as convexity_at_A
 from ncconvex import test_convexity_at_CA as convexity_at_CA
 from ncconvex import test_slice_convexity_transfer as slice_transfer
 from ncconvex.convexity import CHUNK, _falsify
+from ncconvex.tolerances import WITNESS_TOL
 
 
 def _fn(expr, sig):
@@ -155,8 +156,8 @@ def test_core_witness_comes_from_the_worst_trial():
     assert not rep.passed
     assert rep.min_eig == pytest.approx(-5e-2, rel=1e-12)
     assert rep.witness["trial"] == 2
-    # captured only when a trial sets a new minimum below -WITNESS_TOL
-    assert captured == [1, 2]
+    # built once, after the run, from the worst trial
+    assert captured == [2]
     assert len(rep.trial_min_eigs) == 5
     assert rep.to_json_dict()["test"] == "scripted"
 
@@ -238,7 +239,7 @@ def test_core_witness_from_the_worst_trial_past_a_chunk_boundary():
 
     rep = _falsify((64,), CHUNK + 1, draw, defects, witness_of, "scripted")
     assert rep.witness == {"trial": CHUNK}
-    assert captured == [3, CHUNK]
+    assert captured == [CHUNK]
     assert rep.min_eig == -5e-2
     assert len(rep.trial_min_eigs) == CHUNK + 1
 
@@ -327,6 +328,35 @@ def test_outcome_does_not_depend_on_the_chunk(monkeypatch):
     assert reference[0][0]["witness"] and reference[1][0]["witness"]
     monkeypatch.setattr(convexity, "CHUNK", 5)
     assert run() == reference
+
+
+def test_ca_shrinks_once_per_failing_level(monkeypatch):
+    # each level builds its witness once, after its run, from its worst
+    # trial, and the shrink works on that trial's arrays
+    shrink, at_A = convexity._shrink_witness, convexity.test_convexity_at_A
+    shrinks, levels = [], []
+
+    def counted_shrink(*args):
+        shrinks.append(len(levels))     # the index of the running level
+        return shrink(*args)
+
+    def recorded_at_A(*args, **kwargs):
+        levels.append(at_A(*args, **kwargs))
+        return levels[-1]
+
+    def no_arithmetic(*args):
+        raise AssertionError("the shrink ran HermTuple arithmetic")
+
+    monkeypatch.setattr(convexity, "_shrink_witness", counted_shrink)
+    monkeypatch.setattr(convexity, "test_convexity_at_A", recorded_at_A)
+    for name in ("scale", "__add__", "__sub__"):
+        monkeypatch.setattr(HermTuple, name, no_arithmetic)
+    rep = convexity_at_CA(get_preset("quartic").make(), _empty_a(2),
+                          epsilon=2.0, multiplicities=(1, 2, 3), trials=60,
+                          seed=73)
+    failing = [i for i, r in enumerate(levels) if r.min_eig < -WITNESS_TOL]
+    assert len(levels) == 3 and failing and rep.witness
+    assert shrinks == failing
 
 
 def test_stacks_are_bounded_by_the_chunk():
