@@ -9,7 +9,8 @@ Grading is by the number of x-letters in a word.
 Coefficients are complex doubles.  After every arithmetic operation the
 term map is re-canonicalized: coefficients with magnitude below
 COEFF_DROP_TOL are dropped, so equality of polynomials is equality of
-term maps.
+term maps.  A polynomial compiled from an expression (TrieAlgebra) holds
+its merged word trie instead and fills the term map on first read.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ Word = tuple[Letter, ...]
 
 _KIND_RANK = {"a": 0, "x": 1}
 
-# hard cap on stored terms after any single product; guards runaway
-# expansion of expressions like (x1+...+x9)^20
+# hard cap on stored terms after any single product and on filling the
+# term map of a compiled expression; guards runaway expansion of
+# expressions like (x1+...+x9)^20, which evaluate without expanding
 TERM_CAP = 10 ** 6
 
 
@@ -118,14 +120,59 @@ def _fmt_word(word: Word) -> str:
     return "*".join(pieces)
 
 
-def _compile_horner(signature: Signature, terms: dict) -> tuple:
-    """Horner plan of sum_w c_w w, with equal sub-polynomials merged.
+# A trie node [c, {letter: child}] is the polynomial c + sum_l l * child.
+# Tries read from a term map are trees, the expression compiler's are DAGs
+# whose equal nodes are one node.  Every walk is a loop: words are unbounded.
 
-    The word trie gives q = c_0 + sum_l l * q_l, where q_l collects the
-    words of q that start with letter l, stripped of it.  Trie nodes
-    with the same coefficient and the same (letter, child) list are one
-    node (bottom-up hash-consing), so the expanded (x1+x2+x3)^8, whose
-    trie has 9,841 nodes, compiles to 8 steps.
+
+def _post_order(root: list) -> list:
+    """The nodes under root, each once, every child before its parents
+    and children in letter order: a's first, by index."""
+    order: list = []
+    seen: set = set()
+    stack: list = [(root, False)]
+    while stack:
+        node, ready = stack.pop()
+        if ready:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend([(node[1][letter], False)
+                          for letter in sorted(node[1], reverse=True)])
+    return order
+
+
+def _trie_size(root: list) -> int:
+    """Number of words of the trie, counted along its paths."""
+    count: dict = {}
+    for node in _post_order(root):
+        count[id(node)] = (node[0] != 0) + sum(
+            [count[id(kid)] for kid in node[1].values()])
+    return count[id(root)]
+
+
+def _trie_terms(root: list) -> dict:
+    terms: dict = {}
+    path: list = []
+    stack: list = [(root, 0, None)]
+    while stack:
+        node, depth, letter = stack.pop()
+        if depth:
+            del path[depth - 1:]
+            path.append(letter)
+        if node[0] != 0:
+            terms[tuple(path)] = node[0]
+        stack.extend([(kid, depth + 1, l) for l, kid in node[1].items()])
+    return terms
+
+
+def _emit_horner(signature: Signature, root: list) -> tuple:
+    """Horner plan of a trie, with equal sub-polynomials merged.
+
+    Post-order over the trie: nodes with the same coefficient and the
+    same (letter, child) list become one step (hash-consing), so the
+    trie of (x1+x2+x3)^8, 9,841 nodes as a tree, emits 8 steps.
 
     The plan is a post-order tuple of steps (const, terms, frees); the
     last step is the polynomial.  A step is const * I plus, for each of
@@ -133,39 +180,26 @@ def _compile_horner(signature: Signature, terms: dict) -> tuple:
     -1 is I: a childless trie node c * I gets no step of its own, and c
     is 1 for every other child.  Letters index the point's matrices, a's
     first.  `frees` lists the steps whose last consumer this step is, so
-    an evaluator can drop them.  Loops only: word length is unbounded.
+    an evaluator can drop them.
     """
     code = {("a", i + 1): i for i in range(signature.g_a)}
     code.update({("x", i + 1): signature.g_a + i for i in range(signature.g_x)})
-    root: list = [0j, {}, -1]               # [coeff, {letter: node}, step]
-    for word, c in terms.items():
-        node = root
-        for letter in word:
-            kids = node[1]
-            nxt = kids.get(letter)
-            if nxt is None:
-                nxt = kids[letter] = [0j, {}, -1]
-            node = nxt
-        node[0] = c
     steps: list = []
     step_of: dict = {}                      # (const, terms) -> step index
-    stack: list = [(root, None)]            # (node, sorted edges once seen)
-    while stack:
-        node, edges = stack.pop()
-        if edges is None:
-            edges = sorted([(code[letter], kid)
-                            for letter, kid in node[1].items()])
-            stack.append((node, edges))
-            stack.extend([(kid, None) for _, kid in reversed(edges) if kid[1]])
-            continue
-        key = (node[0], tuple([(letter, kid[2], 1.0) if kid[1]
+    index: dict = {}                        # id(node) -> step index
+    for node in _post_order(root):
+        if not node[1] and node is not root:
+            continue                        # a leaf term of its parents
+        edges = sorted([(code[letter], kid)
+                        for letter, kid in node[1].items()])
+        key = (node[0], tuple([(letter, index[id(kid)], 1.0) if kid[1]
                                else (letter, -1, kid[0])
                                for letter, kid in edges]))
         k = step_of.get(key)
         if k is None:
             k = step_of[key] = len(steps)
             steps.append(key)
-        node[2] = k
+        index[id(node)] = k
     last_use: dict = {}
     for k, (_, step_terms) in enumerate(steps):
         for _, child, _ in step_terms:
@@ -178,20 +212,108 @@ def _compile_horner(signature: Signature, terms: dict) -> tuple:
                  for (const, step_terms), f in zip(steps, frees))
 
 
+def _compile_horner(signature: Signature, terms: dict) -> tuple:
+    """Horner plan of sum_w c_w w from its word trie
+    q = c_0 + sum_l l * q_l, where q_l collects the words of q that
+    start with letter l, stripped of it."""
+    root: list = [0j, {}]
+    for word, c in terms.items():
+        node = root
+        for letter in word:
+            kids = node[1]
+            nxt = kids.get(letter)
+            if nxt is None:
+                nxt = kids[letter] = [0j, {}]
+            node = nxt
+        node[0] = c
+    return _emit_horner(signature, root)
+
+
+class TrieAlgebra:
+    """Sum, scale and product of merged tries, for one compile; None is
+    the zero polynomial.  Results are interned, so equal sub-polynomials
+    stay one node and a power of a sum costs a few nodes per factor.  As
+    in the term map, coefficients below COEFF_DROP_TOL are dropped, and
+    zero parts are stored unsigned, as sums and products leave them."""
+
+    def __init__(self):
+        self._nodes: dict = {}
+        self.one = self.node(1.0 + 0.0j, {})
+
+    def node(self, c: complex, kids: dict):
+        kids = {l: kid for l, kid in kids.items() if kid is not None}
+        c = c + 0j if abs(c) >= COEFF_DROP_TOL else 0j
+        if not c and not kids:
+            return None
+        key = (c, frozenset([(l, id(kid)) for l, kid in kids.items()]))
+        return self._nodes.setdefault(key, [c, kids])
+
+    def scale(self, p, s: complex):
+        if p is None or not s or s == 1:
+            return p if s == 1 else None
+        out: dict = {}
+        for n in _post_order(p):
+            out[id(n)] = self.node(s * n[0], {l: out[id(kid)]
+                                              for l, kid in n[1].items()})
+        return out[id(p)]
+
+    def add(self, p, q):
+        if p is None or q is None:
+            return q if p is None else p
+        out: dict = {}
+        stack = [(p, q)]
+        while stack:
+            a, b = stack[-1]
+            todo = [(a[1][l], kid) for l, kid in b[1].items()
+                    if l in a[1] and (id(a[1][l]), id(kid)) not in out]
+            if todo:
+                stack.extend(todo)
+                continue
+            stack.pop()
+            kids = dict(a[1])
+            for l, kid in b[1].items():
+                kids[l] = out[id(kids[l]), id(kid)] if l in kids else kid
+            out[id(a), id(b)] = self.node(a[0] + b[0], kids)
+        return out[id(p), id(q)]
+
+    def mul(self, p, q):
+        """p * q = p_0 q + sum_l l (p_l q), walking p only."""
+        if p is None or q is None:
+            return None
+        out: dict = {}
+        for n in _post_order(p):
+            tail = self.node(0j, {l: out[id(kid)] for l, kid in n[1].items()})
+            out[id(n)] = self.add(self.scale(q, n[0]), tail)
+        return out[id(p)]
+
+
 class NcPolynomial:
     """Finite complex combination of words over a fixed Signature."""
 
-    __slots__ = ("signature", "_terms", "_plan")
+    __slots__ = ("signature", "_map", "_trie", "_plan")
 
     def __init__(self, signature: Signature, terms: dict | None = None,
-                 _validated: bool = False):
+                 _validated: bool = False, trie: list | None = None):
+        """From a term map, or from a merged trie (TrieAlgebra), whose
+        plan comes straight from the trie and whose term map is filled
+        on first read, capped by TERM_CAP."""
         self.signature = Signature(*signature)
-        terms = _canonical(dict(terms or {}))
-        if not _validated:
-            for word in terms:
-                self.signature.check_word(word)
-        self._terms = terms
+        self._trie = trie
         self._plan = None
+        self._map = None if trie else _canonical(dict(terms or {}))
+        if not (_validated or trie):
+            for word in self._map:
+                self.signature.check_word(word)
+
+    @property
+    def _terms(self) -> dict:
+        if self._map is None:
+            n = self.n_terms
+            if n > TERM_CAP:
+                raise ResourceLimitError(
+                    f"expansion has {n} terms (cap {TERM_CAP})")
+            self._map = _trie_terms(self._trie)
+        return self._map
 
     # -- constructors ---------------------------------------------------
 
@@ -226,17 +348,21 @@ class NcPolynomial:
 
     @property
     def n_terms(self) -> int:
-        return len(self._terms)
+        if self._map is None:
+            return _trie_size(self._trie)
+        return len(self._map)
 
     @property
     def horner_plan(self) -> tuple:
-        """Evaluation plan, compiled on first use; see _compile_horner."""
+        """Evaluation plan, compiled on first use; see _emit_horner."""
         if self._plan is None:
-            self._plan = _compile_horner(self.signature, self._terms)
+            self._plan = (_compile_horner(self.signature, self._map)
+                          if self._trie is None
+                          else _emit_horner(self.signature, self._trie))
         return self._plan
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self.n_terms
 
     @property
     def degree(self):
@@ -585,16 +711,11 @@ class NcPowerSeries:
             p = MatrixNcPolynomial.from_scalar(p)
         d = p.x_degree()
         d = 0 if d == -math.inf else int(d)
-        parts = []
-        for i in range(d + 1):
-            grid = []
-            for row in p.entries:
-                grid_row = []
-                for q in row:
-                    grid_row.append(q.x_parts().get(i, NcPolynomial.zero(p.signature)))
-                grid.append(grid_row)
-            parts.append(MatrixNcPolynomial(grid))
-        return cls(parts, radius=radius)
+        split = [[q.x_parts() for q in row] for row in p.entries]
+        zero = NcPolynomial.zero(p.signature)
+        return cls([MatrixNcPolynomial([[parts.get(i, zero) for parts in row]
+                                        for row in split])
+                    for i in range(d + 1)], radius=radius)
 
     @property
     def order(self) -> int:

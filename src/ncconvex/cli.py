@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -40,9 +41,47 @@ _A_SALT = 1299709
 
 
 def _dump(payload: dict) -> str:
-    # a non-finite number raises ValueError (exit 2) instead of printing
-    # Infinity or NaN, which strict JSON parsers reject
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    """json.dumps(payload, indent=2, sort_keys=True, allow_nan=False),
+    byte for byte; a non-finite number raises ValueError (exit 2) instead
+    of printing Infinity or NaN, which strict JSON parsers reject.
+    indent=2 runs json's pure-Python encoder, so each matrix grid (a
+    non-empty list of non-empty rows of [float, float] cells) goes in as
+    a placeholder and comes out as float reprs in fixed templates."""
+    grids: list = []
+
+    def swap(v):
+        if type(v) is dict:
+            return {k: swap(x) for k, x in v.items()}
+        if type(v) is not list or not v or type(v[0]) not in (list, dict):
+            return v
+        cells = (list(chain.from_iterable(v))
+                 if all([type(row) is list and row for row in v]) else [v])
+        if (set(map(type, cells)) == {list} and set(map(len, cells)) == {2}
+                and set(map(type, chain.from_iterable(cells))) == {float}):
+            grids.append(v)
+            return f"\0grid{len(grids) - 1}\0"
+        return [swap(x) for x in v]
+
+    swapped = swap(payload)
+    try:
+        text = json.dumps(swapped, indent=2, sort_keys=True, allow_nan=False)
+        for k, grid in enumerate(grids):
+            head, *tail = text.split(json.dumps(f"\0grid{k}\0"))
+            line = head[head.rfind("\n") + 1:]
+            pad = " " * (len(line) - len(line.lstrip(" ")))
+            cell = f"{pad}    [\n{pad}      %r,\n{pad}      %r\n{pad}    ]"
+            rows = [f"{pad}  [\n" + ",\n".join([cell] * len(row))
+                    + f"\n{pad}  ]" for row in grid]
+            body = ("[\n" + ",\n".join(rows) + f"\n{pad}]") % tuple(
+                chain.from_iterable(chain(*grid)))
+            if len(tail) != 1 or "n" in body:   # a clash, inf or nan
+                raise ValueError
+            text = head + body + tail[0]
+        return text
+    except ValueError:
+        if not grids:
+            raise
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
 
 
 def _emit(args, payload: dict, code: int) -> int:
@@ -410,102 +449,117 @@ def _add_common(p) -> None:
                    help="override the pass threshold")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str) -> argparse.ArgumentParser:
+    """The CLI's parser.  Every subcommand is registered with its help,
+    but only the named one gets its flags: each add_argument builds a
+    help formatter."""
     ap = argparse.ArgumentParser(
         prog="ncconvex",
         description="nc polynomial evaluation, matrix convexity and "
                     "monotonicity testing, degree-2 certification")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("eval", help="evaluate a function at a tuple")
-    _add_fn_flags(p)
-    p.add_argument("--a-tuple", help="tuple JSON file, or identityN/zeroN")
-    p.add_argument("--x-tuple", help="tuple JSON file, or identityN/zeroN")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_eval)
+    def subcommand(name: str, help_line: str, fn):
+        p = sub.add_parser(name, help=help_line)
+        p.set_defaults(fn=fn)
+        return p if name == command else None
 
-    p = sub.add_parser("convexity", help="matrix convexity over C_A levels")
-    _add_fn_flags(p)
-    p.add_argument("--a-tuple", help="base tuple JSON (default: random)")
-    p.add_argument("--size", type=int, default=2, help="base size kappa")
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--multiplicities", default="1,2")
-    p.add_argument("--witness-out", metavar="FILE")
-    p.add_argument("--csv-out", metavar="FILE",
-                   help="defect min-eigenvalue per trial")
-    p.add_argument("--verify-witness", metavar="FILE",
-                   help="re-check a stored witness instead of testing")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_convexity)
+    p = subcommand("eval", "evaluate a function at a tuple", _cmd_eval)
+    if p is not None:
+        _add_fn_flags(p)
+        p.add_argument("--a-tuple", help="tuple JSON file, or identityN/zeroN")
+        p.add_argument("--x-tuple", help="tuple JSON file, or identityN/zeroN")
+        _add_common(p)
 
-    p = sub.add_parser("monotone", help="Loewner operator-monotonicity test")
-    _add_fn_flags(p, scalar=True)
-    p.add_argument("--interval", metavar="LO,HI")
-    p.add_argument("--points", type=int, default=5)
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--g-transform", action="store_true",
-                   help="test g(t) = (f(t)-f(0))/t instead of f")
-    p.add_argument("--witness-out", metavar="FILE")
-    p.add_argument("--verify-witness", metavar="FILE")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_monotone)
+    p = subcommand("convexity", "matrix convexity over C_A levels",
+                   _cmd_convexity)
+    if p is not None:
+        _add_fn_flags(p)
+        p.add_argument("--a-tuple", help="base tuple JSON (default: random)")
+        p.add_argument("--size", type=int, default=2, help="base size kappa")
+        p.add_argument("--epsilon", type=float, default=None)
+        p.add_argument("--trials", type=int, default=200)
+        p.add_argument("--multiplicities", default="1,2")
+        p.add_argument("--witness-out", metavar="FILE")
+        p.add_argument("--csv-out", metavar="FILE",
+                       help="defect min-eigenvalue per trial")
+        p.add_argument("--verify-witness", metavar="FILE",
+                       help="re-check a stored witness instead of testing")
+        _add_common(p)
 
-    p = sub.add_parser("convexity1", help="one-variable matrix convexity")
-    _add_fn_flags(p, scalar=True)
-    p.add_argument("--interval", metavar="LO,HI")
-    p.add_argument("--size", type=int, default=2)
-    p.add_argument("--trials", type=int, default=300)
-    p.add_argument("--g-transform", action="store_true")
-    p.add_argument("--witness-out", metavar="FILE")
-    p.add_argument("--verify-witness", metavar="FILE")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_convexity1)
+    p = subcommand("monotone", "Loewner operator-monotonicity test",
+                   _cmd_monotone)
+    if p is not None:
+        _add_fn_flags(p, scalar=True)
+        p.add_argument("--interval", metavar="LO,HI")
+        p.add_argument("--points", type=int, default=5)
+        p.add_argument("--trials", type=int, default=200)
+        p.add_argument("--g-transform", action="store_true",
+                       help="test g(t) = (f(t)-f(0))/t instead of f")
+        p.add_argument("--witness-out", metavar="FILE")
+        p.add_argument("--verify-witness", metavar="FILE")
+        _add_common(p)
 
-    p = sub.add_parser("kraus", help="representation sweep + convexity check")
-    p.add_argument("--preset", help="kraus-halfmass")
-    p.add_argument("--f0", type=float, default=0.0)
-    p.add_argument("--f1", type=float, default=0.0)
-    p.add_argument("--f2", type=float, default=2.0)
-    p.add_argument("--mu", default="0.5:1",
-                   help="atoms 'loc:weight,loc:weight'")
-    p.add_argument("--interval", default="-0.9,0.9")
-    p.add_argument("--sweep-points", type=int, default=100)
-    p.add_argument("--matrix-checks", type=int, default=10)
-    p.add_argument("--size", type=int, default=2)
-    p.add_argument("--trials", type=int, default=300)
-    p.add_argument("--witness-out", metavar="FILE")
-    p.add_argument("--csv-out", metavar="FILE", help="sweep t,f columns")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_kraus)
+    p = subcommand("convexity1", "one-variable matrix convexity",
+                   _cmd_convexity1)
+    if p is not None:
+        _add_fn_flags(p, scalar=True)
+        p.add_argument("--interval", metavar="LO,HI")
+        p.add_argument("--size", type=int, default=2)
+        p.add_argument("--trials", type=int, default=300)
+        p.add_argument("--g-transform", action="store_true")
+        p.add_argument("--witness-out", metavar="FILE")
+        p.add_argument("--verify-witness", metavar="FILE")
+        _add_common(p)
 
-    p = sub.add_parser("certify", help="x-degree <= 2 certificate")
-    _add_fn_flags(p)
-    p.add_argument("--a-tuple", help="base tuple JSON (default: random)")
-    p.add_argument("--size", type=int, default=2, help="base size kappa")
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--trials", type=int, default=200,
-                   help="convexity subtest trials")
-    p.add_argument("--samples", type=int, default=50,
-                   help="slice extraction samples")
-    p.add_argument("--degree-cap", type=int, default=8)
-    p.add_argument("--multiplicities", default="1,2")
-    p.add_argument("--witness-out", metavar="FILE")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_certify)
+    p = subcommand("kraus", "representation sweep + convexity check",
+                   _cmd_kraus)
+    if p is not None:
+        p.add_argument("--preset", help="kraus-halfmass")
+        p.add_argument("--f0", type=float, default=0.0)
+        p.add_argument("--f1", type=float, default=0.0)
+        p.add_argument("--f2", type=float, default=2.0)
+        p.add_argument("--mu", default="0.5:1",
+                       help="atoms 'loc:weight,loc:weight'")
+        p.add_argument("--interval", default="-0.9,0.9")
+        p.add_argument("--sweep-points", type=int, default=100)
+        p.add_argument("--matrix-checks", type=int, default=10)
+        p.add_argument("--size", type=int, default=2)
+        p.add_argument("--trials", type=int, default=300)
+        p.add_argument("--witness-out", metavar="FILE")
+        p.add_argument("--csv-out", metavar="FILE", help="sweep t,f columns")
+        _add_common(p)
 
-    p = sub.add_parser("axioms", help="direct-sum / unitary axiom check")
-    _add_fn_flags(p)
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--sizes", default="1,2,3,4")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_axioms)
+    p = subcommand("certify", "x-degree <= 2 certificate", _cmd_certify)
+    if p is not None:
+        _add_fn_flags(p)
+        p.add_argument("--a-tuple", help="base tuple JSON (default: random)")
+        p.add_argument("--size", type=int, default=2, help="base size kappa")
+        p.add_argument("--epsilon", type=float, default=None)
+        p.add_argument("--trials", type=int, default=200,
+                       help="convexity subtest trials")
+        p.add_argument("--samples", type=int, default=50,
+                       help="slice extraction samples")
+        p.add_argument("--degree-cap", type=int, default=8)
+        p.add_argument("--multiplicities", default="1,2")
+        p.add_argument("--witness-out", metavar="FILE")
+        _add_common(p)
+
+    p = subcommand("axioms", "direct-sum / unitary axiom check",
+                   _cmd_axioms)
+    if p is not None:
+        _add_fn_flags(p)
+        p.add_argument("--samples", type=int, default=100)
+        p.add_argument("--sizes", default="1,2,3,4")
+        _add_common(p)
 
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = next((a for a in argv if not a.startswith("-")), "")
+    args = build_parser(command).parse_args(argv)
     try:
         for flag in ("trials", "samples", "size"):
             value = getattr(args, flag, 1)

@@ -2,13 +2,14 @@
 
 Each NcPolynomial compiles once, on first evaluation, into a Horner plan
 over its word trie with equal sub-polynomials merged
-(NcPolynomial.horner_plan); evaluation runs that plan in a loop, so
-products group right to left and a step's matrix is dropped after its
-last use.  Matrix polynomials assemble their evaluated entries into one
-block matrix.  The a- and x-matrices may share one leading stack axis
-of points, each point with its own A and its own X; the plan then runs
-once on the whole stack, with the same arithmetic per member as a member
-evaluated alone.
+(NcPolynomial.horner_plan); a parsed expression brings that trie from
+its parse, so it evaluates without ever being expanded into words.
+Evaluation runs the plan in a loop, so products group right to left and
+a step's matrix is dropped after its last use.  Matrix polynomials
+assemble their evaluated entries into one block matrix.  The a- and
+x-matrices may share one leading stack axis of points, each point with
+its own A and its own X; the plan then runs once on the whole stack,
+with the same arithmetic per member as a member evaluated alone.
 
 The NcFunction wrappers give testers a uniform evaluator contract:
 F(A, X) -> square complex matrix at one point, F.at_points(A, Xs) and

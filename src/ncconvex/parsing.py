@@ -12,6 +12,12 @@ Variables are a<k> and x<k>; z<k> is accepted as an alias for x<k> when the
 signature has no a-variables.  Juxtaposition is not multiplication.  Number
 literals may carry a trailing 'i' for imaginary parts, so 2+3i is the sum
 of a real and an imaginary literal.
+
+parse_polynomial compiles without expanding: sums, products, powers and
+minus signs lower straight into the merged word trie (TrieAlgebra) that
+the Horner plan is emitted from, with the star pushed down to the
+leaves.  The plan equals the one compiled from the expanded term map,
+which is filled only when something reads it.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import re
 from dataclasses import dataclass
 from typing import Union
 
-from .algebra import NcPolynomial, Signature
+from .algebra import NcPolynomial, Signature, TrieAlgebra, _post_order
 from .errors import ParseError
 
 EXPONENT_CAP = 128
@@ -256,36 +262,53 @@ def parse(src: str, sig: Signature) -> ExprAst:
     return _Parser(src, sig).parse()
 
 
-def lower(ast: ExprAst, sig: Signature) -> NcPolynomial:
-    """Expand an AST into a canonical polynomial."""
-    sig = Signature(*sig)
-    if isinstance(ast, Var):
-        return NcPolynomial.variable(sig, ast.kind, ast.index)
-    if isinstance(ast, Lit):
-        return NcPolynomial(sig, {(): ast.value})
-    if isinstance(ast, Star):
-        return lower(ast.child, sig).involute()
+def _lower(ast: ExprAst, ops: TrieAlgebra, star: bool):
+    """The merged trie of an AST, or of its involution when star is set:
+    the star goes down to the leaves, reversing products and
+    conjugating literals on the way."""
+    if isinstance(ast, (Group, Star)):
+        return _lower(ast.child, ops, star != isinstance(ast, Star))
     if isinstance(ast, Neg):
-        return -lower(ast.child, sig)
-    if isinstance(ast, Group):
-        return lower(ast.child, sig)
+        return ops.scale(_lower(ast.child, ops, star), -1.0)
+    if isinstance(ast, Var):
+        return ops.node(0j, {(ast.kind, ast.index): ops.one})
+    if isinstance(ast, Lit):
+        return ops.node(ast.value.conjugate() if star else ast.value, {})
     if isinstance(ast, Sum):
-        acc = NcPolynomial.zero(sig)
+        acc = None
         for item in ast.items:
-            acc = acc + lower(item, sig)
+            acc = ops.add(acc, _lower(item, ops, star))
         return acc
-    if isinstance(ast, Prod):
-        acc = NcPolynomial.unit(sig)
-        for item in ast.items:
-            acc = acc * lower(item, sig)
+    if isinstance(ast, (Prod, Pow)):
+        factors = [_lower(item, ops, star) for item in
+                   (ast.items if isinstance(ast, Prod) else (ast.base,))]
+        acc = ops.one
+        for factor in ((factors if star else factors[::-1])
+                       * getattr(ast, "exponent", 1)):
+            acc = ops.mul(factor, acc)
         return acc
-    if isinstance(ast, Pow):
-        return lower(ast.base, sig) ** ast.exponent
     raise TypeError(f"not an ExprAst: {ast!r}")
 
 
 def parse_polynomial(src: str, sig: Signature) -> NcPolynomial:
-    return lower(parse(src, sig), sig)
+    """Parse and compile an expression, without expanding it."""
+    sig = Signature(*sig)
+    ast = parse(src, sig)
+    ops = TrieAlgebra()
+    root = _lower(ast, ops, False)
+    # a leading '-' or "'" leaves the zero parts of every coefficient
+    # signed as negating or conjugating the expanded terms would
+    neg = star = False
+    while isinstance(ast, (Group, Neg, Star)):
+        neg ^= isinstance(ast, Neg)
+        star ^= isinstance(ast, Star)
+        ast = ast.child
+    if root is not None and (neg or star):
+        zr, zi = -0.0 if neg else 0.0, -0.0 if neg != star else 0.0
+        for node in _post_order(root):
+            if node[0]:
+                node[0] = complex(node[0].real or zr, node[0].imag or zi)
+    return NcPolynomial(sig, trie=root or [0j, {}])
 
 
 def render(p: NcPolynomial) -> str:

@@ -408,11 +408,10 @@ def ca_element(A: HermTuple, m: int, U="random", seed=None) -> CASetElement:
 
 
 def matrix_to_json(m: np.ndarray) -> dict:
-    m = np.asarray(m, dtype=complex)
-    return {
-        "n": int(m.shape[0]),
-        "entries": [[[float(v.real), float(v.imag)] for v in row] for row in m],
-    }
+    m = np.ascontiguousarray(m, dtype=complex)
+    # each entry as [re, im]: one tolist() of the float view
+    return {"n": int(m.shape[0]),
+            "entries": m.view(float).reshape(m.shape + (2,)).tolist()}
 
 
 def matrix_from_json(data: dict) -> np.ndarray:

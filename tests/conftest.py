@@ -56,3 +56,30 @@ def run_cli(args, cwd):
     return subprocess.run([sys.executable, "-m", "ncconvex", *args],
                           capture_output=True, text=True, cwd=cwd,
                           env=_child_env(cwd))
+
+
+@pytest.fixture
+def dump_spy(monkeypatch):
+    """Checks every `cli._dump` call against the stdlib writer it must
+    match byte for byte; yields the list of payloads it saw."""
+    import json
+
+    from ncconvex import cli
+
+    seen, dump = [], cli._dump
+
+    def spy(payload):
+        seen.append(payload)
+        try:
+            want = json.dumps(payload, indent=2, sort_keys=True,
+                              allow_nan=False)
+        except ValueError:
+            with pytest.raises(ValueError):
+                dump(payload)
+            raise
+        got = dump(payload)
+        assert got == want
+        return got
+
+    monkeypatch.setattr(cli, "_dump", spy)
+    yield seen

@@ -12,11 +12,12 @@ GOLDEN = json.loads((Path(__file__).parent / "data"
                      / "certify_golden.json").read_text())
 
 
-def test_cli_runs_are_byte_identical(tmp_path, monkeypatch):
+def test_cli_runs_are_byte_identical(tmp_path, monkeypatch, dump_spy):
     assert [rec["argv"] for rec in GOLDEN["cli"]] == CLI_EXAMPLES
     monkeypatch.chdir(tmp_path)
     for rec in GOLDEN["cli"]:
         assert run_cli(rec["argv"]) == rec, rec["argv"]
+    assert len(dump_spy) >= len(GOLDEN["cli"])
 
 
 def test_library_results_are_byte_identical():

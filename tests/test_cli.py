@@ -1,13 +1,21 @@
 """CLI: exit codes, JSON shape, witness files, determinism."""
 
 import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cli_help_examples import (ARGPARSE_ERRORS, HELP, USAGE_ERRORS,
+                               run_case)
 from conftest import run_cli
 from ncconvex.cli import _dump, main
+from ncconvex.tuples import matrix_to_json
+
+HELP_GOLDEN = json.loads((Path(__file__).parent / "data"
+                          / "cli_help_golden.json").read_text())
 
 
 @pytest.fixture
@@ -116,6 +124,8 @@ def test_axioms_subcommand(run):
 def test_usage_errors_exit_two(tmp_path):
     # the interpreter also exits 2 on some of its own errors, so the CLI's
     # handler must be seen to answer: one `error: ` line, no traceback
+    golden = list(HELP_GOLDEN["usage_errors"])
+    assert [rec["argv"] for rec in golden] == list(USAGE_ERRORS)
     for args in (["eval", "--expr", "x1^"],
                  ["eval", "--expr", "x1"],
                  ["certify", "--preset", "nope"],
@@ -126,6 +136,35 @@ def test_usage_errors_exit_two(tmp_path):
         assert len(lines) == 1 and lines[0].startswith("error: "), \
             (args, r.stderr)
         assert "Traceback" not in r.stderr
+        assert r.stderr == golden.pop(0)["stderr"], args
+
+
+def test_main_builds_only_the_chosen_subcommands_flags(monkeypatch, capsys):
+    # one flag per add_argument: the chosen subcommand's and each -h
+    import argparse
+    added, add = [], argparse._ActionsContainer.add_argument
+
+    def counted(self, *args, **kwargs):
+        added.append(args)
+        return add(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counted)
+    assert main(["eval", "--expr", "x1", "--x-tuple", "identity1"]) == 0
+    assert sorted(set(added) - {("-h", "--help")}) == sorted(
+        [("--expr",), ("--signature",), ("--preset",), ("--series-file",),
+         ("--a-tuple",), ("--x-tuple",), ("--seed",), ("--json-out",),
+         ("--tol",)])
+    assert len(added) == 8 + 9
+
+
+def test_help_and_argparse_errors_are_byte_identical(monkeypatch):
+    # every subcommand's flags are built only when it is the one chosen
+    monkeypatch.setenv("COLUMNS", "80")
+    assert [rec["argv"] for rec in HELP_GOLDEN["help"]] == list(HELP)
+    assert ([rec["argv"] for rec in HELP_GOLDEN["argparse_errors"]]
+            == list(ARGPARSE_ERRORS))
+    for rec in HELP_GOLDEN["help"] + HELP_GOLDEN["argparse_errors"]:
+        assert run_case(rec["argv"]) == rec, rec["argv"]
 
 
 def test_json_out_matches_stdout(run, tmp_path):
@@ -181,6 +220,78 @@ def test_json_output_refuses_non_finite_numbers():
     for bad in (float("inf"), float("-inf"), float("nan")):
         with pytest.raises(ValueError):
             _dump({"min_eig": bad})
+        with pytest.raises(ValueError):
+            _dump({"result": {"n": 2, "entries": [[[0.0, 0.0], [1.0, 0.0]],
+                                                  [[2.0, bad], [3.0, 0.0]]]}})
+
+
+def _stdlib_dump(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+
+
+_FLOATS = (st.floats(allow_nan=False, allow_infinity=False)
+           | st.sampled_from([-0.0, 5e-324, 1e16, 1e-7, 123456789.0]))
+
+
+def _grid(n: int, seed: int, head: list) -> dict:
+    """An n x n matrix of normal draws whose first parts are head."""
+    parts = np.random.default_rng(seed).standard_normal(2 * n * n)
+    parts[:len(head)] = head[:2 * n * n]
+    return matrix_to_json(parts.view(complex).reshape(n, n))
+
+
+_GRIDS = st.builds(_grid, st.integers(1, 9), st.integers(0, 2 ** 32 - 1),
+                   st.lists(_FLOATS, max_size=4))
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | _FLOATS | st.text()
+    | st.sampled_from(["", "\"quoted\"\n\t\\", "\u00e9\u2603\U0001f600",
+                       "\0grid0\0", [], {}]) | _GRIDS,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.text(), kids, max_size=4), max_leaves=12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_JSON)
+def test_dump_matches_the_stdlib_writer(payload):
+    assert _dump(payload) == _stdlib_dump(payload)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 9, 64])
+def test_dump_matches_the_stdlib_writer_on_grids(n):
+    rng = np.random.default_rng(n)
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    m[0, 0] = complex(-0.0, 5e-324)
+    grid = matrix_to_json(m)
+    assert grid == {"n": n, "entries": [[[float(v.real), float(v.imag)]
+                                          for v in row] for row in m]}
+    assert type(grid["entries"][0][0][0]) is float
+    # cells that are not two floats stay with the stdlib writer
+    odd = [[[[1.0, True]]], [[[2, 0.5]]], [[[None, 1.0]]], [[["a", 1.0]]],
+           [[[np.float64(0.1), 1.0]]], [[[1.0, 2.0, 3.0]]], [[[1.0, 2.0]], []]]
+    for payload in ({"result": grid, "schema": "ncconvex/1"},
+                    {"w": {"A": [grid, grid], "X": [[grid["entries"]]]}},
+                    [grid["entries"], 1, "\0grid0\0"], {"odd": odd}):
+        assert _dump(payload) == _stdlib_dump(payload)
+
+
+def test_eval_does_not_expand_the_expression(tmp_path, monkeypatch, capsys):
+    # (x1+x2+x3)^20 has 3^20 words, past TERM_CAP; the plan has 20 steps
+    rng = np.random.default_rng(5)
+    mats = []
+    for _ in range(3):
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        h = (g + g.conj().T) / 2
+        mats.append(h / (3 * np.linalg.norm(h, 2)))
+    x_file = tmp_path / "x.json"
+    x_file.write_text(json.dumps([matrix_to_json(m) for m in mats]))
+    monkeypatch.chdir(tmp_path)
+    code = main(["eval", "--expr", "(x1+x2+x3)^20", "--x-tuple", str(x_file)])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    entries = np.array(json.loads(out)["result"]["entries"])
+    np.testing.assert_allclose(entries[..., 0] + 1j * entries[..., 1],
+                               np.linalg.matrix_power(sum(mats), 20),
+                               rtol=0, atol=1e-9)
 
 
 # -- witness verification by kind ----------------------------------------------

@@ -63,3 +63,39 @@ def test_package_modules_have_no_unused_imports():
              if path.name != "__init__.py"
              for u in unused_imports(path)]
     assert found == []
+
+
+def unreferenced_definitions(paths, exported) -> list:
+    """Top-level functions and classes that no other top-level statement
+    of the given modules names (as a bare name or an attribute) and that
+    `exported` does not list.  A definition naming itself does not count."""
+    defs, uses = [], []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for k, stmt in enumerate(tree.body):
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                defs.append((path, k, stmt))
+            used = _used(stmt) | {node.attr for node in ast.walk(stmt)
+                                  if isinstance(node, ast.Attribute)}
+            uses.append((path, k, used))
+    return sorted(f"{path.stem}.{stmt.name} (line {stmt.lineno})"
+                  for path, k, stmt in defs
+                  if stmt.name not in exported
+                  and not any(stmt.name in used for p, j, used in uses
+                              if (p, j) != (path, k)))
+
+
+def test_checker_flags_an_unreferenced_definition(tmp_path):
+    a, b = tmp_path / "a.py", tmp_path / "b.py"
+    a.write_text("def kept():\n    return helper()\n\n"
+                 "def helper():\n    return 1\n\n"
+                 "def lonely(n):\n    return lonely(n - 1) if n else 0\n\n"
+                 "class Shown:\n    pass\n")
+    b.write_text("from . import a\n\nVALUE = a.kept()\n")
+    assert unreferenced_definitions([a, b], {"Shown"}) == ["a.lonely (line 7)"]
+
+
+def test_package_has_no_unreferenced_definitions():
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert unreferenced_definitions(paths, set(ncconvex.__all__)) == []

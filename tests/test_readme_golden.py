@@ -10,7 +10,7 @@ from readme_examples import EXAMPLES, mismatches, run_example
 GOLDEN = Path(__file__).parent / "data" / "readme_golden.json"
 
 
-def test_readme_examples_match_golden(tmp_path, monkeypatch):
+def test_readme_examples_match_golden(tmp_path, monkeypatch, dump_spy):
     golden = json.loads(GOLDEN.read_text())
     assert [rec["argv"] for rec in golden] == [list(a) for a in EXAMPLES]
     monkeypatch.chdir(tmp_path)
@@ -19,3 +19,4 @@ def test_readme_examples_match_golden(tmp_path, monkeypatch):
         assert code == rec["exit"], rec["argv"]
         bad = mismatches(json.loads(out), rec["stdout"])
         assert not bad, (rec["argv"], bad[:5])
+    assert len(dump_spy) >= len(golden)
