@@ -19,7 +19,7 @@ import numpy as np
 
 from .algebra import NcPowerSeries, Signature
 from .convexity import test_convexity_at_CA, verify_convexity_witness
-from .errors import NcError
+from .errors import NcError, ShapeError
 from .evaluate import (NcFunction, PolynomialNcFunction, SeriesNcFunction,
                        check_nc_function_axioms)
 from .onevar import (DiscreteMeasure, ScalarFn, convexity_test_1var,
@@ -291,7 +291,7 @@ def _verify(args) -> int:
         eig = verify(load(data["function"]), data["witness"])
     except KeyError as exc:
         raise ValueError(f"{kind} witness file lacks {exc}") from exc
-    except (TypeError, IndexError, AttributeError) as exc:
+    except (TypeError, IndexError, AttributeError, ShapeError) as exc:
         raise ValueError(f"{kind} witness file is malformed: {exc}") from exc
     violates = eig < -WITNESS_TOL
     return _emit(args, {"command": f"{command}-verify", "min_eig": eig,

@@ -8,8 +8,10 @@ sampling loop of the package; the falsifiers reach it through _falsify
 and the degree-two certificate of slices.py calls it directly.  It runs
 the samples in chunks of CHUNK, in three phases:
 
-  draw    each sample k takes its raw numbers from its own generator
-          derived_rng(*key, k), in sample order;
+  draw    each sample k takes its raw numbers from its own generator,
+          in sample order.  A chunk's generators are built together by
+          derived_rngs(key, ks), one vectorised seeding pass, and each
+          equals derived_rng(*key, k) bit for bit;
   stack   the client's stage turns a chunk's raw numbers into results
           with stacked numpy calls, once per group of samples of one
           matrix size.  For the falsifiers that is sampling, evaluation
@@ -24,8 +26,9 @@ the samples in chunks of CHUNK, in three phases:
 Stacked numpy calls give every member the bits it gets alone, so the
 outcome does not depend on CHUNK, and live memory is bounded by it, not
 by the sample count.  A chunk whose stacked stage raises runs again one
-sample at a time, each redrawn and evaluated on a one-sample stack, so
-an error names the sample that caused it.
+sample at a time, each redrawn from a fresh derived_rng(*key, k) and
+evaluated on a one-sample stack, so an error names the sample that
+caused it.
 
 Convexity witnesses are shrunk by halving the spread X - Y around the
 fixed mixing point while the violation persists, on the worst trial's
@@ -48,9 +51,9 @@ import numpy as np
 from .errors import DomainError, NcError
 from .evaluate import as_nc_function, hermitian_deviation
 from .tolerances import EVAL_HERMITIAN_TOL, PSD_TOL, WITNESS_TOL
-from .tuples import (HermTuple, ca_element, derived_rng, draw_x_ball,
-                     hermitian_stack, stack_norms, tuple_from_json,
-                     tuple_to_json, x_ball_points)
+from .tuples import (HermTuple, ca_element, derived_rng, derived_rngs,
+                     draw_x_ball, hermitian_stack, stack_norms,
+                     tuple_from_json, tuple_to_json, x_ball_points)
 
 # trials per stacked chunk: large enough that per-call overhead is
 # shared, small enough that a chunk's matrices stay a few hundred kB
@@ -131,12 +134,11 @@ def _run_chunk(key: tuple, ks: range, draw, stage, group_by):
     here.
     """
     samples, error = [], None
-    for k in ks:
-        try:
-            samples.append(draw(derived_rng(*key, k), k))
-        except Exception as exc:        # later samples are never reached
-            error = exc
-            break
+    try:
+        for k, rng in zip(ks, derived_rngs(key, ks)):
+            samples.append(draw(rng, k))
+    except Exception as exc:            # later samples are never reached
+        error = exc
     results = []
     if samples:
         try:

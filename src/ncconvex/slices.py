@@ -26,9 +26,10 @@ extract_slice_coefficients is its one-sample call.  The certificate's
 slice samples run on the sampling core of convexity.py, in its three
 phases:
 
-  draw    sample k takes, from derived_rng(seed, 7919, k), the Ginibre
-          block of its Haar unitary, its x-ball block and radius, then
-          its direction v;
+  draw    sample k takes, from its stream derived_rng(seed, 7919, k),
+          the Ginibre block of its Haar unitary, its x-ball block and
+          radius, then its direction v; a chunk's streams are built
+          together and equal those of derived_rng;
   stack   the samples of one multiplicity m are lifted to
           U*(I_m (x) A)U, sampled in the x-ball and extracted as one
           stack: one Horner plan run per homogeneous part on the exact

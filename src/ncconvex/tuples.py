@@ -17,24 +17,157 @@ the same arithmetic, bit for bit, that one sample gets alone.
 
 from __future__ import annotations
 
+import functools
+import operator
+
 import numpy as np
 
 from .errors import ShapeError, SignatureError, UnitarityError
 from .tolerances import CA_UNITARY_TOL, HERMITIAN_INGEST_TOL, UNITARY_TOL
 
 
-def derived_rng(*key) -> np.random.Generator:
-    """Generator seeded by an integer key path; identical keys give
-    identical streams, distinct keys are statistically independent.
-    Tuple segments flatten, so composite seeds like (base, level)
-    thread through unchanged."""
+def _key_words(key) -> list:
+    """The seed words of a key path: tuple segments flatten one level
+    and every integer is masked to 32 bits."""
     flat = []
     for k in key:
         if isinstance(k, (tuple, list)):
             flat.extend(k)
         else:
             flat.append(k)
-    return np.random.default_rng([int(k) & 0xFFFFFFFF for k in flat])
+    return [int(k) & 0xFFFFFFFF for k in flat]
+
+
+def derived_rng(*key) -> np.random.Generator:
+    """Generator seeded by an integer key path; identical keys give
+    identical streams, distinct keys are statistically independent.
+    Tuple segments flatten, so composite seeds like (base, level)
+    thread through unchanged.  Sampling loops build a chunk's streams
+    together with derived_rngs, which gives the same streams."""
+    return np.random.default_rng(_key_words(key))
+
+
+# numpy's SeedSequence (NEP 19 keeps it stable): pool size, hashmix
+# and mix constants, all arithmetic wrapping uint32
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_SHIFT = np.uint32(16)
+# fewer keys than this are seeded one by one: the vector pass costs
+# about as much as a few default_rng calls, whatever the key count
+_BATCH_MIN = 8
+
+
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """The hash constant before and after each of count hashmix calls,
+    as a (count + 1, 1) column."""
+    h = [init]
+    for _ in range(count):
+        h.append(h[-1] * mult & 0xFFFFFFFF)
+    return np.array(h, dtype=np.uint32)[:, None]
+
+
+@functools.cache
+def _mix_plan(L: int) -> tuple:
+    """The key-independent part of SeedSequence's pool mixing for keys
+    of L words: the hashmix constants of each step, in the order the
+    steps use them, and the pool words each cross-mix source feeds."""
+    h = _hash_consts(_INIT_A, _MULT_A, _POOL * (_POOL - 1)
+                     + _POOL * max(L, _POOL))
+    steps, j = [], _POOL
+    for src in range(_POOL):
+        dst = np.array([d for d in range(_POOL) if d != src])
+        steps.append((src, dst, h[j:j + _POOL - 1], h[j + 1:j + _POOL]))
+        j += _POOL - 1
+    extra = []
+    for src in range(_POOL, L):
+        extra.append((src, h[j:j + _POOL], h[j + 1:j + _POOL + 1]))
+        j += _POOL
+    out = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL)
+    return (h[:_POOL], h[1:_POOL + 1]), steps, extra, (out[:-1], out[1:])
+
+
+def _hashmix(v: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    v = (v ^ xor) * mult
+    return v ^ (v >> _SHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = _MIX_L * x - _MIX_R * y
+    return r ^ (r >> _SHIFT)
+
+
+def _seed_states(words: np.ndarray) -> np.ndarray:
+    """SeedSequence(row).generate_state(4, np.uint64) for every row of a
+    (c, L) uint32 array, as a (c, 4) uint64 array: the pool fill, the
+    cross-mix and the mixing of words past the pool run on all rows at
+    once, one vector op per step."""
+    L = words.shape[1]
+    fill, steps, extra, out = _mix_plan(L)
+    w = words.T
+    pool = np.zeros((_POOL, len(words)), dtype=np.uint32)
+    pool[:min(L, _POOL)] = w[:_POOL]
+    pool = _hashmix(pool, *fill)
+    for src, dst, xor, mult in steps:
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], xor, mult))
+    for src, xor, mult in extra:
+        pool = _mix(pool, _hashmix(w[src], xor, mult))
+    state = _hashmix(np.concatenate([pool, pool]), *out)
+    # words pair into uint64 little-endian first, as generate_state does
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(
+        np.uint64)
+
+
+@functools.cache
+def _fixed_state_type() -> type:
+    """A seed sequence whose PCG64 state words are already computed.
+    Defined on first use: numpy loads numpy.random lazily, and importing
+    the package must not load it."""
+
+    class FixedState(np.random.bit_generator.ISeedSequence):
+        def __init__(self, state: np.ndarray):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state
+
+    return FixedState
+
+
+def _generators(words: np.ndarray) -> list:
+    fixed = _fixed_state_type()
+    return [np.random.Generator(np.random.PCG64(fixed(s)))
+            for s in _seed_states(words)]
+
+
+@functools.cache
+def _vector_seeding_ok() -> bool:
+    """Whether _generators matches np.random.default_rng on this numpy,
+    checked once, on first use, on keys of 1, 3 and 8 words."""
+    rows = ([[0], [0xFFFFFFFF]], [[7, 1, 2], [0, 0x80000000, 5]],
+            [list(range(8)), [0xFFFFFFFF] * 8])
+    for keys in rows:
+        for key, rng in zip(keys, _generators(np.array(keys, np.uint32))):
+            if (rng.bit_generator.state
+                    != np.random.default_rng(key).bit_generator.state):
+                return False
+    return True
+
+
+def derived_rngs(prefix, ks) -> list:
+    """[derived_rng(*prefix, k) for k in ks], the same streams bit for
+    bit, built together: the SeedSequence mixing of all the keys runs as
+    one vector pass and each PCG64 is seeded from its state words.  Short
+    runs of keys, and a numpy whose seeding the first-use self-check
+    does not reproduce, take derived_rng one key at a time."""
+    if len(ks) < _BATCH_MIN or not _vector_seeding_ok():
+        return [derived_rng(*prefix, k) for k in ks]
+    head = _key_words(prefix)
+    words = np.empty((len(ks), len(head) + 1), dtype=np.uint32)
+    words[:, :-1] = head
+    words[:, -1] = [int(k) & 0xFFFFFFFF for k in ks]
+    return _generators(words)
 
 
 def as_rng(seed) -> np.random.Generator:
@@ -415,11 +548,27 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 
 def matrix_from_json(data: dict) -> np.ndarray:
-    n = int(data["n"])
-    m = np.array([[complex(c[0], c[1]) for c in row] for row in data["entries"]],
-                 dtype=complex)
+    """The n x n complex matrix of {"n": n, "entries": n rows of n
+    [re, im] number pairs}; JSON of any other shape raises ShapeError.
+    A JSON null or string is no number here, although numpy's float
+    conversion would take null for NaN and "1" for 1.0."""
+    if not isinstance(data, dict) or not {"n", "entries"} <= data.keys():
+        raise ShapeError("matrix JSON must be an object with 'n' and "
+                         "'entries'")
+    try:
+        n = operator.index(data["n"])   # no float or string is truncated
+    except TypeError:
+        raise ShapeError(f"matrix JSON 'n' must be an integer, "
+                         f"got {data['n']!r}") from None
+    try:
+        m = np.array([[complex(re, im) for re, im in row]
+                      for row in data["entries"]], dtype=complex)
+    except (TypeError, ValueError):     # a cell not a pair of numbers
+        raise ShapeError("matrix JSON entries must be rows of [re, im] "
+                         "number pairs") from None
     if m.shape != (n, n):
-        raise ShapeError(f"matrix JSON declares n={n} but entries are {m.shape}")
+        raise ShapeError(f"matrix JSON declares n={n} but entries are "
+                         f"{m.shape}")
     return m
 
 
@@ -432,4 +581,7 @@ def tuple_from_json(data, kind: str = "x", n: int | None = None) -> HermTuple:
     """Accepts a list of per-matrix objects or a single matrix object."""
     if isinstance(data, dict):
         data = [data]
+    if not isinstance(data, (list, tuple)):
+        raise ShapeError("tuple JSON must be a list of matrix objects or "
+                         "one matrix object")
     return HermTuple([matrix_from_json(d) for d in data], kind=kind, n=n)

@@ -139,6 +139,21 @@ def test_usage_errors_exit_two(tmp_path):
         assert r.stderr == golden.pop(0)["stderr"], args
 
 
+@pytest.mark.parametrize("doc, message", [
+    ([[[1.0]]], "must be an object with 'n' and 'entries'"),
+    ([{"n": 1, "entries": [[[1.0]]]}], "rows of [re, im] number pairs"),
+    ({"n": 1}, "must be an object with 'n' and 'entries'"),
+    ([{"n": 1, "entries": [[["a", 0.0]]]}], "rows of [re, im] number pairs"),
+])
+def test_malformed_tuple_file_exits_two(doc, message, run, tmp_path):
+    # these escaped as TypeError, IndexError and KeyError tracebacks
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    r = run(["eval", "--expr", "x1", "--x-tuple", str(path)])
+    assert r.returncode == 2 and r.stdout == ""
+    assert message in _one_error_line(r.stderr)
+
+
 def test_main_builds_only_the_chosen_subcommands_flags(monkeypatch, capsys):
     # one flag per add_argument: the chosen subcommand's and each -h
     import argparse

@@ -7,6 +7,9 @@ annotations and quoted forward references such as `-> "HermTuple"`.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import ncconvex
@@ -99,3 +102,15 @@ def test_checker_flags_an_unreferenced_definition(tmp_path):
 def test_package_has_no_unreferenced_definitions():
     paths = sorted(PACKAGE.glob("*.py"))
     assert unreferenced_definitions(paths, set(ncconvex.__all__)) == []
+
+
+def test_package_import_loads_no_more_of_numpy():
+    # numpy loads numpy.random on first use; the package defers it to
+    # its first generator, so every process start stays as cheap
+    code = ("import sys, numpy; before = set(sys.modules); import ncconvex; "
+            "print(sorted(m for m in set(sys.modules) - before "
+            "if m.startswith('numpy.random')))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True).stdout
+    assert out.strip() == "[]"

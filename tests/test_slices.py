@@ -398,19 +398,57 @@ def test_certify_extracts_each_multiplicity_of_a_chunk_in_one_call():
 
 
 def test_certify_outcome_does_not_depend_on_the_chunk(monkeypatch):
+    # chunks of 5 seed their streams key by key, chunks of CHUNK in one
+    # vector pass; both runs must agree on every trial
     def run():
-        return [certify_degree_two(
+        reps = [certify_degree_two(
             F, A, eps, samples=70, trials=10, seed=93,
-            multiplicities=(2, 1, 3), degree_cap=cap).to_json_dict()
+            multiplicities=(2, 1, 3), degree_cap=cap)
             for F, A, eps, cap in (
                 (get_preset("mixed-ax").make(),
                  random_base_tuple(1, 2, derived_rng(93)), 0.5, 8),
                 (get_preset("kraus-halfmass").make(), _empty_a(2), 1.0, 3))]
+        return [(r.to_json_dict(), r.convexity.trial_min_eigs) for r in reps]
 
     reference = run()
-    assert reference[1]["skipped"] > 0 and reference[1]["witness"]
+    assert reference[1][0]["skipped"] > 0 and reference[1][0]["witness"]
     monkeypatch.setattr(convexity, "CHUNK", 5)
     assert run() == reference
+
+
+def _draw_stream(rng, k):
+    return k, rng.bit_generator.state, rng.standard_normal(3).tolist()
+
+
+def test_sampled_draws_the_same_streams_on_both_seeding_paths(monkeypatch):
+    # chunks of 5 seed key by key, chunks of CHUNK in one vector pass
+    def run():
+        return list(convexity._sampled((97, (3, 1)), 2 * CHUNK + 3,
+                                       _draw_stream, lambda s: s))
+
+    reference = run()
+    assert [r for _, r in reference] == [
+        _draw_stream(derived_rng(97, (3, 1), k), k)
+        for k in range(2 * CHUNK + 3)]
+    monkeypatch.setattr(convexity, "CHUNK", 5)
+    assert run() == reference
+
+
+def test_sampled_replays_a_raising_chunk_from_fresh_generators():
+    # the stacked stage raises, so every sample is drawn again alone; a
+    # reused generator would hand the replay its stream's later numbers
+    stacks = []
+
+    def stage(samples):
+        stacks.append(len(samples))
+        if len(samples) > 1:
+            raise RuntimeError("stacked stage fails")
+        return samples
+
+    got = list(convexity._sampled((98,), CHUNK, _draw_stream, stage))
+    assert stacks == [CHUNK] + [1] * CHUNK
+    assert [r for _, r in got] == [_draw_stream(derived_rng(98, k), k)
+                                   for k in range(CHUNK)]
 
 
 def test_certify_stacks_are_bounded_by_the_chunk():

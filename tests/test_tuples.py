@@ -7,8 +7,10 @@ from ncconvex import (HermTuple, Signature, ca_element, derived_rng,
                       haar_unitary, identity_tuple, random_hermitian,
                       sample_x_ball, tuple_from_json, tuple_norm,
                       tuple_to_json)
+import ncconvex.tuples as tuples
 from ncconvex.errors import ShapeError, UnitarityError
-from ncconvex.tuples import _check_unitary, ca_lift
+from ncconvex.tuples import (_check_unitary, ca_lift, derived_rngs,
+                             matrix_from_json)
 
 
 def shuffle_permutation(m: int, k: int) -> np.ndarray:
@@ -173,6 +175,92 @@ def test_tuple_json_round_trip():
     back = tuple_from_json(tuple_to_json(T), kind="x")
     for a, b in zip(T.entries, back.entries):
         np.testing.assert_allclose(a, b, atol=1e-15)
+
+
+def test_matrix_from_json_keeps_every_bit_of_the_per_entry_build():
+    # the old build, complex(re, im) per entry, is the oracle: ints,
+    # bools, signed zeros, subnormals and large values keep their bits
+    entries = [[[-0.0, 0.0], [1, -0.0], [True, 5e-324]],
+               [[0.1, -1e300], [2 ** 63, -7], [0.0, -0.0]],
+               [[-2.5, 1e-310], [False, 3], [1e16 + 1, -0.0]]]
+    want = np.array([[complex(c[0], c[1]) for c in row] for row in entries])
+    got = matrix_from_json({"n": 3, "entries": entries})
+    assert got.shape == (3, 3) and got.dtype == complex
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("data, message", [
+    ([[1.0]], "must be an object with 'n' and 'entries'"),
+    ({"n": 1}, "must be an object with 'n' and 'entries'"),
+    ({"n": None, "entries": [[[1.0, 0.0]]]}, "'n' must be an integer"),
+    ({"n": 1.9, "entries": [[[1.0, 0.0]]]}, "'n' must be an integer"),
+    ({"n": "1", "entries": [[[1.0, 0.0]]]}, "'n' must be an integer"),
+    ({"n": 1, "entries": 5}, "pairs"),
+    ({"n": 1, "entries": [5]}, "pairs"),
+    ({"n": 1, "entries": [[[1.0]]]}, "pairs"),
+    ({"n": 1, "entries": [[[1.0, 0.0, 2.0]]]}, "pairs"),
+    ({"n": 2, "entries": [[[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0]]]}, "pairs"),
+    ({"n": 1, "entries": [[["a", 0.0]]]}, "pairs"),
+    ({"n": 1, "entries": [[["1", 0.0]]]}, "pairs"),
+    ({"n": 1, "entries": [[[0.0, "1"]]]}, "pairs"),
+    ({"n": 1, "entries": [[[None, 0.0]]]}, "pairs"),
+    ({"n": 2, "entries": [[[1.0, 0.0]]]}, r"n=2 but entries are \(1, 1\)"),
+])
+def test_matrix_from_json_refuses_malformed_json(data, message):
+    with pytest.raises(ShapeError, match=message):
+        matrix_from_json(data)
+
+
+def test_tuple_from_json_refuses_a_bare_number():
+    with pytest.raises(ShapeError, match="list of matrix objects"):
+        tuple_from_json(5)
+
+
+def _stream(rng):
+    return rng.bit_generator.state, rng.standard_normal(20).tolist()
+
+
+@pytest.mark.parametrize("prefix", [
+    (7,), (0, 2 ** 32 - 1), (2 ** 32 + 5, -1, 3), (1, 2, 3, 4),
+    (9, 8, 7, 6, 5), (2 ** 31,) * 6, tuple(range(7)), tuple(range(1, 9)),
+    ((11, 2),), ((11, 2), 4)])
+@pytest.mark.parametrize("count", [1, 7, 8, 64])
+def test_derived_rngs_equal_derived_rng(prefix, count):
+    # keys wrap like derived_rng's words, past the pool of 4 words too
+    ks = [0, 2 ** 32 - 1, 2 ** 32 + 5, -1, 2 ** 31] + list(range(5, 64))
+    ks = ks[:count]
+    got = derived_rngs(prefix, ks)
+    assert len(got) == count
+    for k, rng in zip(ks, got):
+        assert _stream(rng) == _stream(derived_rng(*prefix, k)), (prefix, k)
+
+
+def test_vector_seeding_self_check_passes_on_this_numpy():
+    # a failing check would leave every chunk on the slow per-key path
+    tuples._vector_seeding_ok.cache_clear()
+    try:
+        assert tuples._vector_seeding_ok()
+    finally:
+        tuples._vector_seeding_ok.cache_clear()
+
+
+def test_vector_seeding_mismatch_falls_back_to_derived_rng(monkeypatch):
+    seed_states = tuples._seed_states
+
+    def one_word_off(words):
+        out = seed_states(words)
+        out[:, 2] ^= np.uint64(1)
+        return out
+
+    monkeypatch.setattr(tuples, "_seed_states", one_word_off)
+    tuples._vector_seeding_ok.cache_clear()
+    try:
+        got = derived_rngs((5, 6), range(64))
+        assert not tuples._vector_seeding_ok()
+    finally:
+        tuples._vector_seeding_ok.cache_clear()
+    for k, rng in zip(range(64), got):
+        assert _stream(rng) == _stream(derived_rng(5, 6, k))
 
 
 def test_mixed_size_rejected():
