@@ -135,7 +135,10 @@ def _parse_measure(text: str) -> DiscreteMeasure:
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ShapeError(f"JSON in {path} is nested too deeply") from None
 
 
 def _tuple_from_arg(value: str, kind: str, g: int,

@@ -54,9 +54,6 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _SHIFT = np.uint32(16)
-# fewer keys than this are seeded one by one: the vector pass costs
-# about as much as a few default_rng calls, whatever the key count
-_BATCH_MIN = 8
 
 
 def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
@@ -144,24 +141,30 @@ def _generators(words: np.ndarray) -> list:
 @functools.cache
 def _vector_seeding_ok() -> bool:
     """Whether _generators matches np.random.default_rng on this numpy,
-    checked once, on first use, on keys of 1, 3 and 8 words."""
+    checked once, on first use, on keys of 1, 3 and 8 words.  An error
+    while building or comparing the generators (a numpy whose private
+    seeding API moved) counts as a mismatch."""
     rows = ([[0], [0xFFFFFFFF]], [[7, 1, 2], [0, 0x80000000, 5]],
             [list(range(8)), [0xFFFFFFFF] * 8])
-    for keys in rows:
-        for key, rng in zip(keys, _generators(np.array(keys, np.uint32))):
-            if (rng.bit_generator.state
-                    != np.random.default_rng(key).bit_generator.state):
-                return False
+    try:
+        for keys in rows:
+            for key, rng in zip(keys,
+                                _generators(np.array(keys, np.uint32))):
+                if (rng.bit_generator.state
+                        != np.random.default_rng(key).bit_generator.state):
+                    return False
+    except Exception:
+        return False
     return True
 
 
 def derived_rngs(prefix, ks) -> list:
     """[derived_rng(*prefix, k) for k in ks], the same streams bit for
     bit, built together: the SeedSequence mixing of all the keys runs as
-    one vector pass and each PCG64 is seeded from its state words.  Short
-    runs of keys, and a numpy whose seeding the first-use self-check
-    does not reproduce, take derived_rng one key at a time."""
-    if len(ks) < _BATCH_MIN or not _vector_seeding_ok():
+    one vector pass and each PCG64 is seeded from its state words.  A
+    numpy whose seeding the first-use self-check does not reproduce
+    takes derived_rng one key at a time."""
+    if not _vector_seeding_ok():
         return [derived_rng(*prefix, k) for k in ks]
     head = _key_words(prefix)
     words = np.empty((len(ks), len(head) + 1), dtype=np.uint32)
@@ -563,7 +566,8 @@ def matrix_from_json(data: dict) -> np.ndarray:
     try:
         m = np.array([[complex(re, im) for re, im in row]
                       for row in data["entries"]], dtype=complex)
-    except (TypeError, ValueError):     # a cell not a pair of numbers
+    except (TypeError, ValueError, OverflowError):
+        # a cell not a pair of numbers, or an int past the float range
         raise ShapeError("matrix JSON entries must be rows of [re, im] "
                          "number pairs") from None
     if m.shape != (n, n):

@@ -144,14 +144,26 @@ def test_usage_errors_exit_two(tmp_path):
     ([{"n": 1, "entries": [[[1.0]]]}], "rows of [re, im] number pairs"),
     ({"n": 1}, "must be an object with 'n' and 'entries'"),
     ([{"n": 1, "entries": [[["a", 0.0]]]}], "rows of [re, im] number pairs"),
+    ([{"n": 1, "entries": [[[10 ** 400, 0]]]}],
+     "rows of [re, im] number pairs"),
 ])
 def test_malformed_tuple_file_exits_two(doc, message, run, tmp_path):
-    # these escaped as TypeError, IndexError and KeyError tracebacks
+    # these escaped as TypeError, IndexError, KeyError and OverflowError
+    # tracebacks
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     r = run(["eval", "--expr", "x1", "--x-tuple", str(path)])
     assert r.returncode == 2 and r.stdout == ""
     assert message in _one_error_line(r.stderr)
+
+
+def test_too_deeply_nested_tuple_file_exits_two(run, tmp_path):
+    # json.load raised RecursionError past the interpreter's depth limit
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    r = run(["eval", "--expr", "x1", "--x-tuple", str(path)])
+    assert r.returncode == 2 and r.stdout == ""
+    assert "nested too deeply" in _one_error_line(r.stderr)
 
 
 def test_main_builds_only_the_chosen_subcommands_flags(monkeypatch, capsys):

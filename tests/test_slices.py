@@ -398,8 +398,7 @@ def test_certify_extracts_each_multiplicity_of_a_chunk_in_one_call():
 
 
 def test_certify_outcome_does_not_depend_on_the_chunk(monkeypatch):
-    # chunks of 5 seed their streams key by key, chunks of CHUNK in one
-    # vector pass; both runs must agree on every trial
+    # chunks of 5 and of CHUNK must agree on every trial
     def run():
         reps = [certify_degree_two(
             F, A, eps, samples=70, trials=10, seed=93,
@@ -421,7 +420,8 @@ def _draw_stream(rng, k):
 
 
 def test_sampled_draws_the_same_streams_on_both_seeding_paths(monkeypatch):
-    # chunks of 5 seed key by key, chunks of CHUNK in one vector pass
+    # the vector pass at chunks of CHUNK and of 5, and the per-key
+    # fallback a failed seeding self-check takes, give the same streams
     def run():
         return list(convexity._sampled((97, (3, 1)), 2 * CHUNK + 3,
                                        _draw_stream, lambda s: s))
@@ -431,6 +431,8 @@ def test_sampled_draws_the_same_streams_on_both_seeding_paths(monkeypatch):
         _draw_stream(derived_rng(97, (3, 1), k), k)
         for k in range(2 * CHUNK + 3)]
     monkeypatch.setattr(convexity, "CHUNK", 5)
+    assert run() == reference
+    monkeypatch.setattr("ncconvex.tuples._vector_seeding_ok", lambda: False)
     assert run() == reference
 
 

@@ -204,6 +204,7 @@ def test_matrix_from_json_keeps_every_bit_of_the_per_entry_build():
     ({"n": 1, "entries": [[["1", 0.0]]]}, "pairs"),
     ({"n": 1, "entries": [[[0.0, "1"]]]}, "pairs"),
     ({"n": 1, "entries": [[[None, 0.0]]]}, "pairs"),
+    ({"n": 1, "entries": [[[10 ** 400, 0.0]]]}, "pairs"),
     ({"n": 2, "entries": [[[1.0, 0.0]]]}, r"n=2 but entries are \(1, 1\)"),
 ])
 def test_matrix_from_json_refuses_malformed_json(data, message):
@@ -261,6 +262,22 @@ def test_vector_seeding_mismatch_falls_back_to_derived_rng(monkeypatch):
         tuples._vector_seeding_ok.cache_clear()
     for k, rng in zip(range(64), got):
         assert _stream(rng) == _stream(derived_rng(5, 6, k))
+
+
+def test_vector_seeding_error_falls_back_to_derived_rng(monkeypatch):
+    # a numpy whose private seeding API moved must not break sampling
+    def moved_api(words):
+        raise TypeError("ISeedSequence is gone")
+
+    monkeypatch.setattr(tuples, "_generators", moved_api)
+    tuples._vector_seeding_ok.cache_clear()
+    try:
+        got = derived_rngs((5, (6, 7)), range(9))
+        assert not tuples._vector_seeding_ok()
+    finally:
+        tuples._vector_seeding_ok.cache_clear()
+    for k, rng in zip(range(9), got):
+        assert _stream(rng) == _stream(derived_rng(5, (6, 7), k))
 
 
 def test_mixed_size_rejected():
