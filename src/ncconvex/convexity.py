@@ -24,11 +24,11 @@ the samples in chunks of CHUNK, in three phases:
           from the worst trial.
 
 Stacked numpy calls give every member the bits it gets alone, so the
-outcome does not depend on CHUNK, and live memory is bounded by it, not
-by the sample count.  A chunk whose stacked stage raises runs again one
-sample at a time, each redrawn from a fresh derived_rng(*key, k) and
-evaluated on a one-sample stack, so an error names the sample that
-caused it.
+outcome does not depend on CHUNK, and live memory is bounded by it (a
+few MB, see CHUNK), not by the sample count.  A chunk whose stacked stage raises runs again one
+sample at a time, up to CHUNK of them, each redrawn from a fresh
+derived_rng(*key, k) and evaluated on a one-sample stack, so an error
+names the sample that caused it.
 
 Convexity witnesses are shrunk by halving the spread X - Y around the
 fixed mixing point while the violation persists, on the worst trial's
@@ -56,8 +56,12 @@ from .tuples import (HermTuple, ca_element, derived_rng, derived_rngs,
                      tuple_from_json, tuple_to_json, x_ball_points)
 
 # trials per stacked chunk: large enough that per-call overhead is
-# shared, small enough that a chunk's matrices stay a few hundred kB
-CHUNK = 64
+# shared (a 200-sample certify runs one stack per multiplicity), small
+# enough that a chunk stays a few MB.  The largest stacks are the
+# (c, 18, n, n) node values of a Kraus DFT extraction: 200 certify
+# samples over m = 1, 2, 3 (n up to 6) peak at about 4 MB under
+# tracemalloc, 256 samples all at n = 6 at about 14 MB
+CHUNK = 256
 _LEVEL_SALT = 999983
 
 

@@ -27,21 +27,27 @@ slice samples run on the sampling core of convexity.py, in its three
 phases:
 
   draw    sample k takes, from its stream derived_rng(seed, 7919, k),
-          the Ginibre block of its Haar unitary, its x-ball block and
-          radius, then its direction v; a chunk's streams are built
-          together and equal those of derived_rng;
+          one normal draw for the Ginibre block of its Haar unitary and
+          its x-ball block, the ball radius, then one normal draw for
+          its direction v; a chunk's streams are built together and
+          equal those of derived_rng;
   stack   the samples of one multiplicity m are lifted to
           U*(I_m (x) A)U, sampled in the x-ball and extracted as one
           stack: one Horner plan run per homogeneous part on the exact
-          route, one F.at_scales call on the DFT route;
-  replay  the samples are walked in order for the largest coefficient
-          above degree two, the skips and the witness.
+          route, one F.at_scales call on the DFT route; the stack then
+          yields each sample's largest |c_i| above degree two and the
+          first i that reaches it;
+  replay  the samples are walked in order, one comparison each, for
+          the largest coefficient above degree two, the skips and the
+          witness.
 
 A sample that the extractor refuses (ExtractionError, DomainError) is
-skipped and counted.  When a stack raises, its chunk runs again one
-sample at a time, so such an error from inside F still skips only its
-own sample and any other error is raised at the sample that causes it.
-A black box F must therefore be pure under certify too.
+skipped and counted; coefficients that are not finite are refused, so
+a black box that returns NaN cannot pass.  When a stack raises, its
+chunk runs again one sample at a time, so such an error from inside F
+still skips only its own sample and any other error is raised at the
+sample that causes it.  A black box F must therefore be pure under
+certify too.
 
 The slice-transfer tester runs on the same core and evaluates each
 chunk's slice matrices through one F.at_points call per size of T.
@@ -60,8 +66,7 @@ from .errors import DomainError, ExtractionError
 from .evaluate import as_nc_function, eval_poly
 from .tolerances import COEFF_ZERO_TOL, EXTRACTION_RESIDUAL_TOL
 from .tuples import (HermTuple, _letters, ca_lift, draw_spectral,
-                     draw_x_ball, matrix_to_json, spectral_lift, stack_norms,
-                     x_ball_points)
+                     matrix_to_json, spectral_lift, stack_norms, x_ball_points)
 
 VERDICT_CONSISTENT = "CONSISTENT_DEGREE_LE_2"
 VERDICT_HYPOTHESIS_FAILS = "HYPOTHESIS_FAILS"
@@ -156,6 +161,22 @@ def slice_matrix(F, A: HermTuple, X: HermTuple, v, T: np.ndarray) -> np.ndarray:
     return P if T.ndim == 3 else P[0]
 
 
+def _magnitudes(C: np.ndarray) -> np.ndarray:
+    """|c| of each entry of a complex array with the bits abs(complex)
+    gives it; np.abs rounds differently in the last bit."""
+    return np.hypot(C.real, C.imag)
+
+
+def _finite_rows(C: np.ndarray) -> list:
+    """Per row of a coefficient stack, whether every |c_i| is finite (a
+    magnitude past the float range counts as not finite)."""
+    with np.errstate(over="ignore"):
+        return np.isfinite(_magnitudes(C)).all(axis=-1).tolist()
+
+
+_NOT_FINITE = "the slice coefficients are not finite"
+
+
 @dataclass
 class SliceCoefficients:
     coeffs: np.ndarray
@@ -173,7 +194,8 @@ def _extract(F, A: np.ndarray, X: np.ndarray, vs, degree_cap: int,
     (c, g_a, n, n) and X (c, g_x, n, n) arrays and c direction vectors
     vs, each normalized on ingest.  Returns per sample its
     SliceCoefficients, or the ExtractionError or DomainError that
-    refuses it; any other error raises for the whole stack."""
+    refuses it, non-finite coefficients included; any other error
+    raises for the whole stack."""
     if degree_cap < 2:
         raise ValueError("degree_cap must be >= 2")
     # one vector at a time: the norms of a stack differ in the last bit
@@ -188,7 +210,9 @@ def _extract(F, A: np.ndarray, X: np.ndarray, vs, degree_cap: int,
             coeffs[:, i] = _compress(V, eval_poly(parts[i], a, x,
                                                   n=V.shape[1]))
         return [SliceCoefficients(coeffs=c, method="exact", radius=None,
-                                  residual=None) for c in coeffs]
+                                  residual=None)
+                if ok else ExtractionError(_NOT_FINITE)
+                for c, ok in zip(coeffs, _finite_rows(coeffs))]
 
     r = 0.5 if radius is None else float(radius)
     if r <= 0:
@@ -210,12 +234,19 @@ def _extract(F, A: np.ndarray, X: np.ndarray, vs, degree_cap: int,
     # (c, d+1) @ (d+1, d+1) product rounds differently
     predicted = (powers @ coeffs[..., None])[..., 0]
     residuals = np.max(np.abs(predicted - actual), axis=-1).tolist()
-    return [err or (ExtractionError(
-        f"interpolation residual {res:.3e} exceeds "
-        f"{EXTRACTION_RESIDUAL_TOL}; raise degree_cap or shrink radius")
-        if res > EXTRACTION_RESIDUAL_TOL else
-        SliceCoefficients(coeffs=c, method="dft", radius=r, residual=res))
-        for err, c, res in zip(refused, coeffs, residuals)]
+    out = []
+    for err, c, ok, res in zip(refused, coeffs, _finite_rows(coeffs),
+                               residuals):
+        if err is None and not ok:
+            err = ExtractionError(_NOT_FINITE)
+        elif err is None and not res <= EXTRACTION_RESIDUAL_TOL:  # NaN too
+            err = ExtractionError(
+                f"interpolation residual {res:.3e} exceeds "
+                f"{EXTRACTION_RESIDUAL_TOL}; raise degree_cap or shrink "
+                "radius")
+        out.append(err or SliceCoefficients(coeffs=c, method="dft",
+                                            radius=r, residual=res))
+    return out
 
 
 def extract_slice_coefficients(F, A: HermTuple, X: HermTuple, v,
@@ -280,6 +311,20 @@ def test_slice_convexity_transfer(F, A: HermTuple, X: HermTuple, v,
                     "slice_convexity_transfer", group_by=lambda s: s[0])
 
 
+def _draw_slice_sample(rng, n: int, g: int, ball_radius: float) -> tuple:
+    """(Haar block, (x-ball parts, radius), v) of one certify sample at
+    size n: the numbers of ca_element's Ginibre block, of
+    draw_x_ball(g, n, ball_radius, 1, rng) and of v's real and imaginary
+    parts, in that order.  A generator's normals do not depend on how a
+    run of them is split between calls, so one normal draw for the two
+    blocks and one for v give the values and final state of the
+    separate draws."""
+    z = rng.standard_normal((1 + g) * 2 * n * n).reshape(1 + g, 2, n, n)
+    radius = rng.uniform(0.0, ball_radius) if g else 0.0
+    w = rng.standard_normal(2 * n)
+    return z[0], (z[1:], radius), w[:n] + 1j * w[n:]
+
+
 @dataclass
 class CertificationReport:
     verdict: str
@@ -323,8 +368,9 @@ def certify_degree_two(F, A: HermTuple, epsilon: float, samples: int = 50,
     failure short-circuits to HYPOTHESIS_FAILS with the witness.  Stage
     2 extracts slice coefficients at sampled (alpha, X, v) with X in
     the epsilon/2-ball and flags any |c_i| > coeff_tol for i > 2.
-    Extraction errors skip the sample and are counted, never silently
-    absorbed into a verdict.
+    Extraction errors, non-finite coefficients among them, skip the
+    sample and are counted, never silently absorbed into a verdict; a
+    run whose every sample is skipped raises ExtractionError.
     """
     F = as_nc_function(F)
     if samples < 1:
@@ -339,17 +385,12 @@ def certify_degree_two(F, A: HermTuple, epsilon: float, samples: int = 50,
             degree_cap=degree_cap, coeff_tol=coeff_tol,
             witness=convexity.witness)
 
-    sig = F.signature
+    g = F.signature.g_x
     extraction_radius = epsilon / 4.0
 
     def draw(rng, k):
         m = int(multiplicities[k % len(multiplicities)])
-        n = A.n * m
-        # ca_element's Ginibre block, sample_x_ball's numbers, then v
-        haar = rng.standard_normal((2, n, n))
-        ball = draw_x_ball(sig.g_x, n, epsilon / 2.0, 1, rng)[0]
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        return m, haar, ball, v
+        return (m, *_draw_slice_sample(rng, A.n * m, g, epsilon / 2.0))
 
     def stage(group):
         # the core hands over one multiplicity at a time
@@ -363,8 +404,20 @@ def certify_degree_two(F, A: HermTuple, epsilon: float, samples: int = 50,
             if len(group) > 1:
                 raise
             out = [exc]
-        return [None if isinstance(sc, Exception) else (sc, m, x, v)
-                for sc, m, x, v in zip(out, ms, X, vs)]
+        kept = [j for j, sc in enumerate(out)
+                if not isinstance(sc, Exception)]
+        # per kept sample, the largest |c_i| over i = 3..degree_cap and
+        # the first i that reaches it; column 2 holds a zero, so a
+        # sample without such a coefficient reads (0.0, 2)
+        mags = np.zeros((len(kept), degree_cap - 1))
+        if kept:
+            mags[:, 1:] = _magnitudes(np.array([out[j].coeffs[3:]
+                                                for j in kept]))
+        results = [None] * len(out)
+        for j, top, i in zip(kept, mags.max(axis=1).tolist(),
+                             (mags.argmax(axis=1) + 2).tolist()):
+            results[j] = (top, i, (out[j], ms[j], X[j], vs[j]))
+        return results
 
     max_high = 0.0
     skipped = 0
@@ -374,13 +427,13 @@ def certify_degree_two(F, A: HermTuple, epsilon: float, samples: int = 50,
         if result is None:
             skipped += 1
             continue
-        sc = result[0]
-        for i in range(3, degree_cap + 1):
-            mag = abs(sc[i])
-            if mag > max_high:
-                max_high = mag
-                if mag > coeff_tol:
-                    offender = (k, i, result)
+        # the rules of a walk over i: a strict > keeps the first i and
+        # the first sample that reach the maximum
+        top, i, data = result
+        if top > max_high:
+            max_high = top
+            if top > coeff_tol:
+                offender = (k, i, data)
     if skipped == samples:
         raise ExtractionError(
             f"all {samples} extraction samples failed; the verdict would "

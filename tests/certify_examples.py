@@ -6,8 +6,9 @@ Recording the reference outputs from a checkout:
 
 The CLI runs are the job shapes of the benchmark's `certify` workload
 (`perfbench/workloads.py`) at fixed seeds, plus other multiplicity lists,
-a sample count that crosses chunk boundaries and is not a multiple of the
-multiplicity count, a larger base size, a failing convexity stage and an
+a sample count that is not a multiple of the multiplicity count and
+crosses chunk boundaries when `convexity.CHUNK` is 64 (the golden tests
+run at that size too), a larger base size, a failing convexity stage and an
 error case.  Each record keeps the exit code, stdout, stderr and the
 bytes of the witness file.  The library records keep the report of each
 direct `certify_degree_two` call as a `repr` string, or the type and
@@ -38,8 +39,8 @@ def _cli_examples() -> list:
     for preset in PRESETS:
         out.append(_certify(preset, 5, mult="1", samples="80"))
         out.append(_certify(preset, 5, mult="3,1", samples="80"))
-        # 150 samples cross the chunk boundaries at 64 and 128, and four
-        # multiplicities (one repeated) do not divide them
+        # at CHUNK = 64, 150 samples cross the chunk boundaries at 64 and
+        # 128; four multiplicities (one repeated) do not divide them
         out.append(_certify(preset, 6, mult="2,1,3,1", samples="150"))
         out.append(_certify(preset, 7, size="3", mult="1,2", samples="60"))
     # a degree cap below the lift's degrees: large x-points fail the

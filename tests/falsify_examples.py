@@ -6,7 +6,8 @@ Recording the reference outputs from a checkout:
 
 The CLI runs are the job shapes of the benchmark's `falsify` workload
 (`perfbench/workloads.py`) at fixed seeds, plus a run whose trial count
-crosses chunk boundaries and two error cases.  Each record keeps the
+crosses chunk boundaries when `convexity.CHUNK` is 64 (the golden tests
+run at that size too) and two error cases.  Each record keeps the
 exit code, stdout, stderr, and the bytes of the witness and `--csv-out`
 files the run wrote.  The library records keep `trial_min_eigs` and the
 report of each tester as `repr` strings, so every bit is compared.
@@ -53,7 +54,8 @@ def _cli_examples() -> list:
                       ["--mu=-0.3:0.25,0.7:0.75", "--f2", "2"]):
             out.append(["kraus", *flags, "--trials", "100", "--seed", s,
                         "--csv-out", CSV])
-    # 150 trials per level cross the chunk boundaries at 64 and 128
+    # at CHUNK = 64, 150 trials per level cross the chunk boundaries at
+    # 64 and 128
     out.append(["convexity", "--preset", "quartic", "--size", "2",
                 "--multiplicities", "1,2", "--trials", "150", "--seed", "14",
                 "--witness-out", WITNESS, "--csv-out", CSV])

@@ -5,6 +5,8 @@ and the reports or errors of direct library calls, byte for byte."""
 import json
 from pathlib import Path
 
+from ncconvex import convexity
+
 from certify_examples import CLI_EXAMPLES, _library_runs, run_library
 from falsify_examples import run_cli
 
@@ -25,3 +27,17 @@ def test_library_results_are_byte_identical():
     assert [rec["name"] for rec in GOLDEN["library"]] == [n for n, _ in runs]
     for rec, (name, thunk) in zip(GOLDEN["library"], runs):
         assert run_library(name, thunk) == rec, name
+
+
+# every run above has at most 200 samples per level, one chunk at
+# CHUNK = 256; at the chunk size the golden data was recorded at they
+# cross chunk boundaries again, at 64, 128 and 192
+def test_cli_runs_are_byte_identical_at_chunk_64(tmp_path, monkeypatch,
+                                                 dump_spy):
+    monkeypatch.setattr(convexity, "CHUNK", 64)
+    test_cli_runs_are_byte_identical(tmp_path, monkeypatch, dump_spy)
+
+
+def test_library_results_are_byte_identical_at_chunk_64(monkeypatch):
+    monkeypatch.setattr(convexity, "CHUNK", 64)
+    test_library_results_are_byte_identical()

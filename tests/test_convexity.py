@@ -293,22 +293,23 @@ def _square_except_at(X_bad, value=None):
     return CallableNcFunction(fn, Signature(0, 1), name="square-except")
 
 
-@pytest.mark.parametrize("k", [3, CHUNK + 5])
-def test_evaluation_failing_at_trial_k_names_trial_k(k):
+# at chunks of 64, the second k of each test lies in the second chunk
+@pytest.mark.parametrize("k", [3, 69])
+def test_evaluation_failing_at_trial_k_names_trial_k(k, monkeypatch):
+    monkeypatch.setattr(convexity, "CHUNK", 64)
     F = _square_except_at(_trial_x(70, k, 2, 1.0))
     with pytest.raises(DomainError, match=rf"^evaluation failed on trial "
                                           rf"{k} \(t=.*, size 2, .*\): refused$"):
-        convexity_at_A(F, _empty_a(2), epsilon=1.0, trials=2 * CHUNK,
-                       seed=70)
+        convexity_at_A(F, _empty_a(2), epsilon=1.0, trials=128, seed=70)
 
 
-@pytest.mark.parametrize("k", [4, CHUNK + 6])
-def test_non_finite_defect_at_trial_k_names_trial_k(k):
+@pytest.mark.parametrize("k", [4, 70])
+def test_non_finite_defect_at_trial_k_names_trial_k(k, monkeypatch):
+    monkeypatch.setattr(convexity, "CHUNK", 64)
     F = _square_except_at(_trial_x(71, k, 2, 1.0), math.nan)
     with pytest.raises(NcError, match=rf"^trial {k}: the defect matrix is "
                                       "not finite$"):
-        convexity_at_A(F, _empty_a(2), epsilon=1.0, trials=2 * CHUNK,
-                       seed=71)
+        convexity_at_A(F, _empty_a(2), epsilon=1.0, trials=128, seed=71)
 
 
 def test_outcome_does_not_depend_on_the_chunk(monkeypatch):
@@ -359,7 +360,10 @@ def test_ca_shrinks_once_per_failing_level(monkeypatch):
     assert shrinks == failing
 
 
-def test_stacks_are_bounded_by_the_chunk():
+def test_stacks_are_bounded_by_the_chunk(monkeypatch):
+    # the bound below is calibrated at chunks of 64
+    chunk = 64
+    monkeypatch.setattr(convexity, "CHUNK", chunk)
     F = get_preset("kraus-halfmass").make()
     A = _empty_a(3)
 
@@ -375,7 +379,7 @@ def test_stacks_are_bounded_by_the_chunk():
     # trial_min_eigs grows by one float per trial (about 15 kB here);
     # a chunk's stacks are about 200 kB, so stacks kept past their chunk
     # would add over 1 MB at 8 chunks
-    assert peak(8 * CHUNK) - peak(CHUNK) < 96 * 1024
+    assert peak(8 * chunk) - peak(chunk) < 96 * 1024
 
 
 @pytest.mark.parametrize("run", [

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import ncconvex.convexity as convexity
+import ncconvex.slices as slices
 from ncconvex import (CallableNcFunction, DiscreteMeasure, HermTuple,
                       KrausLiftFunction, PolynomialNcFunction, Signature,
                       ca_element, certify_degree_two, derived_rng,
@@ -18,7 +19,8 @@ from ncconvex import test_slice_convexity_transfer as slice_transfer
 from ncconvex.convexity import CHUNK, _one_point
 from ncconvex.errors import (DomainError, ExtractionError,
                              SingularityError)
-from ncconvex.slices import _extract
+from ncconvex.slices import _draw_slice_sample, _extract, _magnitudes
+from ncconvex.tuples import draw_x_ball
 
 
 def _fn(expr, sig):
@@ -283,6 +285,54 @@ def test_certify_refuses_zero_samples():
                            samples=0, trials=5)
 
 
+def _nan_off_hermitian(A, X):
+    # X^2 on the convexity stage's Hermitian points, NaN on every
+    # complex scaling the slice stage asks for
+    x = np.asarray(X[0])
+    if np.allclose(x, x.conj().T):
+        return x @ x
+    return np.full(x.shape, np.nan, dtype=complex)
+
+
+def test_slice_samples_that_evaluate_to_nan_are_refused():
+    F = CallableNcFunction(_nan_off_hermitian, Signature(0, 1),
+                           analytic_in_z=True)
+    with pytest.raises(ExtractionError, match="not finite"):
+        extract_slice_coefficients(F, _empty_a(2), _x_point(2, seed=67),
+                                   np.ones(2))
+    # NaN on the rotated check nodes only: finite coefficients, and a
+    # residual that compares false against every bound
+
+    def nan_on_check_nodes(A, X):
+        x = np.asarray(X[0])
+        turns = np.angle(x[0, 0]) * 9 / (2 * np.pi)
+        return x @ x if np.isclose(turns, round(turns)) else x * np.nan
+
+    G = CallableNcFunction(nan_on_check_nodes, Signature(0, 1),
+                           analytic_in_z=True)
+    with pytest.raises(ExtractionError, match="residual nan"):
+        extract_slice_coefficients(G, _empty_a(1), HermTuple(
+            [np.array([[1.0]])], kind="x"), np.ones(1))
+    # every sample is skipped, so the run has no verdict to give
+    with pytest.raises(ExtractionError, match="all 30 extraction samples"):
+        certify_degree_two(F, _empty_a(2), 0.5, samples=30, trials=20,
+                           seed=3, multiplicities=(1, 2))
+
+
+def test_exact_coefficients_past_the_float_range_are_refused():
+    F = _fn("x1^4", Signature(0, 1))
+    X = _x_point(2, seed=68).scale(1e100)
+    with pytest.raises(ExtractionError, match="not finite"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        extract_slice_coefficients(F, _empty_a(2), X, np.ones(2))
+    # finite parts whose magnitude overflows count as well: c_2 is
+    # 1.5e308 * (1 + i), where abs(complex) raises OverflowError
+    big = HermTuple([np.array([[np.sqrt(1.5e308)]])], kind="x")
+    with pytest.raises(ExtractionError, match="not finite"):
+        extract_slice_coefficients(_fn("(1+i)*x1^2", Signature(0, 1)),
+                                   _empty_a(1), big, np.array([1.0]))
+
+
 # -- certify's stacked samples ------------------------------------------------
 
 
@@ -415,6 +465,96 @@ def test_certify_outcome_does_not_depend_on_the_chunk(monkeypatch):
     assert run() == reference
 
 
+def test_magnitudes_round_as_abs_of_a_python_complex():
+    # the replay compares these against coeff_tol and reports them, so
+    # they must keep the bits abs(complex) gives; np.abs does not
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308 / 3, 1e-300, -1e-300,
+               1e300, -1e300, 1.0, np.inf, -np.inf, np.nan]
+    rng = derived_rng(69)
+    scales = 10.0 ** rng.integers(-300, 300, size=(2, 20000))
+    values = np.concatenate([
+        np.array([complex(a, b) for a in special for b in special]),
+        rng.standard_normal(20000) + 1j * rng.standard_normal(20000),
+        rng.standard_normal(20000) * scales[0]
+        + 1j * rng.standard_normal(20000) * scales[1]])
+    got = _magnitudes(values)
+    want = np.array([abs(c) for c in values.tolist()])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+@pytest.mark.parametrize("g", [0, 1, 2])
+def test_slice_sample_draw_equals_the_separate_draws(g, n):
+    # the Haar block, draw_x_ball's parts and radius, and v's real and
+    # imaginary parts, each from its own call, as certify drew them
+    merged, separate = derived_rng(70, g, n), derived_rng(70, g, n)
+    haar, (parts, radius), v = _draw_slice_sample(merged, n, g, 0.25)
+    want_haar = separate.standard_normal((2, n, n))
+    [(want_parts, want_radius)] = draw_x_ball(g, n, 0.25, 1, separate)
+    want_v = separate.standard_normal(n) + 1j * separate.standard_normal(n)
+    assert np.array_equal(haar, want_haar)
+    assert parts.shape == want_parts.shape == (g, 2, n, n)
+    assert np.array_equal(parts, want_parts)
+    assert radius == want_radius and type(radius) is type(want_radius)
+    assert np.array_equal(v, want_v)
+    assert merged.bit_generator.state == separate.bit_generator.state
+
+
+@pytest.mark.parametrize("preset, A", [
+    ("mixed-ax", random_base_tuple(1, 2, derived_rng(71))),
+    ("kraus-halfmass", _empty_a(2))])
+def test_certify_within_one_chunk_runs_one_stage_per_multiplicity(
+        monkeypatch, preset, A):
+    sizes = []
+
+    def counted(F, A, X, vs, *args):
+        sizes.append(len(vs))
+        return _extract(F, A, X, vs, *args)
+
+    monkeypatch.setattr(slices, "_extract", counted)
+    # the benchmark's certify shape, and a run of exactly one chunk
+    for samples in (200, CHUNK):
+        sizes.clear()
+        rep = certify_degree_two(get_preset(preset).make(), A, 0.5,
+                                 samples=samples, trials=5, seed=72,
+                                 multiplicities=(1, 2, 3))
+        assert rep.skipped == 0
+        assert sizes == [len(range(j, samples, 3)) for j in range(3)]
+
+
+def test_stacked_replay_keeps_the_first_sample_and_index_at_the_maximum(
+        monkeypatch):
+    # scripted coefficients with ties within and across samples; the
+    # report must name what a walk over every (k, i) with a strict >
+    # names: the first sample, then the first i, that reach the maximum
+    rows = np.zeros((6, 9), dtype=complex)
+    rows[0, 3] = 1e-12                          # below coeff_tol
+    rows[1, 3:6] = [0.5, 0.7j, -0.7]
+    rows[2, 3] = 0.7
+    rows[3, [5, 7]] = [0.6 + 0.8j, -1.0]        # |.| = 1.0 twice
+    rows[4, 3] = 1.0j
+    rows[5, 8] = -1.0
+
+    def scripted(F, A, X, vs, *args):
+        return [slices.SliceCoefficients(coeffs=c, method="dft", radius=0.1,
+                                         residual=0.0)
+                for c in rows[:len(vs)]]
+
+    monkeypatch.setattr(slices, "_extract", scripted)
+    rep = certify_degree_two(_fn("x1^2", Signature(0, 1)), _empty_a(2), 0.5,
+                             samples=6, trials=5, seed=74,
+                             multiplicities=(1,))
+    top, where = 0.0, None
+    for k, row in enumerate(rows.tolist()):
+        for i in range(3, 9):
+            if abs(row[i]) > top:
+                top, where = abs(row[i]), (k, i)
+    assert where == (3, 5)
+    assert rep.max_high_order_coeff == top == 1.0
+    assert (rep.witness["sample"], rep.witness["i"]) == where
+    assert rep.witness["c_i"] == [0.6, 0.8]
+
+
 def _draw_stream(rng, k):
     return k, rng.bit_generator.state, rng.standard_normal(3).tolist()
 
@@ -453,7 +593,10 @@ def test_sampled_replays_a_raising_chunk_from_fresh_generators():
                                    for k in range(CHUNK)]
 
 
-def test_certify_stacks_are_bounded_by_the_chunk():
+def test_certify_stacks_are_bounded_by_the_chunk(monkeypatch):
+    # the bound below is calibrated at chunks of 64
+    chunk = 64
+    monkeypatch.setattr(convexity, "CHUNK", chunk)
     F = get_preset("kraus-halfmass").make()
 
     def peak(samples):
@@ -468,4 +611,4 @@ def test_certify_stacks_are_bounded_by_the_chunk():
     peak(8)
     # a chunk's stacks of the Fourier route are about 1 MB here, so
     # stacks kept past their chunk would add several MB at 8 chunks
-    assert peak(8 * CHUNK) - peak(CHUNK) < 96 * 1024
+    assert peak(8 * chunk) - peak(chunk) < 96 * 1024
