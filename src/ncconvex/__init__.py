@@ -7,8 +7,7 @@ witnesses; Kraus / Pick representation evaluators; and slice-based
 certification that a matrix-convex function has x-degree at most 2.
 """
 
-from .algebra import (MatrixNcPolynomial, NcPolynomial, NcPowerSeries,
-                      Signature, a_var, x_var)
+from .algebra import MatrixNcPolynomial, NcPolynomial, NcPowerSeries, Signature
 from .convexity import (Report, test_convexity_at_A, test_convexity_at_CA,
                         verify_convexity_witness)
 from .errors import (DomainError, ExtractionError, NcError, ParseError,
@@ -22,11 +21,10 @@ from .onevar import (DiscreteMeasure, ScalarFn, convexity_test_1var,
                      g_transform, kraus_eval, kraus_scalar_fn, loewner_matrix,
                      loewner_monotone_test, matrix_apply, pick_eval,
                      verify_convexity1_witness, verify_monotone_witness)
-from .parsing import (infer_signature, load_corpus, parse, parse_polynomial,
-                      render)
+from .parsing import infer_signature, load_corpus, parse, parse_polynomial
 from .presets import (CORPUS, PRESET_NAMES, KrausLiftFunction, get_preset,
-                      corpus_polynomials, random_base_tuple,
-                      scalar_from_polynomial, trace_evaluator)
+                      random_base_tuple, scalar_from_polynomial,
+                      trace_evaluator)
 from .slices import (VERDICT_CONSISTENT, VERDICT_HIGHER_ORDER,
                      VERDICT_HYPOTHESIS_FAILS, CertificationReport,
                      SliceCoefficients, certify_degree_two,
@@ -49,19 +47,17 @@ __all__ = [
     "ScalarFn", "SeriesNcFunction", "ShapeError", "Signature",
     "SignatureError", "SingularityError", "SliceCoefficients",
     "UnitarityError", "VERDICT_CONSISTENT", "VERDICT_HIGHER_ORDER",
-    "VERDICT_HYPOTHESIS_FAILS", "a_var", "as_nc_function", "ca_element",
+    "VERDICT_HYPOTHESIS_FAILS", "as_nc_function", "ca_element",
     "certify_degree_two", "check_nc_function_axioms", "convexity_test_1var",
-    "corpus_polynomials", "derived_rng", "eval_poly", "eval_series",
-    "extract_slice_coefficients", "g_transform", "get_preset", "haar_unitary",
-    "hermitian_with_spectrum_in", "identity_tuple", "infer_signature",
-    "kraus_eval", "kraus_scalar_fn", "load_corpus", "loewner_matrix",
-    "loewner_monotone_test", "matrix_apply", "matrix_from_json",
-    "matrix_to_json", "parse", "parse_polynomial", "pick_eval",
-    "random_base_tuple", "random_hermitian", "render", "sample_x_ball",
+    "derived_rng", "eval_poly", "eval_series", "extract_slice_coefficients",
+    "g_transform", "get_preset", "haar_unitary", "hermitian_with_spectrum_in",
+    "identity_tuple", "infer_signature", "kraus_eval", "kraus_scalar_fn",
+    "load_corpus", "loewner_matrix", "loewner_monotone_test", "matrix_apply",
+    "matrix_from_json", "matrix_to_json", "parse", "parse_polynomial",
+    "pick_eval", "random_base_tuple", "random_hermitian", "sample_x_ball",
     "scalar_from_polynomial", "slice_matrix", "slice_phi", "slice_scalar",
     "test_convexity_at_A", "test_convexity_at_CA",
     "test_slice_convexity_transfer", "trace_evaluator", "tuple_from_json",
     "tuple_norm", "tuple_to_json", "verify_convexity1_witness",
-    "verify_convexity_witness", "verify_monotone_witness", "x_var",
-    "zero_tuple",
+    "verify_convexity_witness", "verify_monotone_witness", "zero_tuple",
 ]

@@ -521,14 +521,6 @@ class NcPolynomial:
         return cls(sig, terms)
 
 
-def a_var(signature: Signature, index: int) -> NcPolynomial:
-    return NcPolynomial.variable(signature, "a", index)
-
-
-def x_var(signature: Signature, index: int) -> NcPolynomial:
-    return NcPolynomial.variable(signature, "x", index)
-
-
 class MatrixNcPolynomial:
     """Rectangular grid of NcPolynomial entries over one Signature."""
 

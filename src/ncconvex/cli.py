@@ -224,10 +224,12 @@ def _scalar_from_descriptor(desc: dict) -> ScalarFn:
 
 
 def _a_tuple(args, sig: Signature) -> HermTuple:
-    size = args.size
-    if getattr(args, "a_tuple", None):
-        return _tuple_from_arg(args.a_tuple, "a", sig.g_a, n=size)
-    return random_base_tuple(sig.g_a, size, derived_rng(args.seed, _A_SALT))
+    """--a-tuple at its own size, which an explicit --size must match;
+    else a random base tuple of --size (default 2)."""
+    if args.a_tuple:
+        return _tuple_from_arg(args.a_tuple, "a", sig.g_a, n=args.size)
+    return random_base_tuple(sig.g_a, args.size or 2,
+                             derived_rng(args.seed, _A_SALT))
 
 
 def _passed(args, report) -> bool:
@@ -479,7 +481,7 @@ def build_parser(command: str) -> argparse.ArgumentParser:
     if p is not None:
         _add_fn_flags(p)
         p.add_argument("--a-tuple", help="base tuple JSON (default: random)")
-        p.add_argument("--size", type=int, default=2, help="base size kappa")
+        p.add_argument("--size", type=int, help="base size kappa")
         p.add_argument("--epsilon", type=float, default=None)
         p.add_argument("--trials", type=int, default=200)
         p.add_argument("--multiplicities", default="1,2")
@@ -537,7 +539,7 @@ def build_parser(command: str) -> argparse.ArgumentParser:
     if p is not None:
         _add_fn_flags(p)
         p.add_argument("--a-tuple", help="base tuple JSON (default: random)")
-        p.add_argument("--size", type=int, default=2, help="base size kappa")
+        p.add_argument("--size", type=int, help="base size kappa")
         p.add_argument("--epsilon", type=float, default=None)
         p.add_argument("--trials", type=int, default=200,
                        help="convexity subtest trials")
@@ -565,8 +567,8 @@ def main(argv=None) -> int:
     args = build_parser(command).parse_args(argv)
     try:
         for flag in ("trials", "samples", "size"):
-            value = getattr(args, flag, 1)
-            if value < 1:
+            value = getattr(args, flag, None)
+            if value is not None and value < 1:
                 raise ValueError(f"--{flag} must be at least 1, got {value}")
         if getattr(args, "verify_witness", None):
             return _verify(args)

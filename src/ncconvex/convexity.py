@@ -34,16 +34,19 @@ Convexity witnesses are shrunk by halving the spread X - Y around the
 fixed mixing point while the violation persists, on the worst trial's
 own arrays, so reported counterexamples stay small.
 
-test_convexity_at_CA repeats the base-point test at amplifications
+test_convexity_at_CA runs the base-point test at the amplifications
 U*(I_m (x) A)U with the SAME epsilon at every multiplicity; the
 uniformity of epsilon across levels is the substance of the definition
-being tested.
+being tested.  All levels run as one run, each level on its own stream:
+one minimum over all of them, and one witness, from the worst trial
+over all levels.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -179,10 +182,13 @@ def _sampled(key: tuple, count: int, draw, stage, group_by=None):
                               draw, stage, group_by)
 
 
-def _falsify(key: tuple, trials: int, draw, defects, witness_of,
-             test: str, group_by=None) -> Report:
+def _falsify(runs: list, defects, witness_of, test: str,
+             group_by=None) -> Report:
     """The falsifiers' client of _sampled.
 
+    runs lists (key, trials, draw): each is one _sampled stream, and
+    they are replayed in order as one run, with one minimum and one
+    worst trial; a trial's error names its k within its own run.
     defects(samples) evaluates a list of trials with stacked calls and
     returns (D, data): D the (c, N, N) stack of defect matrices and
     data[i] what witness_of needs of trial i; the core adds one
@@ -193,8 +199,9 @@ def _falsify(key: tuple, trials: int, draw, defects, witness_of,
     witness_of runs once on them if the minimum is below -WITNESS_TOL,
     so a minimum between the two bands fails without a witness.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    for _, trials, _ in runs:
+        if trials < 1:
+            raise ValueError(f"trials must be at least 1, got {trials}")
 
     def stage(samples):
         D, data = defects(samples)
@@ -202,16 +209,18 @@ def _falsify(key: tuple, trials: int, draw, defects, witness_of,
 
     min_eig = math.inf
     trial_eigs = []
-    for k, (eigs, data) in _sampled(key, trials, draw, stage, group_by):
-        if eigs is None:
-            raise NcError(f"trial {k}: the defect matrix is not finite")
-        eig = float(eigs[0])
-        trial_eigs.append(eig)
-        if eig < min_eig:
-            min_eig, worst = eig, (data, eigs)
+    for key, trials, draw in runs:
+        for k, (eigs, data) in _sampled(key, trials, draw, stage, group_by):
+            if eigs is None:
+                raise NcError(f"trial {k}: the defect matrix is not finite")
+            eig = float(eigs[0])
+            trial_eigs.append(eig)
+            if eig < min_eig:
+                min_eig, worst = eig, (data, eigs)
     witness = witness_of(*worst) if min_eig < -WITNESS_TOL else None
     return Report(test=test, passed=min_eig >= -PSD_TOL, min_eig=min_eig,
-                  trials=trials, witness=witness, trial_min_eigs=trial_eigs)
+                  trials=len(trial_eigs), witness=witness,
+                  trial_min_eigs=trial_eigs)
 
 
 def _mix(X: np.ndarray, Y: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -265,91 +274,92 @@ def _shrink_witness(F, A, X, Y, t, start_eig):
     return best
 
 
-def _check_size(A: HermTuple) -> None:
+def _convexity(F, A: HermTuple, epsilon: float, trials: int, seed,
+               multiplicities: Optional[Sequence[int]]) -> Report:
+    """Both testers as one run over levels: A itself on the stream
+    (seed,) when multiplicities is None, else U*(I_m (x) A)U on the
+    stream (seed, li) for each m.  Samples carry their level index, so a
+    stack holds one level; extra["alpha"] names the worst trial's."""
+    F = as_nc_function(F)
     if A.n < 1:
         raise ValueError(f"the A-tuple size must be at least 1, got {A.n}")
-
-
-def test_convexity_at_A(F, A: HermTuple, epsilon: float, trials: int = 200,
-                        seed=0, _alpha_desc: Optional[dict] = None,
-                        _test_name: str = "convexity_at_A") -> Report:
-    """Sample X, Y in the epsilon-ball at the size of A and check the
-    defect t F(A,X) + (1-t) F(A,Y) - F(A, tX+(1-t)Y) >= 0; also checks
-    that F evaluates Hermitian on every sample."""
-    F = as_nc_function(F)
+    # levels: (stream key, alpha, realized tuple)
+    if multiplicities is None:
+        levels = [((seed,) if isinstance(seed, int) else tuple(seed),
+                   {"kappa": A.n, "m": 1}, A)]
+    elif not len(multiplicities):
+        raise ValueError("multiplicities must name at least one level")
+    else:
+        levels = [((seed, li), {"kappa": A.n, "m": int(m)},
+                   ca_element(A, int(m), "random",
+                              seed=derived_rng(seed, li, _LEVEL_SALT)).tuple)
+                  for li, m in enumerate(multiplicities)]
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     sig = F.signature
     if A.arity != sig.g_a:
         raise ValueError(
             f"A-tuple arity {A.arity} does not match signature g_a={sig.g_a}")
-    _check_size(A)
-    n = A.n
-    alpha_desc = _alpha_desc or {"kappa": n, "m": 1}
     hermitian = []                      # per chunk: F Hermitian throughout
 
-    def draw(rng, k):
+    def draw(li, rng, k):
         t = 0.5 if k % 2 == 0 else float(rng.uniform(0.0, 1.0))
-        return k, t, draw_x_ball(sig.g_x, n, epsilon, 2, rng)
+        return li, k, t, draw_x_ball(sig.g_x, levels[li][2].n, epsilon, 2,
+                                     rng)
 
     def defects(samples):
-        ks, ts, balls = zip(*samples)
+        lis, ks, ts, balls = zip(*samples)
+        T = levels[lis[0]][2]
         P = x_ball_points([xy for ball in balls for xy in ball])
         X, Y = P[0::2], P[1::2]
         try:
-            D, dev = _defects(F, A, X, Y, np.array(ts))
+            D, dev = _defects(F, T, X, Y, np.array(ts))
         except NcError as exc:
             if len(samples) > 1:
                 raise
             raise DomainError(
                 f"evaluation failed on trial {ks[0]} (t={ts[0]:.4f}, size "
-                f"{n}, |X|={stack_norms(X[0]):.4f}, "
+                f"{T.n}, |X|={stack_norms(X[0]):.4f}, "
                 f"|Y|={stack_norms(Y[0]):.4f}): {exc}") from exc
         hermitian.append(not (dev > EVAL_HERMITIAN_TOL).any())
-        return D, list(zip(X, Y, ts))
+        return D, list(zip(lis, X, Y, ts))
 
     def witness_of(data, eigs):
-        X, Y, t = data
-        Xs, Ys, eig = _shrink_witness(F, A, X[None], Y[None], t,
+        li, X, Y, t = data
+        T = levels[li][2]
+        Xs, Ys, eig = _shrink_witness(F, T, X[None], Y[None], t,
                                       float(eigs[0]))
-        return {"alpha": alpha_desc, "A": tuple_to_json(A),
+        return {"alpha": levels[li][1], "A": tuple_to_json(T),
                 "X": tuple_to_json(Xs[0]), "Y": tuple_to_json(Ys[0]),
-                "t": float(t), "defect_min_eig": float(eig), "n": int(n)}
+                "t": float(t), "defect_min_eig": float(eig), "n": int(T.n)}
 
-    key = (seed,) if isinstance(seed, int) else tuple(seed)
-    report = _falsify(key, trials, draw, defects, witness_of, _test_name)
+    report = _falsify(
+        [(key, trials, partial(draw, li)) for li, (key, _, _) in
+         enumerate(levels)], defects, witness_of,
+        "convexity_at_A" if multiplicities is None else "convexity_at_CA",
+        group_by=lambda s: s[0])
     hermitian_ok = all(hermitian)
     report.passed = report.passed and hermitian_ok
+    worst = report.trial_min_eigs.index(report.min_eig) // trials
     report.extra = {"hermitian_ok": hermitian_ok, "epsilon": float(epsilon),
-                    "alpha": alpha_desc}
+                    "alpha": levels[worst][1]}
     return report
+
+
+def test_convexity_at_A(F, A: HermTuple, epsilon: float, trials: int = 200,
+                        seed=0) -> Report:
+    """Sample X, Y in the epsilon-ball at the size of A and check the
+    defect t F(A,X) + (1-t) F(A,Y) - F(A, tX+(1-t)Y) >= 0; also checks
+    that F evaluates Hermitian on every sample."""
+    return _convexity(F, A, epsilon, trials, seed, None)
 
 
 def test_convexity_at_CA(F, A: HermTuple, epsilon: float,
                          multiplicities: Sequence[int] = (1, 2),
                          trials: int = 200, seed=0) -> Report:
-    """Run the base-point test at U*(I_m (x) A)U for each multiplicity
-    with a fresh Haar-like U, same epsilon throughout; merge by min."""
-    F = as_nc_function(F)
-    _check_size(A)
-    if not len(multiplicities):
-        raise ValueError("multiplicities must name at least one level")
-    reports = []
-    for li, m in enumerate(multiplicities):
-        alpha = ca_element(A, int(m), "random",
-                           seed=derived_rng(seed, li, _LEVEL_SALT))
-        rep = test_convexity_at_A(
-            F, alpha.tuple, epsilon, trials=trials, seed=(seed, li),
-            _alpha_desc={"kappa": A.n, "m": int(m)},
-            _test_name="convexity_at_CA")
-        reports.append(rep)
-    worst = min(reports, key=lambda r: r.min_eig)
-    hermitian_ok = all(r.extra["hermitian_ok"] for r in reports)
-    return replace(worst, passed=all(r.passed for r in reports),
-                   trials=sum(r.trials for r in reports),
-                   extra=dict(worst.extra, hermitian_ok=hermitian_ok),
-                   trial_min_eigs=[e for r in reports
-                                   for e in r.trial_min_eigs])
+    """The base-point test at U*(I_m (x) A)U for each multiplicity, with
+    a fresh Haar-like U and the same epsilon throughout, as one run."""
+    return _convexity(F, A, epsilon, trials, seed, multiplicities)
 
 
 def verify_convexity_witness(F, witness: dict) -> float:

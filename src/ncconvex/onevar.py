@@ -340,7 +340,7 @@ def loewner_monotone_test(f: ScalarFn, interval: Optional[tuple] = None,
         return {"points": [float(t) for t in pts],
                 "loewner_eigs": [float(e) for e in eigs]}
 
-    return _falsify((seed,), trials, draw, defects, witness_of,
+    return _falsify([((seed,), trials, draw)], defects, witness_of,
                     "loewner_monotone")
 
 
@@ -411,7 +411,7 @@ def convexity_test_1var(f: ScalarFn, interval: Optional[tuple] = None,
         return {"A": matrix_to_json(A), "B": matrix_to_json(B), "t": t,
                 "defect_eigs": [float(e) for e in eigs]}
 
-    return _falsify((seed,), trials, draw, defects, witness_of,
+    return _falsify([((seed,), trials, draw)], defects, witness_of,
                     "convexity_1var")
 
 

@@ -311,11 +311,6 @@ def parse_polynomial(src: str, sig: Signature) -> NcPolynomial:
     return NcPolynomial(sig, trie=root or [0j, {}])
 
 
-def render(p: NcPolynomial) -> str:
-    """Grammar-compatible text; parse_polynomial(render(p)) == p."""
-    return str(p)
-
-
 def infer_signature(src: str) -> Signature:
     """Smallest signature covering every variable token in the source.
     z-aliases force g_a = 0."""

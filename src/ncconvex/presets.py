@@ -179,12 +179,6 @@ DISPLAY_EXAMPLES = (
 )
 
 
-def corpus_polynomials() -> list:
-    """[(name, signature, polynomial)] for the built-in corpus."""
-    return [(name, sig, parse_polynomial(expr, sig))
-            for name, sig, expr in CORPUS]
-
-
 def trace_evaluator(sig: Signature = Signature(0, 1)) -> CallableNcFunction:
     """Deliberately broken evaluator: (A, X) -> trace(X_1) * I.  The
     trace adds across direct summands, so the direct-sum axiom fails

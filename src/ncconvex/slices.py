@@ -307,7 +307,7 @@ def test_slice_convexity_transfer(F, A: HermTuple, X: HermTuple, v,
                 "T2": [[float(x.real) for x in row] for row in T2],
                 "t": t, "defect_eigs": [float(e) for e in eigs]}
 
-    return _falsify((seed,), trials, draw, defects, witness_of,
+    return _falsify([((seed,), trials, draw)], defects, witness_of,
                     "slice_convexity_transfer", group_by=lambda s: s[0])
 
 

@@ -16,11 +16,12 @@ from conftest import ACCEPTANCE_LINES, run_cli
 from ncconvex import test_convexity_at_A as convexity_at_A
 from ncconvex import test_convexity_at_CA as convexity_at_CA
 from ncconvex import test_slice_convexity_transfer as slice_transfer
-from ncconvex import (DiscreteMeasure, HermTuple, PolynomialNcFunction,
-                      ScalarFn, Signature, VERDICT_CONSISTENT,
+from ncconvex import (CORPUS, DiscreteMeasure, HermTuple,
+                      PolynomialNcFunction, ScalarFn, Signature,
+                      VERDICT_CONSISTENT,
                       VERDICT_HIGHER_ORDER, certify_degree_two,
                       check_nc_function_axioms, convexity_test_1var,
-                      corpus_polynomials, derived_rng,
+                      derived_rng,
                       extract_slice_coefficients, g_transform, get_preset,
                       hermitian_with_spectrum_in, kraus_eval,
                       kraus_scalar_fn, loewner_monotone_test, matrix_apply,
@@ -169,7 +170,8 @@ def test_criterion_07_certify_halfmass_higher_order():
 def test_criterion_08_axioms_corpus_and_trace():
     worst = 0.0
     all_pass = True
-    for name, sig, p in corpus_polynomials():
+    for name, sig, expr in CORPUS:
+        p = parse_polynomial(expr, sig)
         rep = check_nc_function_axioms(PolynomialNcFunction(p, name=name),
                                        sizes=(1, 2, 3, 4), samples=100,
                                        seed=108, tol=1e-8)
@@ -200,8 +202,8 @@ def test_criterion_09_slice_convexity_transfer():
 
 def test_criterion_10_extraction_cross_oracle():
     worst = 0.0
-    for name, sig, p in corpus_polynomials():
-        F = PolynomialNcFunction(p, name=name)
+    for name, sig, expr in CORPUS:
+        F = PolynomialNcFunction(parse_polynomial(expr, sig), name=name)
         for s in range(3):
             rng = derived_rng(110, zlib.crc32(name.encode()) & 0xFFFF, s)
             A = random_base_tuple(sig.g_a, 3, rng)

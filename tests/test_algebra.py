@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ncconvex.algebra as algebra
-from ncconvex import (NcPolynomial, Signature, a_var, parse_polynomial, x_var)
+from ncconvex import NcPolynomial, Signature, parse_polynomial
 from ncconvex.algebra import (MatrixNcPolynomial, word_from_str, word_to_str,
                               x_count)
 from ncconvex.errors import ResourceLimitError, ShapeError, SignatureError
@@ -55,14 +55,15 @@ def test_monomial_rejects_bad_letters():
 
 
 def test_cancellation_is_canonical():
-    p = x_var(SIG, 1) * x_var(SIG, 2)
+    x1, x2 = (NcPolynomial.variable(SIG, "x", i) for i in (1, 2))
+    p = x1 * x2
     q = p - p
     assert q.is_zero()
     assert q.n_terms == 0
 
 
 def test_near_zero_coefficients_dropped():
-    p = x_var(SIG, 1).scale(1e-15)
+    p = NcPolynomial.variable(SIG, "x", 1).scale(1e-15)
     assert p.is_zero()
 
 
@@ -158,7 +159,7 @@ def test_involution_reverses_and_conjugates():
 
 def test_power_expansion():
     sig = Signature(0, 1)
-    p = (1 + x_var(sig, 1)) ** 2
+    p = (1 + NcPolynomial.variable(sig, "x", 1)) ** 2
     assert p.coefficient(()) == 1
     assert p.coefficient(word_from_str("x1")) == 2
     assert p.coefficient(word_from_str("x1 x1")) == 1
@@ -168,7 +169,8 @@ def test_term_cap_guards_blowup(monkeypatch):
     # a low cap trips the same guard at 2^10 terms instead of 2^20
     monkeypatch.setattr(algebra, "TERM_CAP", 1000)
     sig = Signature(0, 2)
-    p = x_var(sig, 1) + x_var(sig, 2)
+    x1, x2 = (NcPolynomial.variable(sig, "x", i) for i in (1, 2))
+    p = x1 + x2
     with pytest.raises(ResourceLimitError, match=r"\(cap 1000\)"):
         _ = p ** 25  # 2^25 words
 
@@ -188,7 +190,7 @@ def test_json_round_trip():
 
 
 def test_matrix_poly_shapes_and_star():
-    x1, x2 = x_var(SIG, 1), x_var(SIG, 2)
+    x1, x2 = (NcPolynomial.variable(SIG, "x", i) for i in (1, 2))
     M = MatrixNcPolynomial([[x1, x2], [x2.involute(), x1 * x1]])
     assert M.shape == (2, 2)
     assert M.involute()[(0, 1)] == x2
@@ -196,13 +198,13 @@ def test_matrix_poly_shapes_and_star():
 
 
 def test_matrix_poly_ragged_rejected():
-    x1 = x_var(SIG, 1)
+    x1 = NcPolynomial.variable(SIG, "x", 1)
     with pytest.raises(ShapeError):
         MatrixNcPolynomial([[x1, x1], [x1]])
 
 
 def test_matrix_poly_matmul():
-    x1 = x_var(SIG, 1)
+    x1 = NcPolynomial.variable(SIG, "x", 1)
     one = NcPolynomial.unit(SIG)
     zero = NcPolynomial.zero(SIG)
     A = MatrixNcPolynomial([[zero, one], [zero, zero]])

@@ -139,6 +139,27 @@ def test_usage_errors_exit_two(tmp_path):
         assert r.stderr == golden.pop(0)["stderr"], args
 
 
+@pytest.mark.parametrize("command", ["convexity", "certify"])
+def test_a_tuple_file_sets_the_size(command, run, tmp_path):
+    # --size defaulted to 2, so any other base tuple file exited 2 with
+    # "declared n=2 but entries are 3" unless --size repeated its size
+    path = tmp_path / "a3.json"
+    path.write_text(json.dumps([matrix_to_json(np.diag([0.3, -0.2, 0.1]))]))
+    argv = [command, "--expr", "a1*x1*a1 + x1^2", "--signature", "1,1",
+            "--a-tuple", str(path), "--trials", "20", "--seed", "3"]
+    if command == "certify":
+        argv += ["--samples", "5"]
+    r = run(argv)
+    assert r.returncode == 0, r.stderr
+    doc = json.loads(r.stdout)
+    report = doc["convexity"] if command == "certify" else doc
+    assert report["alpha"]["kappa"] == 3
+    assert run(argv + ["--size", "3"]).stdout == r.stdout
+    r = run(argv + ["--size", "2"])
+    assert r.returncode == 2 and r.stdout == ""
+    assert "declared n=2 but entries are 3" in _one_error_line(r.stderr)
+
+
 @pytest.mark.parametrize("doc, message", [
     ([[[1.0]]], "must be an object with 'n' and 'entries'"),
     ([{"n": 1, "entries": [[[1.0]]]}], "rows of [re, im] number pairs"),

@@ -9,11 +9,11 @@ import pytest
 
 import ncconvex.convexity as convexity
 from ncconvex import (CallableNcFunction, DomainError, HermTuple, NcError,
-                      PolynomialNcFunction, ScalarFn, Signature,
+                      PolynomialNcFunction, ScalarFn, Signature, ca_element,
                       convexity_test_1var, derived_rng, get_preset,
                       loewner_monotone_test, parse_polynomial,
                       random_base_tuple, sample_x_ball,
-                      verify_convexity_witness)
+                      tuple_to_json, verify_convexity_witness)
 from ncconvex import test_convexity_at_A as convexity_at_A
 from ncconvex import test_convexity_at_CA as convexity_at_CA
 from ncconvex import test_slice_convexity_transfer as slice_transfer
@@ -85,8 +85,7 @@ def test_mixed_ax_fails_below_minus_one():
 def test_ca_identity_multiplicity_one_matches_base():
     F = _fn("x1^2", Signature(0, 1))
     A = _empty_a(2)
-    base = convexity_at_A(F, A, epsilon=1.0, trials=80, seed=(55, 0),
-                               _test_name="convexity_at_CA")
+    base = convexity_at_A(F, A, epsilon=1.0, trials=80, seed=(55, 0))
     # m=1 with any unitary is a 2x2 conjugation of the same ball
     merged = convexity_at_CA(F, A, epsilon=1.0, multiplicities=(1,),
                                   trials=80, seed=55)
@@ -152,7 +151,7 @@ def test_core_witness_comes_from_the_worst_trial():
         captured.append(k)
         return {"trial": k, "eig": float(eigs[0])}
 
-    rep = _falsify((60,), 5, draw, defects, witness_of, "scripted")
+    rep = _falsify([((60,), 5, draw)], defects, witness_of, "scripted")
     assert not rep.passed
     assert rep.min_eig == pytest.approx(-5e-2, rel=1e-12)
     assert rep.witness["trial"] == 2
@@ -168,7 +167,7 @@ def test_core_minimum_inside_the_hysteresis_band_fails_without_witness():
     def witness_of(k, eigs):
         raise AssertionError("no witness inside (-1e-6, -1e-8)")
 
-    rep = _falsify((61,), 3, draw, defects, witness_of, "scripted")
+    rep = _falsify([((61,), 3, draw)], defects, witness_of, "scripted")
     assert not rep.passed
     assert rep.witness is None
     assert rep.min_eig == pytest.approx(-1e-7, rel=1e-9)
@@ -179,7 +178,7 @@ def test_core_same_key_same_draws():
     runs = []
     for key in ((62, 3), (62, 3), (62, 4)):
         draw, defects, draws = _scripted([1.0] * 6)
-        rep = _falsify(key, 6, draw, defects, None, "scripted")
+        rep = _falsify([(key, 6, draw)], defects, None, "scripted")
         assert rep.passed and rep.witness is None
         assert len(rep.trial_min_eigs) == 6
         runs.append(draws)
@@ -193,7 +192,7 @@ def test_core_refuses_a_non_finite_defect():
     draw, defects, _ = _scripted([1.0, math.nan, 1.0])
 
     with pytest.raises(NcError, match="trial 1"):
-        _falsify((63,), 3, draw, defects, None, "scripted")
+        _falsify([((63,), 3, draw)], defects, None, "scripted")
 
 
 def _nan_nc(sig):
@@ -237,7 +236,8 @@ def test_core_witness_from_the_worst_trial_past_a_chunk_boundary():
         captured.append(k)
         return {"trial": k}
 
-    rep = _falsify((64,), CHUNK + 1, draw, defects, witness_of, "scripted")
+    rep = _falsify([((64,), CHUNK + 1, draw)], defects, witness_of,
+                   "scripted")
     assert rep.witness == {"trial": CHUNK}
     assert captured == [CHUNK]
     assert rep.min_eig == -5e-2
@@ -257,7 +257,7 @@ def test_core_groups_defects_by_size_and_replays_in_trial_order():
         return (np.stack([np.diag([-float(k)] + [1.0] * (d - 1))
                           for d, k in samples]), samples)
 
-    rep = _falsify((66,), CHUNK + 5, draw, defects,
+    rep = _falsify([((66,), CHUNK + 5, draw)], defects,
                    lambda s, eigs: {"size": s[0], "trial": s[1]},
                    "scripted", group_by=lambda s: s[0])
     assert all(len(sizes) == 1 for sizes in seen)
@@ -267,10 +267,43 @@ def test_core_groups_defects_by_size_and_replays_in_trial_order():
     assert rep.witness == {"size": last % 3 + 1, "trial": last}
 
 
+def _run(key, min_eigs):
+    """A scripted run whose trial k has the defect diag(min_eigs[k], 1)."""
+    return key, len(min_eigs), lambda rng, k: (key, k, min_eigs[k])
+
+
+def _run_defects(samples):
+    return np.stack([np.diag([e, 1.0]) for _, _, e in samples]), samples
+
+
+def test_core_replays_runs_in_order_as_one_run():
+    # one minimum over both runs; at a tie the earlier run's trial is
+    # the worst, and the witness is built once from it
+    captured = []
+
+    def witness_of(s, eigs):
+        captured.append(s[:2])
+        return {"trial": s[1]}
+
+    rep = _falsify([_run((67, 0), [0.5, -5e-2, 0.1]),
+                    _run((67, 1), [-5e-2, -1e-3])],
+                   _run_defects, witness_of, "scripted")
+    assert not rep.passed and rep.trials == 5
+    assert rep.trial_min_eigs == [0.5, -5e-2, 0.1, -5e-2, -1e-3]
+    assert captured == [((67, 0), 1)]
+    with pytest.raises(NcError, match="^trial 1: the defect"):
+        _falsify([_run((68, 0), [1.0, 1.0]), _run((68, 1), [1.0, math.nan])],
+                 _run_defects, None, "scripted")
+    # a later run without trials is refused before any trial runs
+    with pytest.raises(ValueError, match="trials"):
+        _falsify([_run((69, 0), [math.nan]), _run((69, 1), [])],
+                 _run_defects, None, "scripted")
+
+
 def test_core_refuses_zero_trials():
     draw, defects, _ = _scripted([])
     with pytest.raises(ValueError, match="trials"):
-        _falsify((65,), 0, draw, defects, None, "scripted")
+        _falsify([((65,), 0, draw)], defects, None, "scripted")
 
 
 def _trial_x(seed, k, n, epsilon):
@@ -331,33 +364,85 @@ def test_outcome_does_not_depend_on_the_chunk(monkeypatch):
     assert run() == reference
 
 
-def test_ca_shrinks_once_per_failing_level(monkeypatch):
-    # each level builds its witness once, after its run, from its worst
-    # trial, and the shrink works on that trial's arrays
-    shrink, at_A = convexity._shrink_witness, convexity.test_convexity_at_A
-    shrinks, levels = [], []
+def _realized_levels(A, multiplicities, seed):
+    """The tuples test_convexity_at_CA realizes at its levels."""
+    return [ca_element(A, m, "random",
+                       seed=derived_rng(seed, li, convexity._LEVEL_SALT)).tuple
+            for li, m in enumerate(multiplicities)]
 
-    def counted_shrink(*args):
-        shrinks.append(len(levels))     # the index of the running level
-        return shrink(*args)
 
-    def recorded_at_A(*args, **kwargs):
-        levels.append(at_A(*args, **kwargs))
-        return levels[-1]
+def test_ca_shrinks_once_on_the_worst_level(monkeypatch):
+    # several levels fail, but the run builds one witness, after the
+    # replay, from the worst trial over all levels, on that trial's
+    # arrays
+    F, A, ms = get_preset("quartic").make(), _empty_a(2), (1, 2, 3)
+    levels = [convexity_at_A(F, T, epsilon=2.0, trials=60, seed=(73, li))
+              for li, T in enumerate(_realized_levels(A, ms, 73))]
+    assert sum(r.min_eig < -WITNESS_TOL for r in levels) >= 2
+    worst = min(range(len(ms)), key=lambda li: levels[li].min_eig)
+    shrink, shrinks = convexity._shrink_witness, []
+
+    def counted_shrink(F, T, *args):
+        shrinks.append(T)
+        return shrink(F, T, *args)
 
     def no_arithmetic(*args):
         raise AssertionError("the shrink ran HermTuple arithmetic")
 
     monkeypatch.setattr(convexity, "_shrink_witness", counted_shrink)
-    monkeypatch.setattr(convexity, "test_convexity_at_A", recorded_at_A)
     for name in ("scale", "__add__", "__sub__"):
         monkeypatch.setattr(HermTuple, name, no_arithmetic)
-    rep = convexity_at_CA(get_preset("quartic").make(), _empty_a(2),
-                          epsilon=2.0, multiplicities=(1, 2, 3), trials=60,
+    rep = convexity_at_CA(F, A, epsilon=2.0, multiplicities=ms, trials=60,
                           seed=73)
-    failing = [i for i, r in enumerate(levels) if r.min_eig < -WITNESS_TOL]
-    assert len(levels) == 3 and failing and rep.witness
-    assert shrinks == failing
+    assert len(shrinks) == 1 and rep.witness
+    realized = tuple_to_json(_realized_levels(A, ms, 73)[worst])
+    assert tuple_to_json(shrinks[0]) == realized == rep.witness["A"]
+    assert rep.witness["alpha"] == {"kappa": 2, "m": ms[worst]}
+
+
+def _ca_reference(F, A, epsilon, ms, trials, seed):
+    """test_convexity_at_CA's JSON and trial minima, rebuilt from one
+    test_convexity_at_A run per realized level."""
+    reps = [convexity_at_A(F, T, epsilon, trials=trials, seed=(seed, li))
+            for li, T in enumerate(_realized_levels(A, ms, seed))]
+    eigs = [e for r in reps for e in r.trial_min_eigs]
+    worst = min(range(len(ms)), key=lambda li: reps[li].min_eig)
+    alpha = {"kappa": A.n, "m": ms[worst]}
+    out = {"test": "convexity_at_CA",
+           "pass": all(r.passed for r in reps),
+           "min_eig": min(eigs), "trials": trials * len(ms),
+           "hermitian_ok": all(r.extra["hermitian_ok"] for r in reps),
+           "epsilon": epsilon, "alpha": alpha}
+    if reps[worst].witness is not None:
+        out["witness"] = dict(reps[worst].witness, alpha=alpha)
+    return out, eigs
+
+
+def _non_hermitian_at_size_2():
+    """x1^2, with an off-diagonal 1e-3 i added at size 2 only: the first
+    level of a size-2 base is non-Hermitian, the later ones are not."""
+    def fn(A, X):
+        M = np.asarray(X[0]) @ np.asarray(X[0])
+        return M + 1e-3j * np.eye(2, k=1) if len(M) == 2 else M
+    return CallableNcFunction(fn, Signature(0, 1), name="skew-at-2")
+
+
+@pytest.mark.parametrize("make_F, A, epsilon", [
+    (lambda: _fn("x1^4", Signature(0, 1)), _empty_a(2), 2.0),
+    (lambda: _fn("x1^2", Signature(0, 1)), _empty_a(2), 1.0),
+    (lambda: _fn("x1*x2", Signature(0, 2)), _empty_a(1), 1.0),
+    (_non_hermitian_at_size_2, _empty_a(2), 1.0),
+    (lambda: _fn("a1*x1*a1 + x1*a1*x1 + x1^2", Signature(1, 1)),
+     HermTuple([np.diag([-1.5, 0.0])], kind="a"), 0.5),
+], ids=["quartic", "square", "non-hermitian", "non-hermitian at m=1 only",
+        "mixed-ax below -1"])
+def test_ca_matches_the_levelwise_reference(make_F, A, epsilon):
+    F, ms = make_F(), (1, 2, 3)
+    rep = convexity_at_CA(F, A, epsilon, multiplicities=ms, trials=40,
+                          seed=74)
+    want, eigs = _ca_reference(F, A, epsilon, ms, 40, 74)
+    assert rep.to_json_dict() == want
+    assert rep.trial_min_eigs == eigs
 
 
 def test_stacks_are_bounded_by_the_chunk(monkeypatch):

@@ -10,8 +10,7 @@ from ncconvex import (CallableNcFunction, HermTuple, MatrixNcPolynomial,
                       NcPolynomial, NcPowerSeries, PolynomialNcFunction,
                       SeriesNcFunction, Signature, check_nc_function_axioms,
                       derived_rng, eval_poly, eval_series, get_preset,
-                      parse_polynomial, random_hermitian, trace_evaluator,
-                      x_var)
+                      parse_polynomial, random_hermitian, trace_evaluator)
 from ncconvex.errors import DomainError, ShapeError, SignatureError
 
 SIGX = Signature(0, 2)
@@ -104,7 +103,8 @@ def test_x_homogeneous_parts_scale_correctly():
 def test_series_truncation_remainder_geometric():
     # sum_k x^k up to order 12 at |X| = 0.3: increment <= 0.3^12
     sig = Signature(0, 1)
-    S = NcPowerSeries([x_var(sig, 1) ** k for k in range(13)], radius=1.0)
+    x1 = NcPolynomial.variable(sig, "x", 1)
+    S = NcPowerSeries([x1 ** k for k in range(13)], radius=1.0)
     X = HermTuple([np.array([[0.3]])], kind="x")
     A = HermTuple([], kind="a", n=1)
     total, inc = eval_series(S, A, X, with_increment=True)
@@ -116,7 +116,8 @@ def test_series_outside_radius_rejected():
     sig = Signature(0, 1)
     from ncconvex import NcPolynomial
     zero = NcPolynomial.zero(sig)
-    S = NcPowerSeries([zero, zero, x_var(sig, 1) ** 2], radius=0.5)
+    S = NcPowerSeries([zero, zero, NcPolynomial.variable(sig, "x", 1) ** 2],
+                      radius=0.5)
     X = HermTuple([np.array([[0.6]])], kind="x")
     A = HermTuple([], kind="a", n=1)
     with pytest.raises(DomainError):
