@@ -143,10 +143,14 @@ def _load_json(path: str):
 
 def _tuple_from_arg(value: str, kind: str, g: int,
                     n: Optional[int] = None) -> HermTuple:
-    """'identity3' / 'zero2' magic values, else a tuple JSON file."""
+    """'identity3' / 'zero2' magic values, else a tuple JSON file; a size
+    n, if given, must match either."""
     for magic, maker in (("identity", identity_tuple), ("zero", zero_tuple)):
         if value.startswith(magic) and value[len(magic):].isdigit():
-            return maker(g, int(value[len(magic):]), kind=kind)
+            size = int(value[len(magic):])
+            if n is not None and n != size:
+                raise ShapeError(f"declared n={n} but entries are {size}")
+            return maker(g, size, kind=kind)
     data = _load_json(value)
     T = tuple_from_json(data, kind=kind, n=n)
     if T.arity != g:
@@ -454,17 +458,29 @@ def _add_common(p) -> None:
                    help="override the pass threshold")
 
 
-def build_parser(command: str) -> argparse.ArgumentParser:
-    """The CLI's parser.  Every subcommand is registered with its help,
-    but only the named one gets its flags: each add_argument builds a
-    help formatter."""
+_SUBCOMMANDS = ("eval", "convexity", "monotone", "convexity1", "kraus",
+                "certify", "axioms")
+
+
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The CLI's parser for argv.  Only the subcommand that argv names
+    gets its flags, and when argv starts with it, no other subcommand is
+    registered: every parser and add_argument builds a help formatter,
+    and argparse then prints none of the others' help, only the usage
+    line, which still names them all."""
+    command = next((a for a in argv if not a.startswith("-")), "")
+    alone = command in _SUBCOMMANDS and argv[0] == command
     ap = argparse.ArgumentParser(
         prog="ncconvex",
         description="nc polynomial evaluation, matrix convexity and "
                     "monotonicity testing, degree-2 certification")
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(
+        dest="command", required=True,
+        metavar="{%s}" % ",".join(_SUBCOMMANDS) if alone else None)
 
     def subcommand(name: str, help_line: str, fn):
+        if alone and name != command:
+            return None
         p = sub.add_parser(name, help=help_line)
         p.set_defaults(fn=fn)
         return p if name == command else None
@@ -563,8 +579,7 @@ def build_parser(command: str) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = next((a for a in argv if not a.startswith("-")), "")
-    args = build_parser(command).parse_args(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         for flag in ("trials", "samples", "size"):
             value = getattr(args, flag, None)

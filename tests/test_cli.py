@@ -145,8 +145,22 @@ def test_a_tuple_file_sets_the_size(command, run, tmp_path):
     # "declared n=2 but entries are 3" unless --size repeated its size
     path = tmp_path / "a3.json"
     path.write_text(json.dumps([matrix_to_json(np.diag([0.3, -0.2, 0.1]))]))
+    _check_a_tuple_sets_the_size(run, command, str(path))
+
+
+@pytest.mark.parametrize("shorthand", ["identity3", "zero3"])
+@pytest.mark.parametrize("command", ["convexity", "certify"])
+def test_a_tuple_shorthand_sets_the_size(command, shorthand, run):
+    # an explicit --size that disagreed with identityN/zeroN was ignored:
+    # --size 2 ran at kappa 3 and exited 0
+    _check_a_tuple_sets_the_size(run, command, shorthand)
+
+
+def _check_a_tuple_sets_the_size(run, command, a_tuple):
+    """A base tuple of size 3 sets kappa = 3; --size 3 changes nothing
+    and --size 2 is a usage error."""
     argv = [command, "--expr", "a1*x1*a1 + x1^2", "--signature", "1,1",
-            "--a-tuple", str(path), "--trials", "20", "--seed", "3"]
+            "--a-tuple", a_tuple, "--trials", "20", "--seed", "3"]
     if command == "certify":
         argv += ["--samples", "5"]
     r = run(argv)
@@ -156,6 +170,17 @@ def test_a_tuple_file_sets_the_size(command, run, tmp_path):
     assert report["alpha"]["kappa"] == 3
     assert run(argv + ["--size", "3"]).stdout == r.stdout
     r = run(argv + ["--size", "2"])
+    assert r.returncode == 2 and r.stdout == ""
+    assert "declared n=2 but entries are 3" in _one_error_line(r.stderr)
+
+
+def test_eval_shorthand_must_match_the_other_tuple(run, tmp_path):
+    # exited 2 with "tuple sizes differ: a=3, x=2" before the shorthand
+    # checked the size
+    path = tmp_path / "x2.json"
+    path.write_text(json.dumps([matrix_to_json(np.diag([0.3, -0.2]))]))
+    r = run(["eval", "--expr", "a1*x1", "--signature", "1,1",
+             "--a-tuple", "identity3", "--x-tuple", str(path)])
     assert r.returncode == 2 and r.stdout == ""
     assert "declared n=2 but entries are 3" in _one_error_line(r.stderr)
 
@@ -188,7 +213,8 @@ def test_too_deeply_nested_tuple_file_exits_two(run, tmp_path):
 
 
 def test_main_builds_only_the_chosen_subcommands_flags(monkeypatch, capsys):
-    # one flag per add_argument: the chosen subcommand's and each -h
+    # one flag per add_argument: the chosen subcommand's, its -h and the
+    # top level's -h; with the subcommand first, no other is registered
     import argparse
     added, add = [], argparse._ActionsContainer.add_argument
 
@@ -202,7 +228,27 @@ def test_main_builds_only_the_chosen_subcommands_flags(monkeypatch, capsys):
         [("--expr",), ("--signature",), ("--preset",), ("--series-file",),
          ("--a-tuple",), ("--x-tuple",), ("--seed",), ("--json-out",),
          ("--tol",)])
-    assert len(added) == 8 + 9
+    assert len(added) == 2 + 9
+
+
+def test_a_flag_before_the_subcommand_registers_them_all(monkeypatch):
+    # argparse's top-level help and errors then see every subcommand, and
+    # the named one still gets its flags
+    import argparse
+    added, add = [], argparse._ActionsContainer.add_argument
+
+    def counted(self, *args, **kwargs):
+        added.append(args)
+        return add(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counted)
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_case(["-h", "eval"]) == {**HELP_GOLDEN["help"][0],
+                                        "argv": ["-h", "eval"]}
+    r = run_case(["--bogus", "eval", "--expr", "x1", "--x-tuple", "identity1"])
+    assert r["exit"] == 2 and r["stdout"] == ""
+    assert r["stderr"].endswith("error: unrecognized arguments: --bogus\n")
+    assert len(added) == 2 * (8 + 9)
 
 
 def test_help_and_argparse_errors_are_byte_identical(monkeypatch):
