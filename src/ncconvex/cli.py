@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from itertools import chain
 from typing import Optional
@@ -112,16 +113,18 @@ def _parse_interval(text: str) -> tuple:
     return lo, hi
 
 
-def _parse_ints(text: str) -> tuple:
-    return tuple(int(p) for p in text.split(",") if p.strip())
-
-
-def _parse_multiplicities(text: str) -> tuple:
-    ms = _parse_ints(text)
-    if not ms or min(ms) < 1:
-        raise ValueError(f"--multiplicities must list integers of at least "
-                         f"1, got {text!r}")
-    return ms
+def _parse_counts(flag: str, text: str) -> tuple:
+    """The integers of a comma-separated list flag such as --sizes or
+    --multiplicities; an empty list, a non-integer or a value below 1
+    raises, naming the flag."""
+    try:
+        values = tuple(int(p) for p in text.split(",") if p.strip())
+    except ValueError:
+        values = ()
+    if not values or min(values) < 1:
+        raise ValueError(f"{flag} must list integers of at least 1, "
+                         f"got {text!r}")
+    return values
 
 
 def _parse_measure(text: str) -> DiscreteMeasure:
@@ -340,8 +343,8 @@ def _cmd_convexity(args) -> int:
         preset.epsilon if preset else 1.0)
     A = _a_tuple(args, F.signature)
     report = test_convexity_at_CA(
-        F, A, epsilon, multiplicities=_parse_multiplicities(args.multiplicities),
-        trials=args.trials, seed=args.seed)
+        F, A, epsilon, multiplicities=args.multiplicities, trials=args.trials,
+        seed=args.seed)
     if args.csv_out:
         _write_csv(args.csv_out, "trial,defect_min_eig",
                    list(enumerate(report.trial_min_eigs)))
@@ -420,7 +423,7 @@ def _cmd_certify(args) -> int:
     report = certify_degree_two(
         F, A, epsilon, samples=args.samples, trials=args.trials,
         seed=args.seed, degree_cap=args.degree_cap,
-        multiplicities=_parse_multiplicities(args.multiplicities),
+        multiplicities=args.multiplicities,
         coeff_tol=args.tol if args.tol is not None else COEFF_ZERO_TOL)
     payload = {"command": "certify", "function": desc, "seed": args.seed,
                **report.to_json_dict()}
@@ -431,7 +434,7 @@ def _cmd_certify(args) -> int:
 def _cmd_axioms(args) -> int:
     F, desc, _ = _nc_function(args)
     report = check_nc_function_axioms(
-        F, sizes=_parse_ints(args.sizes), samples=args.samples,
+        F, sizes=args.sizes, samples=args.samples,
         seed=args.seed, tol=args.tol if args.tol is not None else AXIOM_TOL)
     payload = {"command": "axioms", "function": desc, "seed": args.seed,
                **report.to_json_dict()}
@@ -585,6 +588,12 @@ def main(argv=None) -> int:
             value = getattr(args, flag, None)
             if value is not None and value < 1:
                 raise ValueError(f"--{flag} must be at least 1, got {value}")
+        for flag in ("sizes", "multiplicities"):
+            if hasattr(args, flag):
+                setattr(args, flag,
+                        _parse_counts(f"--{flag}", getattr(args, flag)))
+        if args.tol is not None and not math.isfinite(args.tol):
+            raise ValueError(f"--tol must be a finite number, got {args.tol}")
         if getattr(args, "verify_witness", None):
             return _verify(args)
         return args.fn(args)

@@ -25,10 +25,16 @@ the samples in chunks of CHUNK, in three phases:
 
 Stacked numpy calls give every member the bits it gets alone, so the
 outcome does not depend on CHUNK, and live memory is bounded by it (a
-few MB, see CHUNK), not by the sample count.  A chunk whose stacked stage raises runs again one
-sample at a time, up to CHUNK of them, each redrawn from a fresh
-derived_rng(*key, k) and evaluated on a one-sample stack, so an error
-names the sample that caused it.
+few MB, see CHUNK), not by the sample count.  A chunk whose stacked
+stage raises runs again one sample at a time, up to CHUNK of them, each
+redrawn from a fresh derived_rng(*key, k) and evaluated on a one-sample
+stack, so an error names the sample that caused it.
+
+The nc-function axioms check (evaluate.check_nc_function_axioms) has
+the same draw / stack / replay shape and chunk size, but keeps the one
+stream as_rng(seed) that all its samples have always shared: a chunk's
+samples take their raw numbers from it in order, and a failing chunk
+runs again one sample at a time from the raw numbers it stored.
 
 Convexity witnesses are shrunk by halving the spread X - Y around the
 fixed mixing point while the violation persists, on the worst trial's
@@ -52,7 +58,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, NcError
-from .evaluate import as_nc_function, hermitian_deviation
+from .evaluate import _per_group, as_nc_function, hermitian_deviation
 from .tolerances import EVAL_HERMITIAN_TOL, PSD_TOL, WITNESS_TOL
 from .tuples import (HermTuple, ca_element, derived_rng, derived_rngs,
                      draw_x_ball, hermitian_stack, stack_norms,
@@ -117,20 +123,6 @@ def _defect_eigs(D: np.ndarray, where: str) -> np.ndarray:
     return eigs
 
 
-def _evaluate(samples: list, stage, group_by) -> list:
-    """stage's result for each sample.  stage runs once per group of
-    samples that share group_by(sample) (all of them when group_by is
-    None) and returns one result per sample of its group, in order."""
-    groups: dict = {}
-    for i, s in enumerate(samples):
-        groups.setdefault(group_by and group_by(s), []).append(i)
-    out = [None] * len(samples)
-    for idx in groups.values():
-        for i, r in zip(idx, stage([samples[i] for i in idx])):
-            out[i] = r
-    return out
-
-
 def _run_chunk(key: tuple, ks: range, draw, stage, group_by):
     """Yield (k, result) for the samples ks in order, and raise a
     sample's error in its place.
@@ -149,13 +141,13 @@ def _run_chunk(key: tuple, ks: range, draw, stage, group_by):
     results = []
     if samples:
         try:
-            results = _evaluate(samples, stage, group_by)
+            results = _per_group(samples, stage, group_by)
         except Exception:
             # one sample at a time, each redrawn from its own generator,
             # until the first sample that fails alone
             for k in ks[:len(samples)]:
                 try:
-                    results += _evaluate([draw(derived_rng(*key, k), k)],
+                    results += _per_group([draw(derived_rng(*key, k), k)],
                                          stage, None)
                 except Exception as exc:
                     error = exc

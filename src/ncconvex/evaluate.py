@@ -28,11 +28,11 @@ import numpy as np
 
 from .algebra import (MatrixNcPolynomial, NcPolynomial, NcPowerSeries,
                       Signature)
-from .errors import DomainError, ShapeError, SignatureError
+from .errors import DomainError, NcError, ShapeError, SignatureError
 from .tolerances import AXIOM_TOL
-from .tuples import (HermTuple, _letters, as_rng, block_diag, haar_unitary,
-                     random_hermitian, stack_norms, tuple_norm,
-                     tuple_to_json)
+from .tuples import (HermTuple, _check_unitary, _complex, _haar_q, _letters,
+                     _rescaled_points, as_rng, block_diag, hermitian_stack,
+                     stack_norms, tuple_to_json)
 
 
 def _as_matrices(T) -> list:
@@ -166,6 +166,12 @@ def hermitian_deviation(M: np.ndarray) -> np.ndarray:
 # -- evaluator wrappers ------------------------------------------------------
 
 
+def _is_stack(A) -> bool:
+    """Whether an at_points a-argument is a (c, g_a, n, n) stack with one
+    a-tuple per point, rather than one a-tuple for every point."""
+    return isinstance(A, np.ndarray) and A.ndim == 4
+
+
 def _read_only(M: np.ndarray) -> np.ndarray:
     """A view that keeps a black box from writing into the caller's
     stack."""
@@ -189,11 +195,13 @@ class NcFunction:
     takes (c, g_a, n, n) and (c, g_x, n, n) arrays holding c points, each
     with its own A, and returns F(A_j, z X_j) for every point and every
     z, shape (c, len(zs), N, N).  at_points(A, Xs) returns the stack of
-    F(A, Xs[j]) for one a-tuple A and a (c, g_x, n, n) array Xs of
-    Hermitian x-tuples, shape (c, N, N).  Both defaults loop over
-    __call__ one point (and one z) at a time, so a black box sees the
-    calls it would see point by point; override them when F can evaluate
-    a stack in one call.
+    F(A_j, Xs[j]), shape (c, N, N), for a (c, g_x, n, n) array Xs of
+    Hermitian x-tuples and A either one a-tuple for every point
+    (A_j = A) or a (c, g_a, n, n) array with one per point (A_j = A[j]).
+    Both defaults loop over __call__ one point (and one z) at a time,
+    passing each point's own A as an a-HermTuple, so a black box sees
+    the calls it would see point by point; override them when F can
+    evaluate a stack in one call.
 
     F must be a pure function of (A, X): the testers and the degree-two
     certificate evaluate a chunk of samples in one batch and, when the
@@ -218,11 +226,13 @@ class NcFunction:
                          for a, x in zip(_read_only(A), _read_only(X))])
 
     def at_points(self, A, Xs) -> np.ndarray:
-        # each point reaches __call__ as an x-HermTuple, as the testers
-        # always passed it
+        # each point reaches __call__ as an x-HermTuple, and with a stack
+        # of A its own row as an a-HermTuple, as the testers passed them
         n = Xs.shape[-1]
-        return np.stack([self(A, HermTuple._trusted(X, "x", n))
-                         for X in _read_only(Xs)])
+        As = ([HermTuple._trusted(a, "a", n) for a in _read_only(A)]
+              if _is_stack(A) else [A] * len(Xs))
+        return np.stack([self(a, HermTuple._trusted(X, "x", n))
+                         for a, X in zip(As, _read_only(Xs))])
 
     def x_parts(self) -> Optional[NcPowerSeries]:
         return None
@@ -242,9 +252,11 @@ class PolynomialNcFunction(NcFunction):
         return eval_poly(self.poly, A, X)
 
     def at_points(self, A, Xs) -> np.ndarray:
-        if not Xs.shape[1]:              # no x-letter to carry the stack
-            return super().at_points(A, Xs)
-        return eval_poly(self.poly, A, _letters(Xs))
+        stacked = _is_stack(A)
+        if not (Xs.shape[1] or stacked and A.shape[1]):
+            return super().at_points(A, Xs)     # no letter carries the stack
+        return eval_poly(self.poly, _letters(A) if stacked else A,
+                         _letters(Xs))
 
     def x_parts(self) -> NcPowerSeries:
         if self._parts is None:
@@ -327,20 +339,130 @@ class AxiomsReport:
         return out
 
 
-def _bounded_tuple(g: int, n: int, kind: str, rng) -> HermTuple:
-    # tuple norm drawn in (0.1, 0.9): keeps degree-81 corpus words away
-    # from overflow and keeps float deviations commensurate with 1e-8
-    T = HermTuple([random_hermitian(n, rng) for _ in range(g)], kind=kind, n=n)
-    norm = tuple_norm(T)
-    if norm > 0:
-        T = T.scale(float(rng.uniform(0.1, 0.9)) / norm)
-    return T
+def _groups(keys) -> dict:
+    """key -> the positions that carry it, keys in order of first
+    appearance."""
+    out: dict = {}
+    for i, key in enumerate(keys):
+        out.setdefault(key, []).append(i)
+    return out
 
 
-def _random_point(sig: Signature, n: int, rng) -> tuple:
-    A = _bounded_tuple(sig.g_a, n, "a", rng)
-    X = _bounded_tuple(sig.g_x, n, "x", rng)
-    return A, X
+def _per_group(items: list, stage, key) -> list:
+    """stage's result for each item.  stage runs once per group of items
+    that share key(item) (all of them when key is None) and returns one
+    result per item of its group, in order."""
+    out = [None] * len(items)
+    for idx in _groups([key and key(x) for x in items]).values():
+        for i, r in zip(idx, stage([items[i] for i in idx])):
+            out[i] = r
+    return out
+
+
+def _draw_axioms_sample(sig: Signature, sizes: np.ndarray, rng) -> tuple:
+    """One sample's raw numbers, in the order the check takes them from
+    its stream: the sizes n1 and n2; for each of A1, X1, A2 and X2 the
+    real and imaginary parts of its g Ginibre matrices as one
+    (g, 2, n, n) draw, then its tuple norm, uniform in (0.1, 0.9), both
+    drawn only when g > 0; then the Ginibre block of U."""
+    # tuple norms in (0.1, 0.9) keep degree-81 corpus words away from
+    # overflow and float deviations commensurate with 1e-8
+    n1 = int(rng.choice(sizes))
+    n2 = int(rng.choice(sizes))
+    tuples = [(rng.standard_normal((g, 2, n, n)), rng.uniform(0.1, 0.9))
+              if g else (np.zeros((0, 2, n, n)), 0.0)
+              for n in (n1, n2) for g in sig]
+    return n1, n2, tuples, rng.standard_normal((2, n1, n1))
+
+
+def _axioms_points(chunk: list, start: int) -> list:
+    """Per sample of a chunk (samples start, start + 1, ...) its arrays
+    [A1, X1, A2, X2, U, AJ, XJ, AC, XC]: the four tuples rescaled to
+    their drawn norms, the Haar unitary, the direct sums A1 (+) A2 and
+    X1 (+) X2, and the conjugates U*A1U and U*X1U.  Each kind of array
+    is built by stacked calls, once per matrix size (per pair of sizes
+    for the direct sums), each followed by the ingest a HermTuple
+    runs."""
+    P = [[None] * 9 for _ in chunk]
+    slots = [(j, s) for j in range(len(chunk)) for s in range(4)]
+    for (kind, _), idx in _groups([(s % 2, chunk[j][s // 2])
+                                   for j, s in slots]).items():
+        group = [slots[i] for i in idx]
+        Z, r = zip(*(chunk[j][2][s] for j, s in group))
+        T, zero = _rescaled_points(np.array(Z), np.array(r))
+        if zero.any():
+            # a tuple of norm 0 would take no norm from the stream
+            raise NcError(f"axioms sample {start + group[zero.argmax()][0]}: "
+                          f"the drawn {'ax'[kind]}-tuple has norm 0")
+        for (j, s), t in zip(group, T):
+            P[j][s] = t
+    for n, idx in _groups([n1 for n1, *_ in chunk]).items():
+        U = _haar_q(_complex(np.array([chunk[j][3] for j in idx])))
+        _check_unitary(U, n, stacked=True)
+        Uh = U.conj().swapaxes(-1, -2)[:, None]
+        AC, XC = (hermitian_stack(Uh @ np.array([P[j][s] for j in idx])
+                                  @ U[:, None]) for s in (0, 1))
+        for j, *row in zip(idx, U, AC, XC):
+            P[j][4], P[j][7], P[j][8] = row
+    for idx in _groups([(n1, n2) for n1, n2, *_ in chunk]).values():
+        AJ, XJ = (hermitian_stack(block_diag(
+            np.array([P[j][s] for j in idx]),
+            np.array([P[j][s + 2] for j in idx]))) for s in (0, 1))
+        for j, aj, xj in zip(idx, AJ, XJ):
+            P[j][5], P[j][6] = aj, xj
+    return P
+
+
+def _at_sizes(F: NcFunction, points: list) -> list:
+    """F at each (A, X) pair of (g, n, n) arrays, from one F.at_points
+    call per size n; a value that is not n x n raises, since the
+    stacked deviations need F graded."""
+    def stage(group):
+        n = group[0][1].shape[-1]
+        vals = F.at_points(*(np.array(col) for col in zip(*group)))
+        if np.shape(vals) != (len(group), n, n):
+            raise ShapeError(f"{F.name} gives values of shape "
+                             f"{np.shape(vals)[1:]} at size {n}")
+        return vals
+
+    return _per_group(points, stage, lambda p: p[1].shape[-1])
+
+
+def _axioms_devs(F: NcFunction, chunk: list, P: list) -> list:
+    """(dev_ds, dev_u) per sample of a chunk: v1, v2, the conjugated and
+    the joint values from one F call per matrix size, the deviations
+    once per pair of sizes."""
+    c = len(chunk)
+    vals = _at_sizes(F, [(p[h], p[h + 1]) for h in (0, 2, 5, 7) for p in P])
+    v1, v2, vj, vc = (vals[h * c:(h + 1) * c] for h in range(4))
+    cols = (v1, v2, vj, vc, [p[4] for p in P])
+    out = [None] * c
+    for idx in _groups([(n1, n2) for n1, n2, *_ in chunk]).values():
+        V1, V2, VJ, VC, U = (np.array([col[j] for j in idx]) for col in cols)
+        ds = np.max(np.abs(VJ - block_diag(V1, V2)), axis=(-2, -1))
+        du = np.max(np.abs(VC - U.conj().swapaxes(-1, -2) @ V1 @ U),
+                    axis=(-2, -1))
+        for j, pair in zip(idx, zip(ds.tolist(), du.tolist())):
+            out[j] = pair
+    return out
+
+
+def _axioms_one(F: NcFunction, p: list) -> tuple:
+    """One sample's (dev_ds, dev_u), evaluated point by point in the
+    order of a sample-by-sample check: F sees each point as a pair of
+    read-only HermTuples, and the first error raised is the one that
+    check raised first."""
+    A1, X1, A2, X2, U, AJ, XJ, AC, XC = p
+
+    def at(A, X):
+        n = X.shape[-1]
+        return F(HermTuple._trusted(_read_only(A), "a", n),
+                 HermTuple._trusted(_read_only(X), "x", n))
+
+    v1 = at(A1, X1)
+    v2 = at(A2, X2)
+    dev_ds = float(np.max(np.abs(at(AJ, XJ) - block_diag(v1, v2))))
+    return dev_ds, float(np.max(np.abs(at(AC, XC) - U.conj().T @ v1 @ U)))
 
 
 def check_nc_function_axioms(F, sizes=(1, 2, 3, 4), samples: int = 100,
@@ -350,37 +472,55 @@ def check_nc_function_axioms(F, sizes=(1, 2, 3, 4), samples: int = 100,
     Only meaningful for graded evaluators (output side equals input
     size).  Failures are report content, not exceptions; the first
     offending sample is kept as a self-contained counterexample.
+
+    The check has the draw / stack / replay shape of the sampling core
+    in convexity.py, but keeps one stream, as_rng(seed), for all its
+    samples: a chunk's samples take their raw numbers from it in sample
+    order; the chunk's matrices are built, and F evaluated, with
+    stacked calls once per matrix size; then the samples are replayed
+    in order for the maxima and the first counterexample.  A chunk
+    holds convexity.CHUNK samples at sizes up to 4, fewer at larger
+    sizes, so its memory stays that of CHUNK samples of size 4.  A chunk
+    whose stacked stage raises runs again one sample at a time, from its
+    raw numbers, so the error raised is the first a sample-by-sample
+    check meets.
     """
+    from .convexity import CHUNK        # convexity imports this module
     F = as_nc_function(F)
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
+    sizes = np.asarray(sizes)
+    if sizes.ndim != 1 or not sizes.size or not (sizes >= 1).all():
+        raise ValueError(f"sizes must list matrix sizes of at least 1, "
+                         f"got {sizes.tolist()}")
+    step = min(CHUNK, max(1, CHUNK * 16 // int(sizes.max()) ** 2))
     sig = F.signature
     rng = as_rng(seed)
     max_ds = 0.0
     max_u = 0.0
     counterexample = None
-    for _ in range(samples):
-        n1 = int(rng.choice(sizes))
-        n2 = int(rng.choice(sizes))
-        A1, X1 = _random_point(sig, n1, rng)
-        A2, X2 = _random_point(sig, n2, rng)
-        v1 = F(A1, X1)
-        v2 = F(A2, X2)
-        joint = F(A1.direct_sum(A2), X1.direct_sum(X2))
-        dev_ds = float(np.max(np.abs(joint - block_diag(v1, v2))))
-        U = haar_unitary(n1, rng)
-        dev_u = float(np.max(np.abs(F(A1.conjugate(U), X1.conjugate(U))
-                                    - U.conj().T @ v1 @ U)))
-        max_ds = max(max_ds, dev_ds)
-        max_u = max(max_u, dev_u)
-        if counterexample is None and (dev_ds > tol or dev_u > tol):
-            counterexample = {
-                "axiom": "direct_sum" if dev_ds > tol else "unitary",
-                "deviation": max(dev_ds, dev_u),
-                "A1": tuple_to_json(A1), "X1": tuple_to_json(X1),
-                "A2": tuple_to_json(A2), "X2": tuple_to_json(X2),
-                "n1": n1, "n2": n2,
-            }
+    for start in range(0, samples, step):
+        chunk = [_draw_axioms_sample(sig, sizes, rng)
+                 for _ in range(start, min(start + step, samples))]
+        try:
+            P = _axioms_points(chunk, start)
+            devs = _axioms_devs(F, chunk, P)
+        except Exception:
+            P, devs = [], []
+            for k, sample in enumerate(chunk, start):
+                P += _axioms_points([sample], k)
+                devs.append(_axioms_one(F, P[-1]))
+        for (n1, n2, *_), p, (dev_ds, dev_u) in zip(chunk, P, devs):
+            max_ds = max(max_ds, dev_ds)
+            max_u = max(max_u, dev_u)
+            if counterexample is None and (dev_ds > tol or dev_u > tol):
+                counterexample = {
+                    "axiom": "direct_sum" if dev_ds > tol else "unitary",
+                    "deviation": max(dev_ds, dev_u),
+                    "A1": tuple_to_json(p[0]), "X1": tuple_to_json(p[1]),
+                    "A2": tuple_to_json(p[2]), "X2": tuple_to_json(p[3]),
+                    "n1": n1, "n2": n2,
+                }
     return AxiomsReport(passed=(max_ds <= tol and max_u <= tol),
                         samples=samples, max_direct_sum_dev=max_ds,
                         max_unitary_dev=max_u, tol=tol,

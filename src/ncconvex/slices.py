@@ -73,12 +73,18 @@ VERDICT_HYPOTHESIS_FAILS = "HYPOTHESIS_FAILS"
 VERDICT_HIGHER_ORDER = "HIGHER_ORDER_PRESENT"
 
 
-def _unit_vector(v) -> np.ndarray:
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    nv = float(np.linalg.norm(v))
-    if nv == 0.0:
+def _unit_vectors(vs) -> np.ndarray:
+    """The direction vectors vs, each flattened and divided by its
+    2-norm, as a (c, N) stack.  A row's norm is sqrt(re.re + im.im) from
+    one (1, N) @ (N, 1) product per part, the dot products
+    np.linalg.norm takes of one vector, so each row keeps the bits it
+    gets alone."""
+    V = np.array([np.asarray(v, dtype=complex).reshape(-1) for v in vs])
+    re, im = V.real[:, None], V.imag[:, None]
+    nv = np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[:, 0]
+    if not nv.all():
         raise ValueError("direction vector must be nonzero")
-    return v / nv
+    return V / nv
 
 
 def _tensor_lifts(A: HermTuple, X: HermTuple, xis: np.ndarray) -> tuple:
@@ -140,7 +146,7 @@ def _phi_at(F, A: np.ndarray, X: np.ndarray, V: np.ndarray, zs) -> tuple:
 def slice_scalar(F, A: HermTuple, X: HermTuple, v, z: complex) -> complex:
     """phi(z) = v* F(A, zX) v; v is normalized on ingest."""
     phi, refused = _phi_at(as_nc_function(F), _one_point(A), _one_point(X),
-                           _unit_vector(v)[None], [z])
+                           _unit_vectors([v]), [z])
     if refused[0] is not None:
         raise refused[0]
     return complex(phi[0, 0])
@@ -151,7 +157,7 @@ def slice_matrix(F, A: HermTuple, X: HermTuple, v, T: np.ndarray) -> np.ndarray:
     Hermitian T.  T may carry a leading stack axis; F then evaluates the
     whole stack through one F.at_points call."""
     F = as_nc_function(F)
-    v = _unit_vector(v)
+    v = _unit_vectors([v])[0]
     T = np.asarray(T, dtype=complex)
     if T.ndim not in (2, 3) or T.shape[-1] != T.shape[-2]:
         raise ValueError(f"T must be square, got shape {T.shape}")
@@ -198,8 +204,7 @@ def _extract(F, A: np.ndarray, X: np.ndarray, vs, degree_cap: int,
     raises for the whole stack."""
     if degree_cap < 2:
         raise ValueError("degree_cap must be >= 2")
-    # one vector at a time: the norms of a stack differ in the last bit
-    V = np.array([_unit_vector(v) for v in vs])
+    V = _unit_vectors(vs)
     d = degree_cap
     parts = None if force_dft else F.x_parts()
     if parts is not None:
@@ -223,7 +228,7 @@ def _extract(F, A: np.ndarray, X: np.ndarray, vs, degree_cap: int,
     check = r * np.exp(1j * np.pi * (2 * np.arange(d + 1) + 1) / (d + 1))
     # each unit v is normalized again, as the per-node calls did:
     # dropping that pass moves the last digits of the coefficients
-    V = np.array([_unit_vector(v) for v in V])
+    V = _unit_vectors(V)
     phi, refused = _phi_at(F, A, X, V, np.concatenate([nodes, check]))
     samples, actual = phi[:, :d + 1], phi[:, d + 1:]
     # c_i r^i = (1/n) sum_j phi_j e^{-2 pi i ij/n}; numpy's fft carries
@@ -278,7 +283,7 @@ def test_slice_convexity_transfer(F, A: HermTuple, X: HermTuple, v,
     the identity.
     """
     F = as_nc_function(F)
-    v = _unit_vector(v)
+    v = _unit_vectors([v])[0]
     lo, hi = 1.0 - delta, 1.0 + delta
 
     def draw(rng, k):

@@ -337,10 +337,13 @@ def stack_norms(mats):
 
 
 def block_diag(M1: np.ndarray, M2: np.ndarray) -> np.ndarray:
-    n1, n2 = M1.shape[0], M2.shape[0]
-    out = np.zeros((n1 + n2, n1 + n2), dtype=complex)
-    out[:n1, :n1] = M1
-    out[n1:, n1:] = M2
+    """The direct sum M1 (+) M2, or, for stacks that share their leading
+    axes (..., n, n), the direct sum of each pair of members."""
+    lead = M1.shape[:-2]
+    n1, n2 = M1.shape[len(lead)], M2.shape[len(lead)]
+    out = np.zeros(lead + (n1 + n2, n1 + n2), dtype=complex)
+    out[..., :n1, :n1] = M1
+    out[..., n1:, n1:] = M2
     return out
 
 
@@ -455,17 +458,24 @@ def _letters(T: np.ndarray) -> list:
 def x_ball_points(draws) -> np.ndarray:
     """Stacked x-tuples (c, g, n, n) from draw_x_ball samples: Hermitian
     parts, ingested and rescaled to tuple norm r, ingested again."""
-    Z = np.array([z for z, _ in draws])
-    r = np.array([r for _, r in draws])
+    return _rescaled_points(np.array([z for z, _ in draws]),
+                           np.array([r for _, r in draws]))[0]
+
+
+def _rescaled_points(Z: np.ndarray, r: np.ndarray) -> tuple:
+    """(X, zero) for a (c, g, 2, n, n) stack Z of raw Ginibre parts and
+    c radii r: X holds the Hermitian parts, ingested, rescaled to tuple
+    norm r and ingested again, and zero marks the tuples of g > 0
+    entries whose norm is not positive; those stay unscaled."""
     H = hermitian_stack(_hermitian_from(_complex(Z)))
     if not Z.shape[1]:
-        return H
+        return H, np.zeros(len(H), dtype=bool)
     nx = stack_norms(_letters(H))
     pos = nx > 0
     X = hermitian_stack((r / np.where(pos, nx, 1.0))[:, None, None, None] * H)
-    if not pos.all():                   # a zero tuple stays unscaled
+    if not pos.all():
         X[~pos] = H[~pos]
-    return X
+    return X, ~pos
 
 
 def sample_x_ball(sig, n: int, epsilon: float, count: int, seed) -> list:

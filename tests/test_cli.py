@@ -516,6 +516,12 @@ def test_non_finite_loewner_matrix_exits_two(tmp_path, monkeypatch, capsys):
      "--multiplicities"),
     (["certify", "--preset", "square", "--multiplicities=0,2"],
      "--multiplicities"),
+    (["convexity", "--preset", "square", "--multiplicities", "1,x"],
+     "--multiplicities"),
+    (["axioms", "--preset", "square", "--sizes", "0"], "--sizes"),
+    (["axioms", "--preset", "square", "--sizes=-1"], "--sizes"),
+    (["axioms", "--preset", "square", "--sizes", ""], "--sizes"),
+    (["axioms", "--preset", "square", "--sizes", "2,two"], "--sizes"),
 ])
 def test_zero_work_arguments_are_usage_errors(argv, flag, tmp_path,
                                               monkeypatch, capsys):
@@ -527,4 +533,26 @@ def test_zero_work_arguments_are_usage_errors(argv, flag, tmp_path,
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {flag} "), err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv", [
+    ["convexity", "--preset", "square", "--trials", "5"],
+    ["certify", "--preset", "square", "--trials", "5", "--samples", "5"],
+    ["axioms", "--preset", "square", "--samples", "5"],
+    ["eval", "--expr", "x1^2", "--x-tuple", "identity2"],
+    ["convexity1", "--preset", "square", "--trials", "5"],
+    ["monotone", "--preset", "square", "--trials", "5"],
+    ["kraus", "--trials", "5"],
+], ids=lambda a: a[0] if isinstance(a, list) else a)
+def test_a_non_finite_tol_is_a_usage_error(argv, tol, tmp_path, monkeypatch,
+                                           capsys):
+    # a NaN threshold used to pass nothing and fail without a witness
+    monkeypatch.chdir(tmp_path)
+    code = main([*argv, f"--tol={tol}"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: --tol must be a finite number, "
+                                f"got {float(tol)}"]
     assert list(tmp_path.iterdir()) == []

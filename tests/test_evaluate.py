@@ -365,6 +365,55 @@ def test_at_points_equals_per_point_calls(make):
         assert np.array_equal(got, want), n
 
 
+NO_X = {
+    "no x-letter": lambda: PolynomialNcFunction(
+        parse_polynomial("a1*a2*a1 + 2*a2", Signature(2, 0))),
+    "no letter": lambda: PolynomialNcFunction(
+        parse_polynomial("3", Signature(0, 0))),
+}
+
+
+@pytest.mark.parametrize("make", [*STACKED.values(), *NO_X.values()],
+                         ids=[*STACKED, *NO_X])
+def test_at_points_on_a_stack_of_a_tuples_equals_per_point_calls(make):
+    # one A per point: polynomials run the plan on both letter stacks,
+    # the Kraus lift ignores A, the default loop passes each row of A
+    F = make()
+    sig = F.signature
+    rng = derived_rng(82)
+    for n in range(1, 8):
+        scale = 0.25 / np.sqrt(n)
+
+        def stack(g):
+            return np.array([random_hermitian(n, rng, scale)
+                             for _ in range(5 * g)],
+                            dtype=complex).reshape(5, g, n, n)
+
+        A, Xs = stack(sig.g_a), stack(sig.g_x)
+        got = F.at_points(A, Xs)
+        want = np.stack([F(HermTuple(list(a), kind="a", n=n),
+                           HermTuple(list(x), kind="x", n=n))
+                         for a, x in zip(A, Xs)])
+        assert got.shape == want.shape
+        assert np.array_equal(got, want), n
+
+
+def test_default_at_points_passes_each_point_its_own_a_tuple():
+    seen = []
+
+    def fn(A, X):
+        seen.append((type(A), A.kind, A.n, np.array(A.entries)))
+        with pytest.raises(ValueError):
+            A.entries[0][0, 0] = 0.0    # the caller's stack is read-only
+        return X[0]
+
+    F = CallableNcFunction(fn, Signature(1, 1))
+    A = np.arange(3 * 4, dtype=complex).reshape(3, 1, 2, 2)
+    F.at_points(A, np.zeros((3, 1, 2, 2), dtype=complex))
+    assert [s[:3] for s in seen] == [(HermTuple, "a", 2)] * 3
+    assert all(np.array_equal(s[3], a) for s, a in zip(seen, A))
+
+
 def test_eval_poly_refuses_a_and_x_stacks_of_different_depths():
     sig = Signature(1, 1)
     with pytest.raises(ShapeError):

@@ -19,7 +19,8 @@ from ncconvex import test_slice_convexity_transfer as slice_transfer
 from ncconvex.convexity import CHUNK, _one_point
 from ncconvex.errors import (DomainError, ExtractionError,
                              SingularityError)
-from ncconvex.slices import _draw_slice_sample, _extract, _magnitudes
+from ncconvex.slices import (_draw_slice_sample, _extract, _magnitudes,
+                             _unit_vectors)
 from ncconvex.tuples import draw_x_ball
 
 
@@ -480,6 +481,33 @@ def test_magnitudes_round_as_abs_of_a_python_complex():
     got = _magnitudes(values)
     want = np.array([abs(c) for c in values.tolist()])
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _unit_vector(v):
+    # one vector alone, as np.linalg.norm normalizes it
+    v = np.asarray(v, dtype=complex).reshape(-1)
+    return v / float(np.linalg.norm(v))
+
+
+@pytest.mark.parametrize("N", range(1, 10))
+def test_unit_vectors_round_as_one_vector_alone(N):
+    # the slice coefficients inherit these bits, on the DFT route from
+    # two passes
+    rng = derived_rng(70, N)
+    scales = 10.0 ** rng.uniform(-100, 100, size=(2, 3000, 1))
+    V = (rng.standard_normal((3000, N)) * scales[0]
+         + 1j * rng.standard_normal((3000, N)) * scales[1])
+    once = _unit_vectors(V)
+    twice = _unit_vectors(once)
+    want = np.array([_unit_vector(v) for v in V])
+    assert np.array_equal(once.view(np.int64), want.view(np.int64))
+    want = np.array([_unit_vector(v) for v in want])
+    assert np.array_equal(twice.view(np.int64), want.view(np.int64))
+
+
+def test_unit_vectors_refuse_a_zero_vector():
+    with pytest.raises(ValueError, match="must be nonzero"):
+        _unit_vectors([[1.0, 0.0], [0.0, 0.0]])
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
