@@ -584,8 +584,8 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser(argv).parse_args(argv)
     try:
-        for flag in ("trials", "samples", "size"):
-            value = getattr(args, flag, None)
+        for flag in ("trials", "samples", "size", "matrix-checks"):
+            value = getattr(args, flag.replace("-", "_"), None)
             if value is not None and value < 1:
                 raise ValueError(f"--{flag} must be at least 1, got {value}")
         for flag in ("sizes", "multiplicities"):
@@ -594,6 +594,10 @@ def main(argv=None) -> int:
                         _parse_counts(f"--{flag}", getattr(args, flag)))
         if args.tol is not None and not math.isfinite(args.tol):
             raise ValueError(f"--tol must be a finite number, got {args.tol}")
+        epsilon = getattr(args, "epsilon", None)
+        if epsilon is not None and not 0 < epsilon < math.inf:
+            raise ValueError(f"--epsilon must be a positive finite number, "
+                             f"got {epsilon}")
         if getattr(args, "verify_witness", None):
             return _verify(args)
         return args.fn(args)

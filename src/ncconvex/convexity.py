@@ -4,20 +4,23 @@ the sampling core that every tester in the package runs on.
 Each tester is a sampling falsifier with a one-sided guarantee: a fail
 is conclusive and ships a witness that re-verifies standalone, a pass
 is evidence over the sampled ball, not a proof.  _sampled is the one
-sampling loop of the package; the falsifiers reach it through _falsify
-and the degree-two certificate of slices.py calls it directly.  It runs
-the samples in chunks of CHUNK, in three phases:
+sampling loop of the package; the falsifiers reach it through _falsify,
+the degree-two certificate (slices.py) and the nc-function axioms check
+(evaluate.py) call it directly.  It runs the samples in chunks of
+CHUNK, in three phases:
 
-  draw    each sample k takes its raw numbers from its own generator,
-          in sample order.  A chunk's generators are built together by
-          derived_rngs(key, ks), one vectorised seeding pass, and each
-          equals derived_rng(*key, k) bit for bit;
-  stack   the client's stage turns a chunk's raw numbers into results
-          with stacked numpy calls, once per group of samples of one
-          matrix size.  For the falsifiers that is sampling, evaluation
-          through F.at_points and the defect matrices, and _falsify
-          takes the Hermitian parts, refuses non-finite ones and runs
-          one eigvalsh per stack;
+  draw    the client's draws(ks) yields a chunk's samples in order.
+          Through _streams each sample k takes its raw numbers from its
+          own generator, built for the chunk by derived_rngs(key, ks) in
+          one vectorised seeding pass and equal to derived_rng(*key, k)
+          bit for bit; the axioms check takes all of them from one
+          stream, as_rng(seed);
+  stack   the client's stage turns a chunk's samples into results with
+          stacked numpy calls, once per group of samples of one matrix
+          size.  For the falsifiers that is sampling, evaluation through
+          F.at_points and the defect matrices, and _falsify takes the
+          Hermitian parts, refuses non-finite ones and runs one
+          eigvalsh per stack;
   replay  the samples are walked in order; _falsify tracks the minimum
           and the worst trial and raises a trial's error where a
           trial-by-trial run would; after it, the witness is built once,
@@ -26,15 +29,11 @@ the samples in chunks of CHUNK, in three phases:
 Stacked numpy calls give every member the bits it gets alone, so the
 outcome does not depend on CHUNK, and live memory is bounded by it (a
 few MB, see CHUNK), not by the sample count.  A chunk whose stacked
-stage raises runs again one sample at a time, up to CHUNK of them, each
-redrawn from a fresh derived_rng(*key, k) and evaluated on a one-sample
-stack, so an error names the sample that caused it.
-
-The nc-function axioms check (evaluate.check_nc_function_axioms) has
-the same draw / stack / replay shape and chunk size, but keeps the one
-stream as_rng(seed) that all its samples have always shared: a chunk's
-samples take their raw numbers from it in order, and a failing chunk
-runs again one sample at a time from the raw numbers it stored.
+stage raises runs again one sample at a time, up to CHUNK of them, on
+the samples it stored, each on a one-sample stack, so an error names
+the sample that caused it.  No stage writes into a sample, so the
+replay sees the bits the stacked attempt saw; convexity_test_1var,
+whose samples carry their generator, draws on from a copy of it.
 
 Convexity witnesses are shrunk by halving the spread X - Y around the
 fixed mixing point while the violation persists, on the worst trial's
@@ -123,68 +122,67 @@ def _defect_eigs(D: np.ndarray, where: str) -> np.ndarray:
     return eigs
 
 
-def _run_chunk(key: tuple, ks: range, draw, stage, group_by):
-    """Yield (k, result) for the samples ks in order, and raise a
-    sample's error in its place.
-
-    Any exception a sample raises is held and raised again after the
-    samples before it are yielded, as a sample-by-sample loop would
-    order it; a black box may raise anything, so none is told apart
-    here.
-    """
-    samples, error = [], None
-    try:
+def _streams(key: tuple, draw):
+    """_sampled's draws when sample k is draw(derived_rng(*key, k), k),
+    a chunk's generators built by one derived_rngs pass."""
+    def draws(ks):
         for k, rng in zip(ks, derived_rngs(key, ks)):
-            samples.append(draw(rng, k))
-    except Exception as exc:            # later samples are never reached
-        error = exc
-    results = []
-    if samples:
-        try:
-            results = _per_group(samples, stage, group_by)
-        except Exception:
-            # one sample at a time, each redrawn from its own generator,
-            # until the first sample that fails alone
-            for k in ks[:len(samples)]:
-                try:
-                    results += _per_group([draw(derived_rng(*key, k), k)],
-                                         stage, None)
-                except Exception as exc:
-                    error = exc
-                    break
-    yield from zip(ks, results)
-    if error is not None:
-        raise error
+            yield draw(rng, k)
+    return draws
 
 
-def _sampled(key: tuple, count: int, draw, stage, group_by=None):
+def _sampled(count: int, draws, stage, group_by=None, step=None):
     """The package's sampling loop: (k, result) for k = 0 .. count-1 in
-    order, run in chunks of CHUNK.
+    order, run in chunks of step samples (CHUNK when None).
 
-    draw(rng, k) takes sample k's raw numbers from rng =
-    derived_rng(*key, k) and returns them as the sample.  stage(samples)
-    turns a list of samples into one result per sample with stacked
-    calls; when the work differs between samples (a matrix size),
-    group_by(sample) names it and stage sees one group at a time.  When
-    stage raises on a chunk, the chunk runs again one sample at a time,
-    so on a one-sample list its error should name that sample.
+    draws(ks) yields the samples ks in order.  stage(samples) turns a
+    list of samples into one result per sample with stacked calls; when
+    the work differs between samples (a matrix size), group_by(sample)
+    names it and stage sees one group at a time.  When stage raises on a
+    chunk, the chunk's stored samples run again one at a time, so on a
+    one-sample list its error should name that sample.  Any exception
+    is held and raised after the samples before it are yielded, as a
+    sample-by-sample loop would order it; a black box may raise
+    anything, so none is told apart here.
     """
-    for start in range(0, count, CHUNK):
-        yield from _run_chunk(key, range(start, min(start + CHUNK, count)),
-                              draw, stage, group_by)
+    step = step or CHUNK
+    for start in range(0, count, step):
+        ks = range(start, min(start + step, count))
+        samples, error = [], None
+        try:
+            for sample in draws(ks):
+                samples.append(sample)
+        except Exception as exc:        # later samples are never reached
+            error = exc
+        results = []
+        if samples:
+            try:
+                results = _per_group(samples, stage, group_by)
+            except Exception:
+                # until the first sample that fails alone
+                for sample in samples:
+                    try:
+                        results += stage([sample])
+                    except Exception as exc:
+                        error = exc
+                        break
+        yield from zip(ks, results)
+        if error is not None:
+            raise error
 
 
 def _falsify(runs: list, defects, witness_of, test: str,
              group_by=None) -> Report:
     """The falsifiers' client of _sampled.
 
-    runs lists (key, trials, draw): each is one _sampled stream, and
-    they are replayed in order as one run, with one minimum and one
-    worst trial; a trial's error names its k within its own run.
+    runs lists (key, trials, draw): each is one _sampled run on the
+    streams _streams(key, draw), and they are replayed in order as one
+    run, with one minimum and one worst trial; a trial's error names its
+    k within its own run.
     defects(samples) evaluates a list of trials with stacked calls and
     returns (D, data): D the (c, N, N) stack of defect matrices and
     data[i] what witness_of needs of trial i; the core adds one
-    eigvalsh per stack.  draw and group_by are _sampled's.
+    eigvalsh per stack.  group_by is _sampled's.
 
     The run passes when the smallest defect eigenvalue is >= -PSD_TOL.
     The replay keeps the worst trial's (data, eigs); after it,
@@ -202,7 +200,8 @@ def _falsify(runs: list, defects, witness_of, test: str,
     min_eig = math.inf
     trial_eigs = []
     for key, trials, draw in runs:
-        for k, (eigs, data) in _sampled(key, trials, draw, stage, group_by):
+        for k, (eigs, data) in _sampled(trials, _streams(key, draw),
+                                        stage, group_by):
             if eigs is None:
                 raise NcError(f"trial {k}: the defect matrix is not finite")
             eig = float(eigs[0])
@@ -286,8 +285,8 @@ def _convexity(F, A: HermTuple, epsilon: float, trials: int, seed,
                    ca_element(A, int(m), "random",
                               seed=derived_rng(seed, li, _LEVEL_SALT)).tuple)
                   for li, m in enumerate(multiplicities)]
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise ValueError("epsilon must be positive and finite")
     sig = F.signature
     if A.arity != sig.g_a:
         raise ValueError(

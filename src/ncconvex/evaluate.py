@@ -375,36 +375,37 @@ def _draw_axioms_sample(sig: Signature, sizes: np.ndarray, rng) -> tuple:
     return n1, n2, tuples, rng.standard_normal((2, n1, n1))
 
 
-def _axioms_points(chunk: list, start: int) -> list:
-    """Per sample of a chunk (samples start, start + 1, ...) its arrays
+def _axioms_points(chunk: list) -> list:
+    """Per sample (k, n1, n2, tuples, u) of a chunk its arrays
     [A1, X1, A2, X2, U, AJ, XJ, AC, XC]: the four tuples rescaled to
     their drawn norms, the Haar unitary, the direct sums A1 (+) A2 and
     X1 (+) X2, and the conjugates U*A1U and U*X1U.  Each kind of array
     is built by stacked calls, once per matrix size (per pair of sizes
     for the direct sums), each followed by the ingest a HermTuple
     runs."""
+    ks, n1s, n2s, raws, gins = zip(*chunk)
     P = [[None] * 9 for _ in chunk]
     slots = [(j, s) for j in range(len(chunk)) for s in range(4)]
-    for (kind, _), idx in _groups([(s % 2, chunk[j][s // 2])
+    for (kind, _), idx in _groups([(s % 2, (n1s, n2s)[s // 2][j])
                                    for j, s in slots]).items():
         group = [slots[i] for i in idx]
-        Z, r = zip(*(chunk[j][2][s] for j, s in group))
+        Z, r = zip(*(raws[j][s] for j, s in group))
         T, zero = _rescaled_points(np.array(Z), np.array(r))
         if zero.any():
             # a tuple of norm 0 would take no norm from the stream
-            raise NcError(f"axioms sample {start + group[zero.argmax()][0]}: "
+            raise NcError(f"axioms sample {ks[group[zero.argmax()][0]]}: "
                           f"the drawn {'ax'[kind]}-tuple has norm 0")
         for (j, s), t in zip(group, T):
             P[j][s] = t
-    for n, idx in _groups([n1 for n1, *_ in chunk]).items():
-        U = _haar_q(_complex(np.array([chunk[j][3] for j in idx])))
+    for n, idx in _groups(n1s).items():
+        U = _haar_q(_complex(np.array([gins[j] for j in idx])))
         _check_unitary(U, n, stacked=True)
         Uh = U.conj().swapaxes(-1, -2)[:, None]
         AC, XC = (hermitian_stack(Uh @ np.array([P[j][s] for j in idx])
                                   @ U[:, None]) for s in (0, 1))
         for j, *row in zip(idx, U, AC, XC):
             P[j][4], P[j][7], P[j][8] = row
-    for idx in _groups([(n1, n2) for n1, n2, *_ in chunk]).values():
+    for idx in _groups(zip(n1s, n2s)).values():
         AJ, XJ = (hermitian_stack(block_diag(
             np.array([P[j][s] for j in idx]),
             np.array([P[j][s + 2] for j in idx]))) for s in (0, 1))
@@ -415,29 +416,33 @@ def _axioms_points(chunk: list, start: int) -> list:
 
 def _at_sizes(F: NcFunction, points: list) -> list:
     """F at each (A, X) pair of (g, n, n) arrays, from one F.at_points
-    call per size n; a value that is not n x n raises, since the
-    stacked deviations need F graded."""
+    call per size n; a value that is not square raises, since the
+    stacked deviations need square values."""
     def stage(group):
-        n = group[0][1].shape[-1]
         vals = F.at_points(*(np.array(col) for col in zip(*group)))
-        if np.shape(vals) != (len(group), n, n):
-            raise ShapeError(f"{F.name} gives values of shape "
-                             f"{np.shape(vals)[1:]} at size {n}")
+        shape = np.shape(vals)
+        if len(shape) != 3 or shape[0] != len(group) or shape[1] != shape[2]:
+            raise ShapeError(f"{F.name} gives values of shape {shape[1:]} "
+                             f"at size {group[0][1].shape[-1]}")
         return vals
 
     return _per_group(points, stage, lambda p: p[1].shape[-1])
 
 
 def _axioms_devs(F: NcFunction, chunk: list, P: list) -> list:
-    """(dev_ds, dev_u) per sample of a chunk: v1, v2, the conjugated and
-    the joint values from one F call per matrix size, the deviations
-    once per pair of sizes."""
+    """(dev_ds, dev_u) per sample of a chunk: v1, v2, the joint and the
+    conjugated values from one F call per matrix size, the deviations
+    once per pair of sizes.  A sample alone evaluates its four points
+    one at a time, in that order, as a sample-by-sample check calls F,
+    so the first error it raises is the one that check raised first."""
     c = len(chunk)
-    vals = _at_sizes(F, [(p[h], p[h + 1]) for h in (0, 2, 5, 7) for p in P])
+    points = [(p[h], p[h + 1]) for h in (0, 2, 5, 7) for p in P]
+    vals = (_at_sizes(F, points) if c > 1
+            else [v for pt in points for v in _at_sizes(F, [pt])])
     v1, v2, vj, vc = (vals[h * c:(h + 1) * c] for h in range(4))
     cols = (v1, v2, vj, vc, [p[4] for p in P])
     out = [None] * c
-    for idx in _groups([(n1, n2) for n1, n2, *_ in chunk]).values():
+    for idx in _groups([(n1, n2) for _, n1, n2, *_ in chunk]).values():
         V1, V2, VJ, VC, U = (np.array([col[j] for j in idx]) for col in cols)
         ds = np.max(np.abs(VJ - block_diag(V1, V2)), axis=(-2, -1))
         du = np.max(np.abs(VC - U.conj().swapaxes(-1, -2) @ V1 @ U),
@@ -447,45 +452,28 @@ def _axioms_devs(F: NcFunction, chunk: list, P: list) -> list:
     return out
 
 
-def _axioms_one(F: NcFunction, p: list) -> tuple:
-    """One sample's (dev_ds, dev_u), evaluated point by point in the
-    order of a sample-by-sample check: F sees each point as a pair of
-    read-only HermTuples, and the first error raised is the one that
-    check raised first."""
-    A1, X1, A2, X2, U, AJ, XJ, AC, XC = p
-
-    def at(A, X):
-        n = X.shape[-1]
-        return F(HermTuple._trusted(_read_only(A), "a", n),
-                 HermTuple._trusted(_read_only(X), "x", n))
-
-    v1 = at(A1, X1)
-    v2 = at(A2, X2)
-    dev_ds = float(np.max(np.abs(at(AJ, XJ) - block_diag(v1, v2))))
-    return dev_ds, float(np.max(np.abs(at(AC, XC) - U.conj().T @ v1 @ U)))
-
-
 def check_nc_function_axioms(F, sizes=(1, 2, 3, 4), samples: int = 100,
                              seed=0, tol: float = AXIOM_TOL) -> AxiomsReport:
     """Sampled check that F respects direct sums and unitary conjugation.
 
     Only meaningful for graded evaluators (output side equals input
     size).  Failures are report content, not exceptions; the first
-    offending sample is kept as a self-contained counterexample.
+    offending sample is kept as a self-contained counterexample.  A
+    deviation that is not finite raises NcError naming its sample,
+    since NaN compares false against tol and would pass.
 
-    The check has the draw / stack / replay shape of the sampling core
-    in convexity.py, but keeps one stream, as_rng(seed), for all its
-    samples: a chunk's samples take their raw numbers from it in sample
-    order; the chunk's matrices are built, and F evaluated, with
-    stacked calls once per matrix size; then the samples are replayed
-    in order for the maxima and the first counterexample.  A chunk
-    holds convexity.CHUNK samples at sizes up to 4, fewer at larger
-    sizes, so its memory stays that of CHUNK samples of size 4.  A chunk
-    whose stacked stage raises runs again one sample at a time, from its
-    raw numbers, so the error raised is the first a sample-by-sample
-    check meets.
+    The check runs on the sampling loop of convexity.py (_sampled), but
+    keeps one stream, as_rng(seed), for all its samples, taken in sample
+    order; a chunk's matrices are built, and F evaluated, with stacked
+    calls once per matrix size; then the samples are replayed in order
+    for the maxima and the first counterexample.  A chunk holds
+    convexity.CHUNK samples at sizes up to 4, fewer at larger sizes, so
+    its memory stays that of CHUNK samples of size 4.  A chunk whose
+    stacked stage raises runs again one sample at a time, on the raw
+    numbers it stored, so the error raised is the first a
+    sample-by-sample check meets.
     """
-    from .convexity import CHUNK        # convexity imports this module
+    from .convexity import CHUNK, _sampled  # convexity imports this module
     F = as_nc_function(F)
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
@@ -493,34 +481,35 @@ def check_nc_function_axioms(F, sizes=(1, 2, 3, 4), samples: int = 100,
     if sizes.ndim != 1 or not sizes.size or not (sizes >= 1).all():
         raise ValueError(f"sizes must list matrix sizes of at least 1, "
                          f"got {sizes.tolist()}")
-    step = min(CHUNK, max(1, CHUNK * 16 // int(sizes.max()) ** 2))
     sig = F.signature
     rng = as_rng(seed)
+
+    def draws(ks):
+        for k in ks:
+            yield (k, *_draw_axioms_sample(sig, sizes, rng))
+
+    def stage(chunk):
+        P = _axioms_points(chunk)
+        return zip(chunk, P, _axioms_devs(F, chunk, P))
+
     max_ds = 0.0
     max_u = 0.0
     counterexample = None
-    for start in range(0, samples, step):
-        chunk = [_draw_axioms_sample(sig, sizes, rng)
-                 for _ in range(start, min(start + step, samples))]
-        try:
-            P = _axioms_points(chunk, start)
-            devs = _axioms_devs(F, chunk, P)
-        except Exception:
-            P, devs = [], []
-            for k, sample in enumerate(chunk, start):
-                P += _axioms_points([sample], k)
-                devs.append(_axioms_one(F, P[-1]))
-        for (n1, n2, *_), p, (dev_ds, dev_u) in zip(chunk, P, devs):
-            max_ds = max(max_ds, dev_ds)
-            max_u = max(max_u, dev_u)
-            if counterexample is None and (dev_ds > tol or dev_u > tol):
-                counterexample = {
-                    "axiom": "direct_sum" if dev_ds > tol else "unitary",
-                    "deviation": max(dev_ds, dev_u),
-                    "A1": tuple_to_json(p[0]), "X1": tuple_to_json(p[1]),
-                    "A2": tuple_to_json(p[2]), "X2": tuple_to_json(p[3]),
-                    "n1": n1, "n2": n2,
-                }
+    for k, ((_, n1, n2, *_), p, (dev_ds, dev_u)) in _sampled(
+            samples, draws, stage,
+            step=min(CHUNK, max(1, CHUNK * 16 // int(sizes.max()) ** 2))):
+        if not (math.isfinite(dev_ds) and math.isfinite(dev_u)):
+            raise NcError(f"axioms sample {k}: a deviation is not finite")
+        max_ds = max(max_ds, dev_ds)
+        max_u = max(max_u, dev_u)
+        if counterexample is None and (dev_ds > tol or dev_u > tol):
+            counterexample = {
+                "axiom": "direct_sum" if dev_ds > tol else "unitary",
+                "deviation": max(dev_ds, dev_u),
+                "A1": tuple_to_json(p[0]), "X1": tuple_to_json(p[1]),
+                "A2": tuple_to_json(p[2]), "X2": tuple_to_json(p[3]),
+                "n1": n1, "n2": n2,
+            }
     return AxiomsReport(passed=(max_ds <= tol and max_u <= tol),
                         samples=samples, max_direct_sum_dev=max_ds,
                         max_unitary_dev=max_u, tol=tol,

@@ -24,6 +24,7 @@ in Python on each eigenvalue.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -392,7 +393,9 @@ def convexity_test_1var(f: ScalarFn, interval: Optional[tuple] = None,
 
     def resample(t, rng):
         # float dust pushed a mixed eigenvalue out: attempts 2-5 draw
-        # on from the trial's own generator
+        # on from a copy of the trial's own generator, which stays as
+        # drawn for a replay of the chunk
+        rng = copy.deepcopy(rng)
         for _ in range(4):
             D, ok, A, B = evaluate([t], [spectra(rng)])
             if ok[0]:

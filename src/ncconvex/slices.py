@@ -60,7 +60,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .convexity import (Report, _falsify, _one_point, _sampled,
+from .convexity import (Report, _falsify, _one_point, _sampled, _streams,
                         test_convexity_at_CA)
 from .errors import DomainError, ExtractionError
 from .evaluate import as_nc_function, eval_poly
@@ -427,7 +427,7 @@ def certify_degree_two(F, A: HermTuple, epsilon: float, samples: int = 50,
     max_high = 0.0
     skipped = 0
     offender = None
-    for k, result in _sampled((seed, 7919), samples, draw, stage,
+    for k, result in _sampled(samples, _streams((seed, 7919), draw), stage,
                               group_by=lambda s: s[0]):
         if result is None:
             skipped += 1

@@ -18,6 +18,7 @@ the same arithmetic, bit for bit, that one sample gets alone.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 
 import numpy as np
@@ -279,9 +280,6 @@ class HermTuple:
 
     # -- domain operations ----------------------------------------------------
 
-    def norm(self) -> float:
-        return tuple_norm(self)
-
     def direct_sum(self, other: "HermTuple") -> "HermTuple":
         if not isinstance(other, HermTuple):
             raise TypeError("direct_sum needs another HermTuple")
@@ -442,8 +440,8 @@ def draw_x_ball(g: int, n: int, epsilon: float, count: int, rng) -> list:
     """The raw numbers of sample_x_ball, in its order: per sample, the
     real and imaginary parts of g Ginibre matrices as one (g, 2, n, n)
     draw, then the radius.  Returns [(parts, radius)] per sample."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise ValueError("epsilon must be positive and finite")
     if not g:
         return [(np.zeros((0, 2, n, n)), 0.0)] * count
     return [(rng.standard_normal((g, 2, n, n)), rng.uniform(0.0, epsilon))

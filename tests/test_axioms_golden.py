@@ -113,6 +113,20 @@ def _refuse_size(n):
     return CallableNcFunction(fn, Signature(0, 1))
 
 
+def _refuse_joint():
+    # refuses every point of size 4 or more, which at sizes (2,) is every
+    # joint point, and the points whose corner entry is above 0.1, which
+    # tells a conjugated point from its v1: the first error depends on
+    # the order in which F sees a sample's four points
+    def fn(A, X):
+        M = np.asarray(X[0], dtype=complex)
+        if M.shape[0] >= 4 or M[-1, -1].real > 0.1:
+            raise DomainError(f"size {M.shape[0]} refused at corner "
+                              f"{float(M[-1, -1].real)!r}")
+        return M @ M @ M
+    return CallableNcFunction(fn, Signature(0, 1))
+
+
 EVALUATORS = {
     "mixed-ax": lambda: get_preset("mixed-ax").make(),
     "two x-letters": lambda: PolynomialNcFunction(
@@ -122,6 +136,7 @@ EVALUATORS = {
     "kraus": lambda: get_preset("kraus-halfmass").make(),
     "trace": trace_evaluator,
     "refuses size 3": lambda: _refuse_size(3),
+    "refuses joint points": _refuse_joint,
 }
 
 
@@ -174,12 +189,16 @@ def test_a_chunk_evaluates_once_per_matrix_size():
 
 
 def test_a_failing_chunk_raises_its_first_failing_sample_error():
-    # several samples meet size 3; the error must be the first one's
-    F = _refuse_size(3)
-    kw = dict(sizes=(1, 2, 3), samples=30, seed=12)
-    want = _outcome(loop_axioms, F, **kw)
-    assert want.startswith("DomainError: size 3 refused")
-    assert _outcome(check_nc_function_axioms, F, **kw) == want
+    # several samples meet size 3; the error must be the first one's.
+    # With _refuse_joint the first failing sample refuses its joint and
+    # its conjugated point, and F must meet the joint one first, as the
+    # loop calls it
+    for F, sizes, seed, first in ((_refuse_size(3), (1, 2, 3), 12, "size 3"),
+                                  (_refuse_joint(), (2,), 13, "size 4")):
+        kw = dict(sizes=sizes, samples=30, seed=seed)
+        want = _outcome(loop_axioms, F, **kw)
+        assert want.startswith(f"DomainError: {first} refused")
+        assert _outcome(check_nc_function_axioms, F, **kw) == want
 
 
 def test_a_zero_norm_tuple_names_its_sample(monkeypatch):

@@ -522,6 +522,8 @@ def test_non_finite_loewner_matrix_exits_two(tmp_path, monkeypatch, capsys):
     (["axioms", "--preset", "square", "--sizes=-1"], "--sizes"),
     (["axioms", "--preset", "square", "--sizes", ""], "--sizes"),
     (["axioms", "--preset", "square", "--sizes", "2,two"], "--sizes"),
+    (["kraus", "--matrix-checks", "0"], "--matrix-checks"),
+    (["kraus", "--matrix-checks=-2"], "--matrix-checks"),
 ])
 def test_zero_work_arguments_are_usage_errors(argv, flag, tmp_path,
                                               monkeypatch, capsys):
@@ -556,3 +558,41 @@ def test_a_non_finite_tol_is_a_usage_error(argv, tol, tmp_path, monkeypatch,
     assert err.splitlines() == [f"error: --tol must be a finite number, "
                                 f"got {float(tol)}"]
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf", "0", "-1"])
+@pytest.mark.parametrize("command", ["convexity", "certify"])
+def test_a_non_finite_or_non_positive_epsilon_is_a_usage_error(
+        command, epsilon, tmp_path, monkeypatch, capsys):
+    # NaN and inf used to reach the x-ball sampler, whose OverflowError
+    # printed a traceback and exited 1, the code for "falsified"
+    monkeypatch.chdir(tmp_path)
+    code = main([command, "--preset", "square", f"--epsilon={epsilon}"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: --epsilon must be a positive finite "
+                                f"number, got {float(epsilon)}"]
+
+
+_OVERFLOW = ["--expr", "1e308*x1^2 + 1e308*x1^2", "--signature", "0,1",
+             "--seed", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--x-tuple", "identity2"],
+    ["convexity", "--trials", "5"],
+    ["certify", "--trials", "5", "--samples", "5"],
+    ["monotone", "--trials", "5"],
+    ["convexity1", "--trials", "5"],
+    ["axioms", "--samples", "5"],
+], ids=lambda a: a[0])
+def test_values_past_the_float_range_never_pass(argv, tmp_path):
+    # axioms used to pass here with both maxima 0.0; as a child process,
+    # so numpy's overflow warnings are printed, not raised
+    r = run_cli([*argv, *_OVERFLOW], tmp_path)
+    assert "Traceback" not in r.stderr
+    if r.returncode == 1:
+        assert {"witness", "counterexample"} & set(json.loads(r.stdout))
+    else:
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr.splitlines()[-1].startswith("error: ")

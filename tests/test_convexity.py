@@ -10,6 +10,7 @@ import pytest
 import ncconvex.convexity as convexity
 from ncconvex import (CallableNcFunction, DomainError, HermTuple, NcError,
                       PolynomialNcFunction, ScalarFn, Signature, ca_element,
+                      certify_degree_two, check_nc_function_axioms,
                       convexity_test_1var, derived_rng, get_preset,
                       loewner_monotone_test, parse_polynomial,
                       random_base_tuple, sample_x_ball,
@@ -224,6 +225,69 @@ def test_all_nan_evaluator_raises_instead_of_passing(run):
     with pytest.raises(NcError, match="trial 0: the defect matrix is not "
                                       "finite"):
         run()
+
+
+def _nc_box(kind):
+    """x1^2 that raises past 0.5 in its corner entry, or all NaN or inf."""
+    def fn(A, X):
+        M = np.asarray(X[0], dtype=complex)
+        if kind != "raises":
+            return np.full(M.shape, float(kind), dtype=complex)
+        if M[0, 0].real > 0.5:
+            raise DomainError(f"refused at {float(M[0, 0].real)!r}")
+        return M @ M
+    return CallableNcFunction(fn, Signature(0, 1), name=kind)
+
+
+def _scalar_box(kind):
+    """t^2 that raises past 0.5, or all NaN or inf.  Its domain is
+    narrower than the tested interval (-1, 1), so convexity_test_1var
+    resamples some trials, and with seed 8 the first trial that raises
+    does so on spectra it resampled."""
+    def f(t):
+        if kind != "raises":
+            return float(kind)
+        if t > 0.5:
+            raise DomainError(f"refused at {t!r}")
+        return t * t
+    return ScalarFn(f, d1=lambda t: 2.0 * t if kind == "raises" else f(t),
+                    domain=(-0.95, 0.95), name=kind)
+
+
+_TESTERS = {
+    "at_A": lambda F, f: convexity_at_A(F, _empty_a(2), 1.0, trials=30,
+                                        seed=8),
+    "at_CA": lambda F, f: convexity_at_CA(F, _empty_a(2), 1.0, trials=15,
+                                          seed=8),
+    "certify": lambda F, f: certify_degree_two(F, _empty_a(2), 1.0,
+                                               samples=20, trials=15, seed=8),
+    "slice_transfer": lambda F, f: slice_transfer(
+        F, _empty_a(2), HermTuple([np.diag([0.7, -0.2])], kind="x"),
+        [1.0, 0.5], trials=30, seed=8),
+    "axioms": lambda F, f: check_nc_function_axioms(F, samples=30, seed=8),
+    "convexity_1var": lambda F, f: convexity_test_1var(f, (-1.0, 1.0),
+                                                       trials=30, seed=8),
+    "loewner": lambda F, f: loewner_monotone_test(f, (-1.0, 1.0), trials=30,
+                                                  seed=8),
+}
+
+
+@pytest.mark.parametrize("tester", sorted(_TESTERS))
+@pytest.mark.parametrize("kind", ["nan", "inf", "raises"])
+def test_black_boxes_raise_the_same_error_at_every_chunk(kind, tester,
+                                                         monkeypatch):
+    # a black box that gives NaN or inf never passes, and one that raises
+    # at some sample raises the same error whether that sample's chunk
+    # is stacked or replayed one sample at a time
+    outcomes = set()
+    for chunk in (1, 7, 256):
+        monkeypatch.setattr(convexity, "CHUNK", chunk)
+        with np.errstate(all="ignore"), pytest.raises(NcError) as exc:
+            _TESTERS[tester](_nc_box(kind), _scalar_box(kind))
+        outcomes.add(f"{exc.type.__name__}: {exc.value}")
+    assert len(outcomes) == 1, outcomes
+    want = "DomainError: " if kind == "raises" else "NcError: "
+    assert outcomes.pop().startswith(want)
 
 
 def test_core_witness_from_the_worst_trial_past_a_chunk_boundary():

@@ -591,8 +591,9 @@ def test_sampled_draws_the_same_streams_on_both_seeding_paths(monkeypatch):
     # the vector pass at chunks of CHUNK and of 5, and the per-key
     # fallback a failed seeding self-check takes, give the same streams
     def run():
-        return list(convexity._sampled((97, (3, 1)), 2 * CHUNK + 3,
-                                       _draw_stream, lambda s: s))
+        return list(convexity._sampled(
+            2 * CHUNK + 3, convexity._streams((97, (3, 1)), _draw_stream),
+            lambda s: s))
 
     reference = run()
     assert [r for _, r in reference] == [
@@ -604,10 +605,14 @@ def test_sampled_draws_the_same_streams_on_both_seeding_paths(monkeypatch):
     assert run() == reference
 
 
-def test_sampled_replays_a_raising_chunk_from_fresh_generators():
-    # the stacked stage raises, so every sample is drawn again alone; a
-    # reused generator would hand the replay its stream's later numbers
-    stacks = []
+def test_sampled_replays_a_raising_chunk_from_its_stored_samples():
+    # the stacked stage raises, so every sample runs again alone, on the
+    # sample it was drawn as: nothing is drawn a second time
+    stacks, drawn = [], []
+
+    def draw(rng, k):
+        drawn.append(k)
+        return _draw_stream(rng, k)
 
     def stage(samples):
         stacks.append(len(samples))
@@ -615,8 +620,10 @@ def test_sampled_replays_a_raising_chunk_from_fresh_generators():
             raise RuntimeError("stacked stage fails")
         return samples
 
-    got = list(convexity._sampled((98,), CHUNK, _draw_stream, stage))
+    got = list(convexity._sampled(CHUNK, convexity._streams((98,), draw),
+                                  stage))
     assert stacks == [CHUNK] + [1] * CHUNK
+    assert drawn == list(range(CHUNK))
     assert [r for _, r in got] == [_draw_stream(derived_rng(98, k), k)
                                    for k in range(CHUNK)]
 
