@@ -329,11 +329,6 @@ class NcPolynomial:
     def variable(cls, signature: Signature, kind: str, index: int) -> "NcPolynomial":
         return cls(signature, {((kind, index),): 1.0 + 0.0j})
 
-    @classmethod
-    def monomial(cls, signature: Signature, word: Word,
-                 coeff: complex = 1.0) -> "NcPolynomial":
-        return cls(signature, {tuple(word): complex(coeff)})
-
     # -- access ----------------------------------------------------------
 
     def coefficient(self, word: Word) -> complex:
@@ -449,12 +444,6 @@ class NcPolynomial:
                             {w[::-1]: c.conjugate() for w, c in self._terms.items()},
                             _validated=True)
 
-    def is_hermitian(self, tol: float = 0.0) -> bool:
-        diff = self - self.involute()
-        if diff.is_zero():
-            return True
-        return max(abs(c) for _, c in diff.items()) <= tol
-
     def x_parts(self) -> dict:
         """Map i -> polynomial collecting the x-degree-i terms."""
         buckets: dict[int, dict] = {}
@@ -563,64 +552,6 @@ class MatrixNcPolynomial:
     def __getitem__(self, ij: tuple[int, int]) -> NcPolynomial:
         i, j = ij
         return self.entries[i][j]
-
-    def __add__(self, other):
-        if not isinstance(other, MatrixNcPolynomial):
-            return NotImplemented
-        if self.shape != other.shape:
-            raise ShapeError(f"shape mismatch {self.shape} vs {other.shape}")
-        return MatrixNcPolynomial(
-            [[a + b for a, b in zip(ra, rb)]
-             for ra, rb in zip(self.entries, other.entries)])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return MatrixNcPolynomial([[-p for p in row] for row in self.entries])
-
-    def scale(self, c: complex) -> "MatrixNcPolynomial":
-        return MatrixNcPolynomial([[p.scale(c) for p in row] for row in self.entries])
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return self.scale(other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        if not isinstance(other, MatrixNcPolynomial):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
-        zero = NcPolynomial.zero(self.signature)
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = zero
-                for k in range(self.cols):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
-        return MatrixNcPolynomial(out)
-
-    def involute(self) -> "MatrixNcPolynomial":
-        """Conjugate transpose with entrywise involution."""
-        return MatrixNcPolynomial(
-            [[self.entries[j][i].involute() for j in range(self.rows)]
-             for i in range(self.cols)])
-
-    def is_hermitian(self, tol: float = 0.0) -> bool:
-        if self.rows != self.cols:
-            raise ShapeError("hermitian test needs a square matrix polynomial")
-        for i in range(self.rows):
-            for j in range(self.cols):
-                diff = self.entries[i][j] - self.entries[j][i].involute()
-                if any(abs(c) > tol for _, c in diff.items()):
-                    return False
-        return True
 
     def x_degree(self):
         degs = [p.x_degree for row in self.entries for p in row]

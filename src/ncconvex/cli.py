@@ -584,7 +584,8 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser(argv).parse_args(argv)
     try:
-        for flag in ("trials", "samples", "size", "matrix-checks"):
+        for flag in ("trials", "samples", "size", "matrix-checks",
+                     "sweep-points"):
             value = getattr(args, flag.replace("-", "_"), None)
             if value is not None and value < 1:
                 raise ValueError(f"--{flag} must be at least 1, got {value}")

@@ -127,14 +127,9 @@ def eval_poly(p, A=None, X=None, n: Optional[int] = None) -> np.ndarray:
                      for row in p.entries])
 
 
-def eval_series(F: NcPowerSeries, A=None, X=None, up_to: Optional[int] = None,
-                n: Optional[int] = None, with_increment: bool = False):
-    """Partial sum of the x-homogeneous parts at (A, X).
-
-    Enforces tuple_norm(X) < radius.  With with_increment=True also
-    returns the spectral norm of the last added part, a cheap
-    convergence proxy.
-    """
+def eval_series(F: NcPowerSeries, A=None, X=None, n: Optional[int] = None):
+    """Sum of the x-homogeneous parts at (A, X); enforces
+    tuple_norm(X) < radius."""
     a_mats, x_mats, shape = _resolve_point(F.signature, A, X, n)
     if len(shape) > 2:
         raise ShapeError("a series evaluates at one point at a time")
@@ -143,18 +138,10 @@ def eval_series(F: NcPowerSeries, A=None, X=None, up_to: Optional[int] = None,
     if not nx < F.radius:
         raise DomainError(
             f"tuple norm {nx:.6g} is outside the series radius {F.radius:.6g}")
-    if up_to is None:
-        up_to = F.order
-    if up_to > F.order:
-        raise ValueError(f"up_to={up_to} exceeds truncation order {F.order}")
     total = None
-    increment = 0.0
-    for i in range(up_to + 1):
-        term = eval_poly(F[i], A, X, n=size)
+    for part in F:
+        term = eval_poly(part, A, X, n=size)
         total = term if total is None else total + term
-        increment = float(np.linalg.norm(term, 2))
-    if with_increment:
-        return total, increment
     return total
 
 

@@ -91,7 +91,7 @@ class ScalarFn:
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
-    """Finite list of (atom, weight >= 0) pairs."""
+    """Finite list of (atom, weight) pairs, both finite, weight >= 0."""
 
     atoms: tuple
 
@@ -99,8 +99,11 @@ class DiscreteMeasure:
         object.__setattr__(self, "atoms",
                            tuple((float(l), float(w)) for l, w in self.atoms))
         for l, w in self.atoms:
-            if w < 0:
-                raise ValueError(f"negative weight {w} at atom {l}")
+            if not math.isfinite(l):
+                raise ValueError(f"atom {l} is not finite")
+            if not 0 <= w < math.inf:
+                raise ValueError(f"weight {w} at atom {l} is not a finite "
+                                 "non-negative number")
 
     @classmethod
     def point_mass(cls, location: float) -> "DiscreteMeasure":
@@ -115,7 +118,7 @@ class DiscreteMeasure:
         for l, _ in self.atoms:
             if not -1.0 <= l <= 1.0:
                 raise ValueError(f"atom {l} outside [-1, 1]")
-        if abs(self.total_mass - 1.0) > tol:
+        if not abs(self.total_mass - 1.0) <= tol:
             raise ValueError(
                 f"weights sum to {self.total_mass!r}, want 1 within {tol}")
 

@@ -54,51 +54,30 @@ class Var(ExprAst):
     kind: str
     index: int
 
-    def sexpr(self) -> str:
-        return f"var({self.kind}{self.index})"
-
 
 @dataclass(frozen=True)
 class Lit(ExprAst):
     value: complex
-
-    def sexpr(self) -> str:
-        v = self.value
-        if v.imag == 0.0:
-            return f"lit({v.real:g})"
-        return f"lit({v.real:g}{v.imag:+g}i)"
 
 
 @dataclass(frozen=True)
 class Star(ExprAst):
     child: ExprAst
 
-    def sexpr(self) -> str:
-        return f"star({self.child.sexpr()})"
-
 
 @dataclass(frozen=True)
 class Neg(ExprAst):
     child: ExprAst
-
-    def sexpr(self) -> str:
-        return f"neg({self.child.sexpr()})"
 
 
 @dataclass(frozen=True)
 class Sum(ExprAst):
     items: tuple
 
-    def sexpr(self) -> str:
-        return "sum(" + ", ".join(e.sexpr() for e in self.items) + ")"
-
 
 @dataclass(frozen=True)
 class Prod(ExprAst):
     items: tuple
-
-    def sexpr(self) -> str:
-        return "prod(" + ", ".join(e.sexpr() for e in self.items) + ")"
 
 
 @dataclass(frozen=True)
@@ -106,16 +85,10 @@ class Pow(ExprAst):
     base: ExprAst
     exponent: int
 
-    def sexpr(self) -> str:
-        return f"pow({self.base.sexpr()}, {self.exponent})"
-
 
 @dataclass(frozen=True)
 class Group(ExprAst):
     child: ExprAst
-
-    def sexpr(self) -> str:
-        return f"group({self.child.sexpr()})"
 
 
 @dataclass(frozen=True)

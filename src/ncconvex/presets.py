@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .algebra import NcPolynomial, Signature
-from .evaluate import CallableNcFunction, NcFunction, PolynomialNcFunction
+from .evaluate import NcFunction, PolynomialNcFunction
 from .onevar import (DiscreteMeasure, ScalarFn, _kraus_resolvent,
                      kraus_scalar_fn)
 from .parsing import parse_polynomial
@@ -168,31 +168,6 @@ def get_preset(name: str) -> Preset:
 # a series lift, not a polynomial, so it stays out of this list
 CORPUS = tuple((p.name, p.signature, p.expr) for p in PRESETS.values()
                if p.expr is not None)
-
-# display polynomials for involution / Hermitian classification tests;
-# the degree-81 word needs tuples of norm < 1 to evaluate sanely
-DISPLAY_EXAMPLES = (
-    ("hermitian-display", Signature(0, 2), "8*z1*z2 + 8*z2*z1 + z1^2 + z2^81"),
-    ("non-hermitian-display", Signature(0, 2), "8*z1*z2 + 6*z2*z1 + z1^2 + z2^81"),
-    ("involution-display", Signature(0, 2), "i*z1*z2 + 7*z2*z1 + z1^2"),
-    ("affine", Signature(1, 1), "2 + a1 + x1"),
-)
-
-
-def trace_evaluator(sig: Signature = Signature(0, 1)) -> CallableNcFunction:
-    """Deliberately broken evaluator: (A, X) -> trace(X_1) * I.  The
-    trace adds across direct summands, so the direct-sum axiom fails
-    already on a 1 (+) 1 block pair."""
-    sig = Signature(*sig)
-    if sig.g_x < 1:
-        raise ValueError("trace evaluator needs at least one x-variable")
-
-    def fn(A, X):
-        M = np.asarray(X[0], dtype=complex)
-        return np.trace(M) * np.eye(M.shape[0], dtype=complex)
-
-    return CallableNcFunction(fn, sig, name="trace-broken")
-
 
 def random_base_tuple(g: int, kappa: int, seed, norm: float = 0.9,
                       kind: str = "a") -> HermTuple:

@@ -380,6 +380,8 @@ def certify_degree_two(F, A: HermTuple, epsilon: float, samples: int = 50,
     F = as_nc_function(F)
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
+    if degree_cap < 2:
+        raise ValueError("degree_cap must be >= 2")
     convexity = test_convexity_at_CA(F, A, epsilon,
                                      multiplicities=multiplicities,
                                      trials=trials, seed=seed)

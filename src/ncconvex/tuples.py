@@ -185,8 +185,7 @@ class HermTuple:
 
     __slots__ = ("entries", "n", "kind")
 
-    def __init__(self, matrices, kind: str = "x", n: int | None = None,
-                 tol: float = HERMITIAN_INGEST_TOL):
+    def __init__(self, matrices, kind: str = "x", n: int | None = None):
         if kind not in ("a", "x"):
             raise ValueError(f"kind must be 'a' or 'x', got {kind!r}")
         mats = [np.asarray(raw, dtype=complex) for raw in matrices]
@@ -200,7 +199,7 @@ class HermTuple:
             self.n = mats[0].shape[0]
             if n is not None and n != self.n:
                 raise ShapeError(f"declared n={n} but entries are {self.n}")
-            H = hermitian_stack(np.array(mats), tol)
+            H = hermitian_stack(np.array(mats))
             H.flags.writeable = False
             mats = list(H)
         else:
@@ -238,45 +237,12 @@ class HermTuple:
 
     # -- linear structure ---------------------------------------------------
 
-    def _check_mixable(self, other: "HermTuple") -> None:
-        if self.arity != other.arity:
-            raise SignatureError(
-                f"arity mismatch: {self.arity} vs {other.arity}")
-        if self.n != other.n:
-            raise ShapeError(f"size mismatch: {self.n} vs {other.n}")
-        if self.kind != other.kind:
-            raise ValueError(f"kind mismatch: {self.kind} vs {other.kind}")
-
-    def __add__(self, other):
-        if not isinstance(other, HermTuple):
-            return NotImplemented
-        self._check_mixable(other)
-        return HermTuple([a + b for a, b in zip(self.entries, other.entries)],
-                         kind=self.kind, n=self.n)
-
-    def __sub__(self, other):
-        if not isinstance(other, HermTuple):
-            return NotImplemented
-        self._check_mixable(other)
-        return HermTuple([a - b for a, b in zip(self.entries, other.entries)],
-                         kind=self.kind, n=self.n)
-
     def scale(self, c: float) -> "HermTuple":
         c = complex(c)
         if c.imag != 0.0:
             raise ValueError("only real scaling preserves Hermiticity")
         return HermTuple([c.real * m for m in self.entries],
                          kind=self.kind, n=self.n)
-
-    def __mul__(self, c):
-        if isinstance(c, (int, float)):
-            return self.scale(c)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self.scale(-1.0)
 
     # -- domain operations ----------------------------------------------------
 
@@ -417,18 +383,19 @@ def hermitian_with_spectrum_in(n: int, lo: float, hi: float, rng) -> np.ndarray:
     return spectral_lift(*draw_spectral(as_rng(rng), n, lo, hi))
 
 
-def hermitian_stack(M: np.ndarray, tol: float = HERMITIAN_INGEST_TOL) -> np.ndarray:
+def hermitian_stack(M: np.ndarray) -> np.ndarray:
     """The ingest of HermTuple, for one tuple of shape (g, n, n) or a
-    stack of them (..., g, n, n): an entry further than tol from its
-    adjoint is refused, naming its index in the tuple, and otherwise
-    (M + M*)/2 is returned."""
+    stack of them (..., g, n, n): an entry further than
+    HERMITIAN_INGEST_TOL from its adjoint is refused, naming its index
+    in the tuple, and otherwise (M + M*)/2 is returned."""
     Mh = M.conj().swapaxes(-1, -2)
     diff = np.abs(M - Mh)
     # one whole-stack reduction when all is well; per entry, a NaN
-    # deviation compares false against tol and passes, as it always has
-    if diff.size and not diff.max() <= tol:
+    # deviation compares false against the tolerance and passes, as it
+    # always has
+    if diff.size and not diff.max() <= HERMITIAN_INGEST_TOL:
         dev = diff.max(axis=(-2, -1))
-        over = np.flatnonzero(dev > tol)
+        over = np.flatnonzero(dev > HERMITIAN_INGEST_TOL)
         if over.size:
             bad = int(over[0])
             raise ValueError(f"entry {bad % M.shape[-3]} is not Hermitian: "

@@ -59,7 +59,7 @@ def _ball_point_of_sample(F, A, epsilon, seed, k, multiplicities):
     """The x-point that certify_degree_two draws for sample k, redrawn
     here from the sample's generator in certify's order: the Haar block
     of the lift, the x-ball block and its radius."""
-    from ncconvex import derived_rng, sample_x_ball
+    from ncconvex.tuples import derived_rng, sample_x_ball
     rng = derived_rng(seed, 7919, k)
     n = A.n * multiplicities[k % len(multiplicities)]
     rng.standard_normal((2, n, n))
@@ -74,8 +74,9 @@ def _library_runs() -> list:
     import ncconvex as nc
     from ncconvex import (CallableNcFunction, HermTuple, NcPowerSeries,
                           SeriesNcFunction, Signature, certify_degree_two,
-                          extract_slice_coefficients, get_preset,
-                          parse_polynomial, random_base_tuple)
+                          extract_slice_coefficients, parse_polynomial)
+    from ncconvex.presets import get_preset, random_base_tuple
+    from ncconvex.tuples import sample_x_ball
 
     sig = Signature(0, 1)
     a2 = HermTuple([], kind="a", n=2)
@@ -118,7 +119,7 @@ def _library_runs() -> list:
     A1 = random_base_tuple(1, 2, 33)
     lift = get_preset("kraus-halfmass").make()
     mixed_ax = get_preset("mixed-ax").make()
-    X3 = nc.sample_x_ball(mixed, 3, 0.4, 1, 35)[0]
+    X3 = sample_x_ball(mixed, 3, 0.4, 1, 35)[0]
     A3 = random_base_tuple(1, 3, 35)
     v3 = np.array([1.0, 0.5 - 0.25j, -0.75])
     a3 = HermTuple([], kind="a", n=3)
@@ -148,7 +149,7 @@ def _library_runs() -> list:
         ("extract dft", lambda: extract_slice_coefficients(
             mixed_ax, A3, X3, v3, force_dft=True)),
         ("extract kraus", lambda: extract_slice_coefficients(
-            lift, a3, nc.sample_x_ball(sig, 3, 0.5, 1, 36)[0], v3,
+            lift, a3, sample_x_ball(sig, 3, 0.5, 1, 36)[0], v3,
             radius=0.125)),
         # refusals of the one-sample call, in the order it checks
         ("extract exact, v too long", lambda: extract_slice_coefficients(

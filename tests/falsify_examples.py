@@ -98,10 +98,11 @@ def _library_runs() -> list:
     import numpy as np
 
     import ncconvex as nc
+    from ncconvex.presets import get_preset
 
-    sq = nc.get_preset("square").make()
-    quartic = nc.get_preset("quartic").make()
-    lift = nc.get_preset("kraus-halfmass").make()
+    sq = get_preset("square").make()
+    quartic = get_preset("quartic").make()
+    lift = get_preset("kraus-halfmass").make()
     x = nc.HermTuple([np.diag([0.3, -0.2])], kind="x")
     a = nc.HermTuple([], kind="a", n=2)
     return [
@@ -110,14 +111,14 @@ def _library_runs() -> list:
         ("at_A kraus", lambda: nc.test_convexity_at_A(
             lift, a, 0.5, trials=70, seed=22)),
         ("1var quartic", lambda: nc.convexity_test_1var(
-            nc.get_preset("quartic").make_scalar(), (-1.0, 1.0), size=3,
+            get_preset("quartic").make_scalar(), (-1.0, 1.0), size=3,
             trials=130, seed=23)),
         # the domain cuts into the sampled interval, so trials resample
         ("1var resampled", lambda: nc.convexity_test_1var(
             nc.ScalarFn(lambda t: t ** 4, domain=(-0.9, 1.0)), (-1.0, 1.0),
             size=3, trials=130, seed=27)),
         ("monotone square", lambda: nc.loewner_monotone_test(
-            nc.get_preset("square").make_scalar(), (0.1, 1.0), trials=70,
+            get_preset("square").make_scalar(), (0.1, 1.0), trials=70,
             seed=24)),
         ("slice transfer square", lambda: nc.test_slice_convexity_transfer(
             sq, a, x, [1.0, 0.5], trials=70, seed=25)),

@@ -11,24 +11,24 @@ from time import monotonic
 
 import numpy as np
 
+from axioms_examples import trace_evaluator
 from conftest import ACCEPTANCE_LINES, run_cli
 
 from ncconvex import test_convexity_at_A as convexity_at_A
 from ncconvex import test_convexity_at_CA as convexity_at_CA
 from ncconvex import test_slice_convexity_transfer as slice_transfer
-from ncconvex import (CORPUS, DiscreteMeasure, HermTuple,
-                      PolynomialNcFunction, ScalarFn, Signature,
-                      VERDICT_CONSISTENT,
-                      VERDICT_HIGHER_ORDER, certify_degree_two,
+from ncconvex import (DiscreteMeasure, HermTuple, PolynomialNcFunction,
+                      ScalarFn, Signature, certify_degree_two,
                       check_nc_function_axioms, convexity_test_1var,
-                      derived_rng,
-                      extract_slice_coefficients, g_transform, get_preset,
-                      hermitian_with_spectrum_in, kraus_eval,
-                      kraus_scalar_fn, loewner_monotone_test, matrix_apply,
-                      parse_polynomial, random_base_tuple, sample_x_ball,
-                      scalar_from_polynomial,
-                      trace_evaluator, verify_convexity1_witness,
-                      verify_convexity_witness)
+                      extract_slice_coefficients, g_transform, kraus_eval,
+                      loewner_monotone_test, parse_polynomial,
+                      verify_convexity1_witness, verify_convexity_witness)
+from ncconvex.onevar import kraus_scalar_fn, matrix_apply
+from ncconvex.presets import (CORPUS, get_preset, random_base_tuple,
+                              scalar_from_polynomial)
+from ncconvex.slices import VERDICT_CONSISTENT, VERDICT_HIGHER_ORDER
+from ncconvex.tuples import (derived_rng, hermitian_with_spectrum_in,
+                             sample_x_ball)
 
 HALF = DiscreteMeasure.point_mass(0.5)
 

@@ -32,7 +32,7 @@ def _words(sig, max_len=4):
 def _polys(sig=SIG, max_terms=4):
     term = st.tuples(_words(sig), _gauss_ints())
     return st.lists(term, max_size=max_terms).map(
-        lambda ts: sum((NcPolynomial.monomial(sig, w, c) for w, c in ts),
+        lambda ts: sum((NcPolynomial(sig, {w: c}) for w, c in ts),
                        NcPolynomial.zero(sig)))
 
 
@@ -49,9 +49,9 @@ def test_unit_and_zero():
 
 def test_monomial_rejects_bad_letters():
     with pytest.raises(SignatureError):
-        NcPolynomial.monomial(SIG, (("x", 3),), 1.0)
+        NcPolynomial(SIG, {(("x", 3),): 1.0})
     with pytest.raises(SignatureError):
-        NcPolynomial.monomial(SIG, (("a", 0),), 1.0)
+        NcPolynomial(SIG, {(("a", 0),): 1.0})
 
 
 def test_cancellation_is_canonical():
@@ -129,7 +129,7 @@ def test_x_parts_reassemble(p):
 def test_hermitian_plus_star_symmetrizes():
     p = parse_polynomial("a1*x1 + 3*x2", SIG)
     h = p + p.involute()
-    assert h.is_hermitian()
+    assert h == h.involute()
 
 
 # -- the worked examples -------------------------------------------------------
@@ -138,7 +138,6 @@ def test_hermitian_plus_star_symmetrizes():
 def test_hermitian_example_fixed_by_star():
     sig = Signature(0, 2)
     p = parse_polynomial("8*z1*z2 + 8*z2*z1 + z1^2 + z2^81", sig)
-    assert p.is_hermitian()
     assert p.involute() == p
     assert p.degree == 81
 
@@ -146,7 +145,7 @@ def test_hermitian_example_fixed_by_star():
 def test_unbalanced_coefficients_not_hermitian():
     sig = Signature(0, 2)
     q = parse_polynomial("8*z1*z2 + 6*z2*z1 + z1^2 + z2^81", sig)
-    assert not q.is_hermitian()
+    assert q.involute() != q
 
 
 def test_involution_reverses_and_conjugates():
@@ -193,8 +192,8 @@ def test_matrix_poly_shapes_and_star():
     x1, x2 = (NcPolynomial.variable(SIG, "x", i) for i in (1, 2))
     M = MatrixNcPolynomial([[x1, x2], [x2.involute(), x1 * x1]])
     assert M.shape == (2, 2)
-    assert M.involute()[(0, 1)] == x2
-    assert M.is_hermitian()
+    assert all(M[(i, j)] == M[(j, i)].involute()
+               for i in range(2) for j in range(2))
 
 
 def test_matrix_poly_ragged_rejected():
@@ -202,13 +201,3 @@ def test_matrix_poly_ragged_rejected():
     with pytest.raises(ShapeError):
         MatrixNcPolynomial([[x1, x1], [x1]])
 
-
-def test_matrix_poly_matmul():
-    x1 = NcPolynomial.variable(SIG, "x", 1)
-    one = NcPolynomial.unit(SIG)
-    zero = NcPolynomial.zero(SIG)
-    A = MatrixNcPolynomial([[zero, one], [zero, zero]])
-    B = MatrixNcPolynomial([[zero, zero], [x1, zero]])
-    P = A @ B
-    assert P[(0, 0)] == x1
-    assert P[(1, 1)].is_zero()

@@ -11,16 +11,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncconvex import (CallableNcFunction, HermTuple, PolynomialNcFunction,
-                      Signature, check_nc_function_axioms, convexity,
-                      evaluate, get_preset, parse_polynomial,
-                      random_hermitian, trace_evaluator)
+                      Signature, check_nc_function_axioms, convexity, evaluate,
+                      parse_polynomial)
 from ncconvex.errors import DomainError, NcError
 from ncconvex.evaluate import AxiomsReport, as_nc_function
+from ncconvex.presets import get_preset
 from ncconvex.tolerances import AXIOM_TOL
-from ncconvex.tuples import (as_rng, block_diag, haar_unitary, tuple_norm,
-                             tuple_to_json)
+from ncconvex.tuples import (as_rng, block_diag, haar_unitary,
+                             random_hermitian, tuple_norm, tuple_to_json)
 
-from axioms_examples import CLI_EXAMPLES, _library_runs, run_library
+from axioms_examples import (CLI_EXAMPLES, _library_runs, run_library,
+                             trace_evaluator)
 from falsify_examples import run_cli
 
 GOLDEN = json.loads((Path(__file__).parent / "data"

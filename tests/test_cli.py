@@ -524,10 +524,16 @@ def test_non_finite_loewner_matrix_exits_two(tmp_path, monkeypatch, capsys):
     (["axioms", "--preset", "square", "--sizes", "2,two"], "--sizes"),
     (["kraus", "--matrix-checks", "0"], "--matrix-checks"),
     (["kraus", "--matrix-checks=-2"], "--matrix-checks"),
+    (["kraus", "--sweep-points", "0", "--trials", "5"], "--sweep-points"),
+    *[(["certify", "--preset", preset, "--degree-cap", "1", "--trials", "20",
+        "--samples", "5", "--witness-out", "w.json"], "degree_cap")
+      for preset in ("quartic", "square")],
 ])
 def test_zero_work_arguments_are_usage_errors(argv, flag, tmp_path,
                                               monkeypatch, capsys):
-    # each used to pass from no work, run at another size, or crash
+    # each used to pass from no work, run at another size, or crash; a
+    # degree cap below 2 on the quartic used to fail the convexity stage
+    # first and exit 1 with a witness
     monkeypatch.chdir(tmp_path)
     code = main(argv)
     out, err = capsys.readouterr()
@@ -535,6 +541,22 @@ def test_zero_work_arguments_are_usage_errors(argv, flag, tmp_path,
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {flag} "), err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("mu, message", [
+    ("0.5:nan", "weight nan at atom 0.5 is not a finite non-negative number"),
+    ("0.5:inf", "weight inf at atom 0.5 is not a finite non-negative number"),
+    ("nan:1", "atom nan is not finite"),
+])
+def test_a_non_finite_measure_is_a_usage_error(mu, message, tmp_path,
+                                               monkeypatch, capsys):
+    # a NaN weight used to reach the trials as an all-NaN Kraus form
+    monkeypatch.chdir(tmp_path)
+    code = main(["kraus", "--mu", mu, "--trials", "5"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: {message}"]
     assert list(tmp_path.iterdir()) == []
 
 

@@ -7,7 +7,9 @@ annotations and quoted forward references such as `-> "HermTuple"`.
 """
 
 import ast
+import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +17,9 @@ from pathlib import Path
 import ncconvex
 
 PACKAGE = Path(ncconvex.__file__).resolve().parent
+PACKAGE_FILES = sorted(PACKAGE.glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _imported(tree) -> dict:
@@ -68,13 +73,45 @@ def test_package_modules_have_no_unused_imports():
     assert found == []
 
 
-def unreferenced_definitions(paths, exported) -> list:
-    """Top-level functions and classes that no other top-level statement
-    of the given modules names (as a bare name or an attribute) and that
-    `exported` does not list.  A definition naming itself does not count."""
-    defs, uses = [], []
+def _referred(tree) -> set:
+    """Names the module refers to, as a bare name or an attribute, each
+    counted only where no enclosing function has that name."""
+    found: set = set()
+
+    def visit(node, inside: frozenset):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside | {node.name}
+        names = ({node.id} if isinstance(node, ast.Name)
+                 else {node.attr} if isinstance(node, ast.Attribute)
+                 else set())
+        for ann in (getattr(node, "annotation", None),
+                    getattr(node, "returns", None)):
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                names |= _used(ast.parse(ann.value, mode="eval"))
+        found.update(names - inside)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, frozenset())
+    return found
+
+
+def unreferenced_definitions(paths, roots) -> list:
+    """Definitions in the given modules that nothing refers to and that
+    `roots` (top-level names and `Class.method` names) does not list.
+
+    A top-level function or class is referred to when another top-level
+    statement names it, as a bare name or an attribute; a definition
+    naming itself does not count.  A method of a top-level class is
+    referred to when its name appears anywhere outside every function of
+    that name, so methods of one name that only call each other (a
+    recursive printer over a tree of classes) count as unreferenced.
+    Dunder methods are reached through syntax (`+`, `==`, a call) that
+    names no method, and are not checked."""
+    defs, uses, referred = [], [], set()
     for path in paths:
         tree = ast.parse(path.read_text(encoding="utf-8"))
+        referred |= _referred(tree)
         for k, stmt in enumerate(tree.body):
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef)):
@@ -82,11 +119,20 @@ def unreferenced_definitions(paths, exported) -> list:
             used = _used(stmt) | {node.attr for node in ast.walk(stmt)
                                   if isinstance(node, ast.Attribute)}
             uses.append((path, k, used))
-    return sorted(f"{path.stem}.{stmt.name} (line {stmt.lineno})"
-                  for path, k, stmt in defs
-                  if stmt.name not in exported
-                  and not any(stmt.name in used for p, j, used in uses
-                              if (p, j) != (path, k)))
+    found = [f"{path.stem}.{stmt.name} (line {stmt.lineno})"
+             for path, k, stmt in defs
+             if stmt.name not in roots
+             and not any(stmt.name in used for p, j, used in uses
+                         if (p, j) != (path, k))]
+    found += [f"{path.stem}.{cls.name}.{meth.name} (line {meth.lineno})"
+              for path, _, cls in defs if isinstance(cls, ast.ClassDef)
+              for meth in cls.body
+              if isinstance(meth, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and not (meth.name.startswith("__")
+                       and meth.name.endswith("__"))
+              and f"{cls.name}.{meth.name}" not in roots
+              and meth.name not in referred]
+    return sorted(found)
 
 
 def test_checker_flags_an_unreferenced_definition(tmp_path):
@@ -99,9 +145,94 @@ def test_checker_flags_an_unreferenced_definition(tmp_path):
     assert unreferenced_definitions([a, b], {"Shown"}) == ["a.lonely (line 7)"]
 
 
+def _layer_roots(tracing: Path = TRACING) -> set:
+    """(module, name) of every function the tracer's LAYERS wraps, read
+    with `ast`: `Tracer.install` looks each one up by name, and the
+    benchmark's files are not imported here."""
+    tree = ast.parse(tracing.read_text(encoding="utf-8"))
+    layers = next(ast.literal_eval(stmt.value) for stmt in tree.body
+                  if isinstance(stmt, ast.Assign)
+                  and stmt.targets[0].id == "LAYERS")
+    return {(module, qual) for _, module, quals in layers for qual in quals}
+
+
+def test_checker_flags_an_unreferenced_method(tmp_path):
+    a, tracing = tmp_path / "a.py", tmp_path / "tracing.py"
+    a.write_text("class Leaf:\n"
+                 "    def show(self):\n        return 'leaf'\n\n"
+                 "    def size(self):\n        return 1\n\n"
+                 "    def traced(self):\n        return 2\n\n"
+                 "    def kept(self):\n        return 3\n\n"
+                 "    def __add__(self, other):\n        return self\n\n\n"
+                 "class Node(Leaf):\n"
+                 "    def show(self):\n"
+                 "        return self.child.show() + self.label()\n\n"
+                 "    def label(self):\n        return ''\n\n"
+                 "    def size(self):\n"
+                 "        return 1 + self.child.size()\n\n\n"
+                 "TOTAL = Node().size()\n")
+    tracing.write_text("LAYERS = (('a', 'pkg.a', ('Leaf.traced',)),)\n")
+    roots = {"Leaf", "Node"} | {q for _, q in _layer_roots(tracing)}
+    # show recurses only through its namesakes, so both count as
+    # unreferenced; label is named in show, size from the module, and
+    # the dunder is not checked
+    survivors = {"Leaf.kept": "called from outside the package"}
+    assert unreferenced_definitions([a], roots | set(survivors)) == [
+        "a.Leaf.show (line 2)", "a.Node.show (line 19)"]
+    assert unreferenced_definitions([a], roots) == [
+        "a.Leaf.kept (line 11)", "a.Leaf.show (line 2)",
+        "a.Node.show (line 19)"]
+    assert "a.Leaf.traced (line 8)" in unreferenced_definitions([a], set())
+
+
+# methods no package code calls, kept on purpose
+SURVIVORS = {
+    "HermTuple.direct_sum": "the point-by-point reference that "
+    "tests/test_axioms_golden.py checks the stacked axioms check against",
+    "NcPolynomial.variable": "builds the reference polynomials that "
+    "test_parsing compares the trie compiler with",
+    "NcPolynomial.coefficient": "reads the polynomials test_parsing "
+    "compiles, term by term",
+    "NcPolynomial.involute": "the algebra's involution: test_parsing's "
+    "reference lowering stars through it, and test_evaluate checks "
+    "against it that evaluation is a *-homomorphism",
+}
+
+
 def test_package_has_no_unreferenced_definitions():
-    paths = sorted(PACKAGE.glob("*.py"))
-    assert unreferenced_definitions(paths, set(ncconvex.__all__)) == []
+    # the check flags exactly the survivors, so one that gains a caller
+    # must leave the dict
+    roots = set(ncconvex.__all__) | {qual for _, qual in _layer_roots()}
+    found = unreferenced_definitions(PACKAGE_FILES, roots)
+    assert {f.split(" ")[0].split(".", 1)[1] for f in found} == set(SURVIVORS)
+
+
+def test_every_traced_layer_resolves():
+    # the way Tracer.install resolves them: a module attribute, a method
+    # in the class __dict__, or the Preset.make field of every preset
+    from ncconvex.presets import PRESETS
+    for module, qual in sorted(_layer_roots()):
+        mod = importlib.import_module(module)
+        if qual == "Preset.make":
+            assert all(callable(p.make) for p in PRESETS.values())
+        elif "." in qual:
+            cls, meth = qual.split(".")
+            assert meth in vars(getattr(mod, cls)), qual
+        else:
+            assert callable(getattr(mod, qual)), qual
+
+
+def test_every_public_name_is_in_the_readme():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert len(ncconvex.__all__) <= 45
+    assert [name for name in ncconvex.__all__
+            if not re.search(rf"\b{name}\b", readme)] == []
+    # and the list under "Public API" is exactly __all__
+    lines = readme.split("### Public API\n", 1)[1].splitlines()
+    start = next(k for k, line in enumerate(lines) if line.startswith("- "))
+    end = lines.index("", start)
+    listed = re.findall(r"`(\w+)`", "\n".join(lines[start:end]))
+    assert sorted(listed) == sorted(ncconvex.__all__)
 
 
 def test_package_import_loads_no_more_of_numpy():

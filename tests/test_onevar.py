@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 from ncconvex import (DiscreteMeasure, ScalarFn, convexity_test_1var,
-                      derived_rng, g_transform, hermitian_with_spectrum_in,
-                      kraus_eval, kraus_scalar_fn, loewner_matrix,
-                      loewner_monotone_test, matrix_apply, pick_eval,
-                      scalar_from_polynomial, verify_convexity1_witness,
+                      g_transform, kraus_eval, loewner_monotone_test,
+                      pick_eval, verify_convexity1_witness,
                       verify_monotone_witness, parse_polynomial, Signature)
 from ncconvex.errors import DomainError, SingularityError
-from ncconvex.tuples import matrix_to_json
+from ncconvex.onevar import kraus_scalar_fn, loewner_matrix, matrix_apply
+from ncconvex.presets import scalar_from_polynomial
+from ncconvex.tuples import (derived_rng, hermitian_with_spectrum_in,
+                             matrix_to_json)
 
 HALF = DiscreteMeasure.point_mass(0.5)
 
@@ -45,7 +46,7 @@ def test_matrix_apply_unitary_equivariance():
     rng = derived_rng(32)
     B = hermitian_with_spectrum_in(3, 0.1, 0.9, rng)
     f = ScalarFn(math.sqrt, domain=(0.0, math.inf), name="sqrt")
-    from ncconvex import haar_unitary
+    from ncconvex.tuples import haar_unitary
     U = haar_unitary(3, rng)
     lhs = matrix_apply(f, U @ B @ U.conj().T)
     rhs = U @ matrix_apply(f, B) @ U.conj().T
@@ -72,6 +73,26 @@ def test_measure_validation():
         DiscreteMeasure(((2.0, 1.0),)).check_kraus()  # atom outside [-1,1]
     with pytest.raises(ValueError):
         DiscreteMeasure(((0.5, 0.5),)).check_kraus()  # mass not 1
+
+
+@pytest.mark.parametrize("atoms, message", [
+    (((0.5, math.nan),), "weight nan at atom 0.5 is not"),
+    (((0.5, math.inf),), "weight inf at atom 0.5 is not"),
+    (((math.nan, 1.0),), "atom nan is not finite"),
+    (((-math.inf, 1.0),), "atom -inf is not finite"),
+])
+def test_measure_refuses_non_finite_atoms_and_weights(atoms, message):
+    # a NaN weight used to pass both checks, and kraus_eval then
+    # returned an all-NaN matrix
+    with pytest.raises(ValueError, match=message):
+        DiscreteMeasure(atoms)
+
+
+def test_check_kraus_refuses_a_mass_that_is_not_a_number():
+    mu = DiscreteMeasure(((0.5, 1.0),))
+    object.__setattr__(mu, "atoms", ((0.5, math.nan),))
+    with pytest.raises(ValueError, match="weights sum to nan"):
+        mu.check_kraus()
 
 
 def test_kraus_point_mass_closed_form():

@@ -9,19 +9,19 @@ import ncconvex.convexity as convexity
 import ncconvex.slices as slices
 from ncconvex import (CallableNcFunction, DiscreteMeasure, HermTuple,
                       KrausLiftFunction, PolynomialNcFunction, Signature,
-                      ca_element, certify_degree_two, derived_rng,
-                      extract_slice_coefficients, get_preset,
-                      parse_polynomial, random_base_tuple, sample_x_ball,
-                      slice_matrix, slice_phi, slice_scalar, tuple_norm,
-                      VERDICT_CONSISTENT, VERDICT_HIGHER_ORDER,
-                      VERDICT_HYPOTHESIS_FAILS)
+                      certify_degree_two, extract_slice_coefficients,
+                      parse_polynomial, slice_phi)
 from ncconvex import test_slice_convexity_transfer as slice_transfer
 from ncconvex.convexity import CHUNK, _one_point
 from ncconvex.errors import (DomainError, ExtractionError,
                              SingularityError)
-from ncconvex.slices import (_draw_slice_sample, _extract, _magnitudes,
-                             _unit_vectors)
-from ncconvex.tuples import draw_x_ball
+from ncconvex.presets import get_preset, random_base_tuple
+from ncconvex.slices import (VERDICT_CONSISTENT, VERDICT_HIGHER_ORDER,
+                             VERDICT_HYPOTHESIS_FAILS, _draw_slice_sample,
+                             _extract, _magnitudes, _unit_vectors,
+                             slice_scalar)
+from ncconvex.tuples import (ca_element, derived_rng, draw_x_ball,
+                             sample_x_ball, tuple_norm)
 
 
 def _fn(expr, sig):
@@ -284,6 +284,15 @@ def test_certify_refuses_zero_samples():
     with pytest.raises(ValueError, match="samples"):
         certify_degree_two(_fn("x1^2", Signature(0, 1)), _empty_a(2), 0.5,
                            samples=0, trials=5)
+
+
+def test_certify_refuses_a_degree_cap_below_two_before_any_evaluation():
+    def fn(A, X):
+        raise AssertionError("evaluated")
+
+    F = CallableNcFunction(fn, Signature(0, 1))
+    with pytest.raises(ValueError, match="degree_cap must be >= 2"):
+        certify_degree_two(F, _empty_a(2), 0.5, degree_cap=1, trials=5)
 
 
 def _nan_off_hermitian(A, X):
