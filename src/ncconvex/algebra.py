@@ -338,9 +338,6 @@ class NcPolynomial:
         """Terms in graded-lex order."""
         return iter(sorted(self._terms.items(), key=lambda kv: _word_key(kv[0])))
 
-    def words(self) -> list[Word]:
-        return sorted(self._terms, key=_word_key)
-
     @property
     def n_terms(self) -> int:
         if self._map is None:

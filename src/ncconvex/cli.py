@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import NcPowerSeries, Signature
+from .algebra import NcPowerSeries
 from .convexity import test_convexity_at_CA, verify_convexity_witness
 from .errors import NcError, ShapeError
 from .evaluate import (NcFunction, PolynomialNcFunction, SeriesNcFunction,
@@ -108,6 +108,9 @@ def _parse_interval(text: str) -> tuple:
     if len(parts) != 2:
         raise ValueError(f"bad --interval {text!r}, want 'lo,hi'")
     lo, hi = float(parts[0]), float(parts[1])
+    if not math.isfinite(hi - lo):                  # NaN or inf ends too
+        raise ValueError(f"--interval ({lo}, {hi}) must have finite ends "
+                         "and a finite width")
     if not lo < hi:
         raise ValueError(f"empty interval ({lo}, {hi})")
     return lo, hi
@@ -151,6 +154,9 @@ def _tuple_from_arg(value: str, kind: str, g: int,
     for magic, maker in (("identity", identity_tuple), ("zero", zero_tuple)):
         if value.startswith(magic) and value[len(magic):].isdigit():
             size = int(value[len(magic):])
+            if size < 1:
+                raise ValueError(f"--{kind}-tuple {value} must name a size "
+                                 "of at least 1")
             if n is not None and n != size:
                 raise ShapeError(f"declared n={n} but entries are {size}")
             return maker(g, size, kind=kind)
@@ -170,14 +176,28 @@ def _function_desc(args) -> dict:
     if getattr(args, "preset", None):
         return {"preset": get_preset(args.preset).name}
     if getattr(args, "series_file", None):
-        series = NcPowerSeries.from_json_dict(_load_json(args.series_file))
-        return {"series": series.to_json_dict()}
+        return {"series": _load_series(args.series_file).to_json_dict()}
     if getattr(args, "expr", None):
         sig = (_parse_signature_field(args.signature) if args.signature
                else infer_signature(args.expr))
         return {"expr": args.expr, "signature": f"{sig.g_a},{sig.g_x}"}
+    if hasattr(args, "mu"):                         # `kraus`'s own flags
+        return {"f0": args.f0, "f1": args.f1, "f2": args.f2,
+                "mu": _parse_measure(args.mu).to_json_dict()}
     series_flag = ", --series-file" if hasattr(args, "series_file") else ""
     raise ValueError(f"provide a function: --expr{series_flag} or --preset")
+
+
+def _load_series(path: str) -> NcPowerSeries:
+    """The series in a --series-file; JSON of another shape raises
+    ShapeError."""
+    data = _load_json(path)
+    try:
+        return NcPowerSeries.from_json_dict(data)
+    except KeyError as exc:
+        raise ShapeError(f"series file lacks {exc}") from exc
+    except (TypeError, AttributeError, IndexError, OverflowError) as exc:
+        raise ShapeError(f"series file is malformed: {exc}") from exc
 
 
 def _nc_function(args) -> tuple:
@@ -192,6 +212,9 @@ def _nc_function_from_descriptor(desc: dict) -> NcFunction:
         return get_preset(desc["preset"]).make()
     if "series" in desc:
         return SeriesNcFunction(NcPowerSeries.from_json_dict(desc["series"]))
+    if "mu" in desc:
+        return KrausLiftFunction(desc["f0"], desc["f1"], desc["f2"],
+                                 DiscreteMeasure.from_json_dict(desc["mu"]))
     sig = _parse_signature_field(desc["signature"])
     return PolynomialNcFunction(parse_polynomial(desc["expr"], sig),
                                 name=desc["expr"])
@@ -218,9 +241,7 @@ def _scalar_from_descriptor(desc: dict) -> ScalarFn:
             raise ValueError(f"preset {preset.name!r} has no one-variable view")
         fn = preset.make_scalar()
     elif "mu" in desc:                              # written by `kraus`
-        mu = DiscreteMeasure.from_json_dict(desc["mu"])
-        fn = KrausLiftFunction(desc["f0"], desc["f1"], desc["f2"],
-                               mu).scalar_fn()
+        fn = _nc_function_from_descriptor(desc).scalar_fn()
     else:
         sig = _parse_signature_field(desc["signature"])
         fn = scalar_from_polynomial(parse_polynomial(desc["expr"], sig),
@@ -230,13 +251,19 @@ def _scalar_from_descriptor(desc: dict) -> ScalarFn:
     return fn
 
 
-def _a_tuple(args, sig: Signature) -> HermTuple:
-    """--a-tuple at its own size, which an explicit --size must match;
-    else a random base tuple of --size (default 2)."""
-    if args.a_tuple:
-        return _tuple_from_arg(args.a_tuple, "a", sig.g_a, n=args.size)
-    return random_base_tuple(sig.g_a, args.size or 2,
-                             derived_rng(args.seed, _A_SALT))
+def _function_at_base(args, default_epsilon: float) -> tuple:
+    """(F, descriptor, epsilon, A) of a run over C_A: --epsilon, else the
+    preset's, else the given default; --a-tuple at its own size, which an
+    explicit --size must match, else a random base tuple of --size
+    (default 2)."""
+    F, desc, preset = _nc_function(args)
+    epsilon = (args.epsilon if args.epsilon is not None
+               else preset.epsilon if preset else default_epsilon)
+    g_a = F.signature.g_a
+    A = (_tuple_from_arg(args.a_tuple, "a", g_a, n=args.size) if args.a_tuple
+         else random_base_tuple(g_a, args.size or 2,
+                                derived_rng(args.seed, _A_SALT)))
+    return F, desc, epsilon, A
 
 
 def _passed(args, report) -> bool:
@@ -338,10 +365,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_convexity(args) -> int:
-    F, desc, preset = _nc_function(args)
-    epsilon = args.epsilon if args.epsilon is not None else (
-        preset.epsilon if preset else 1.0)
-    A = _a_tuple(args, F.signature)
+    F, desc, epsilon, A = _function_at_base(args, 1.0)
     report = test_convexity_at_CA(
         F, A, epsilon, multiplicities=args.multiplicities, trials=args.trials,
         seed=args.seed)
@@ -368,20 +392,13 @@ def _cmd_convexity1(args) -> int:
 
 
 def _cmd_kraus(args) -> int:
-    if args.preset:
-        preset = get_preset(args.preset)
-        lift = preset.make()
-        if not isinstance(lift, KrausLiftFunction):
-            raise ValueError(f"preset {preset.name!r} is not a Kraus lift")
-        f0, f1, f2, mu = lift.f0, lift.f1, lift.f2, lift.mu
-        desc = {"preset": preset.name}
-    else:
-        mu = _parse_measure(args.mu)
-        f0, f1, f2 = args.f0, args.f1, args.f2
-        desc = {"f0": f0, "f1": f1, "f2": f2, "mu": mu.to_json_dict()}
+    lift, desc, _ = _nc_function(args)
+    if not isinstance(lift, KrausLiftFunction):
+        raise ValueError(f"preset {desc['preset']!r} is not a Kraus lift")
+    f0, f1, f2, mu = lift.f0, lift.f1, lift.f2, lift.mu
     interval = _parse_interval(args.interval)
     lo, hi = interval
-    fn = KrausLiftFunction(f0, f1, f2, mu).scalar_fn(domain=(lo - 0.05, hi + 0.05))
+    fn = lift.scalar_fn(domain=(lo - 0.05, hi + 0.05))
 
     # scalar sweep: the resolvent route on a stack of 1x1 matrices
     ts = np.linspace(lo, hi, args.sweep_points)
@@ -416,10 +433,7 @@ def _cmd_kraus(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    F, desc, preset = _nc_function(args)
-    epsilon = args.epsilon if args.epsilon is not None else (
-        preset.epsilon if preset else 0.5)
-    A = _a_tuple(args, F.signature)
+    F, desc, epsilon, A = _function_at_base(args, 0.5)
     report = certify_degree_two(
         F, A, epsilon, samples=args.samples, trials=args.trials,
         seed=args.seed, degree_cap=args.degree_cap,
@@ -443,26 +457,83 @@ def _cmd_axioms(args) -> int:
 
 # -- parser ------------------------------------------------------------------
 
+# each flag's add_argument keywords, once
+_FLAGS = {
+    "expr": {"help": "polynomial expression, e.g. 'x1^2'"},
+    "signature": {"metavar": "GA,GX",
+                  "help": "arities 'g_a,g_x'; inferred from --expr if omitted"},
+    "preset": {"help": "named function (square, quartic, kraus-halfmass, "
+                       "mixed-ax)"},
+    "series-file": {"help": "truncated power series JSON"},
+    "a-tuple": {"help": "tuple JSON file, or identityN/zeroN"},
+    "x-tuple": {"help": "tuple JSON file, or identityN/zeroN"},
+    "f0": {"type": float, "default": 0.0},
+    "f1": {"type": float, "default": 0.0},
+    "f2": {"type": float, "default": 2.0},
+    "mu": {"default": "0.5:1", "help": "atoms 'loc:weight,loc:weight'"},
+    "interval": {"metavar": "LO,HI"},
+    "points": {"type": int, "default": 5},
+    "sweep-points": {"type": int, "default": 100},
+    "matrix-checks": {"type": int, "default": 10},
+    "size": {"type": int, "default": 2},
+    "epsilon": {"type": float},
+    "trials": {"type": int, "default": 200},
+    "samples": {"type": int, "default": 100},
+    "degree-cap": {"type": int, "default": 8},
+    "multiplicities": {"default": "1,2"},
+    "sizes": {"default": "1,2,3,4"},
+    "g-transform": {"action": "store_true",
+                    "help": "test g(t) = (f(t)-f(0))/t instead of f"},
+    "witness-out": {"metavar": "FILE"},
+    "csv-out": {"metavar": "FILE"},
+    "verify-witness": {"metavar": "FILE"},
+    "seed": {"type": int, "default": 0},
+    "json-out": {"metavar": "FILE", "help": "also write JSON here"},
+    "tol": {"type": float, "help": "override the pass threshold"},
+}
 
-def _add_fn_flags(p, scalar: bool = False) -> None:
-    p.add_argument("--expr", help="polynomial expression, e.g. 'x1^2'")
-    p.add_argument("--signature", metavar="GA,GX",
-                   help="arities 'g_a,g_x'; inferred from --expr if omitted")
-    p.add_argument("--preset", help="named function (square, quartic, "
-                                    "kraus-halfmass, mixed-ax)")
-    if not scalar:
-        p.add_argument("--series-file", help="truncated power series JSON")
+_FN = "expr signature preset"
+_COMMON = "seed json-out tol"
+_BASE = {"a-tuple": {"help": "base tuple JSON (default: random)"},
+         "size": {"default": None, "help": "base size kappa"}}
 
-
-def _add_common(p) -> None:
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json-out", metavar="FILE", help="also write JSON here")
-    p.add_argument("--tol", type=float, default=None,
-                   help="override the pass threshold")
-
-
-_SUBCOMMANDS = ("eval", "convexity", "monotone", "convexity1", "kraus",
-                "certify", "axioms")
+# subcommand -> (help line, runner, its flags in help order, the keywords
+# by which its flags differ from _FLAGS)
+_SUBCOMMANDS = {
+    "eval": ("evaluate a function at a tuple", _cmd_eval,
+             f"{_FN} series-file a-tuple x-tuple {_COMMON}", {}),
+    "convexity": (
+        "matrix convexity over C_A levels", _cmd_convexity,
+        f"{_FN} series-file a-tuple size epsilon trials multiplicities "
+        f"witness-out csv-out verify-witness {_COMMON}",
+        {**_BASE, "csv-out": {"help": "defect min-eigenvalue per trial"},
+         "verify-witness": {
+             "help": "re-check a stored witness instead of testing"}}),
+    "monotone": (
+        "Loewner operator-monotonicity test", _cmd_monotone,
+        f"{_FN} interval points trials g-transform witness-out "
+        f"verify-witness {_COMMON}", {}),
+    "convexity1": (
+        "one-variable matrix convexity", _cmd_convexity1,
+        f"{_FN} interval size trials g-transform witness-out verify-witness "
+        f"{_COMMON}",
+        {"trials": {"default": 300}, "g-transform": {"help": None}}),
+    "kraus": (
+        "representation sweep + convexity check", _cmd_kraus,
+        "preset f0 f1 f2 mu interval sweep-points matrix-checks size trials "
+        f"witness-out csv-out {_COMMON}",
+        {"preset": {"help": "kraus-halfmass"},
+         "interval": {"metavar": None, "default": "-0.9,0.9"},
+         "trials": {"default": 300}, "csv-out": {"help": "sweep t,f columns"}}),
+    "certify": (
+        "x-degree <= 2 certificate", _cmd_certify,
+        f"{_FN} series-file a-tuple size epsilon trials samples degree-cap "
+        f"multiplicities witness-out {_COMMON}",
+        {**_BASE, "trials": {"help": "convexity subtest trials"},
+         "samples": {"default": 50, "help": "slice extraction samples"}}),
+    "axioms": ("direct-sum / unitary axiom check", _cmd_axioms,
+               f"{_FN} series-file samples sizes {_COMMON}", {}),
+}
 
 
 def build_parser(argv) -> argparse.ArgumentParser:
@@ -480,103 +551,14 @@ def build_parser(argv) -> argparse.ArgumentParser:
     sub = ap.add_subparsers(
         dest="command", required=True,
         metavar="{%s}" % ",".join(_SUBCOMMANDS) if alone else None)
-
-    def subcommand(name: str, help_line: str, fn):
+    for name, (help_line, fn, flags, own) in _SUBCOMMANDS.items():
         if alone and name != command:
-            return None
+            continue
         p = sub.add_parser(name, help=help_line)
         p.set_defaults(fn=fn)
-        return p if name == command else None
-
-    p = subcommand("eval", "evaluate a function at a tuple", _cmd_eval)
-    if p is not None:
-        _add_fn_flags(p)
-        p.add_argument("--a-tuple", help="tuple JSON file, or identityN/zeroN")
-        p.add_argument("--x-tuple", help="tuple JSON file, or identityN/zeroN")
-        _add_common(p)
-
-    p = subcommand("convexity", "matrix convexity over C_A levels",
-                   _cmd_convexity)
-    if p is not None:
-        _add_fn_flags(p)
-        p.add_argument("--a-tuple", help="base tuple JSON (default: random)")
-        p.add_argument("--size", type=int, help="base size kappa")
-        p.add_argument("--epsilon", type=float, default=None)
-        p.add_argument("--trials", type=int, default=200)
-        p.add_argument("--multiplicities", default="1,2")
-        p.add_argument("--witness-out", metavar="FILE")
-        p.add_argument("--csv-out", metavar="FILE",
-                       help="defect min-eigenvalue per trial")
-        p.add_argument("--verify-witness", metavar="FILE",
-                       help="re-check a stored witness instead of testing")
-        _add_common(p)
-
-    p = subcommand("monotone", "Loewner operator-monotonicity test",
-                   _cmd_monotone)
-    if p is not None:
-        _add_fn_flags(p, scalar=True)
-        p.add_argument("--interval", metavar="LO,HI")
-        p.add_argument("--points", type=int, default=5)
-        p.add_argument("--trials", type=int, default=200)
-        p.add_argument("--g-transform", action="store_true",
-                       help="test g(t) = (f(t)-f(0))/t instead of f")
-        p.add_argument("--witness-out", metavar="FILE")
-        p.add_argument("--verify-witness", metavar="FILE")
-        _add_common(p)
-
-    p = subcommand("convexity1", "one-variable matrix convexity",
-                   _cmd_convexity1)
-    if p is not None:
-        _add_fn_flags(p, scalar=True)
-        p.add_argument("--interval", metavar="LO,HI")
-        p.add_argument("--size", type=int, default=2)
-        p.add_argument("--trials", type=int, default=300)
-        p.add_argument("--g-transform", action="store_true")
-        p.add_argument("--witness-out", metavar="FILE")
-        p.add_argument("--verify-witness", metavar="FILE")
-        _add_common(p)
-
-    p = subcommand("kraus", "representation sweep + convexity check",
-                   _cmd_kraus)
-    if p is not None:
-        p.add_argument("--preset", help="kraus-halfmass")
-        p.add_argument("--f0", type=float, default=0.0)
-        p.add_argument("--f1", type=float, default=0.0)
-        p.add_argument("--f2", type=float, default=2.0)
-        p.add_argument("--mu", default="0.5:1",
-                       help="atoms 'loc:weight,loc:weight'")
-        p.add_argument("--interval", default="-0.9,0.9")
-        p.add_argument("--sweep-points", type=int, default=100)
-        p.add_argument("--matrix-checks", type=int, default=10)
-        p.add_argument("--size", type=int, default=2)
-        p.add_argument("--trials", type=int, default=300)
-        p.add_argument("--witness-out", metavar="FILE")
-        p.add_argument("--csv-out", metavar="FILE", help="sweep t,f columns")
-        _add_common(p)
-
-    p = subcommand("certify", "x-degree <= 2 certificate", _cmd_certify)
-    if p is not None:
-        _add_fn_flags(p)
-        p.add_argument("--a-tuple", help="base tuple JSON (default: random)")
-        p.add_argument("--size", type=int, help="base size kappa")
-        p.add_argument("--epsilon", type=float, default=None)
-        p.add_argument("--trials", type=int, default=200,
-                       help="convexity subtest trials")
-        p.add_argument("--samples", type=int, default=50,
-                       help="slice extraction samples")
-        p.add_argument("--degree-cap", type=int, default=8)
-        p.add_argument("--multiplicities", default="1,2")
-        p.add_argument("--witness-out", metavar="FILE")
-        _add_common(p)
-
-    p = subcommand("axioms", "direct-sum / unitary axiom check",
-                   _cmd_axioms)
-    if p is not None:
-        _add_fn_flags(p)
-        p.add_argument("--samples", type=int, default=100)
-        p.add_argument("--sizes", default="1,2,3,4")
-        _add_common(p)
-
+        for flag in flags.split() if name == command else ():
+            p.add_argument(f"--{flag}",
+                           **{**_FLAGS[flag], **own.get(flag, {})})
     return ap
 
 

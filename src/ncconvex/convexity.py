@@ -360,4 +360,12 @@ def verify_convexity_witness(F, witness: dict) -> float:
     n = int(witness["n"])
     A = tuple_from_json(witness["A"], kind="a", n=n)
     X, Y = (_one_point(tuple_from_json(witness[k], "x", n)) for k in "XY")
-    return _defect_min_eig(F, A, X, Y, float(witness["t"]))
+    return _defect_min_eig(F, A, X, Y, _witness_t(witness))
+
+
+def _witness_t(witness: dict) -> float:
+    """A stored witness's mixing parameter, which must lie in [0, 1]."""
+    t = float(witness["t"])
+    if not 0.0 <= t <= 1.0:                         # NaN too
+        raise DomainError(f"witness: t = {t} lies outside [0, 1]")
+    return t

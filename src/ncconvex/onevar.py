@@ -31,7 +31,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .convexity import Report, _defect_eigs, _falsify
+from .convexity import Report, _defect_eigs, _falsify, _witness_t
 from .errors import DomainError, ShapeError, SingularityError
 from .tolerances import KRAUS_POLE_TOL, ONEVAR_INGEST_TOL
 from .tuples import (draw_spectral, matrix_from_json, matrix_to_json,
@@ -317,7 +317,16 @@ def _distinct_points(rng, lo: float, hi: float, k: int) -> np.ndarray:
         pts = np.sort(rng.uniform(lo, hi, size=k))
         if k < 2 or np.min(np.diff(pts)) > min_gap:
             return pts
-    raise RuntimeError("could not draw well-separated points")
+    raise DomainError("could not draw well-separated points")
+
+
+def _tested_interval(f: ScalarFn, interval: Optional[tuple]) -> tuple:
+    """The interval a tester samples, by default f's domain; it must be
+    non-empty and of finite width."""
+    lo, hi = interval if interval is not None else f.domain
+    if not (lo < hi and math.isfinite(float(hi) - float(lo))):
+        raise ValueError(f"need a finite interval, got ({lo}, {hi})")
+    return lo, hi
 
 
 def loewner_monotone_test(f: ScalarFn, interval: Optional[tuple] = None,
@@ -328,9 +337,7 @@ def loewner_monotone_test(f: ScalarFn, interval: Optional[tuple] = None,
     Fail is conclusive (the witness points re-verify standalone); pass
     is evidence, not proof.
     """
-    lo, hi = interval if interval is not None else f.domain
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ValueError(f"need a finite interval, got ({lo}, {hi})")
+    lo, hi = _tested_interval(f, interval)
     if points_per_trial < 2:
         raise ValueError("points_per_trial must be >= 2")
 
@@ -350,8 +357,10 @@ def loewner_monotone_test(f: ScalarFn, interval: Optional[tuple] = None,
 
 def verify_monotone_witness(f: ScalarFn, witness: dict) -> float:
     """Recompute the Loewner min eigenvalue of a stored witness."""
-    return float(_defect_eigs(loewner_matrix(f, witness["points"]),
-                              "witness")[0])
+    pts = np.asarray(witness["points"], dtype=float)
+    if not (np.isfinite(pts).all() and len(set(pts.flat)) == pts.size):
+        raise DomainError("witness: the points must be finite and distinct")
+    return float(_defect_eigs(loewner_matrix(f, pts), "witness")[0])
 
 
 def _defects_1var(f: ScalarFn, A: np.ndarray, B: np.ndarray,
@@ -373,9 +382,7 @@ def convexity_test_1var(f: ScalarFn, interval: Optional[tuple] = None,
     Defect D = t f(A) + (1-t) f(B) - f(tA + (1-t)B) must stay PSD; the
     worst sampled violation below -WITNESS_TOL ships as the witness.
     """
-    lo, hi = interval if interval is not None else f.domain
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ValueError(f"need a finite interval, got ({lo}, {hi})")
+    lo, hi = _tested_interval(f, interval)
     if size < 1:
         raise ValueError(f"size must be at least 1, got {size}")
 
@@ -425,7 +432,7 @@ def verify_convexity1_witness(f: ScalarFn, witness: dict) -> float:
     """Recompute the defect min eigenvalue of a stored witness."""
     A = matrix_from_json(witness["A"])
     B = matrix_from_json(witness["B"])
-    t = float(witness["t"])
+    t = _witness_t(witness)
     # the tester's arithmetic, one matrix at a time, so the bits agree;
     # matrix_apply names the first eigenvalue outside f's domain
     D = (t * matrix_apply(f, A) + (1.0 - t) * matrix_apply(f, B)

@@ -111,18 +111,16 @@ class Preset:
     make_scalar: Optional[Callable[[], ScalarFn]]
     interval: tuple
     epsilon: float
-    description: str
 
 
-def _poly_preset(name, sig, expr, make_scalar, interval, epsilon, desc):
+def _poly_preset(name, sig, expr, make_scalar, interval, epsilon):
     sig = Signature(*sig)
 
     def make():
         return PolynomialNcFunction(parse_polynomial(expr, sig), name=name)
 
     return Preset(name=name, signature=sig, expr=expr, make=make,
-                  make_scalar=make_scalar, interval=interval, epsilon=epsilon,
-                  description=desc)
+                  make_scalar=make_scalar, interval=interval, epsilon=epsilon)
 
 
 def _halfmass_lift() -> KrausLiftFunction:
@@ -136,21 +134,19 @@ PRESETS = {
     "square": _poly_preset(
         "square", (0, 1), "x1^2",
         lambda: scalar_from_polynomial(parse_polynomial("x1^2", _SQ), "t^2"),
-        (-1.0, 1.0), 1.0, "x1^2; matrix convex at every level"),
+        (-1.0, 1.0), 1.0),
     "quartic": _poly_preset(
         "quartic", (0, 1), "x1^4",
         lambda: scalar_from_polynomial(parse_polynomial("x1^4", _SQ), "t^4"),
-        (-2.0, 2.0), 2.0, "x1^4; scalar convex, not matrix convex"),
+        (-2.0, 2.0), 2.0),
     "mixed-ax": _poly_preset(
         "mixed-ax", (1, 1), "a1*x1*a1 + x1*a1*x1 + x1^2",
-        None, (-1.0, 1.0), 0.5,
-        "quadratic in x with a-coefficients; convex for small A"),
+        None, (-1.0, 1.0), 0.5),
     "kraus-halfmass": Preset(
         name="kraus-halfmass", signature=Signature(0, 1), expr=None,
         make=_halfmass_lift,
         make_scalar=lambda: _halfmass_lift().scalar_fn(),
-        interval=(-0.9, 0.9), epsilon=0.5,
-        description="lift of t^2/(1-t/2); convex but of unbounded x-degree"),
+        interval=(-0.9, 0.9), epsilon=0.5),
 }
 
 PRESET_NAMES = tuple(sorted(PRESETS))
@@ -163,11 +159,6 @@ def get_preset(name: str) -> Preset:
         raise ValueError(
             f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}")
 
-
-# the polynomial members of the named preset family; kraus-halfmass is
-# a series lift, not a polynomial, so it stays out of this list
-CORPUS = tuple((p.name, p.signature, p.expr) for p in PRESETS.values()
-               if p.expr is not None)
 
 def random_base_tuple(g: int, kappa: int, seed, norm: float = 0.9,
                       kind: str = "a") -> HermTuple:

@@ -308,8 +308,7 @@ def test_slice_convexity_transfer(F, A: HermTuple, X: HermTuple, v,
 
     def witness_of(data, eigs):
         T1, T2, t = data
-        return {"T1": [[float(x.real) for x in row] for row in T1],
-                "T2": [[float(x.real) for x in row] for row in T2],
+        return {"T1": matrix_to_json(T1), "T2": matrix_to_json(T2),
                 "t": t, "defect_eigs": [float(e) for e in eigs]}
 
     return _falsify([((seed,), trials, draw)], defects, witness_of,

@@ -20,6 +20,7 @@ import json
 import sys
 
 from falsify_examples import run_cli
+from ncconvex.presets import PRESETS
 
 SEEDS = (31, 32, 33)
 BENCH_EXPRS = ("(x1+x2)^6", "(a1*x1+x1*a1+x2)^4", "(x1+x2+x3)^4")
@@ -48,6 +49,11 @@ def _cli_examples() -> list:
 
 
 CLI_EXAMPLES = _cli_examples()
+
+# the polynomial members of the named preset family; kraus-halfmass is
+# a series lift, not a polynomial, so it stays out of this list
+CORPUS = tuple((p.name, p.signature, p.expr) for p in PRESETS.values()
+               if p.expr is not None)
 
 
 def trace_evaluator(sig=(0, 1)):

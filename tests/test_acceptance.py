@@ -11,7 +11,7 @@ from time import monotonic
 
 import numpy as np
 
-from axioms_examples import trace_evaluator
+from axioms_examples import CORPUS, trace_evaluator
 from conftest import ACCEPTANCE_LINES, run_cli
 
 from ncconvex import test_convexity_at_A as convexity_at_A
@@ -24,7 +24,7 @@ from ncconvex import (DiscreteMeasure, HermTuple, PolynomialNcFunction,
                       loewner_monotone_test, parse_polynomial,
                       verify_convexity1_witness, verify_convexity_witness)
 from ncconvex.onevar import kraus_scalar_fn, matrix_apply
-from ncconvex.presets import (CORPUS, get_preset, random_base_tuple,
+from ncconvex.presets import (get_preset, random_base_tuple,
                               scalar_from_polynomial)
 from ncconvex.slices import VERDICT_CONSISTENT, VERDICT_HIGHER_ORDER
 from ncconvex.tuples import (derived_rng, hermitian_with_spectrum_in,

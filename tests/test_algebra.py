@@ -120,7 +120,7 @@ def test_x_parts_reassemble(p):
     parts = p.x_parts()
     total = NcPolynomial.zero(p.signature)
     for i, part in parts.items():
-        for w in part.words():
+        for w, _ in part.items():
             assert x_count(w) == i
         total = total + part
     assert total == p

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from cli_help_examples import (ARGPARSE_ERRORS, HELP, USAGE_ERRORS,
                                run_case)
 from conftest import run_cli
+from ncconvex import NcPowerSeries, Signature, parse_polynomial
 from ncconvex.cli import _dump, main
 from ncconvex.tuples import matrix_to_json
 
@@ -494,6 +495,57 @@ def test_malformed_witness_is_a_usage_error(field, value, tmp_path,
     assert "convexity witness file is malformed" in _one_error_line(err)
 
 
+@pytest.mark.parametrize("kind, witness, message", [
+    ("convexity", {"n": 1, "A": [], "X": [matrix_to_json(np.ones((1, 1)))],
+                   "Y": [matrix_to_json(np.zeros((1, 1)))], "t": 2},
+     "t = 2.0 lies outside [0, 1]"),
+    ("convexity1", {"A": matrix_to_json(np.ones((1, 1))),
+                    "B": matrix_to_json(np.zeros((1, 1))), "t": -1},
+     "t = -1.0 lies outside [0, 1]"),
+    ("monotone", {"points": [0.1, 0.1]}, "the points must be finite and "
+                                         "distinct"),
+], ids=["convexity", "convexity1", "monotone"])
+def test_forged_witness_is_a_usage_error(kind, witness, message, tmp_path,
+                                         capsys):
+    # a t outside [0, 1] made the matrix convex square "violate" and
+    # exit 0; repeated points divided by zero
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps({"kind": kind, "function": {"preset": "square"},
+                                "witness": witness}))
+    code, out, err = _main([kind, "--verify-witness", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert _one_error_line(err) == f"error: witness: {message}"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["monotone", "--preset", "square", "--points", "1000", "--trials", "1"],
+     "could not draw well-separated points"),
+    (["monotone", "--expr", "x1^3", "--interval=-1e308,1e308", "--trials",
+      "3"], "--interval (-1e+308, 1e+308) must have finite ends and a "
+            "finite width"),
+    (["kraus", "--interval=-inf,inf", "--trials", "5"],
+     "--interval (-inf, inf) must have finite ends and a finite width"),
+    (["eval", "--series-file", "lacks.json", "--x-tuple", "identity2"],
+     "series file lacks 'parts'"),
+    (["eval", "--series-file", "list.json", "--x-tuple", "identity2"],
+     "series file is malformed: "),
+], ids=["points", "wide-interval", "kraus-interval", "series-keys",
+        "series-list"])
+def test_crashes_are_usage_errors(argv, message, tmp_path, monkeypatch,
+                                  capsys):
+    # these escaped as RuntimeError, OverflowError, KeyError and
+    # AttributeError tracebacks, which exit 1 ("falsified"); the infinite
+    # Kraus interval printed numpy warnings before its error
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "lacks.json").write_text('{"signature": {"g_a": 0, "g_x": 1}}')
+    (tmp_path / "list.json").write_text("[1, 2]")
+    before = sorted(tmp_path.iterdir())
+    code, out, err = _main(argv, capsys)
+    assert code == 2 and out == ""
+    assert _one_error_line(err).startswith(f"error: {message}")
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_non_finite_loewner_matrix_exits_two(tmp_path, monkeypatch, capsys):
     # x1^3 overflows on (1e150, 1e160); this used to surface as numpy's
     # "Eigenvalues did not converge"
@@ -528,6 +580,7 @@ def test_non_finite_loewner_matrix_exits_two(tmp_path, monkeypatch, capsys):
     *[(["certify", "--preset", preset, "--degree-cap", "1", "--trials", "20",
         "--samples", "5", "--witness-out", "w.json"], "degree_cap")
       for preset in ("quartic", "square")],
+    (["eval", "--expr", "x1", "--x-tuple", "zero0"], "--x-tuple"),
 ])
 def test_zero_work_arguments_are_usage_errors(argv, flag, tmp_path,
                                               monkeypatch, capsys):
@@ -618,3 +671,52 @@ def test_values_past_the_float_range_never_pass(argv, tmp_path):
     else:
         assert r.returncode == 2 and r.stdout == ""
         assert r.stderr.splitlines()[-1].startswith("error: ")
+
+
+# -- paths the examples above do not reach --------------------------------------
+
+
+@pytest.mark.parametrize("expr, sig", [
+    ("a1*x1*a1 + x1*a1*x1 + x1^2", "1,1"),
+    ("x1^4 + 2*x1", "0,1"),
+])
+def test_series_file_runs_like_its_expression(expr, sig, run, tmp_path):
+    g_a, g_x = map(int, sig.split(","))
+    p = parse_polynomial(expr, Signature(g_a, g_x))
+    (tmp_path / "f.json").write_text(json.dumps(
+        NcPowerSeries.from_polynomial(p).to_json_dict()))
+    rng = np.random.default_rng(3)
+    for name, g in (("a.json", g_a), ("x.json", g_x)):
+        mats = [rng.standard_normal((2, 2)) for _ in range(g)]
+        (tmp_path / name).write_text(json.dumps(
+            [matrix_to_json((m + m.T) / 4) for m in mats]))
+    tuples = ["--x-tuple", "x.json"] + (["--a-tuple", "a.json"] if g_a else [])
+    by_expr = ["--expr", expr, "--signature", sig]
+    results = [json.loads(run(["eval", *fn, *tuples]).stdout)["result"]
+               for fn in (by_expr, ["--series-file", "f.json"])]
+    got, want = (np.array(r["entries"]) for r in results)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    for argv in (["convexity", "--trials", "30"],
+                 ["certify", "--trials", "20", "--samples", "5"],
+                 ["axioms", "--samples", "10"]):
+        runs = [run([*argv, "--seed", "4", *fn])
+                for fn in (by_expr, ["--series-file", "f.json"])]
+        verdicts = [(r.returncode, json.loads(r.stdout).get("pass"),
+                     json.loads(r.stdout).get("verdict")) for r in runs]
+        assert verdicts[0] == verdicts[1], argv
+
+
+def test_tol_overrides_the_verdict(run, tmp_path):
+    argv = ["convexity", "--preset", "quartic", "--size", "2", "--trials",
+            "40", "--seed", "7"]
+    r = run([*argv, "--tol", "1e6"])
+    assert r.returncode == 0 and json.loads(r.stdout)["pass"] is True
+    assert list(tmp_path.iterdir()) == []
+    r = run(argv)
+    assert r.returncode == 1 and json.loads(r.stdout)["pass"] is False
+    assert (tmp_path / "witness.json").is_file()
+
+
+def test_convexity1_expression_defaults_to_the_unit_interval(run):
+    r = run(["convexity1", "--expr", "x1^4", "--trials", "20"])
+    assert json.loads(r.stdout)["interval"] == [-1.0, 1.0]

@@ -74,58 +74,68 @@ def test_package_modules_have_no_unused_imports():
 
 
 def _referred(tree) -> set:
-    """Names the module refers to, as a bare name or an attribute, each
-    counted only where no enclosing function has that name."""
+    """Attribute names the module accesses (`x.name`), each counted only
+    where no enclosing method has that name.  A bare name is a local or
+    a module global, never a method."""
     found: set = set()
 
-    def visit(node, inside: frozenset):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+    def visit(node, inside: frozenset, in_class: bool):
+        if in_class and isinstance(node, (ast.FunctionDef,
+                                          ast.AsyncFunctionDef)):
             inside = inside | {node.name}
-        names = ({node.id} if isinstance(node, ast.Name)
-                 else {node.attr} if isinstance(node, ast.Attribute)
-                 else set())
-        for ann in (getattr(node, "annotation", None),
-                    getattr(node, "returns", None)):
-            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
-                names |= _used(ast.parse(ann.value, mode="eval"))
-        found.update(names - inside)
+        if isinstance(node, ast.Attribute) and node.attr not in inside:
+            found.add(node.attr)
         for child in ast.iter_child_nodes(node):
-            visit(child, inside)
+            visit(child, inside, isinstance(node, ast.ClassDef))
 
-    visit(tree, frozenset())
+    visit(tree, frozenset(), False)
     return found
+
+
+def _defined(stmt) -> list:
+    """The names a top-level statement defines: its function or class,
+    or the plain names an assignment binds.  Dunder names such as
+    `__all__` are read by the interpreter and are not checked."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                         ast.ClassDef)):
+        return [stmt.name]
+    targets = (stmt.targets if isinstance(stmt, ast.Assign)
+               else [stmt.target] if isinstance(stmt, ast.AnnAssign)
+               else [])
+    return [t.id for t in targets
+            if isinstance(t, ast.Name) and not t.id.startswith("__")]
 
 
 def unreferenced_definitions(paths, roots) -> list:
     """Definitions in the given modules that nothing refers to and that
     `roots` (top-level names and `Class.method` names) does not list.
 
-    A top-level function or class is referred to when another top-level
-    statement names it, as a bare name or an attribute; a definition
-    naming itself does not count.  A method of a top-level class is
-    referred to when its name appears anywhere outside every function of
-    that name, so methods of one name that only call each other (a
-    recursive printer over a tree of classes) count as unreferenced.
-    Dunder methods are reached through syntax (`+`, `==`, a call) that
-    names no method, and are not checked."""
+    A top-level function, class or assigned name is referred to when
+    another top-level statement names it, as a bare name or an
+    attribute; a definition naming itself does not count.  A method of
+    a top-level class is referred to when it is accessed as an attribute
+    (`x.name`) anywhere outside every method of that name, so a local
+    variable of the same name does not keep it, and methods of one name
+    that only call each other (a recursive printer over a tree of
+    classes) count as unreferenced.  Dunder methods are reached through
+    syntax (`+`, `==`, a call) that names no method, and are not
+    checked."""
     defs, uses, referred = [], [], set()
     for path in paths:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         referred |= _referred(tree)
         for k, stmt in enumerate(tree.body):
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                defs.append((path, k, stmt))
+            defs += [(path, k, stmt, name) for name in _defined(stmt)]
             used = _used(stmt) | {node.attr for node in ast.walk(stmt)
                                   if isinstance(node, ast.Attribute)}
             uses.append((path, k, used))
-    found = [f"{path.stem}.{stmt.name} (line {stmt.lineno})"
-             for path, k, stmt in defs
-             if stmt.name not in roots
-             and not any(stmt.name in used for p, j, used in uses
+    found = [f"{path.stem}.{name} (line {stmt.lineno})"
+             for path, k, stmt, name in defs
+             if name not in roots
+             and not any(name in used for p, j, used in uses
                          if (p, j) != (path, k))]
     found += [f"{path.stem}.{cls.name}.{meth.name} (line {meth.lineno})"
-              for path, _, cls in defs if isinstance(cls, ast.ClassDef)
+              for path, _, cls, _ in defs if isinstance(cls, ast.ClassDef)
               for meth in cls.body
               if isinstance(meth, (ast.FunctionDef, ast.AsyncFunctionDef))
               and not (meth.name.startswith("__")
@@ -140,9 +150,14 @@ def test_checker_flags_an_unreferenced_definition(tmp_path):
     a.write_text("def kept():\n    return helper()\n\n"
                  "def helper():\n    return 1\n\n"
                  "def lonely(n):\n    return lonely(n - 1) if n else 0\n\n"
-                 "class Shown:\n    pass\n")
-    b.write_text("from . import a\n\nVALUE = a.kept()\n")
-    assert unreferenced_definitions([a, b], {"Shown"}) == ["a.lonely (line 7)"]
+                 "class Shown:\n    pass\n\n"
+                 "__all__ = ['Shown']\nLIMIT = 3\nTABLE: dict = {}\n"
+                 "ORPHAN = TABLE\n")
+    b.write_text("from . import a\n\nVALUE = a.kept() + a.LIMIT\n")
+    # module-level assignments count too: VALUE and ORPHAN are read by
+    # no other statement, TABLE only by ORPHAN; __all__ is not checked
+    assert unreferenced_definitions([a, b], {"Shown"}) == [
+        "a.ORPHAN (line 16)", "a.lonely (line 7)", "b.VALUE (line 3)"]
 
 
 def _layer_roots(tracing: Path = TRACING) -> set:
@@ -163,25 +178,32 @@ def test_checker_flags_an_unreferenced_method(tmp_path):
                  "    def size(self):\n        return 1\n\n"
                  "    def traced(self):\n        return 2\n\n"
                  "    def kept(self):\n        return 3\n\n"
-                 "    def __add__(self, other):\n        return self\n\n\n"
+                 "    def __add__(self, other):\n        return self\n\n"
+                 "    def words(self):\n        return []\n\n"
+                 "    def parse(self):\n        return 4\n\n\n"
                  "class Node(Leaf):\n"
                  "    def show(self):\n"
                  "        return self.child.show() + self.label()\n\n"
                  "    def label(self):\n        return ''\n\n"
                  "    def size(self):\n"
                  "        return 1 + self.child.size()\n\n\n"
-                 "TOTAL = Node().size()\n")
+                 "TOTAL = Node().size()\n\n\n"
+                 "def count(words):\n    return len(words)\n\n\n"
+                 "def parse():\n    return Leaf().parse()\n")
     tracing.write_text("LAYERS = (('a', 'pkg.a', ('Leaf.traced',)),)\n")
     roots = {"Leaf", "Node"} | {q for _, q in _layer_roots(tracing)}
     # show recurses only through its namesakes, so both count as
-    # unreferenced; label is named in show, size from the module, and
-    # the dunder is not checked
+    # unreferenced; label is named in show, size from the module, parse
+    # from a function (not a method) of its name, and the dunder is not
+    # checked; words is only a bare name, a parameter, which no method is
     survivors = {"Leaf.kept": "called from outside the package"}
+    roots |= {"TOTAL", "count", "parse"}
     assert unreferenced_definitions([a], roots | set(survivors)) == [
-        "a.Leaf.show (line 2)", "a.Node.show (line 19)"]
+        "a.Leaf.show (line 2)", "a.Leaf.words (line 17)",
+        "a.Node.show (line 25)"]
     assert unreferenced_definitions([a], roots) == [
         "a.Leaf.kept (line 11)", "a.Leaf.show (line 2)",
-        "a.Node.show (line 19)"]
+        "a.Leaf.words (line 17)", "a.Node.show (line 25)"]
     assert "a.Leaf.traced (line 8)" in unreferenced_definitions([a], set())
 
 

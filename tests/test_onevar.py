@@ -240,6 +240,18 @@ def test_g_transform_needs_zero_interior():
         g_transform(fn)
 
 
+@pytest.mark.parametrize("d1", [None, math.exp], ids=["f", "f and d1"])
+def test_g_transform_by_finite_differences(d1):
+    # without analytic second derivatives the Taylor patch near 0 comes
+    # from second_derivative's differences, of f' or of f itself
+    g = g_transform(ScalarFn(math.exp, d1=d1))
+    for t in (0.0, 5e-4, 0.5):
+        want = math.expm1(t) / t if t else 1.0
+        slope = (t * math.exp(t) - math.expm1(t)) / t ** 2 if t else 0.5
+        assert abs(g(t) - want) <= 1e-9
+        assert abs(g.derivative(t) - slope) <= 1e-7
+
+
 # -- Loewner monotonicity ------------------------------------------------------
 
 
@@ -273,6 +285,14 @@ def test_sqrt_is_operator_monotone():
                  domain=(0.0, math.inf), name="sqrt")
     rep = loewner_monotone_test(f, (0.01, 4.0), trials=150, seed=42)
     assert rep.passed
+
+
+@pytest.mark.parametrize("tester", [loewner_monotone_test,
+                                    convexity_test_1var])
+def test_testers_refuse_an_interval_of_infinite_width(tester):
+    # the sampler's rng.uniform raised OverflowError, a traceback
+    with pytest.raises(ValueError, match="need a finite interval"):
+        tester(_scalar("x1^3"), (-1e308, 1e308), trials=3)
 
 
 # -- one-variable convexity ----------------------------------------------------

@@ -11,7 +11,9 @@ from ncconvex import NcPolynomial, Signature, eval_poly, parse_polynomial
 from ncconvex.errors import ParseError, ResourceLimitError
 from ncconvex.parsing import (EXPONENT_CAP, Group, Lit, Neg, Pow, Prod, Star,
                               Sum, Var, infer_signature, load_corpus, parse)
-from ncconvex.presets import CORPUS, PRESETS
+from ncconvex.presets import PRESETS
+
+from axioms_examples import CORPUS
 
 SIG = Signature(2, 2)
 SIGX = Signature(0, 2)

@@ -1,5 +1,6 @@
 """Slice functions, coefficient extraction, degree-two certification."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -19,9 +20,9 @@ from ncconvex.presets import get_preset, random_base_tuple
 from ncconvex.slices import (VERDICT_CONSISTENT, VERDICT_HIGHER_ORDER,
                              VERDICT_HYPOTHESIS_FAILS, _draw_slice_sample,
                              _extract, _magnitudes, _unit_vectors,
-                             slice_scalar)
+                             slice_matrix, slice_scalar)
 from ncconvex.tuples import (ca_element, derived_rng, draw_x_ball,
-                             sample_x_ball, tuple_norm)
+                             matrix_from_json, sample_x_ball, tuple_norm)
 
 
 def _fn(expr, sig):
@@ -154,6 +155,21 @@ def test_slice_transfer_for_square():
                                         t_size=3, trials=100, seed=69)
     assert rep.passed
     assert rep.min_eig >= -1e-10
+
+
+def test_slice_transfer_witness_reproduces_its_defect():
+    # T1 and T2 are complex Hermitian; stored as their real parts, this
+    # witness gave the defect +0.101 where the run had found -0.0166
+    F = _fn("x1^4", Signature(0, 1))
+    A, X, v = _empty_a(2), HermTuple([np.diag([1.0, 0.3])], kind="x"), [1, 1]
+    rep = slice_transfer(F, A, X, v, delta=0.9, t_size=3, trials=200, seed=1)
+    w = json.loads(json.dumps(rep.witness))
+    T1, T2 = matrix_from_json(w["T1"]), matrix_from_json(w["T2"])
+    t = w["t"]
+    P = slice_matrix(F, A, X, v, np.stack([T1, T2, t * T1 + (1 - t) * T2]))
+    D = t * P[0] + (1 - t) * P[1] - P[2]
+    assert w["defect_eigs"][0] < -1e-6
+    assert abs(np.linalg.eigvalsh(D)[0] - w["defect_eigs"][0]) <= 1e-12
 
 
 def test_certify_consistent_for_mixed_ax():
