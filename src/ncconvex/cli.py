@@ -405,19 +405,24 @@ def _cmd_kraus(args) -> int:
     values = kraus_eval(f0, f1, f2, mu, ts[:, None, None])[:, 0, 0].real
     values = values.tolist()
 
-    # cross-check the resolvent route against spectral calculus
+    # cross-check the resolvent route against spectral calculus, to
+    # 1e-9 relative to the size of the values; the two routes disagreeing
+    # is an internal error, not a falsified property
     rng = derived_rng(args.seed, 4241)
     cross_dev = 0.0
     for k in range(args.matrix_checks):
         size = 2 + k % 4
         B = hermitian_with_spectrum_in(size, lo, hi, rng)
-        dev = float(np.max(np.abs(kraus_eval(f0, f1, f2, mu, B)
-                                  - matrix_apply(fn, B))))
+        FB = matrix_apply(fn, B)
+        dev = float(np.max(np.abs(kraus_eval(f0, f1, f2, mu, B) - FB)))
+        if not dev < 1e-9 * max(1.0, float(np.max(np.abs(FB)))):
+            raise NcError(f"matrix check {k}: the resolvent and spectral "
+                          f"routes disagree by {dev:.3e}")
         cross_dev = max(cross_dev, dev)
 
     report = convexity_test_1var(fn, interval, size=args.size,
                                  trials=args.trials, seed=args.seed)
-    passed = _passed(args, report) and cross_dev < 1e-9
+    passed = _passed(args, report)
     payload = {
         "command": "kraus", "function": desc, "seed": args.seed,
         "interval": list(interval),

@@ -17,9 +17,14 @@ Monotonicity testing is the classical Loewner criterion: divided
 difference matrices with f' on the diagonal must be PSD.  Both testers
 run on the sampling core of convexity.py, which compares min
 eigenvalues against -PSD_TOL and requires the stricter -WITNESS_TOL
-band before a counterexample is reported.  The convexity tester hands
-it whole chunks: one stacked eigh per matrix family, with f evaluated
-in Python on each eigenvalue.
+band before a counterexample is reported, and both hand it whole
+chunks: one stacked eigh per matrix family, one (c, k, k) stack of
+Loewner matrices.  _values evaluates f on a chunk's eigenvalues or
+points.  A ScalarFn the package builds from plain arithmetic (a
+Horner polynomial, a Kraus sum) runs once on the whole array, with
+the same operations in the same order, so every value keeps the bits
+of a call per point; any other ScalarFn is still called once per
+point with a float.  Derivatives are always taken point by point.
 """
 
 from __future__ import annotations
@@ -48,10 +53,12 @@ def _richardson(step_fn: Callable[[float], float], h: float) -> float:
 class ScalarFn:
     """Real function on an open interval with optional analytic
     derivatives; missing derivatives fall back to central finite
-    differences with Richardson refinement.  The testers call fn on a
-    chunk of trials' eigenvalues at once, so it must be pure."""
+    differences with Richardson refinement.  The testers call fn once
+    per point with a float, a chunk of trials at a time, so it must be
+    pure.  _on_arrays marks an fn of plain + - * / arithmetic that the
+    package built; the testers call it once on a whole float array."""
 
-    __slots__ = ("fn", "d1", "d2", "domain", "name")
+    __slots__ = ("fn", "d1", "d2", "domain", "name", "_on_arrays")
 
     def __init__(self, fn: Callable[[float], float],
                  d1: Optional[Callable[[float], float]] = None,
@@ -63,6 +70,7 @@ class ScalarFn:
         self.d2 = d2
         self.domain = (float(domain[0]), float(domain[1]))
         self.name = name
+        self._on_arrays = False
 
     def __call__(self, t: float) -> float:
         return float(self.fn(float(t)))
@@ -146,6 +154,18 @@ def _ingest_hermitian(B, stacked: int = 0) -> np.ndarray:
     return (B + Bh) / 2
 
 
+def _values(f: ScalarFn, P: np.ndarray) -> np.ndarray:
+    """f at every entry of a float array, bit for bit what f(t) gives
+    point by point: one call on the whole array when f is marked
+    _on_arrays, else one call per entry in order.  Overflow and NaN are
+    left to the callers' finiteness checks, as Python floats leave them."""
+    if f._on_arrays:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return f.fn(P)
+    return np.array([f(t) for t in P.ravel().tolist()],
+                    dtype=float).reshape(P.shape)
+
+
 def _spectral_apply(f: ScalarFn, B: np.ndarray, active=None) -> tuple:
     """f(B) = V diag(f(lambda)) V* for each member of an ingested (c, n, n)
     stack, from one eigh.  Returns (values, eigenvalues, ok): ok marks
@@ -157,8 +177,7 @@ def _spectral_apply(f: ScalarFn, B: np.ndarray, active=None) -> tuple:
     if active is not None:
         ok &= active
     fvals = np.zeros(lam.shape)
-    fvals[ok] = np.array([[f(l) for l in row] for row in lam[ok].tolist()],
-                         dtype=float).reshape(-1, lam.shape[-1])
+    fvals[ok] = _values(f, lam[ok])
     return (V * fvals[..., None, :]) @ V.conj().swapaxes(-1, -2), lam, ok
 
 
@@ -228,7 +247,11 @@ def kraus_scalar_fn(f0: float, f1: float, f2: float, mu: DiscreteMeasure,
     atoms = mu.atoms
 
     def f(t: float) -> float:
-        s = sum(w * t * t / (1.0 - l * t) for l, w in atoms)
+        # a left fold, not sum(), which compensates from Python 3.12 on
+        # and would part from the same fold on an array
+        s = 0.0
+        for l, w in atoms:
+            s = s + w * t * t / (1.0 - l * t)
         return f0 + f1 * t + 0.5 * f2 * s
 
     def d1(t: float) -> float:
@@ -238,8 +261,10 @@ def kraus_scalar_fn(f0: float, f1: float, f2: float, mu: DiscreteMeasure,
     def d2(t: float) -> float:
         return f2 * sum(w / (1.0 - l * t) ** 3 for l, w in atoms)
 
-    return ScalarFn(f, d1=d1, d2=d2, domain=domain,
-                    name=name or "kraus-representation")
+    fn = ScalarFn(f, d1=d1, d2=d2, domain=domain,
+                  name=name or "kraus-representation")
+    fn._on_arrays = True
+    return fn
 
 
 def pick_eval(alpha: float, beta: float, mu: DiscreteMeasure,
@@ -296,16 +321,24 @@ def g_transform(f: ScalarFn) -> ScalarFn:
 
 def loewner_matrix(f: ScalarFn, points) -> np.ndarray:
     """Divided-difference matrix; diagonal = f'."""
-    pts = np.asarray(points, dtype=float)
-    vals = [f(t) for t in pts]          # f once per point
-    k = pts.size
-    L = np.empty((k, k), dtype=float)
-    for i in range(k):
-        L[i, i] = f.derivative(pts[i])
-        for j in range(i + 1, k):
-            v = (vals[i] - vals[j]) / (pts[i] - pts[j])
-            L[i, j] = v
-            L[j, i] = v
+    return _loewner_stack(f, np.asarray(points, dtype=float)[None])[0]
+
+
+def _loewner_stack(f: ScalarFn, P: np.ndarray) -> np.ndarray:
+    """Loewner matrices of a (c, k) stack of point rows: f once per
+    point through _values, the divided differences on the upper
+    triangle in one vector op, mirrored, and f' point by point on the
+    diagonal."""
+    c, k = P.shape
+    i, j = np.triu_indices(k, 1)
+    vals = _values(f, P)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dd = (vals[:, i] - vals[:, j]) / (P[:, i] - P[:, j])
+    L = np.empty((c, k, k))
+    L[:, i, j] = dd
+    L[:, j, i] = dd
+    # np.float64 points, as the per-point loop passed them
+    L[:, range(k), range(k)] = [[f.derivative(t) for t in row] for row in P]
     return L
 
 
@@ -345,7 +378,7 @@ def loewner_monotone_test(f: ScalarFn, interval: Optional[tuple] = None,
         return _distinct_points(rng, lo, hi, points_per_trial)
 
     def defects(samples):
-        return np.stack([loewner_matrix(f, pts) for pts in samples]), samples
+        return _loewner_stack(f, np.array(samples)), samples
 
     def witness_of(pts, eigs):
         return {"points": [float(t) for t in pts],

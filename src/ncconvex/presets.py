@@ -97,9 +97,11 @@ def scalar_from_polynomial(p: NcPolynomial,
             return acc
         return f
 
-    return ScalarFn(horner(c), d1=horner(d1) if d1 else (lambda t: 0.0),
-                    d2=horner(d2) if d2 else (lambda t: 0.0),
-                    domain=(-math.inf, math.inf), name=name or str(p))
+    fn = ScalarFn(horner(c), d1=horner(d1) if d1 else (lambda t: 0.0),
+                  d2=horner(d2) if d2 else (lambda t: 0.0),
+                  domain=(-math.inf, math.inf), name=name or str(p))
+    fn._on_arrays = True
+    return fn
 
 
 @dataclass(frozen=True)

@@ -115,6 +115,29 @@ def test_kraus_subcommand(run, tmp_path):
     assert len(rows) == 12
 
 
+def test_kraus_cross_check_is_relative_to_the_size_of_the_values(run):
+    # at f2 = 1e8 float rounding alone puts the two routes 3e-8 apart; an
+    # absolute 1e-9 bound failed this run with no witness
+    r = run(["kraus", "--f2", "1e8", "--trials", "5", "--sweep-points",
+             "3", "--matrix-checks", "4"])
+    assert r.returncode == 0
+    doc = json.loads(r.stdout)
+    assert doc["pass"] is True and doc["cross_check_max_dev"] > 1e-9
+
+
+def test_kraus_routes_that_disagree_are_an_internal_error(run, tmp_path,
+                                                          monkeypatch):
+    import ncconvex.cli as cli
+    real = cli.kraus_eval
+    monkeypatch.setattr(cli, "kraus_eval", lambda *a: real(*a) + 1e-6)
+    r = run(["kraus", "--trials", "5"])
+    assert r.returncode == 2 and r.stdout == ""
+    assert _one_error_line(r.stderr) == (
+        "error: matrix check 0: the resolvent and spectral routes disagree "
+        "by 1.000e-06")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_axioms_subcommand(run):
     r = run(["axioms", "--expr", "x1^2", "--signature", "0,1",
              "--samples", "25"])

@@ -1,6 +1,7 @@
 """One-variable layer: spectral calculus, Kraus/Pick forms, Loewner."""
 
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,8 +12,9 @@ from ncconvex import (DiscreteMeasure, ScalarFn, convexity_test_1var,
                       pick_eval, verify_convexity1_witness,
                       verify_monotone_witness, parse_polynomial, Signature)
 from ncconvex.errors import DomainError, SingularityError
-from ncconvex.onevar import kraus_scalar_fn, loewner_matrix, matrix_apply
-from ncconvex.presets import scalar_from_polynomial
+from ncconvex.onevar import (_loewner_stack, _values, kraus_scalar_fn,
+                             loewner_matrix, matrix_apply)
+from ncconvex.presets import get_preset, scalar_from_polynomial
 from ncconvex.tuples import (derived_rng, hermitian_with_spectrum_in,
                              matrix_to_json)
 
@@ -396,3 +398,127 @@ def test_pick_function_is_operator_monotone_off_its_atoms():
     rep = loewner_monotone_test(bad, (-1.0, 1.0), trials=100, seed=81)
     assert not rep.passed and rep.min_eig < -1e-6
     assert verify_monotone_witness(bad, rep.witness) < -1e-6
+
+
+# -- package-built functions on whole arrays -----------------------------------
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def _value_points(rng, edges):
+    # signed zeros, the domain's edges, points whose powers overflow to
+    # inf (and inf - inf to NaN), and a spread inside (-0.99, 0.99)
+    special = [0.0, -0.0, *edges, 1e80, -1e80, 1e155, -1e155, 1e200,
+               -1e300, 5e-324, -5e-324]
+    return np.concatenate([special, rng.uniform(-0.99, 0.99, 2000),
+                           rng.uniform(-50.0, 50.0, 300)]).reshape(-1, 2)
+
+
+def _random_polynomial(rng, degree):
+    coeffs = rng.normal(size=degree + 1) * 10.0 ** rng.integers(-3, 4,
+                                                                degree + 1)
+    expr = " + ".join(f"({c!r})*x1^{k}"
+                      for k, c in enumerate(coeffs.tolist()))
+    return _scalar(expr)
+
+
+@pytest.mark.parametrize("make", [
+    *[(lambda rng, d=d: _random_polynomial(rng, d)) for d in range(7)],
+    lambda rng: _scalar("0"),
+    lambda rng: kraus_scalar_fn(0.3, -1.7, 2.5, HALF),
+    lambda rng: kraus_scalar_fn(
+        -0.4, 0.9, 1.25, DiscreteMeasure(((0.5, 0.25), (-0.8, 0.75)))),
+    lambda rng: kraus_scalar_fn(
+        1e3, 0.0, 7.0,
+        DiscreteMeasure(((0.9, 0.2), (0.0, 0.3), (-0.35, 0.5)))),
+], ids=[*(f"degree{d}" for d in range(7)), "zero", "kraus1", "kraus2",
+        "kraus3"])
+def test_values_on_an_array_equal_calls_per_point_bit_for_bit(make):
+    rng = derived_rng(91)
+    f = make(rng)
+    assert f._on_arrays
+    lo, hi = f.domain
+    P = _value_points(rng, (lo, hi, math.nextafter(lo, 0.0),
+                            math.nextafter(hi, 0.0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _values(f, P)
+    want = [[f(t) for t in row] for row in P.tolist()]
+    assert got.shape == P.shape
+    assert np.array_equal(_bits(got), _bits(want))
+    assert not np.isfinite(got).all()       # the overflow points are in
+
+
+@pytest.mark.parametrize("preset", ["square", "quartic", "kraus-halfmass"])
+def test_preset_values_never_go_through_calls_per_point(preset, monkeypatch):
+    f = get_preset(preset).make_scalar()
+    lo, hi = get_preset(preset).interval
+
+    def refuse(self, t):
+        raise AssertionError("ScalarFn.__call__ reached")
+    monkeypatch.setattr(ScalarFn, "__call__", refuse)
+    convexity_test_1var(f, (lo, hi), size=3, trials=40, seed=92)
+    loewner_monotone_test(f, (lo, hi), trials=40, seed=92)
+    matrix_apply(f, np.diag([lo / 2, hi / 2]))
+
+
+def test_a_user_function_still_runs_point_by_point_on_floats():
+    seen = set()
+
+    def on_floats(g):
+        def fn(t):
+            seen.add(type(t))
+            return g(t)
+        return fn
+
+    convex = ScalarFn(on_floats(lambda t: -math.log(t)),
+                      d1=lambda t: -1.0 / t, domain=(0.0, math.inf))
+    monotone = ScalarFn(on_floats(math.log), d1=lambda t: 1.0 / t,
+                        domain=(0.0, math.inf))
+    exp = ScalarFn(on_floats(math.exp), d1=math.exp)
+    np.testing.assert_allclose(matrix_apply(convex, np.diag([1.0, math.e])),
+                               np.diag([0.0, -1.0]), atol=1e-15)
+    assert convexity_test_1var(convex, (0.1, 4.0), size=2, trials=40,
+                               seed=93).passed
+    assert loewner_monotone_test(monotone, (0.1, 4.0), trials=40,
+                                 seed=93).passed
+    # exp is convex but not operator monotone
+    assert not loewner_monotone_test(exp, (-1.0, 1.0), trials=40,
+                                     seed=93).passed
+    assert seen == {float}
+
+
+def _loewner_double_loop(f, points):
+    """loewner_matrix as a double loop over the points, the reference
+    the stacked build must equal bit for bit."""
+    pts = np.asarray(points, dtype=float)
+    vals = [f(t) for t in pts]
+    k = pts.size
+    L = np.empty((k, k), dtype=float)
+    for i in range(k):
+        L[i, i] = f.derivative(pts[i])
+        for j in range(i + 1, k):
+            v = (vals[i] - vals[j]) / (pts[i] - pts[j])
+            L[i, j] = v
+            L[j, i] = v
+    return L
+
+
+@pytest.mark.parametrize("f", [
+    _scalar("0.7*x1^5 - 1.3*x1^2 + x1 - 0.2"),
+    kraus_scalar_fn(0.3, -1.7, 2.5,
+                    DiscreteMeasure(((0.5, 0.25), (-0.8, 0.75)))),
+    # per point, with the finite-difference derivative on np.float64s
+    ScalarFn(lambda t: t ** 3 - math.sin(t), name="t^3 - sin"),
+    ScalarFn(math.sqrt, d1=lambda t: 0.5 / math.sqrt(t),
+             domain=(0.0, math.inf), name="sqrt"),
+], ids=["polynomial", "kraus", "finite-difference", "sqrt"])
+def test_stacked_loewner_matrices_equal_the_double_loop(f):
+    rng = derived_rng(94)
+    for k in (2, 3, 5, 8):
+        P = np.sort(rng.uniform(0.05, 0.95, size=(17, k)), axis=-1)
+        want = np.stack([_loewner_double_loop(f, row) for row in P])
+        assert np.array_equal(_bits(_loewner_stack(f, P)), _bits(want))
+        assert np.array_equal(_bits(loewner_matrix(f, P[0])), _bits(want[0]))
