@@ -357,8 +357,6 @@ def _cmd_eval(args) -> int:
         A = HermTuple([], kind="a", n=n)
     if X is None or A is None:
         raise ValueError("eval needs tuples covering every declared variable")
-    if X.n != A.n:
-        raise ValueError(f"tuple sizes differ: a={A.n}, x={X.n}")
     M = F(A, X)
     return _emit(args, {"command": "eval", "function": desc,
                         "result": matrix_to_json(M)}, 0)

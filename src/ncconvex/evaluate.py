@@ -12,10 +12,9 @@ its own A and its own X; the plan then runs once on the whole stack,
 with the same arithmetic per member as a member evaluated alone.
 
 The NcFunction wrappers give testers a uniform evaluator contract:
-F(A, X) -> square complex matrix at one point, F.at_points(A, Xs) and
-F.at_scales(A, X, zs) -> F over stacks of points, plus optional exact
-x-homogeneous parts when the function is an explicit polynomial or
-series.
+F(A, X) -> square complex matrix at one point, F.at_points(A, Xs) -> F
+over a stack of points, plus optional exact x-homogeneous parts when
+the function is an explicit polynomial or series.
 """
 
 from __future__ import annotations
@@ -178,17 +177,16 @@ class NcFunction:
     requires the evaluator to be analytic in a complex scale z on the
     extraction disk (analytic_in_z flag).
 
-    The stacked forms take points only as stacks.  at_scales(A, X, zs)
-    takes (c, g_a, n, n) and (c, g_x, n, n) arrays holding c points, each
-    with its own A, and returns F(A_j, z X_j) for every point and every
-    z, shape (c, len(zs), N, N).  at_points(A, Xs) returns the stack of
+    at_points(A, Xs) is the one stacked form.  It returns the stack of
     F(A_j, Xs[j]), shape (c, N, N), for a (c, g_x, n, n) array Xs of
-    Hermitian x-tuples and A either one a-tuple for every point
-    (A_j = A) or a (c, g_a, n, n) array with one per point (A_j = A[j]).
-    Both defaults loop over __call__ one point (and one z) at a time,
-    passing each point's own A as an a-HermTuple, so a black box sees
-    the calls it would see point by point; override them when F can
-    evaluate a stack in one call.
+    x-tuples and A either one a-tuple for every point (A_j = A) or a
+    (c, g_a, n, n) array with one per point (A_j = A[j]).  The testers
+    pass Hermitian x-tuples; the slice extractor's DFT route passes the
+    complex multiples z X_j, and only to an F declared analytic_in_z.
+    The default loops over __call__ one point at a time, passing each
+    point's A and X as HermTuples over read-only views of the stacks, so
+    a black box sees the calls it would see point by point; override it
+    when F can evaluate a stack in one call.
 
     F must be a pure function of (A, X): the testers and the degree-two
     certificate evaluate a chunk of samples in one batch and, when the
@@ -204,17 +202,9 @@ class NcFunction:
     def __call__(self, A, X) -> np.ndarray:
         raise NotImplementedError
 
-    def at_scales(self, A, X, zs) -> np.ndarray:
-        # each point's A reaches __call__ as an a-HermTuple and its z X as
-        # a list of matrices, as the extractor always passed them
-        n = X.shape[-1]
-        return np.stack([np.stack([self(HermTuple._trusted(a, "a", n),
-                                        [z * m for m in x]) for z in zs])
-                         for a, x in zip(_read_only(A), _read_only(X))])
-
     def at_points(self, A, Xs) -> np.ndarray:
         # each point reaches __call__ as an x-HermTuple, and with a stack
-        # of A its own row as an a-HermTuple, as the testers passed them
+        # of A its own row as an a-HermTuple
         n = Xs.shape[-1]
         As = ([HermTuple._trusted(a, "a", n) for a in _read_only(A)]
               if _is_stack(A) else [A] * len(Xs))

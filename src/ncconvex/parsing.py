@@ -87,11 +87,6 @@ class Pow(ExprAst):
 
 
 @dataclass(frozen=True)
-class Group(ExprAst):
-    child: ExprAst
-
-
-@dataclass(frozen=True)
 class _Token:
     kind: str  # num | var | imag | op
     text: str
@@ -210,7 +205,7 @@ class _Parser:
             if not self._accept_op(")"):
                 pos = self._peek().pos if self._peek() else len(self.src)
                 raise ParseError("expected ')'", pos)
-            return Group(inner)
+            return inner
         raise ParseError(f"unexpected token {tok.text!r}", tok.pos)
 
     def _variable(self, tok: _Token) -> Var:
@@ -239,8 +234,8 @@ def _lower(ast: ExprAst, ops: TrieAlgebra, star: bool):
     """The merged trie of an AST, or of its involution when star is set:
     the star goes down to the leaves, reversing products and
     conjugating literals on the way."""
-    if isinstance(ast, (Group, Star)):
-        return _lower(ast.child, ops, star != isinstance(ast, Star))
+    if isinstance(ast, Star):
+        return _lower(ast.child, ops, not star)
     if isinstance(ast, Neg):
         return ops.scale(_lower(ast.child, ops, star), -1.0)
     if isinstance(ast, Var):
@@ -272,7 +267,7 @@ def parse_polynomial(src: str, sig: Signature) -> NcPolynomial:
     # a leading '-' or "'" leaves the zero parts of every coefficient
     # signed as negating or conjugating the expanded terms would
     neg = star = False
-    while isinstance(ast, (Group, Neg, Star)):
+    while isinstance(ast, (Neg, Star)):
         neg ^= isinstance(ast, Neg)
         star ^= isinstance(ast, Star)
         ast = ast.child

@@ -58,11 +58,6 @@ class KrausLiftFunction(NcFunction):
         return _kraus_resolvent(self.f0, self.f1, self.f2, self.mu,
                                 np.asarray(X[0], dtype=complex))
 
-    def at_scales(self, A, X, zs) -> np.ndarray:
-        # the stack of points scales to (c, len(zs), n, n) in one product
-        zs = np.asarray(zs, dtype=complex)[:, None, None]
-        return self(A, [zs * X[:, None, 0]])
-
     def at_points(self, A, Xs) -> np.ndarray:
         return self(A, [Xs[:, 0]])
 

@@ -19,7 +19,8 @@ eps_machine * max|phi| / r^i, so small radii amplify high-order noise;
 the residual check on a rotated node set catches both that and
 aliasing, and the extractor refuses (ExtractionError) rather than
 returning digits it cannot back.  Both node sets, the interpolation
-nodes and the rotated check nodes, go through one F.at_scales call.
+nodes and the rotated check nodes, go through one F.at_points call over
+the points z X.
 
 Both routes work on a stack of samples (_extract);
 extract_slice_coefficients is its one-sample call.  The certificate's
@@ -34,9 +35,9 @@ phases:
   stack   the samples of one multiplicity m are lifted to
           U*(I_m (x) A)U, sampled in the x-ball and extracted as one
           stack: one Horner plan run per homogeneous part on the exact
-          route, one F.at_scales call on the DFT route; the stack then
-          yields each sample's largest |c_i| above degree two and the
-          first i that reaches it;
+          route, one F.at_points call over the points z X on the DFT
+          route; the stack then yields each sample's largest |c_i|
+          above degree two and the first i that reaches it;
   replay  the samples are walked in order, one comparison each, for
           the largest coefficient above degree two, the skips and the
           witness.
@@ -123,9 +124,10 @@ def _compress(V: np.ndarray, M: np.ndarray) -> np.ndarray:
 def _phi_at(F, A: np.ndarray, X: np.ndarray, V: np.ndarray, zs) -> tuple:
     """(phi, refused) for a stack of points A (c, g_a, n, n), X
     (c, g_x, n, n) and unit vectors V (c, n): phi[j] holds
-    v_j* F(A_j, z X_j) v_j at every z in zs, from one F.at_scales call
-    over the samples that pass the z-free checks, and refused[j] is the
-    DomainError of a sample that fails one (its row of phi stays 0)."""
+    v_j* F(A_j, z X_j) v_j at every z in zs, from one F.at_points call
+    over the points z X_j of the samples that pass the z-free checks,
+    each with its own A_j, and refused[j] is the DomainError of a sample
+    that fails one (its row of phi stays 0)."""
     zs = np.asarray(zs, dtype=complex)
     phi = np.zeros((len(V), len(zs)), dtype=complex)
     if np.any(zs.imag != 0.0) and not F.analytic_in_z:
@@ -139,7 +141,11 @@ def _phi_at(F, A: np.ndarray, X: np.ndarray, V: np.ndarray, zs) -> tuple:
         for r in reach]
     ok = reach < F.radius
     if ok.any():
-        phi[ok] = _compress(V[ok], F.at_scales(A[ok], X[ok], zs))
+        c, Z = int(ok.sum()), len(zs)
+        Xz = zs[:, None, None, None] * X[ok][:, None]
+        vals = F.at_points(np.repeat(A[ok], Z, axis=0),
+                           Xz.reshape((c * Z,) + X.shape[1:]))
+        phi[ok] = _compress(V[ok], vals.reshape((c, Z) + vals.shape[-2:]))
     return phi, refused
 
 

@@ -213,7 +213,9 @@ class HermTuple:
     def _trusted(cls, matrices, kind: str, n: int) -> "HermTuple":
         """A tuple over matrices that have already passed ingest (for
         instance the rows of hermitian_stack's output); no check, no
-        copy."""
+        copy.  On the slice extractor's DFT route the matrices are the
+        complex multiples z X of ingested ones, and such tuples reach
+        only evaluators declared analytic_in_z."""
         T = object.__new__(cls)
         T.entries = tuple(matrices)
         T.n = n

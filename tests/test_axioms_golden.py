@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from ncconvex import (CallableNcFunction, HermTuple, PolynomialNcFunction,
                       Signature, check_nc_function_axioms, convexity, evaluate,
                       parse_polynomial)
-from ncconvex.errors import DomainError, NcError
+from ncconvex.errors import DomainError, NcError, ShapeError
 from ncconvex.evaluate import AxiomsReport, as_nc_function
 from ncconvex.presets import get_preset
 from ncconvex.tolerances import AXIOM_TOL
@@ -219,6 +219,14 @@ def test_a_zero_norm_tuple_names_its_sample(monkeypatch):
     with pytest.raises(NcError, match=r"^axioms sample 5: the drawn "
                                       r"x-tuple has norm 0$"):
         check_nc_function_axioms(F, samples=10, seed=3)
+
+
+def test_values_that_are_not_square_raise():
+    F = CallableNcFunction(lambda A, X: np.ones((X.n, X.n + 1)),
+                           Signature(0, 1), name="wide")
+    with pytest.raises(ShapeError, match=r"^wide gives values of shape "
+                                         r"\(1, 2\) at size 1$"):
+        check_nc_function_axioms(F, sizes=(1,), samples=3)
 
 
 @pytest.mark.parametrize("sizes", [(), (0, 2), (-1,), ((1, 2),)])

@@ -145,7 +145,7 @@ def test_axioms_subcommand(run):
     assert json.loads(r.stdout)["pass"] is True
 
 
-def test_usage_errors_exit_two(tmp_path):
+def test_usage_errors_exit_two(run, tmp_path):
     # the interpreter also exits 2 on some of its own errors, so the CLI's
     # handler must be seen to answer: one `error: ` line, no traceback
     golden = list(HELP_GOLDEN["usage_errors"])
@@ -161,6 +161,43 @@ def test_usage_errors_exit_two(tmp_path):
             (args, r.stderr)
         assert "Traceback" not in r.stderr
         assert r.stderr == golden.pop(0)["stderr"], args
+    # the rest run in-process, where an error that escapes the handler
+    # fails the test with its own traceback
+    (tmp_path / "x1.json").write_text(json.dumps(
+        [matrix_to_json(np.eye(2))]))
+    (tmp_path / "witness.json").write_text(json.dumps(
+        {"kind": "convexity", "witness": {}}))
+    for args, message in (
+            (["convexity1", "--expr", "x1^2", "--interval", "1"],
+             "bad --interval '1', want 'lo,hi'"),
+            (["monotone", "--preset", "mixed-ax"],
+             "preset 'mixed-ax' has no one-variable view"),
+            (["kraus", "--preset", "square"],
+             "preset 'square' is not a Kraus lift"),
+            (["eval", "--expr", "a1*x1", "--a-tuple", "identity2",
+              "--x-tuple", "identity3"], "declared n=3 but entries are 2"),
+            (["eval", "--expr", "x1+x2", "--x-tuple", "x1.json"],
+             "x-tuple has arity 1, signature wants 2"),
+            (["eval", "--x-tuple", "identity2"], "provide a function"),
+            (["convexity", "--verify-witness", "witness.json"],
+             "convexity witness file lacks 'function'"),
+            (["monotone", "--expr", "2i*x1"],
+             "scalar view needs real coefficients"),
+            (["convexity1", "--expr", "a1", "--signature", "1,0"],
+             "scalar view needs signature (0, 1)")):
+        r = run(args)
+        assert (r.returncode, r.stdout) == (2, ""), (args, r.stderr)
+        assert _one_error_line(r.stderr).startswith(f"error: {message}"), \
+            args
+
+
+def test_eval_with_only_an_a_tuple(run):
+    # g_x = 0: the a-tuple alone sets the size of the empty x-tuple
+    r = run(["eval", "--expr", "a1", "--a-tuple", "identity2"])
+    assert r.returncode == 0, r.stderr
+    doc = json.loads(r.stdout)
+    assert doc["function"]["signature"] == "1,0"
+    assert doc["result"] == matrix_to_json(np.eye(2))
 
 
 @pytest.mark.parametrize("command", ["convexity", "certify"])

@@ -119,6 +119,13 @@ def test_epsilon_must_be_positive():
         convexity_at_A(F, _empty_a(2), epsilon=0.0, trials=10, seed=0)
 
 
+def test_a_tuple_of_the_wrong_arity_raises():
+    F = _fn("a1*x1*a1", Signature(1, 1))
+    with pytest.raises(ValueError, match="A-tuple arity 0 does not match "
+                                         "signature g_a=1"):
+        convexity_at_A(F, _empty_a(2), epsilon=1.0, trials=5)
+
+
 def test_report_determinism():
     F = _fn("x1^4", Signature(0, 1))
     r1 = convexity_at_A(F, _empty_a(2), epsilon=2.0, trials=120, seed=58)
@@ -538,7 +545,11 @@ def test_stacks_are_bounded_by_the_chunk(monkeypatch):
                               multiplicities=()),
     lambda F: convexity_test_1var(get_preset("square").make_scalar(),
                                   (-1.0, 1.0), size=0, trials=5),
-], ids=["at_A size 0", "at_CA size 0", "no multiplicities", "1var size 0"])
+    lambda F: check_nc_function_axioms(F, samples=0),
+    lambda F: loewner_monotone_test(get_preset("square").make_scalar(),
+                                    (0.1, 1.0), points_per_trial=1, trials=5),
+], ids=["at_A size 0", "at_CA size 0", "no multiplicities", "1var size 0",
+        "axioms no samples", "monotone one point"])
 def test_zero_work_arguments_raise(run):
     with pytest.raises(ValueError):
         run(_fn("x1^2", Signature(0, 1)))

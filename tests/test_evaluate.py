@@ -8,12 +8,13 @@ import pytest
 
 from ncconvex import (CallableNcFunction, HermTuple, NcPolynomial,
                       NcPowerSeries, PolynomialNcFunction, SeriesNcFunction,
-                      Signature, check_nc_function_axioms, eval_poly,
-                      parse_polynomial)
+                      Signature, certify_degree_two, check_nc_function_axioms,
+                      eval_poly, parse_polynomial)
+from ncconvex import test_convexity_at_A as convexity_at_A
 from ncconvex.algebra import MatrixNcPolynomial
 from ncconvex.errors import DomainError, ShapeError, SignatureError
 from ncconvex.evaluate import eval_series
-from ncconvex.presets import get_preset
+from ncconvex.presets import get_preset, random_base_tuple
 from ncconvex.tuples import derived_rng, random_hermitian
 
 from axioms_examples import trace_evaluator
@@ -152,6 +153,42 @@ def test_axioms_report_json_shape():
     assert d["test"] == "nc_function_axioms"
     assert d["pass"] is True
     assert "samples" in d and "tol" in d
+
+
+def _mixed_ax():
+    return parse_polynomial("a1*x1*a1 + x1*a1*x1 + x1^2", Signature(1, 1))
+
+
+RAW = {
+    "polynomial": (_mixed_ax, PolynomialNcFunction),
+    "matrix polynomial": (
+        lambda: MatrixNcPolynomial.from_scalar(_mixed_ax()),
+        PolynomialNcFunction),
+    "series": (lambda: NcPowerSeries.from_polynomial(_mixed_ax()),
+               SeriesNcFunction),
+}
+
+
+def _testers():
+    A = random_base_tuple(1, 2, derived_rng(97), norm=0.3)
+    return (lambda F: convexity_at_A(F, A, 0.5, trials=20, seed=97),
+            lambda F: check_nc_function_axioms(F, samples=10, seed=97),
+            lambda F: certify_degree_two(F, A, 0.5, samples=4, trials=10,
+                                         seed=97))
+
+
+@pytest.mark.parametrize("make, wrap", RAW.values(), ids=RAW)
+def test_testers_wrap_a_raw_polynomial_or_series(make, wrap):
+    raw = make()
+    for run in _testers():
+        assert run(raw).to_json_dict() == run(wrap(raw)).to_json_dict()
+
+
+def test_testers_refuse_a_plain_callable():
+    for run in _testers():
+        with pytest.raises(TypeError, match="cannot wrap function as an nc "
+                                            "function"):
+            run(lambda A, X: X[0])
 
 
 # -- Horner plan against an independent reference -----------------------------

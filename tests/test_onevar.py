@@ -11,7 +11,7 @@ from ncconvex import (DiscreteMeasure, ScalarFn, convexity_test_1var,
                       g_transform, kraus_eval, loewner_monotone_test,
                       pick_eval, verify_convexity1_witness,
                       verify_monotone_witness, parse_polynomial, Signature)
-from ncconvex.errors import DomainError, SingularityError
+from ncconvex.errors import DomainError, ShapeError, SingularityError
 from ncconvex.onevar import (_loewner_stack, _values, kraus_scalar_fn,
                              loewner_matrix, matrix_apply)
 from ncconvex.presets import get_preset, scalar_from_polynomial
@@ -60,6 +60,10 @@ def test_matrix_apply_domain_guard():
     B = np.diag([1.0, -1.0])
     with pytest.raises(DomainError):
         matrix_apply(f, B)
+    with pytest.raises(ShapeError, match=r"has shape \(2, 3\)"):
+        matrix_apply(f, np.ones((2, 3)))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        matrix_apply(f, np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 # -- discrete measures and the Kraus form --------------------------------------

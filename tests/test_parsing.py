@@ -9,8 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 import ncconvex.algebra as algebra
 from ncconvex import NcPolynomial, Signature, eval_poly, parse_polynomial
 from ncconvex.errors import ParseError, ResourceLimitError
-from ncconvex.parsing import (EXPONENT_CAP, Group, Lit, Neg, Pow, Prod, Star,
-                              Sum, Var, infer_signature, load_corpus, parse)
+from ncconvex.parsing import (EXPONENT_CAP, Lit, Neg, Pow, Prod, Star, Sum,
+                              Var, infer_signature, load_corpus, parse)
 from ncconvex.presets import PRESETS
 
 from axioms_examples import CORPUS
@@ -147,8 +147,6 @@ def lower(ast, sig: Signature) -> NcPolynomial:
         return lower(ast.child, sig).involute()
     if isinstance(ast, Neg):
         return -lower(ast.child, sig)
-    if isinstance(ast, Group):
-        return lower(ast.child, sig)
     if isinstance(ast, Sum):
         acc = NcPolynomial.zero(sig)
         for item in ast.items:

@@ -222,31 +222,41 @@ def _kraus_lifts():
             KrausLiftFunction(0.5, -1.0, 2.0, two_atom, name="two-atom")]
 
 
-def test_kraus_at_scales_equals_per_z_calls():
+def _scaled(Xs, zs) -> np.ndarray:
+    """The points z X_j of a (c, g, n, n) stack, each X_j at every z in
+    turn, as the DFT route stacks them for F.at_points."""
+    zs = np.asarray(zs, dtype=complex)
+    return (zs[:, None, None, None] * Xs[:, None]).reshape(
+        (-1,) + Xs.shape[1:])
+
+
+def test_kraus_stack_at_scaled_points_equals_per_z_calls():
     zs = np.concatenate([[0.3, -0.2], 0.3 * np.exp(2j * np.pi * np.arange(5)
                                                    / 5)])
     for F in _kraus_lifts():
         for n in range(1, 7):
             X = _x_point(n, seed=(80, n))
-            stack = F.at_scales(_one_point(_empty_a(n)), _one_point(X),
-                                zs)[0]
+            stack = F.at_points(np.zeros((len(zs), 0, n, n)),
+                                _scaled(_one_point(X), zs))
             assert stack.shape == (len(zs), n, n)
             for z, M in zip(zs, stack):
                 assert np.array_equal(M, F(_empty_a(n), [complex(z) * X[0]]))
 
 
-def test_default_at_scales_loops_over_call():
+def test_polynomial_stack_at_scaled_points_equals_per_z_calls():
     F = _fn("a1*x1*a1 + x1^3", Signature(1, 1))
     A = random_base_tuple(1, 3, derived_rng(83))
     X = _x_point(3, seed=83, sig=Signature(1, 1))
     zs = [0.5, 0.2 - 0.1j]
-    stack = F.at_scales(_one_point(A), _one_point(X), zs)[0]
+    stack = F.at_points(np.repeat(_one_point(A), 2, axis=0),
+                        _scaled(_one_point(X), zs))
     for z, M in zip(zs, stack):
         assert np.array_equal(M, F(A, [z * X[0]]))
 
 
 def test_stacked_kraus_extraction_equals_looped_black_box():
-    # the wrapper takes NcFunction's per-z loop; the lift its own stack
+    # the wrapper takes NcFunction's per-point loop; the lift its own
+    # stack
     for KH in _kraus_lifts():
         loop = CallableNcFunction(KH, KH.signature, radius=KH.radius,
                                   analytic_in_z=True, name="looped")
@@ -282,8 +292,8 @@ def test_kraus_stack_with_a_singular_member_raises():
     KH = get_preset("kraus-halfmass").make()
     X = HermTuple([np.diag([1.0, 0.5])], kind="x")
     with pytest.raises(SingularityError):
-        KH.at_scales(_one_point(_empty_a(2)), _one_point(X),
-                     [0.5, 2.0, 0.5j])
+        KH.at_points(np.zeros((3, 0, 2, 2)),
+                     _scaled(_one_point(X), [0.5, 2.0, 0.5j]))
 
 
 def test_wrong_length_v_gets_one_message_on_both_routes():
@@ -294,6 +304,21 @@ def test_wrong_length_v_gets_one_message_on_both_routes():
         with pytest.raises(ValueError, match=r"^direction vector has length "
                                              r"4, evaluation is \(3, 3\)$"):
             extract_slice_coefficients(F, A, X, np.ones(4), **kw)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda F, A, X: extract_slice_coefficients(
+        F, A, X, np.ones(2), force_dft=True, radius=0),
+     "radius must be positive"),
+    (lambda F, A, X: slice_phi(F, A, X, np.ones((2, 3))),
+     r"xi must be square, got shape \(2, 3\)"),
+    (lambda F, A, X: slice_matrix(F, A, X, np.ones(2), np.ones((2, 3))),
+     r"T must be square, got shape \(2, 3\)"),
+], ids=["radius 0", "xi", "T"])
+def test_malformed_slice_arguments_raise(call, message):
+    F = _fn("x1^2", Signature(0, 1))
+    with pytest.raises(ValueError, match=message):
+        call(F, _empty_a(2), _x_point(2, seed=98))
 
 
 def test_certify_refuses_zero_samples():
@@ -419,57 +444,67 @@ def test_stacked_extraction_equals_one_sample_calls(make, kw):
                      or kw["degree_cap"] == 3 else {"coefficients"})
 
 
-def test_default_at_scales_on_a_stack_calls_point_by_point():
+def test_default_at_points_at_scaled_points_calls_point_by_point():
     calls = []
 
     def fn(A, X):
-        calls.append((A, [x.copy() for x in X]))
+        calls.append((A, X))
         return A[0] @ X[0] + X[0] @ X[0]
 
     F = CallableNcFunction(fn, Signature(1, 1), analytic_in_z=True)
     alphas, Xs, _ = _samples(F.signature, 2, 1, 3, seed=91)
     zs = [0.5, 0.2 - 0.1j]
-    stack = F.at_scales(_stack(alphas), _stack(Xs), zs)
-    seen, calls[:] = calls[:], []
-    per_point = np.array([F.at_scales(_one_point(A), _one_point(X), zs)[0]
-                          for A, X in zip(alphas, Xs)])
-    assert np.array_equal(stack, per_point)
-    assert len(seen) == len(calls) == 6
-    for (A1, X1), (A2, X2) in zip(seen, calls):
-        assert isinstance(A1, HermTuple) and A1.kind == "a"
-        assert np.array_equal(A1.entries, A2.entries)
-        assert np.array_equal(X1, X2)
+    stack = F.at_points(np.repeat(_stack(alphas), 2, axis=0),
+                        _scaled(_stack(Xs), zs))
+    points = [(A, z * X[0]) for A, X in zip(alphas, Xs) for z in zs]
+    assert len(calls) == len(points) == 6
+    for (A1, X1), (A, zX), M in zip(calls, points, stack):
+        # each point reaches __call__ as a- and x-HermTuples over
+        # read-only rows of the caller's stacks
+        assert isinstance(A1, HermTuple) and (A1.kind, A1.n) == ("a", 2)
+        assert isinstance(X1, HermTuple) and (X1.kind, X1.n) == ("x", 2)
+        assert np.array_equal(A1.entries, A.entries)
+        assert np.array_equal(X1[0], zX)
+        assert not (A1[0].flags.writeable or X1[0].flags.writeable)
+        assert np.array_equal(M, A[0] @ zX + zX @ zX)
 
 
-def test_kraus_at_scales_on_a_stack_equals_per_point_calls():
+def test_kraus_stack_at_scaled_points_of_a_stack_equals_per_point_calls():
     zs = 0.3 * np.exp(2j * np.pi * np.arange(5) / 5)
     for F in _kraus_lifts():
         for n in (1, 2, 4, 6):
             _, Xs, _ = _samples(F.signature, n, 1, 4, seed=(92, n))
-            stack = F.at_scales(np.zeros((4, 0, n, n)), _stack(Xs), zs)
-            for X, M in zip(Xs, stack):
-                assert np.array_equal(M, F.at_scales(
-                    _one_point(_empty_a(n)), _one_point(X), zs)[0])
+            stack = F.at_points(np.zeros((20, 0, n, n)),
+                                _scaled(_stack(Xs), zs))
+            per_point = [F.at_points(np.zeros((5, 0, n, n)),
+                                     _scaled(_one_point(X), zs))
+                         for X in Xs]
+            assert np.array_equal(stack, np.concatenate(per_point))
 
 
 def test_certify_extracts_each_multiplicity_of_a_chunk_in_one_call():
     shapes = []
 
     class Counted(KrausLiftFunction):
-        def at_scales(self, A, X, zs):
-            shapes.append(X.shape)
-            return super().at_scales(A, X, zs)
+        def at_points(self, A, Xs):
+            # the extraction stacks are the ones at complex-scaled
+            # points; stage 1 evaluates Hermitian ones
+            if np.any(Xs != Xs.conj().swapaxes(-1, -2)):
+                shapes.append(Xs.shape)
+            return super().at_points(A, Xs)
 
     F = Counted(0.0, 0.0, 2.0, DiscreteMeasure.point_mass(0.5))
     rep = certify_degree_two(F, _empty_a(2), 0.5, samples=CHUNK + 10,
                              trials=5, seed=95, multiplicities=(1, 2, 3))
     assert rep.skipped == 0
     # one stacked call per multiplicity per chunk, in the order of their
-    # first samples, and no rerun
+    # first samples, and no rerun; each sample brings its 18 DFT nodes
+    # (9 to interpolate, 9 to check, at degree_cap 8)
     want = []
     for ks in (range(CHUNK), range(CHUNK, CHUNK + 10)):
         ms = [(1, 2, 3)[k % 3] for k in ks]
-        want += [(ms.count(m), 1, 2 * m, 2 * m) for m in dict.fromkeys(ms)]
+        want += [(18 * ms.count(m), 1, 2 * m, 2 * m)
+                 for m in dict.fromkeys(ms)]
     assert shapes == want
 
 
