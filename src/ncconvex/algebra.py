@@ -2,15 +2,16 @@
 
 Words are tuples of letters, a letter being a pair (kind, index) with
 kind 'a' or 'x' and 1-based index.  The empty tuple is the unit word.
-Polynomials are immutable maps word -> complex coefficient over a fixed
-Signature; the involution reverses words and conjugates coefficients.
-Grading is by the number of x-letters in a word.
+Polynomials are immutable combinations of words over a fixed Signature;
+the involution reverses words and conjugates coefficients.  Grading is
+by the number of x-letters in a word.
 
-Coefficients are complex doubles.  After every arithmetic operation the
-term map is re-canonicalized: coefficients with magnitude below
-COEFF_DROP_TOL are dropped, so equality of polynomials is equality of
-term maps.  A polynomial compiled from an expression (TrieAlgebra) holds
-its merged word trie instead and fills the term map on first read.
+A polynomial is its merged word trie: sums, scales and products run on
+tries (TrieAlgebra), and the Horner plan is emitted from the trie.  The
+term map word -> complex coefficient is a cache, read into the trie by
+the constructor or filled from it on first read.  Coefficients with
+magnitude below COEFF_DROP_TOL are dropped, so equality of polynomials
+is equality of term maps.
 """
 
 from __future__ import annotations
@@ -26,9 +27,8 @@ Word = tuple[Letter, ...]
 
 _KIND_RANK = {"a": 0, "x": 1}
 
-# hard cap on stored terms after any single product and on filling the
-# term map of a compiled expression; guards runaway expansion of
-# expressions like (x1+...+x9)^20, which evaluate without expanding
+# hard cap on filling the term map of a trie; guards runaway expansion
+# of expressions like (x1+...+x9)^20, which evaluate without expanding
 TERM_CAP = 10 ** 6
 
 
@@ -212,29 +212,13 @@ def _emit_horner(signature: Signature, root: list) -> tuple:
                  for (const, step_terms), f in zip(steps, frees))
 
 
-def _compile_horner(signature: Signature, terms: dict) -> tuple:
-    """Horner plan of sum_w c_w w from its word trie
-    q = c_0 + sum_l l * q_l, where q_l collects the words of q that
-    start with letter l, stripped of it."""
-    root: list = [0j, {}]
-    for word, c in terms.items():
-        node = root
-        for letter in word:
-            kids = node[1]
-            nxt = kids.get(letter)
-            if nxt is None:
-                nxt = kids[letter] = [0j, {}]
-            node = nxt
-        node[0] = c
-    return _emit_horner(signature, root)
-
-
 class TrieAlgebra:
-    """Sum, scale and product of merged tries, for one compile; None is
-    the zero polynomial.  Results are interned, so equal sub-polynomials
-    stay one node and a power of a sum costs a few nodes per factor.  As
-    in the term map, coefficients below COEFF_DROP_TOL are dropped, and
-    zero parts are stored unsigned, as sums and products leave them."""
+    """Sum, scale and product of merged tries, for one compile or one
+    operator; None is the zero polynomial.  Results are interned, so
+    equal sub-polynomials stay one node and a power of a sum costs a few
+    nodes per factor.  Coefficients below COEFF_DROP_TOL are dropped,
+    and zero parts are stored unsigned, as sums and products leave
+    them."""
 
     def __init__(self):
         self._nodes: dict = {}
@@ -294,16 +278,29 @@ class NcPolynomial:
 
     def __init__(self, signature: Signature, terms: dict | None = None,
                  _validated: bool = False, trie: list | None = None):
-        """From a term map, or from a merged trie (TrieAlgebra), whose
-        plan comes straight from the trie and whose term map is filled
-        on first read, capped by TERM_CAP."""
+        """From a term map, read into its trie, or from a merged trie
+        (TrieAlgebra), whose term map is filled on first read."""
         self.signature = Signature(*signature)
-        self._trie = trie
         self._plan = None
-        self._map = None if trie else _canonical(dict(terms or {}))
-        if not (_validated or trie):
-            for word in self._map:
-                self.signature.check_word(word)
+        self._map = None
+        if trie is None:
+            self._map = _canonical(dict(terms or {}))
+            if not _validated:
+                for word in self._map:
+                    self.signature.check_word(word)
+            # q = c_0 + sum_l l * q_l, where q_l collects the words of q
+            # that start with letter l, stripped of it
+            trie = [0j, {}]
+            for word, c in self._map.items():
+                node = trie
+                for letter in word:
+                    kids = node[1]
+                    nxt = kids.get(letter)
+                    if nxt is None:
+                        nxt = kids[letter] = [0j, {}]
+                    node = nxt
+                node[0] = c
+        self._trie = trie
 
     @property
     def _terms(self) -> dict:
@@ -320,14 +317,6 @@ class NcPolynomial:
     @classmethod
     def zero(cls, signature: Signature) -> "NcPolynomial":
         return cls(signature, {})
-
-    @classmethod
-    def unit(cls, signature: Signature) -> "NcPolynomial":
-        return cls(signature, {(): 1.0 + 0.0j})
-
-    @classmethod
-    def variable(cls, signature: Signature, kind: str, index: int) -> "NcPolynomial":
-        return cls(signature, {((kind, index),): 1.0 + 0.0j})
 
     # -- access ----------------------------------------------------------
 
@@ -348,9 +337,7 @@ class NcPolynomial:
     def horner_plan(self) -> tuple:
         """Evaluation plan, compiled on first use; see _emit_horner."""
         if self._plan is None:
-            self._plan = (_compile_horner(self.signature, self._map)
-                          if self._trie is None
-                          else _emit_horner(self.signature, self._trie))
+            self._plan = _emit_horner(self.signature, self._trie)
         return self._plan
 
     def is_zero(self) -> bool:
@@ -371,69 +358,64 @@ class NcPolynomial:
 
     # -- algebra ----------------------------------------------------------
 
-    def _check_compatible(self, other: "NcPolynomial") -> None:
+    def _operate(self, other, op):
+        """op(TrieAlgebra, p, q) as a polynomial, p the trie of self and q
+        that of other, None standing for zero.  The one place operands
+        are coerced: a number is a constant, a polynomial must share the
+        signature, and anything else is NotImplemented, so Python raises
+        TypeError."""
+        if isinstance(other, (int, float, complex)):
+            other = NcPolynomial(self.signature, {(): complex(other)},
+                                 _validated=True)
+        if not isinstance(other, NcPolynomial):
+            return NotImplemented
         if self.signature != other.signature:
             raise SignatureError(
                 f"signature mismatch: {self.signature} vs {other.signature}")
+        p, q = (t if t[0] or t[1] else None for t in (self._trie, other._trie))
+        root = op(TrieAlgebra(), p, q)
+        return NcPolynomial(self.signature, trie=root or [0j, {}])
 
     def __add__(self, other):
-        if isinstance(other, (int, float, complex)):
-            other = NcPolynomial(self.signature, {(): complex(other)})
-        if not isinstance(other, NcPolynomial):
-            return NotImplemented
-        self._check_compatible(other)
-        terms = dict(self._terms)
-        for w, c in other._terms.items():
-            terms[w] = terms.get(w, 0.0) + c
-        return NcPolynomial(self.signature, terms, _validated=True)
+        return self._operate(other, TrieAlgebra.add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NcPolynomial(self.signature,
-                            {w: -c for w, c in self._terms.items()},
-                            _validated=True)
+        return self * -1.0
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, NcPolynomial) else -complex(other))
+        return self._operate(
+            other, lambda ops, p, q: ops.add(p, ops.scale(q, -1.0)))
 
     def __rsub__(self, other):
-        return (-self) + complex(other)
+        return self._operate(
+            other, lambda ops, p, q: ops.add(q, ops.scale(p, -1.0)))
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return self.scale(other)
-        if not isinstance(other, NcPolynomial):
-            return NotImplemented
-        self._check_compatible(other)
-        terms: dict = {}
-        for w1, c1 in self._terms.items():
-            for w2, c2 in other._terms.items():
-                w = w1 + w2
-                terms[w] = terms.get(w, 0.0) + c1 * c2
-        if len(terms) > TERM_CAP:
-            raise ResourceLimitError(
-                f"product has {len(terms)} terms (cap {TERM_CAP})")
-        return NcPolynomial(self.signature, terms, _validated=True)
+        return self._operate(other, TrieAlgebra.mul)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return self.scale(other)
-        return NotImplemented
+        return self._operate(other, lambda ops, p, q: ops.mul(q, p))
 
     def scale(self, c: complex) -> "NcPolynomial":
-        c = complex(c)
-        return NcPolynomial(self.signature,
-                            {w: c * v for w, v in self._terms.items()},
-                            _validated=True)
+        """The product with a number c."""
+        if isinstance(c, NcPolynomial):
+            raise TypeError("scale takes a number, not a polynomial")
+        return self * c
 
     def __pow__(self, n: int) -> "NcPolynomial":
-        if not isinstance(n, int) or n < 0:
+        if not isinstance(n, int):
+            return NotImplemented
+        if n < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = NcPolynomial.unit(self.signature)
-        for _ in range(n):
-            result = result * self
-        return result
+
+        def power(ops, p, one):
+            acc = one
+            for _ in range(n):
+                acc = ops.mul(p, acc)
+            return acc
+        return self._operate(1.0, power)
 
     def involute(self) -> "NcPolynomial":
         """Reverse every word, conjugate every coefficient."""

@@ -246,20 +246,26 @@ def kraus_scalar_fn(f0: float, f1: float, f2: float, mu: DiscreteMeasure,
     mu.check_kraus()
     atoms = mu.atoms
 
+    # left folds, not sum(), which compensates from Python 3.12 on, so
+    # its last bits would hang on the Python version and part from the
+    # same fold on an array
     def f(t: float) -> float:
-        # a left fold, not sum(), which compensates from Python 3.12 on
-        # and would part from the same fold on an array
         s = 0.0
         for l, w in atoms:
             s = s + w * t * t / (1.0 - l * t)
         return f0 + f1 * t + 0.5 * f2 * s
 
     def d1(t: float) -> float:
-        s = sum(w * t * (2.0 - l * t) / (1.0 - l * t) ** 2 for l, w in atoms)
+        s = 0.0
+        for l, w in atoms:
+            s = s + w * t * (2.0 - l * t) / (1.0 - l * t) ** 2
         return f1 + 0.5 * f2 * s
 
     def d2(t: float) -> float:
-        return f2 * sum(w / (1.0 - l * t) ** 3 for l, w in atoms)
+        s = 0.0
+        for l, w in atoms:
+            s = s + w / (1.0 - l * t) ** 3
+        return f2 * s
 
     fn = ScalarFn(f, d1=d1, d2=d2, domain=domain,
                   name=name or "kraus-representation")

@@ -15,9 +15,9 @@ of a real and an imaginary literal.
 
 parse_polynomial compiles without expanding: sums, products, powers and
 minus signs lower straight into the merged word trie (TrieAlgebra) that
-the Horner plan is emitted from, with the star pushed down to the
-leaves.  The plan equals the one compiled from the expanded term map,
-which is filled only when something reads it.
+is the polynomial, with the star pushed down to the leaves.  Its Horner
+plan equals the one of the expanded term map, a cache filled only when
+something reads it.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Free-algebra arithmetic: canonical term maps, grading, involution."""
 
 import math
+import operator
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,10 @@ from ncconvex.algebra import (MatrixNcPolynomial, word_from_str, word_to_str,
 from ncconvex.errors import ResourceLimitError, ShapeError, SignatureError
 
 SIG = Signature(1, 2)
+
+
+def _x(sig, i):
+    return NcPolynomial(sig, {(("x", i),): 1.0})
 
 
 def _gauss_ints():
@@ -41,7 +46,7 @@ def _polys(sig=SIG, max_terms=4):
 
 def test_unit_and_zero():
     assert NcPolynomial.zero(SIG).is_zero()
-    one = NcPolynomial.unit(SIG)
+    one = NcPolynomial.zero(SIG) + 1
     assert one.coefficient(()) == 1
     assert one.degree == 0
     assert NcPolynomial.zero(SIG).degree == -math.inf
@@ -55,7 +60,7 @@ def test_monomial_rejects_bad_letters():
 
 
 def test_cancellation_is_canonical():
-    x1, x2 = (NcPolynomial.variable(SIG, "x", i) for i in (1, 2))
+    x1, x2 = (_x(SIG, i) for i in (1, 2))
     p = x1 * x2
     q = p - p
     assert q.is_zero()
@@ -63,7 +68,7 @@ def test_cancellation_is_canonical():
 
 
 def test_near_zero_coefficients_dropped():
-    p = NcPolynomial.variable(SIG, "x", 1).scale(1e-15)
+    p = _x(SIG, 1).scale(1e-15)
     assert p.is_zero()
 
 
@@ -158,20 +163,45 @@ def test_involution_reverses_and_conjugates():
 
 def test_power_expansion():
     sig = Signature(0, 1)
-    p = (1 + NcPolynomial.variable(sig, "x", 1)) ** 2
+    p = (1 + _x(sig, 1)) ** 2
     assert p.coefficient(()) == 1
     assert p.coefficient(word_from_str("x1")) == 2
     assert p.coefficient(word_from_str("x1 x1")) == 1
 
 
 def test_term_cap_guards_blowup(monkeypatch):
-    # a low cap trips the same guard at 2^10 terms instead of 2^20
+    # a low cap trips the same guard at 2^10 terms instead of 2^20; the
+    # power is a trie of 25 nodes, so the guard trips on the first read
+    # of its 2^25 words
     monkeypatch.setattr(algebra, "TERM_CAP", 1000)
     sig = Signature(0, 2)
-    x1, x2 = (NcPolynomial.variable(sig, "x", i) for i in (1, 2))
-    p = x1 + x2
+    x1, x2 = (_x(sig, i) for i in (1, 2))
+    p = (x1 + x2) ** 25
+    assert p.n_terms == 2 ** 25
     with pytest.raises(ResourceLimitError, match=r"\(cap 1000\)"):
-        _ = p ** 25  # 2^25 words
+        p.coefficient(())
+
+
+@pytest.mark.parametrize("bad", ["2", [1], None])
+def test_operators_refuse_operands_that_are_not_numbers(bad):
+    p = _x(SIG, 1)
+    for op in (operator.add, operator.sub, operator.mul, operator.pow):
+        with pytest.raises(TypeError):
+            op(p, bad)
+        with pytest.raises(TypeError):
+            op(bad, p)
+    with pytest.raises(TypeError):
+        p.scale(bad)
+    # numbers are constants on either side
+    assert p - 2 == NcPolynomial(SIG, {(("x", 1),): 1, (): -2})
+    assert 2 - p == NcPolynomial(SIG, {(("x", 1),): -1, (): 2})
+
+
+def test_operators_refuse_another_signature():
+    p, q = _x(SIG, 1), _x(Signature(0, 1), 1)
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(SignatureError):
+            op(p, q)
 
 
 def test_str_round_trips_through_parser():
@@ -189,7 +219,7 @@ def test_json_round_trip():
 
 
 def test_matrix_poly_shapes_and_star():
-    x1, x2 = (NcPolynomial.variable(SIG, "x", i) for i in (1, 2))
+    x1, x2 = (_x(SIG, i) for i in (1, 2))
     M = MatrixNcPolynomial([[x1, x2], [x2.involute(), x1 * x1]])
     assert M.shape == (2, 2)
     assert all(M[(i, j)] == M[(j, i)].involute()
@@ -197,7 +227,7 @@ def test_matrix_poly_shapes_and_star():
 
 
 def test_matrix_poly_ragged_rejected():
-    x1 = NcPolynomial.variable(SIG, "x", 1)
+    x1 = _x(SIG, 1)
     with pytest.raises(ShapeError):
         MatrixNcPolynomial([[x1, x1], [x1]])
 

@@ -109,7 +109,7 @@ def test_x_homogeneous_parts_scale_correctly():
 def test_series_truncation_remainder_geometric():
     # sum_k x^k up to order 12 at |X| = 0.3: increment <= 0.3^12
     sig = Signature(0, 1)
-    x1 = NcPolynomial.variable(sig, "x", 1)
+    x1 = parse_polynomial("x1", sig)
     S = NcPowerSeries([x1 ** k for k in range(13)], radius=1.0)
     X = HermTuple([np.array([[0.3]])], kind="x")
     A = HermTuple([], kind="a", n=1)
@@ -123,7 +123,7 @@ def test_series_outside_radius_rejected():
     sig = Signature(0, 1)
     from ncconvex import NcPolynomial
     zero = NcPolynomial.zero(sig)
-    S = NcPowerSeries([zero, zero, NcPolynomial.variable(sig, "x", 1) ** 2],
+    S = NcPowerSeries([zero, zero, parse_polynomial("x1^2", sig)],
                       radius=0.5)
     X = HermTuple([np.array([[0.6]])], kind="x")
     A = HermTuple([], kind="a", n=1)

@@ -14,6 +14,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import ncconvex
 
 PACKAGE = Path(ncconvex.__file__).resolve().parent
@@ -211,13 +213,11 @@ def test_checker_flags_an_unreferenced_method(tmp_path):
 SURVIVORS = {
     "HermTuple.direct_sum": "the point-by-point reference that "
     "tests/test_axioms_golden.py checks the stacked axioms check against",
-    "NcPolynomial.variable": "builds the reference polynomials that "
-    "test_parsing compares the trie compiler with",
     "NcPolynomial.coefficient": "reads the polynomials test_parsing "
     "compiles, term by term",
-    "NcPolynomial.involute": "the algebra's involution: test_parsing's "
-    "reference lowering stars through it, and test_evaluate checks "
-    "against it that evaluation is a *-homomorphism",
+    "NcPolynomial.involute": "the algebra's involution: test_algebra "
+    "checks that it reverses the operators' products, and test_evaluate "
+    "that evaluation is a *-homomorphism",
 }
 
 
@@ -267,3 +267,22 @@ def test_package_import_loads_no_more_of_numpy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_a_failing_property_fails_without_aborting_the_run(tmp_path):
+    # hypothesis imports its patch writer (libcst) on the first failing
+    # example; a warning raised there as an error ended the whole run
+    # with INTERNALERROR, so no later test ran
+    pytest.importorskip("hypothesis.extra._patching")
+    (tmp_path / "test_property.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(n):\n    assert n < 5\n\n\n"
+        "def test_runs_after():\n    pass\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path),
+         "test_property.py"],
+        capture_output=True, text=True, cwd=tmp_path)
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1].startswith("1 failed, 1 passed")

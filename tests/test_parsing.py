@@ -12,6 +12,7 @@ from ncconvex.errors import ParseError, ResourceLimitError
 from ncconvex.parsing import (EXPONENT_CAP, Lit, Neg, Pow, Prod, Star, Sum,
                               Var, infer_signature, load_corpus, parse)
 from ncconvex.presets import PRESETS
+from ncconvex.tolerances import COEFF_DROP_TOL
 
 from axioms_examples import CORPUS
 
@@ -136,35 +137,77 @@ def test_corpus_file_loading(tmp_path):
 # -- compiling without expanding ---------------------------------------------
 
 
-def lower(ast, sig: Signature) -> NcPolynomial:
-    """Test oracle: expand an AST into its term map through NcPolynomial
-    arithmetic, one operation per node."""
+def _drop(terms: dict) -> dict:
+    return {w: c for w, c in terms.items() if abs(c) >= COEFF_DROP_TOL}
+
+
+def _times(left: dict, right: dict) -> dict:
+    terms: dict = {}
+    for w1, c1 in left.items():
+        for w2, c2 in right.items():
+            terms[w1 + w2] = terms.get(w1 + w2, 0.0) + c1 * c2
+    return _drop(terms)
+
+
+def lower(ast) -> dict:
+    """Test oracle: expand an AST into its term map by plain dict
+    arithmetic, one operation per node, small coefficients dropped."""
     if isinstance(ast, Var):
-        return NcPolynomial.variable(sig, ast.kind, ast.index)
+        return {((ast.kind, ast.index),): 1.0 + 0.0j}
     if isinstance(ast, Lit):
-        return NcPolynomial(sig, {(): ast.value})
+        return _drop({(): ast.value})
     if isinstance(ast, Star):
-        return lower(ast.child, sig).involute()
+        return {w[::-1]: c.conjugate() for w, c in lower(ast.child).items()}
     if isinstance(ast, Neg):
-        return -lower(ast.child, sig)
+        return {w: -c for w, c in lower(ast.child).items()}
+    if isinstance(ast, Sum):
+        acc: dict = {}
+        for item in ast.items:
+            for w, c in lower(item).items():
+                acc[w] = acc.get(w, 0.0) + c
+            acc = _drop(acc)
+        return acc
+    acc = {(): 1.0 + 0.0j}
+    if isinstance(ast, Prod):
+        for item in ast.items:
+            acc = _times(acc, lower(item))
+        return acc
+    assert isinstance(ast, Pow)
+    base = lower(ast.base)
+    for _ in range(ast.exponent):
+        acc = _times(acc, base)
+    return acc
+
+
+def lower_by_operators(ast, sig: Signature) -> NcPolynomial:
+    """The same expansion through the NcPolynomial operators."""
+    if isinstance(ast, Var):
+        return NcPolynomial(sig, {((ast.kind, ast.index),): 1.0})
+    if isinstance(ast, Lit):
+        return NcPolynomial.zero(sig) + ast.value
+    if isinstance(ast, Star):
+        return lower_by_operators(ast.child, sig).involute()
+    if isinstance(ast, Neg):
+        return -lower_by_operators(ast.child, sig)
     if isinstance(ast, Sum):
         acc = NcPolynomial.zero(sig)
         for item in ast.items:
-            acc = acc + lower(item, sig)
+            acc = acc + lower_by_operators(item, sig)
         return acc
     if isinstance(ast, Prod):
-        acc = NcPolynomial.unit(sig)
+        acc = NcPolynomial.zero(sig) + 1
         for item in ast.items:
-            acc = acc * lower(item, sig)
+            acc = acc * lower_by_operators(item, sig)
         return acc
     assert isinstance(ast, Pow)
-    return lower(ast.base, sig) ** ast.exponent
+    return lower_by_operators(ast.base, sig) ** ast.exponent
 
 
 def _assert_compiles_like_expansion(expr: str, sig: Signature) -> None:
     p = parse_polynomial(expr, sig)
-    oracle = lower(parse(expr, sig), sig)
-    plan = algebra._compile_horner(sig, oracle._terms)
+    ast = parse(expr, sig)
+    oracle = NcPolynomial(sig, lower(ast))
+    plan = oracle.horner_plan
     assert p.horner_plan == plan, expr
     # bit for bit, down to the sign of every zero part
     assert repr(p.horner_plan) == repr(plan), expr
@@ -172,6 +215,11 @@ def _assert_compiles_like_expansion(expr: str, sig: Signature) -> None:
     assert dict(p.items()) == dict(oracle.items()), expr
     assert {w: repr(c) for w, c in p.items()} == {
         w: repr(c) for w, c in oracle.items()}, expr
+    # the operators leave every zero part unsigned, as TrieAlgebra does,
+    # so they agree by value only
+    q = lower_by_operators(ast, sig)
+    assert q.horner_plan == plan, expr
+    assert q.n_terms == oracle.n_terms and q == oracle, expr
 
 
 # README examples, then the `poly-eval` expressions of perfbench/workloads.py
@@ -223,7 +271,7 @@ def test_float_coefficients_agree_with_expansion():
     for expr in ("(0.1*x1 + 0.3*x2' - 0.7)^5 * (1.1 + 0.2i*a1)",
                  "(1.5e-1*a1*x1 - x1*a1*0.33 + 2.7i)^4 - (0.9*x2)^3'"):
         p = parse_polynomial(expr, sig)
-        oracle = dict(lower(parse(expr, sig), sig).items())
+        oracle = lower(parse(expr, sig))
         terms = dict(p.items())
         assert terms.keys() == oracle.keys(), expr
         for w, c in oracle.items():
