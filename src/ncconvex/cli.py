@@ -19,7 +19,8 @@ from typing import Optional
 import numpy as np
 
 from .algebra import NcPowerSeries
-from .convexity import test_convexity_at_CA, verify_convexity_witness
+from .convexity import (_sampled, test_convexity_at_CA,
+                        verify_convexity_witness)
 from .errors import NcError, ShapeError
 from .evaluate import (NcFunction, PolynomialNcFunction, SeriesNcFunction,
                        check_nc_function_axioms)
@@ -33,8 +34,8 @@ from .presets import (KrausLiftFunction, get_preset, random_base_tuple,
                       scalar_from_polynomial)
 from .slices import certify_degree_two
 from .tolerances import AXIOM_TOL, COEFF_ZERO_TOL, WITNESS_TOL
-from .tuples import (HermTuple, derived_rng, hermitian_with_spectrum_in,
-                     identity_tuple, matrix_to_json, tuple_from_json,
+from .tuples import (HermTuple, derived_rng, draw_spectral, identity_tuple,
+                     matrix_to_json, spectral_lift, tuple_from_json,
                      zero_tuple)
 
 SCHEMA = "ncconvex/1"
@@ -358,6 +359,8 @@ def _cmd_eval(args) -> int:
     if X is None or A is None:
         raise ValueError("eval needs tuples covering every declared variable")
     M = F(A, X)
+    if not np.isfinite(M).all():
+        raise NcError("eval: the value is not finite")
     return _emit(args, {"command": "eval", "function": desc,
                         "result": matrix_to_json(M)}, 0)
 
@@ -405,15 +408,27 @@ def _cmd_kraus(args) -> int:
 
     # cross-check the resolvent route against spectral calculus, to
     # 1e-9 relative to the size of the values; the two routes disagreeing
-    # is an internal error, not a falsified property
+    # is an internal error, not a falsified property.  Check k draws a
+    # matrix of size 2 + k % 4 from the one stream (seed, 4241), in k
+    # order; each size runs as one stack on the sampling core, and the
+    # bound is checked in k order
     rng = derived_rng(args.seed, 4241)
-    cross_dev = 0.0
-    for k in range(args.matrix_checks):
-        size = 2 + k % 4
-        B = hermitian_with_spectrum_in(size, lo, hi, rng)
+
+    def draws(ks):
+        for k in ks:
+            yield k % 4, draw_spectral(rng, 2 + k % 4, lo, hi)
+
+    def stage(samples):
+        _, spectra = zip(*samples)
+        B = spectral_lift(*(np.array(d) for d in zip(*spectra)))
         FB = matrix_apply(fn, B)
-        dev = float(np.max(np.abs(kraus_eval(f0, f1, f2, mu, B) - FB)))
-        if not dev < 1e-9 * max(1.0, float(np.max(np.abs(FB)))):
+        dev = np.abs(kraus_eval(f0, f1, f2, mu, B) - FB).max(axis=(-2, -1))
+        return zip(dev.tolist(), np.abs(FB).max(axis=(-2, -1)).tolist())
+
+    cross_dev = 0.0
+    for k, (dev, top) in _sampled(args.matrix_checks, draws, stage,
+                                  group_by=lambda s: s[0]):
+        if not dev < 1e-9 * max(1.0, top):
             raise NcError(f"matrix check {k}: the resolvent and spectral "
                           f"routes disagree by {dev:.3e}")
         cross_dev = max(cross_dev, dev)
@@ -584,9 +599,12 @@ def main(argv=None) -> int:
         if epsilon is not None and not 0 < epsilon < math.inf:
             raise ValueError(f"--epsilon must be a positive finite number, "
                              f"got {epsilon}")
-        if getattr(args, "verify_witness", None):
-            return _verify(args)
-        return args.fn(args)
+        # overflow and NaN reach each path's own finiteness check, which
+        # exits 2 with one line; numpy's warnings would print before it
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            if getattr(args, "verify_witness", None):
+                return _verify(args)
+            return args.fn(args)
     except (NcError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -5,16 +5,17 @@ Each tester is a sampling falsifier with a one-sided guarantee: a fail
 is conclusive and ships a witness that re-verifies standalone, a pass
 is evidence over the sampled ball, not a proof.  _sampled is the one
 sampling loop of the package; the falsifiers reach it through _falsify,
-the degree-two certificate (slices.py) and the nc-function axioms check
-(evaluate.py) call it directly.  It runs the samples in chunks of
-CHUNK, in three phases:
+and the degree-two certificate (slices.py), the nc-function axioms
+check (evaluate.py), the kraus command's resolvent/spectral cross-check
+(cli.py) and the witness shrink below call it directly.  It runs the
+samples in chunks of CHUNK, in three phases:
 
   draw    the client's draws(ks) yields a chunk's samples in order.
           Through _streams each sample k takes its raw numbers from its
           own generator, built for the chunk by derived_rngs(key, ks) in
           one vectorised seeding pass and equal to derived_rng(*key, k)
-          bit for bit; the axioms check takes all of them from one
-          stream, as_rng(seed);
+          bit for bit; the axioms check and the kraus cross-check take
+          all of them from one stream, and the shrink draws nothing;
   stack   the client's stage turns a chunk's samples into results with
           stacked numpy calls, once per group of samples of one matrix
           size.  For the falsifiers that is sampling, evaluation through
@@ -37,7 +38,10 @@ whose samples carry their generator, draws on from a copy of it.
 
 Convexity witnesses are shrunk by halving the spread X - Y around the
 fixed mixing point while the violation persists, on the worst trial's
-own arrays, so reported counterexamples stay small.
+own arrays, so reported counterexamples stay small.  The halvings run
+on _sampled in stacks of _SHRINK_STEP, and the replay stops at the first
+one that no longer violates; F may run a few halvings past that point,
+and an error there is never raised.
 
 test_convexity_at_CA runs the base-point test at the amplifications
 U*(I_m (x) A)U with the SAME epsilon at every multiplicity; the
@@ -71,6 +75,9 @@ from .tuples import (HermTuple, ca_element, derived_rng, derived_rngs,
 # tracemalloc, 256 samples all at n = 6 at about 14 MB
 CHUNK = 256
 _LEVEL_SALT = 999983
+# halving steps per stack of the witness shrink; on the presets' failing
+# runs it evaluates six to nine
+_SHRINK_STEP = 8
 
 
 @dataclass
@@ -133,7 +140,9 @@ def _streams(key: tuple, draw):
 
 def _sampled(count: int, draws, stage, group_by=None, step=None):
     """The package's sampling loop: (k, result) for k = 0 .. count-1 in
-    order, run in chunks of step samples (CHUNK when None).
+    order, run in chunks of step samples (CHUNK when None).  Its clients
+    are _falsify, certify's slice samples, the axioms check, the kraus
+    cross-check and the witness shrink.
 
     draws(ks) yields the samples ks in order.  stage(samples) turns a
     list of samples into one result per sample with stacked calls; when
@@ -245,23 +254,31 @@ def _defect_min_eig(F, A, X: np.ndarray, Y: np.ndarray, t: float) -> float:
 
 
 def _shrink_witness(F, A, X, Y, t, start_eig):
-    """Halve the spread around the mixing point while the defect still
-    violates -WITNESS_TOL.  X and Y are one-point stacks; every scale
-    and sum is followed by the ingest HermTuple arithmetic runs."""
-    P = _mix(X, Y, np.array([t]))
+    """(X', Y', eig) with the spread around the mixing point halved for
+    as long as the defect still violates -WITNESS_TOL, for the points X
+    and Y of shape (g, n, n).  Step j spreads s = 2^-(j+1); a chunk of
+    _SHRINK_STEP steps runs as one stack on _sampled and the replay stops
+    at the first step that no longer violates, so F runs at most
+    _SHRINK_STEP - 1 steps past it.  Every scale and sum is followed by
+    the ingest HermTuple arithmetic runs."""
+    P = _mix(X[None], Y[None], np.array([t]))
     D = hermitian_stack(X - Y)
-    s = 1.0
+
+    def stage(js):
+        s = np.ldexp(1.0, -1 - np.array(js))[:, None, None, None]
+        Xs = hermitian_stack(P + hermitian_stack(s * (1.0 - t) * D))
+        Ys = hermitian_stack(P - hermitian_stack(s * t * D))
+        defect, _ = _defects(F, A, Xs, Ys, np.full(len(js), t))
+        return zip(Xs, Ys, _hermitian_eigs(defect))
+
     best = (X, Y, start_eig)
-    for _ in range(40):
-        s_next = s / 2.0
-        Xs = hermitian_stack(P + hermitian_stack(s_next * (1.0 - t) * D))
-        Ys = hermitian_stack(P - hermitian_stack(s_next * t * D))
-        eig = _defect_min_eig(F, A, Xs, Ys, t)
-        if eig < -WITNESS_TOL:
-            best = (Xs, Ys, eig)
-            s = s_next
-        else:
+    # the samples are the step numbers themselves
+    for _, (Xs, Ys, eigs) in _sampled(40, iter, stage, step=_SHRINK_STEP):
+        if eigs is None:
+            raise NcError("witness: the defect matrix is not finite")
+        if not eigs[0] < -WITNESS_TOL:
             break
+        best = (Xs, Ys, float(eigs[0]))
     return best
 
 
@@ -294,7 +311,7 @@ def _convexity(F, A: HermTuple, epsilon: float, trials: int, seed,
     hermitian = []                      # per chunk: F Hermitian throughout
 
     def draw(li, rng, k):
-        t = 0.5 if k % 2 == 0 else float(rng.uniform(0.0, 1.0))
+        t = 0.5 if k % 2 == 0 else rng.random()
         return li, k, t, draw_x_ball(sig.g_x, levels[li][2].n, epsilon, 2,
                                      rng)
 
@@ -318,10 +335,9 @@ def _convexity(F, A: HermTuple, epsilon: float, trials: int, seed,
     def witness_of(data, eigs):
         li, X, Y, t = data
         T = levels[li][2]
-        Xs, Ys, eig = _shrink_witness(F, T, X[None], Y[None], t,
-                                      float(eigs[0]))
+        Xs, Ys, eig = _shrink_witness(F, T, X, Y, t, float(eigs[0]))
         return {"alpha": levels[li][1], "A": tuple_to_json(T),
-                "X": tuple_to_json(Xs[0]), "Y": tuple_to_json(Ys[0]),
+                "X": tuple_to_json(Xs), "Y": tuple_to_json(Ys),
                 "t": float(t), "defect_min_eig": float(eig), "n": int(T.n)}
 
     report = _falsify(

@@ -344,8 +344,8 @@ def _draw_axioms_sample(sig: Signature, sizes: np.ndarray, rng) -> tuple:
     drawn only when g > 0; then the Ginibre block of U."""
     # tuple norms in (0.1, 0.9) keep degree-81 corpus words away from
     # overflow and float deviations commensurate with 1e-8
-    n1 = int(rng.choice(sizes))
-    n2 = int(rng.choice(sizes))
+    n1 = int(sizes[rng.integers(len(sizes))])
+    n2 = int(sizes[rng.integers(len(sizes))])
     tuples = [(rng.standard_normal((g, 2, n, n)), rng.uniform(0.1, 0.9))
               if g else (np.zeros((0, 2, n, n)), 0.0)
               for n in (n1, n2) for g in sig]

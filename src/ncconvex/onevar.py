@@ -182,14 +182,19 @@ def _spectral_apply(f: ScalarFn, B: np.ndarray, active=None) -> tuple:
 
 
 def matrix_apply(f: ScalarFn, B) -> np.ndarray:
-    """Spectral calculus: f(B) = V diag(f(lambda)) V*."""
-    values, lam, ok = _spectral_apply(f, _ingest_hermitian(B)[None])
-    if not ok[0]:
+    """Spectral calculus: f(B) = V diag(f(lambda)) V*, for a Hermitian
+    (n, n) matrix or a (..., n, n) stack of them.  The first member with
+    an eigenvalue outside f's domain raises, as it would alone."""
+    B = np.asarray(B, dtype=complex)
+    B = _ingest_hermitian(B, max(B.ndim - 2, 0))
+    values, lam, ok = _spectral_apply(f, B.reshape((-1,) + B.shape[-2:]))
+    bad = np.flatnonzero(~ok)
+    if bad.size:
         lo, hi = f.domain
-        l = next(l for l in lam[0] if not lo < l < hi)
+        l = next(l for l in lam[bad[0]] if not lo < l < hi)
         raise DomainError(f"eigenvalue {float(l)!r} outside the domain "
                           f"({lo}, {hi}) of {f.name}")
-    return values[0]
+    return values.reshape(B.shape)
 
 
 def kraus_eval(f0: float, f1: float, f2: float, mu: DiscreteMeasure,
@@ -432,7 +437,7 @@ def convexity_test_1var(f: ScalarFn, interval: Optional[tuple] = None,
     def draw(rng, k):
         # every other trial pins t at the midpoint; the generator stays
         # with the sample for resampling
-        t = 0.5 if k % 2 == 0 else float(rng.uniform(0.0, 1.0))
+        t = 0.5 if k % 2 == 0 else rng.random()
         return (t, rng) + spectra(rng)
 
     def evaluate(ts, draws):

@@ -80,7 +80,7 @@ def _unit_vectors(vs) -> np.ndarray:
     one (1, N) @ (N, 1) product per part, the dot products
     np.linalg.norm takes of one vector, so each row keeps the bits it
     gets alone."""
-    V = np.array([np.asarray(v, dtype=complex).reshape(-1) for v in vs])
+    V = np.asarray(vs, dtype=complex).reshape(len(vs), -1)
     re, im = V.real[:, None], V.imag[:, None]
     nv = np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[:, 0]
     if not nv.all():
@@ -296,7 +296,7 @@ def test_slice_convexity_transfer(F, A: HermTuple, X: HermTuple, v,
         d = int(rng.integers(1, t_size + 1))
         T1 = draw_spectral(rng, d, lo, hi)
         T2 = draw_spectral(rng, d, lo, hi)
-        t = 0.5 if k % 2 == 0 else float(rng.uniform(0.0, 1.0))
+        t = 0.5 if k % 2 == 0 else rng.random()
         return d, t, T1, T2
 
     def defects(samples):
@@ -322,17 +322,16 @@ def test_slice_convexity_transfer(F, A: HermTuple, X: HermTuple, v,
 
 
 def _draw_slice_sample(rng, n: int, g: int, ball_radius: float) -> tuple:
-    """(Haar block, (x-ball parts, radius), v) of one certify sample at
+    """(Haar block, (x-ball parts, radius), w) of one certify sample at
     size n: the numbers of ca_element's Ginibre block, of
     draw_x_ball(g, n, ball_radius, 1, rng) and of v's real and imaginary
-    parts, in that order.  A generator's normals do not depend on how a
-    run of them is split between calls, so one normal draw for the two
-    blocks and one for v give the values and final state of the
-    separate draws."""
+    parts, in that order; v is w[:n] + 1j w[n:].  A generator's normals
+    do not depend on how a run of them is split between calls, so one
+    normal draw for the two blocks and one for v give the values and
+    final state of the separate draws."""
     z = rng.standard_normal((1 + g) * 2 * n * n).reshape(1 + g, 2, n, n)
-    radius = rng.uniform(0.0, ball_radius) if g else 0.0
-    w = rng.standard_normal(2 * n)
-    return z[0], (z[1:], radius), w[:n] + 1j * w[n:]
+    radius = ball_radius * rng.random() if g else 0.0
+    return z[0], (z[1:], radius), rng.standard_normal(2 * n)
 
 
 @dataclass
@@ -406,9 +405,12 @@ def certify_degree_two(F, A: HermTuple, epsilon: float, samples: int = 50,
 
     def stage(group):
         # the core hands over one multiplicity at a time
-        ms, haars, balls, vs = zip(*group)
+        ms, haars, balls, ws = zip(*group)
         alphas = ca_lift(A, ms[0], np.array(haars))
         X = x_ball_points(balls)
+        W = np.array(ws)
+        n = W.shape[1] // 2
+        vs = W[:, :n] + 1j * W[:, n:]
         try:
             out = _extract(F, alphas, X, vs, degree_cap, extraction_radius,
                            False)

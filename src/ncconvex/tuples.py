@@ -361,8 +361,10 @@ def random_hermitian(n: int, rng, scale: float = 1.0) -> np.ndarray:
 
 
 def draw_spectral(rng, n: int, lo: float, hi: float) -> tuple:
-    """The raw numbers of hermitian_with_spectrum_in: the spectrum, then
-    the real and imaginary parts of the unitary's Ginibre sample."""
+    """The raw numbers of a Hermitian matrix with spectrum in (lo, hi):
+    the n eigenvalues, uniform in (lo, hi), then the real and imaginary
+    parts of the Ginibre sample of its unitary; spectral_lift builds the
+    matrix."""
     lam = rng.uniform(lo, hi, size=n)
     return lam, rng.standard_normal((2, n, n))
 
@@ -378,11 +380,6 @@ def spectral_lift(lam: np.ndarray, parts: np.ndarray) -> np.ndarray:
     diag[..., idx, idx] = lam
     m = u.conj().swapaxes(-1, -2) @ diag @ u
     return (m + m.conj().swapaxes(-1, -2)) / 2
-
-
-def hermitian_with_spectrum_in(n: int, lo: float, hi: float, rng) -> np.ndarray:
-    """U* diag(lambda) U with lambda uniform in (lo, hi)."""
-    return spectral_lift(*draw_spectral(as_rng(rng), n, lo, hi))
 
 
 def hermitian_stack(M: np.ndarray) -> np.ndarray:
@@ -413,7 +410,9 @@ def draw_x_ball(g: int, n: int, epsilon: float, count: int, rng) -> list:
         raise ValueError("epsilon must be positive and finite")
     if not g:
         return [(np.zeros((0, 2, n, n)), 0.0)] * count
-    return [(rng.standard_normal((g, 2, n, n)), rng.uniform(0.0, epsilon))
+    # epsilon * random() is uniform(0.0, epsilon) bit for bit, one draw,
+    # without the bounds checks of a call per sample
+    return [(rng.standard_normal((g, 2, n, n)), epsilon * rng.random())
             for _ in range(count)]
 
 

@@ -27,8 +27,8 @@ from ncconvex.onevar import kraus_scalar_fn, matrix_apply
 from ncconvex.presets import (get_preset, random_base_tuple,
                               scalar_from_polynomial)
 from ncconvex.slices import VERDICT_CONSISTENT, VERDICT_HIGHER_ORDER
-from ncconvex.tuples import (derived_rng, hermitian_with_spectrum_in,
-                             sample_x_ball)
+from ncconvex.tuples import (derived_rng, draw_spectral, sample_x_ball,
+                             spectral_lift)
 
 HALF = DiscreteMeasure.point_mass(0.5)
 
@@ -58,7 +58,7 @@ def test_criterion_01_kraus_point_mass_identity():
     mat_dev = 0.0
     for k in range(50):
         n = 2 + k % 4
-        B = hermitian_with_spectrum_in(n, -0.9, 0.9, rng)
+        B = spectral_lift(*draw_spectral(rng, n, -0.9, 0.9))
         dev = np.max(np.abs(kraus_eval(0.0, 0.0, 2.0, HALF, B)
                             - matrix_apply(closed, B)))
         mat_dev = max(mat_dev, float(dev))

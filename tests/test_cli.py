@@ -13,7 +13,8 @@ from cli_help_examples import (ARGPARSE_ERRORS, HELP, USAGE_ERRORS,
 from conftest import run_cli
 from ncconvex import NcPowerSeries, Signature, parse_polynomial
 from ncconvex.cli import _dump, main
-from ncconvex.tuples import matrix_to_json
+from ncconvex.tuples import (derived_rng, draw_spectral, matrix_to_json,
+                             spectral_lift)
 
 HELP_GOLDEN = json.loads((Path(__file__).parent / "data"
                           / "cli_help_golden.json").read_text())
@@ -136,6 +137,33 @@ def test_kraus_routes_that_disagree_are_an_internal_error(run, tmp_path,
         "error: matrix check 0: the resolvent and spectral routes disagree "
         "by 1.000e-06")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_kraus_names_the_first_disagreeing_matrix_check(run, monkeypatch):
+    # checks 5 (size 3) and 2 (size 4) disagree; their stacks run one
+    # size at a time, size 3 first, but the bound is checked in k order
+    import ncconvex.cli as cli
+    rng = derived_rng(0, 4241)
+    drawn = [spectral_lift(*draw_spectral(rng, 2 + k % 4, -0.9, 0.9))
+             for k in range(10)]
+    real, hits = cli.kraus_eval, set()
+
+    def disagreeing(*args):
+        B, out = args[-1], real(*args)
+        for k in (5, 2):
+            if B.shape[-2:] == drawn[k].shape:
+                hit = (B == drawn[k]).all(axis=(-2, -1))
+                out[hit] += 1e-6 * k
+                hits.update([k] if hit.any() else [])
+        return out
+
+    monkeypatch.setattr(cli, "kraus_eval", disagreeing)
+    r = run(["kraus", "--trials", "5"])
+    assert r.returncode == 2 and r.stdout == ""
+    assert _one_error_line(r.stderr) == (
+        "error: matrix check 2: the resolvent and spectral routes disagree "
+        "by 2.000e-06")
+    assert hits == {2, 5}
 
 
 def test_axioms_subcommand(run):
@@ -604,6 +632,30 @@ def test_crashes_are_usage_errors(argv, message, tmp_path, monkeypatch,
     assert code == 2 and out == ""
     assert _one_error_line(err).startswith(f"error: {message}")
     assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["convexity", "--preset", "quartic", "--epsilon", "1e200", "--trials",
+      "5"], "trial 0: the defect matrix is not finite"),
+    (["convexity1", "--expr", "x1^2", "--size", "1", "--trials", "2",
+      "--interval=0,1e308"], "trial 0: the defect matrix is not finite"),
+    (["axioms", "--expr", "1e308*x1^2+1e308*x1^2", "--signature", "0,1",
+      "--samples", "5", "--seed", "1"],
+     "axioms sample 0: a deviation is not finite"),
+    (["eval", "--expr", "x1^2", "--x-tuple", "big.json"],
+     "eval: the value is not finite"),
+], ids=["convexity", "convexity1", "axioms", "eval"])
+def test_an_overflowing_run_prints_one_error_line(argv, message, tmp_path,
+                                                  monkeypatch, capsys):
+    # numpy's overflow and invalid-value warnings printed before the
+    # error line; in-process they raised RuntimeWarning out of main
+    monkeypatch.chdir(tmp_path)
+    big = np.diag([1e200, 1.0])
+    (tmp_path / "big.json").write_text(json.dumps([matrix_to_json(big)]))
+    code, out, err = _main(argv, capsys)
+    assert code == 2 and out == ""
+    assert _one_error_line(err) == f"error: {message}"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.json"]
 
 
 def test_non_finite_loewner_matrix_exits_two(tmp_path, monkeypatch, capsys):

@@ -19,8 +19,8 @@ from ncconvex import test_slice_convexity_transfer as slice_transfer
 from ncconvex.convexity import CHUNK, _falsify
 from ncconvex.presets import get_preset, random_base_tuple
 from ncconvex.tolerances import WITNESS_TOL
-from ncconvex.tuples import (ca_element, derived_rng, sample_x_ball,
-                             tuple_to_json)
+from ncconvex.tuples import (ca_element, derived_rng, hermitian_stack,
+                             sample_x_ball, tuple_to_json)
 
 
 def _fn(expr, sig):
@@ -469,6 +469,102 @@ def test_ca_shrinks_once_on_the_worst_level(monkeypatch):
     realized = tuple_to_json(_realized_levels(A, ms, 73)[worst])
     assert tuple_to_json(shrinks[0]) == realized == rep.witness["A"]
     assert rep.witness["alpha"] == {"kappa": 2, "m": ms[worst]}
+
+
+def _sequential_shrink(F, A, X, Y, t, start_eig):
+    """The witness shrink as one evaluation and eigensolve per halving,
+    stopping at the first step that no longer violates -WITNESS_TOL."""
+    P = convexity._mix(X[None], Y[None], np.array([t]))
+    D = hermitian_stack(X[None] - Y[None])
+    s = 1.0
+    best = (X, Y, start_eig)
+    for _ in range(40):
+        s_next = s / 2.0
+        Xs = hermitian_stack(P + hermitian_stack(s_next * (1.0 - t) * D))
+        Ys = hermitian_stack(P - hermitian_stack(s_next * t * D))
+        eig = convexity._defect_min_eig(F, A, Xs, Ys, t)
+        if eig < -WITNESS_TOL:
+            best = (Xs[0], Ys[0], eig)
+            s = s_next
+        else:
+            break
+    return best
+
+
+def _shrink_inputs(F, A, seed):
+    """The arguments test_convexity_at_CA hands the witness shrink."""
+    calls = []
+
+    def record(*args):
+        calls.append(args)
+        return shrink(*args)
+
+    shrink = convexity._shrink_witness
+    convexity._shrink_witness = record
+    try:
+        convexity_at_CA(F, A, epsilon=1.0, multiplicities=(1, 2), trials=40,
+                        seed=seed)
+    finally:
+        convexity._shrink_witness = shrink
+    [args] = calls
+    return args
+
+
+def _bits(result):
+    X, Y, eig = result
+    return X.tobytes(), Y.tobytes(), np.float64(eig).tobytes()
+
+
+def _mixed_ax_failing_base(kappa, seed):
+    # x1*a1*x1 is concave where a1 is negative definite
+    B = random_base_tuple(1, kappa, derived_rng(seed, 6)).entries[0]
+    return HermTuple([0.2 * B - np.eye(kappa)], kind="a")
+
+
+@pytest.mark.parametrize("kappa", [2, 3])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("preset", ["quartic", "mixed-ax"])
+def test_stacked_shrink_equals_the_sequential_shrink(preset, kappa, seed):
+    F = get_preset(preset).make()
+    A = (_empty_a(kappa) if preset == "quartic"
+         else _mixed_ax_failing_base(kappa, seed))
+    args = _shrink_inputs(F, A, seed)
+    want = _sequential_shrink(*args)
+    assert _bits(convexity._shrink_witness(*args)) == _bits(want)
+    assert not np.array_equal(want[0], args[2])     # at least one halving
+
+
+def test_shrink_keeps_its_witness_when_f_raises_past_the_stop():
+    # a black box that raises only at steps past the first one that no
+    # longer violates still gets the sequential shrink's witness
+    sig, calls = Signature(0, 1), []
+
+    def fourth(A, X):
+        calls.append(1)
+        M = np.asarray(X[0])
+        return M @ M @ M @ M
+
+    _, T, X, Y, t, eig = _shrink_inputs(get_preset("quartic").make(),
+                                        _empty_a(2), 1)
+    want = _sequential_shrink(CallableNcFunction(fourth, sig), T, X, Y, t,
+                              eig)
+    stop = len(calls) // 3 - 1          # X, Y and the mix per step
+    assert stop < 7
+    P = convexity._mix(X[None], Y[None], np.array([t]))
+    D = hermitian_stack(X[None] - Y[None])
+    past = [hermitian_stack(P + hermitian_stack(
+        2.0 ** -(j + 1) * (1.0 - t) * D))[0, 0] for j in range(stop + 1, 8)]
+    refused = []
+
+    def refusing(A, X):
+        if any(np.array_equal(np.asarray(X[0]), Z) for Z in past):
+            refused.append(1)
+            raise NcError("refused")
+        return fourth(A, X)
+
+    got = convexity._shrink_witness(CallableNcFunction(refusing, sig), T, X,
+                                    Y, t, eig)
+    assert refused and _bits(got) == _bits(want)
 
 
 def _ca_reference(F, A, epsilon, ms, trials, seed):

@@ -15,8 +15,8 @@ from ncconvex.errors import DomainError, ShapeError, SingularityError
 from ncconvex.onevar import (_loewner_stack, _values, kraus_scalar_fn,
                              loewner_matrix, matrix_apply)
 from ncconvex.presets import get_preset, scalar_from_polynomial
-from ncconvex.tuples import (derived_rng, hermitian_with_spectrum_in,
-                             matrix_to_json)
+from ncconvex.tuples import (derived_rng, draw_spectral, matrix_to_json,
+                             spectral_lift)
 
 HALF = DiscreteMeasure.point_mass(0.5)
 
@@ -38,7 +38,7 @@ def test_matrix_apply_involution_example():
 
 def test_matrix_apply_matches_polynomial_arithmetic():
     rng = derived_rng(31)
-    B = hermitian_with_spectrum_in(4, -2.0, 2.0, rng)
+    B = spectral_lift(*draw_spectral(rng, 4, -2.0, 2.0))
     f = _scalar("x1^3 - 2*x1 + 1")
     direct = B @ B @ B - 2 * B + np.eye(4)
     np.testing.assert_allclose(matrix_apply(f, B), direct, atol=1e-12)
@@ -46,7 +46,7 @@ def test_matrix_apply_matches_polynomial_arithmetic():
 
 def test_matrix_apply_unitary_equivariance():
     rng = derived_rng(32)
-    B = hermitian_with_spectrum_in(3, 0.1, 0.9, rng)
+    B = spectral_lift(*draw_spectral(rng, 3, 0.1, 0.9))
     f = ScalarFn(math.sqrt, domain=(0.0, math.inf), name="sqrt")
     from ncconvex.tuples import haar_unitary
     U = haar_unitary(3, rng)
@@ -111,9 +111,33 @@ def test_kraus_matches_spectral_route():
     fn = kraus_scalar_fn(0.3, -0.2, 1.5, HALF)
     rng = derived_rng(33)
     for n in (2, 3, 5):
-        B = hermitian_with_spectrum_in(n, -0.9, 0.9, rng)
+        B = spectral_lift(*draw_spectral(rng, n, -0.9, 0.9))
         np.testing.assert_allclose(kraus_eval(0.3, -0.2, 1.5, HALF, B),
                                    matrix_apply(fn, B), atol=1e-12)
+
+
+def test_matrix_apply_on_a_stack_equals_per_matrix_calls():
+    fn = kraus_scalar_fn(0.3, -0.2, 1.5, HALF)
+    rng = derived_rng(35)
+    for n in (1, 2, 3, 5):
+        B = spectral_lift(rng.uniform(-0.9, 0.9, (2, 3, n)),
+                          rng.standard_normal((2, 3, 2, n, n)))
+        stack = matrix_apply(fn, B)
+        assert stack.shape == (2, 3, n, n)
+        for Bj, Mj in zip(B.reshape(-1, n, n), stack.reshape(-1, n, n)):
+            assert np.array_equal(Mj, matrix_apply(fn, Bj))
+
+
+def test_matrix_apply_on_a_stack_raises_for_the_first_member_outside():
+    f = ScalarFn(math.sqrt, domain=(0.0, math.inf), name="sqrt")
+    B = np.array([np.diag([1.0, 2.0]), np.diag([0.5, -0.25]),
+                  np.diag([-3.0, 1.0])])
+    with pytest.raises(DomainError) as alone:
+        matrix_apply(f, B[1])
+    with pytest.raises(DomainError) as stacked:
+        matrix_apply(f, B)
+    assert str(stacked.value) == str(alone.value)
+    assert "-0.25" in str(alone.value)
 
 
 def test_kraus_zero_weight_measure_is_quadratic():
@@ -137,7 +161,7 @@ def test_kraus_eval_on_a_stack_equals_per_matrix_calls():
     mu = DiscreteMeasure(((0.5, 0.25), (-0.8, 0.75)))
     rng = derived_rng(34)
     for n in (1, 2, 3, 5):
-        B = np.array([hermitian_with_spectrum_in(n, -0.9, 0.9, rng)
+        B = np.array([spectral_lift(*draw_spectral(rng, n, -0.9, 0.9))
                       for _ in range(7)])
         stack = kraus_eval(0.3, -0.2, 1.5, mu, B)
         for Bj, Mj in zip(B, stack):

@@ -574,9 +574,12 @@ def test_unit_vectors_refuse_a_zero_vector():
 @pytest.mark.parametrize("g", [0, 1, 2])
 def test_slice_sample_draw_equals_the_separate_draws(g, n):
     # the Haar block, draw_x_ball's parts and radius, and v's real and
-    # imaginary parts, each from its own call, as certify drew them
+    # imaginary parts, each from its own call, as certify drew them; v
+    # is built from the raw normals w as certify's stage builds it
     merged, separate = derived_rng(70, g, n), derived_rng(70, g, n)
-    haar, (parts, radius), v = _draw_slice_sample(merged, n, g, 0.25)
+    haar, (parts, radius), w = _draw_slice_sample(merged, n, g, 0.25)
+    W = w[None]
+    v = (W[:, :n] + 1j * W[:, n:])[0]
     want_haar = separate.standard_normal((2, n, n))
     [(want_parts, want_radius)] = draw_x_ball(g, n, 0.25, 1, separate)
     want_v = separate.standard_normal(n) + 1j * separate.standard_normal(n)

@@ -166,6 +166,32 @@ def test_sample_x_ball_radius_and_determinism():
             np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize("x", [1.0, float(np.finfo(float).eps) / 2, 5e-324,
+                               1e308])
+def test_scaled_random_is_uniform_from_zero(x):
+    # numpy's uniform(0.0, x) is 0.0 + x*u, which is x*u whether or not
+    # the sum is fused into one multiply-add
+    for seed in range(200):
+        one, other = derived_rng(seed, 3), derived_rng(seed, 3)
+        for _ in range(4):
+            got, want = x * one.random(), other.uniform(0.0, x)
+            assert type(got) is type(want) is float
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert one.bit_generator.state == other.bit_generator.state
+
+
+@pytest.mark.parametrize("sizes", [[3], [1, 2], [1, 2, 3, 4],
+                                   list(range(1, 12))])
+def test_indexed_integer_draw_is_choice(sizes):
+    sizes = np.array(sizes)
+    for seed in range(200):
+        one, other = derived_rng(seed, 4), derived_rng(seed, 4)
+        for _ in range(4):
+            got, want = sizes[one.integers(len(sizes))], other.choice(sizes)
+            assert got == want and type(got) is type(want)
+        assert one.bit_generator.state == other.bit_generator.state
+
+
 def test_sample_x_ball_empty_signature():
     pts = sample_x_ball(Signature(0, 0), 2, 0.5, 3, seed=0)
     assert all(X.arity == 0 and X.n == 2 for X in pts)
