@@ -254,12 +254,16 @@ def _scalar_from_descriptor(desc: dict) -> ScalarFn:
 
 def _function_at_base(args, default_epsilon: float) -> tuple:
     """(F, descriptor, epsilon, A) of a run over C_A: --epsilon, else the
-    preset's, else the given default; --a-tuple at its own size, which an
-    explicit --size must match, else a random base tuple of --size
-    (default 2)."""
+    preset's, else the given default, at most F's radius; --a-tuple at
+    its own size, which an explicit --size must match, else a random
+    base tuple of --size (default 2)."""
     F, desc, preset = _nc_function(args)
     epsilon = (args.epsilon if args.epsilon is not None
                else preset.epsilon if preset else default_epsilon)
+    if epsilon > F.radius:
+        # a witness out there lies where F is not defined
+        raise ValueError(f"epsilon {epsilon:g} is above the function's "
+                         f"radius {F.radius:g}")
     g_a = F.signature.g_a
     A = (_tuple_from_arg(args.a_tuple, "a", g_a, n=args.size) if args.a_tuple
          else random_base_tuple(g_a, args.size or 2,
@@ -605,8 +609,10 @@ def main(argv=None) -> int:
             if getattr(args, "verify_witness", None):
                 return _verify(args)
             return args.fn(args)
-    except (NcError, ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (NcError, ValueError, OSError, json.JSONDecodeError,
+            MemoryError) as exc:
+        # a bare MemoryError carries no message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -299,8 +299,7 @@ def _convexity(F, A: HermTuple, epsilon: float, trials: int, seed,
         raise ValueError("multiplicities must name at least one level")
     else:
         levels = [((seed, li), {"kappa": A.n, "m": int(m)},
-                   ca_element(A, int(m), "random",
-                              seed=derived_rng(seed, li, _LEVEL_SALT)).tuple)
+                   ca_element(A, int(m), derived_rng(seed, li, _LEVEL_SALT)))
                   for li, m in enumerate(multiplicities)]
     if not 0 < epsilon < math.inf:
         raise ValueError("epsilon must be positive and finite")

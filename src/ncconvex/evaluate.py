@@ -29,7 +29,7 @@ from .algebra import (MatrixNcPolynomial, NcPolynomial, NcPowerSeries,
                       Signature)
 from .errors import DomainError, NcError, ShapeError, SignatureError
 from .tolerances import AXIOM_TOL
-from .tuples import (HermTuple, _check_unitary, _complex, _haar_q, _letters,
+from .tuples import (HermTuple, _check_unitary, _haar_q, _letters,
                      _rescaled_points, as_rng, block_diag, hermitian_stack,
                      stack_norms, tuple_to_json)
 
@@ -375,7 +375,7 @@ def _axioms_points(chunk: list) -> list:
         for (j, s), t in zip(group, T):
             P[j][s] = t
     for n, idx in _groups(n1s).items():
-        U = _haar_q(_complex(np.array([gins[j] for j in idx])))
+        U = _haar_q(np.array([gins[j] for j in idx]))
         _check_unitary(U, n, stacked=True)
         Uh = U.conj().swapaxes(-1, -2)[:, None]
         AC, XC = (hermitian_stack(Uh @ np.array([P[j][s] for j in idx])

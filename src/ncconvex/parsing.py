@@ -261,9 +261,12 @@ def _lower(ast: ExprAst, ops: TrieAlgebra, star: bool):
 def parse_polynomial(src: str, sig: Signature) -> NcPolynomial:
     """Parse and compile an expression, without expanding it."""
     sig = Signature(*sig)
-    ast = parse(src, sig)
     ops = TrieAlgebra()
-    root = _lower(ast, ops, False)
+    try:
+        ast = parse(src, sig)
+        root = _lower(ast, ops, False)
+    except RecursionError:
+        raise ParseError("expression is nested too deeply", 0) from None
     # a leading '-' or "'" leaves the zero parts of every coefficient
     # signed as negating or conjugating the expanded terms would
     neg = star = False

@@ -323,7 +323,7 @@ def test_slice_convexity_transfer(F, A: HermTuple, X: HermTuple, v,
 
 def _draw_slice_sample(rng, n: int, g: int, ball_radius: float) -> tuple:
     """(Haar block, (x-ball parts, radius), w) of one certify sample at
-    size n: the numbers of ca_element's Ginibre block, of
+    size n: the numbers of ca_lift's Ginibre block, of
     draw_x_ball(g, n, ball_radius, 1, rng) and of v's real and imaginary
     parts, in that order; v is w[:n] + 1j w[n:].  A generator's normals
     do not depend on how a run of them is split between calls, so one

@@ -29,9 +29,8 @@ COEFF_DROP_TOL = 1e-14
 # Unitarity gate for conjugation inputs.
 UNITARY_TOL = 1e-10
 
-# Unitarity gate for the conjugators of C_A elements (CASetElement,
-# ca_lift); tighter than UNITARY_TOL, since these come from a QR factor
-# or are given exactly.
+# Unitarity gate for the conjugators of C_A elements, checked in
+# ca_lift; tighter than UNITARY_TOL, since these come from a QR factor.
 CA_UNITARY_TOL = 1e-12
 
 # Hermiticity gate on the matrix arguments of the one-variable calculus

@@ -326,22 +326,17 @@ def identity_tuple(g: int, n: int, kind: str = "x") -> HermTuple:
 # -- sampling ------------------------------------------------------------
 
 
-def _ginibre(rng, shape: tuple) -> np.ndarray:
-    """Complex Gaussian matrices: the real parts, then the imaginary
-    parts, drawn as one (2, *shape) block."""
-    return _complex(rng.standard_normal((2,) + shape))
-
-
 def _complex(parts: np.ndarray) -> np.ndarray:
     """Complex matrices from a (..., 2, n, n) stack of real and
     imaginary parts."""
     return parts[..., 0, :, :] + 1j * parts[..., 1, :, :]
 
 
-def _haar_q(z: np.ndarray) -> np.ndarray:
-    """Haar unitaries from Ginibre samples z of shape (..., n, n): the QR
-    factor Q with the phases of R's diagonal moved into it."""
-    q, r = np.linalg.qr(z / np.sqrt(2.0))
+def _haar_q(parts: np.ndarray) -> np.ndarray:
+    """Haar unitaries from a (..., 2, n, n) stack of the real and
+    imaginary parts of Ginibre samples: the QR factor Q with the phases
+    of R's diagonal moved into it."""
+    q, r = np.linalg.qr(_complex(parts) / np.sqrt(2.0))
     d = np.diagonal(r, axis1=-2, axis2=-1).copy()
     d[np.abs(d) < 1e-300] = 1.0
     return q * (d / np.abs(d))[..., None, :]
@@ -349,7 +344,7 @@ def _haar_q(z: np.ndarray) -> np.ndarray:
 
 def haar_unitary(n: int, rng) -> np.ndarray:
     """QR of a complex Ginibre sample with the R-diagonal phase fixed."""
-    return _haar_q(_ginibre(as_rng(rng), (n, n)))
+    return _haar_q(as_rng(rng).standard_normal((2, n, n)))
 
 
 def _hermitian_from(g: np.ndarray, scale: float = 1.0) -> np.ndarray:
@@ -357,7 +352,8 @@ def _hermitian_from(g: np.ndarray, scale: float = 1.0) -> np.ndarray:
 
 
 def random_hermitian(n: int, rng, scale: float = 1.0) -> np.ndarray:
-    return _hermitian_from(_ginibre(as_rng(rng), (n, n)), scale)
+    return _hermitian_from(_complex(as_rng(rng).standard_normal((2, n, n))),
+                           scale)
 
 
 def draw_spectral(rng, n: int, lo: float, hi: float) -> tuple:
@@ -374,7 +370,7 @@ def spectral_lift(lam: np.ndarray, parts: np.ndarray) -> np.ndarray:
     (..., 2, n, n) of draw_spectral output.  The product stays the
     matmul by diag(lam) that one matrix always got, so no kernel can
     round a stack member differently."""
-    u = _haar_q(_complex(parts))
+    u = _haar_q(parts)
     diag = np.zeros(lam.shape + lam.shape[-1:])
     idx = np.arange(lam.shape[-1])
     diag[..., idx, idx] = lam
@@ -462,58 +458,30 @@ def sample_x_ball(sig, n: int, epsilon: float, count: int, seed) -> list:
 # -- elements of the smallest A-closed set --------------------------------
 
 
-class CASetElement:
-    """Realization U*(I_m (x) A)U of a point in the nc set generated by A."""
-
-    __slots__ = ("base", "m", "unitary", "tuple")
-
-    def __init__(self, base: HermTuple, m: int, U: np.ndarray):
-        if m < 1:
-            raise ValueError("multiplicity must be >= 1")
-        U = np.asarray(U, dtype=complex)
-        _check_unitary(U, base.n * m, tol=CA_UNITARY_TOL)
-        H = _realize(base, m, U[None])[0]
-        H.flags.writeable = False
-        self.base = base
-        self.m = m
-        self.unitary = U
-        self.tuple = HermTuple._trusted(H, base.kind, base.n * m)
-
-    def __repr__(self) -> str:
-        return f"CASetElement(kappa={self.base.n}, m={self.m})"
-
-
-def _realize(base: HermTuple, m: int, U: np.ndarray) -> np.ndarray:
-    """The ingested tuples U*(I_m (x) A)U, shape (c, g, n, n), for a
-    (c, n, n) stack of unitaries: one kron per letter of A, one
-    broadcast product over the stack."""
-    n = base.n * m
-    L = np.array([np.kron(np.eye(m), a) for a in base.entries])
+def ca_lift(A: HermTuple, m: int, parts: np.ndarray) -> np.ndarray:
+    """The one realization of C_A's level m: for a (c, 2, n, n) stack of
+    the raw Ginibre parts of Haar unitaries U, n = m * A.n, the ingested
+    tuples U*(I_m (x) A)U as a (c, g, n, n) stack.  One kron per letter
+    of A and one broadcast product over the stack, so every member has
+    the bits it gets alone."""
+    n = A.n * m
+    U = _haar_q(parts)
+    _check_unitary(U, n, tol=CA_UNITARY_TOL, stacked=True)
+    L = np.array([np.kron(np.eye(m), a) for a in A.entries])
     Uh = U.conj().swapaxes(-1, -2)
     return hermitian_stack(Uh[:, None] @ L.reshape(-1, n, n) @ U[:, None])
 
 
-def ca_lift(A: HermTuple, m: int, parts: np.ndarray) -> np.ndarray:
-    """The tuples of ca_element(A, m, "random") for a (c, 2, n, n) stack
-    of the raw Ginibre blocks its Haar unitaries come from: a (c, g, n, n)
-    stack, each member with the bits ca_element gives it alone."""
-    U = _haar_q(_complex(parts))
-    _check_unitary(U, A.n * m, tol=CA_UNITARY_TOL, stacked=True)
-    return _realize(A, m, U)
-
-
-def ca_element(A: HermTuple, m: int, U="random", seed=None) -> CASetElement:
-    """Element of C_A at multiplicity m; U may be 'identity', 'random',
-    or an explicit unitary."""
-    size = A.n * m
-    if isinstance(U, str):
-        if U == "identity":
-            U = np.eye(size, dtype=complex)
-        elif U == "random":
-            U = haar_unitary(size, as_rng(seed if seed is not None else 0))
-        else:
-            raise ValueError(f"unknown unitary mode {U!r}")
-    return CASetElement(A, m, U)
+def ca_element(A: HermTuple, m: int, seed=0) -> HermTuple:
+    """The element U*(I_m (x) A)U of C_A at multiplicity m, read-only,
+    for the Haar unitary U of seed's first Ginibre block: ca_lift of a
+    one-member stack."""
+    if m < 1:
+        raise ValueError("multiplicity must be >= 1")
+    n = A.n * m
+    H = ca_lift(A, m, as_rng(seed).standard_normal((1, 2, n, n)))[0]
+    H.flags.writeable = False
+    return HermTuple._trusted(H, A.kind, n)
 
 
 # -- JSON ------------------------------------------------------------------

@@ -617,13 +617,23 @@ def test_forged_witness_is_a_usage_error(kind, witness, message, tmp_path,
      "series file lacks 'parts'"),
     (["eval", "--series-file", "list.json", "--x-tuple", "identity2"],
      "series file is malformed: "),
+    *[(["eval", f"--expr={expr}", "--x-tuple", "identity2"],
+       "expression is nested too deeply (at offset 0)")
+      for expr in ("(" * 200 + "x1" + ")" * 200, "x1" + "'" * 3000,
+                   "-" * 3000 + "x1")],
+    *[([command, "--preset", "kraus-halfmass", "--epsilon", "5",
+        "--trials", "5"], "epsilon 5 is above the function's radius 2")
+      for command in ("convexity", "certify")],
 ], ids=["points", "wide-interval", "kraus-interval", "series-keys",
-        "series-list"])
+        "series-list", "deep-parens", "deep-stars", "deep-minus",
+        "convexity-radius", "certify-radius"])
 def test_crashes_are_usage_errors(argv, message, tmp_path, monkeypatch,
                                   capsys):
-    # these escaped as RuntimeError, OverflowError, KeyError and
-    # AttributeError tracebacks, which exit 1 ("falsified"); the infinite
-    # Kraus interval printed numpy warnings before its error
+    # these escaped as RuntimeError, OverflowError, KeyError,
+    # AttributeError and RecursionError tracebacks, which exit 1
+    # ("falsified"); the infinite Kraus interval printed numpy warnings
+    # before its error, and certify beyond the radius wrote a witness
+    # that lies where the function is not defined
     monkeypatch.chdir(tmp_path)
     (tmp_path / "lacks.json").write_text('{"signature": {"g_a": 0, "g_x": 1}}')
     (tmp_path / "list.json").write_text("[1, 2]")
@@ -656,6 +666,44 @@ def test_an_overflowing_run_prints_one_error_line(argv, message, tmp_path,
     assert code == 2 and out == ""
     assert _one_error_line(err) == f"error: {message}"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["big.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["convexity", "--trials", "5"],
+    ["certify", "--trials", "5", "--samples", "2"],
+], ids=lambda a: a[0])
+def test_epsilon_equal_to_the_radius_is_allowed(argv, run):
+    # certify goes on to find the lift's higher-order terms and exits 1
+    r = run([*argv, "--preset", "kraus-halfmass", "--epsilon", "2"])
+    assert r.returncode in (0, 1) and r.stderr == ""
+    doc = json.loads(r.stdout)
+    assert doc["epsilon"] == 2.0
+    assert doc.get("convexity", doc)["pass"] is True
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["axioms", "--expr", "x1^2", "--sizes", "1,100000", "--samples", "1"],
+     "check_nc_function_axioms"),
+    (["convexity", "--expr", "x1^2", "--size", "100000", "--trials", "1"],
+     "test_convexity_at_CA"),
+], ids=lambda a: a[0] if isinstance(a, list) else None)
+@pytest.mark.parametrize("exc", [MemoryError("Unable to allocate 149. GiB"),
+                                 MemoryError()], ids=["numpy", "bare"])
+def test_out_of_memory_exits_two(argv, target, exc, tmp_path, monkeypatch,
+                                 capsys):
+    # numpy's _ArrayMemoryError printed a traceback and exited 1, the
+    # code for "falsified"; the check is stubbed, so nothing allocates
+    import ncconvex.cli as cli
+
+    def out_of_memory(*args, **kwargs):
+        raise exc
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, target, out_of_memory)
+    code, out, err = _main(argv, capsys)
+    assert code == 2 and out == ""
+    assert _one_error_line(err) == f"error: {str(exc) or 'MemoryError'}"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_non_finite_loewner_matrix_exits_two(tmp_path, monkeypatch, capsys):

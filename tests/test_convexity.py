@@ -438,8 +438,7 @@ def test_outcome_does_not_depend_on_the_chunk(monkeypatch):
 
 def _realized_levels(A, multiplicities, seed):
     """The tuples test_convexity_at_CA realizes at its levels."""
-    return [ca_element(A, m, "random",
-                       seed=derived_rng(seed, li, convexity._LEVEL_SALT)).tuple
+    return [ca_element(A, m, derived_rng(seed, li, convexity._LEVEL_SALT))
             for li, m in enumerate(multiplicities)]
 
 

@@ -221,12 +221,35 @@ SURVIVORS = {
 }
 
 
+# definitions no package code calls that only perfbench/tracing.py's
+# LAYERS keeps alive; each goes once the tracer stops wrapping it
+TRACER_ONLY = {
+    "slices.slice_scalar": "one slice value; the extractor runs whole "
+    "stacks of slices instead",
+    "tuples.sample_x_ball": "x-ball tuples one call at a time; the "
+    "testers build theirs from draw_x_ball stacks",
+    "tuples.haar_unitary": "one Haar unitary; also the point-by-point "
+    "reference that tests/test_axioms_golden.py checks the stacked "
+    "axioms check against",
+}
+
+
 def test_package_has_no_unreferenced_definitions():
     # the check flags exactly the survivors, so one that gains a caller
     # must leave the dict
     roots = set(ncconvex.__all__) | {qual for _, qual in _layer_roots()}
     found = unreferenced_definitions(PACKAGE_FILES, roots)
     assert {f.split(" ")[0].split(".", 1)[1] for f in found} == set(SURVIVORS)
+
+
+def test_tracer_only_definitions_are_named():
+    # without the tracer's roots the check flags exactly TRACER_ONLY, so
+    # no new definition lives on the tracer alone unnoticed
+    roots = set(ncconvex.__all__) | set(SURVIVORS)
+    found = unreferenced_definitions(PACKAGE_FILES, roots)
+    assert {f.split(" ")[0] for f in found} == set(TRACER_ONLY)
+    assert {name.split(".")[1] for name in TRACER_ONLY} <= {
+        qual for _, qual in _layer_roots()}
 
 
 def test_every_traced_layer_resolves():

@@ -91,6 +91,18 @@ def test_exponent_cap():
     assert parse_polynomial("x1^81", Signature(0, 1)).degree == 81
 
 
+def test_deep_nesting_is_a_parse_error():
+    # the recursive descent and the lowering raised RecursionError
+    for src in ("(" * 2000 + "x1" + ")" * 2000, "x1" + "'" * 3000,
+                "-" * 3000 + "x1"):
+        with pytest.raises(ParseError, match="nested too deeply") as err:
+            parse_polynomial(src, SIGX)
+        assert err.value.position == 0
+    # nesting the recursion can take still parses
+    assert parse_polynomial("(" * 100 + "x1" + ")" * 100,
+                            SIGX) == parse_polynomial("x1", SIGX)
+
+
 def test_juxtaposition_is_not_multiplication():
     with pytest.raises(ParseError):
         parse_polynomial("x1 x2", SIGX)

@@ -399,7 +399,7 @@ def _samples(sig, kappa, m, c, seed, eps=0.5):
     rng = derived_rng(seed)
     A = random_base_tuple(sig.g_a, kappa, rng)
     n = kappa * m
-    alphas = [ca_element(A, m, "random", seed=rng).tuple for _ in range(c)]
+    alphas = [ca_element(A, m, rng) for _ in range(c)]
     Xs = sample_x_ball(sig, n, eps, c, rng)
     vs = rng.standard_normal((c, n)) + 1j * rng.standard_normal((c, n))
     return alphas, Xs, vs

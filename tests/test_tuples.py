@@ -12,15 +12,6 @@ from ncconvex.tuples import (_check_unitary, ca_element, ca_lift, derived_rng,
                              tuple_from_json, tuple_norm, tuple_to_json)
 
 
-def shuffle_permutation(m: int, k: int) -> np.ndarray:
-    """Perfect shuffle P with P (I_m (x) A) P^T = A (x) I_m for k x k A."""
-    p = np.zeros((m * k, m * k))
-    for q in range(m):
-        for r in range(k):
-            p[r * m + q, q * k + r] = 1.0
-    return p
-
-
 def _rand_tuple(g, n, seed, kind="x"):
     rng = derived_rng(seed)
     return HermTuple([random_hermitian(n, rng) for _ in range(g)], kind=kind)
@@ -103,33 +94,21 @@ def test_haar_unitary_is_unitary():
         np.testing.assert_allclose(U @ U.conj().T, np.eye(n), atol=1e-12)
 
 
-def test_shuffle_permutation_is_permutation():
-    P = shuffle_permutation(3, 2)
-    assert P.shape == (6, 6)
-    assert np.all(P.sum(axis=0) == 1) and np.all(P.sum(axis=1) == 1)
-    # P (u (x) v) = v (x) u
-    u = np.arange(1.0, 4.0)
-    v = np.array([1.0, 10.0])
-    np.testing.assert_allclose(P @ np.kron(u, v), np.kron(v, u))
-
-
 def test_ca_element_is_unitarily_shuffled_kron():
     A = _rand_tuple(2, 2, seed=14, kind="a")
-    el = ca_element(A, 3, "identity")
-    for base, lifted in zip(A.entries, el.tuple.entries):
-        np.testing.assert_allclose(lifted, np.kron(np.eye(3), base),
-                                   atol=1e-12)
-    # the perfect shuffle as U turns I_m (x) A into A (x) I_m
-    el_t = ca_element(A, 3, shuffle_permutation(3, 2).T)
-    for base, lifted in zip(A.entries, el_t.tuple.entries):
-        np.testing.assert_allclose(lifted, np.kron(base, np.eye(3)),
-                                   atol=1e-12)
-    # random U keeps the spectrum of each coordinate
-    el2 = ca_element(A, 3, "random", seed=derived_rng(15))
-    for base, lifted in zip(A.entries, el2.tuple.entries):
+    el = ca_element(A, 3, derived_rng(15))
+    U = haar_unitary(6, derived_rng(15))
+    assert el.kind == "a" and el.n == 6
+    for base, lifted in zip(A.entries, el.entries):
+        assert not lifted.flags.writeable
+        np.testing.assert_allclose(
+            lifted, U.conj().T @ np.kron(np.eye(3), base) @ U, atol=1e-12)
+        # and so keeps the spectrum of each coordinate
         got = np.sort(np.linalg.eigvalsh(lifted))
         want = np.sort(np.tile(np.linalg.eigvalsh(base), 3))
         np.testing.assert_allclose(got, want, atol=1e-10)
+    with pytest.raises(ValueError, match="multiplicity"):
+        ca_element(A, 0)
 
 
 def test_ca_lift_equals_ca_element_per_member():
@@ -140,8 +119,7 @@ def test_ca_lift_equals_ca_element_per_member():
             (2, 2 * m, 2 * m)) for j in range(5)]))
         assert stack.shape == (5, 2, 2 * m, 2 * m)
         for rng, lifted in zip(rngs, stack):
-            el = ca_element(A, m, "random", seed=rng)
-            assert np.array_equal(lifted, np.array(el.tuple.entries))
+            assert np.array_equal(lifted, np.array(ca_element(A, m, rng)))
 
 
 def test_stacked_unitarity_check_names_the_first_bad_member():
