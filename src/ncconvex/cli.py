@@ -105,10 +105,10 @@ def _write_csv(path: str, header: str, rows) -> None:
 
 
 def _parse_interval(text: str) -> tuple:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"bad --interval {text!r}, want 'lo,hi'")
-    lo, hi = float(parts[0]), float(parts[1])
+    try:
+        lo, hi = map(float, text.split(","))
+    except ValueError:
+        raise ValueError(f"bad --interval {text!r}, want 'lo,hi'") from None
     if not math.isfinite(hi - lo):                  # NaN or inf ends too
         raise ValueError(f"--interval ({lo}, {hi}) must have finite ends "
                          "and a finite width")
@@ -132,11 +132,15 @@ def _parse_counts(flag: str, text: str) -> tuple:
 
 
 def _parse_measure(text: str) -> DiscreteMeasure:
-    """'0.5:1' or '-0.3:0.25,0.7:0.75' -> atoms."""
+    """'0.5:1' or '-0.3:0.25,0.7:0.75' -> atoms; a weight left out is 1."""
     atoms = []
-    for piece in text.split(","):
-        loc, _, wt = piece.partition(":")
-        atoms.append((float(loc), float(wt) if wt else 1.0))
+    try:
+        for piece in text.split(","):
+            loc, _, wt = piece.partition(":")
+            atoms.append((float(loc), float(wt) if wt else 1.0))
+    except ValueError:
+        raise ValueError(f"bad --mu {text!r}, want 'loc:weight,loc:weight'"
+                         ) from None
     return DiscreteMeasure(tuple(atoms))
 
 
@@ -401,8 +405,9 @@ def _cmd_kraus(args) -> int:
     if not isinstance(lift, KrausLiftFunction):
         raise ValueError(f"preset {desc['preset']!r} is not a Kraus lift")
     f0, f1, f2, mu = lift.f0, lift.f1, lift.f2, lift.mu
-    interval = _parse_interval(args.interval)
-    lo, hi = interval
+    lo, hi = interval = _parse_interval(args.interval)
+    if not -1 < lo < hi < 1:                        # where the lift lives
+        raise ValueError(f"--interval ({lo}, {hi}) must lie inside (-1, 1)")
     fn = lift.scalar_fn(domain=(lo - 0.05, hi + 0.05))
 
     # scalar sweep: the resolvent route on a stack of 1x1 matrices
@@ -558,35 +563,75 @@ _SUBCOMMANDS = {
 }
 
 
-def build_parser(argv) -> argparse.ArgumentParser:
-    """The CLI's parser for argv.  Only the subcommand that argv names
-    gets its flags, and when argv starts with it, no other subcommand is
-    registered: every parser and add_argument builds a help formatter,
-    and argparse then prints none of the others' help, only the usage
-    line, which still names them all."""
-    command = next((a for a in argv if not a.startswith("-")), "")
-    alone = command in _SUBCOMMANDS and argv[0] == command
+def _flag_table(command: str) -> dict:
+    """The flags of a subcommand in help order -> their add_argument
+    keywords."""
+    _, _, flags, own = _SUBCOMMANDS[command]
+    return {flag: {**_FLAGS[flag], **own.get(flag, {})}
+            for flag in flags.split()}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's full argparse tree: every subcommand with its flags.
+    `main` builds it only for a command line that `_table_args`
+    declines, so it prints the help texts and usage errors and reads
+    abbreviations and unusual values."""
     ap = argparse.ArgumentParser(
         prog="ncconvex",
         description="nc polynomial evaluation, matrix convexity and "
                     "monotonicity testing, degree-2 certification")
-    sub = ap.add_subparsers(
-        dest="command", required=True,
-        metavar="{%s}" % ",".join(_SUBCOMMANDS) if alone else None)
-    for name, (help_line, fn, flags, own) in _SUBCOMMANDS.items():
-        if alone and name != command:
-            continue
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (help_line, fn, _, _) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_line)
         p.set_defaults(fn=fn)
-        for flag in flags.split() if name == command else ():
-            p.add_argument(f"--{flag}",
-                           **{**_FLAGS[flag], **own.get(flag, {})})
+        for flag, keywords in _flag_table(name).items():
+            p.add_argument(f"--{flag}", **keywords)
     return ap
+
+
+def _table_args(argv) -> Optional[argparse.Namespace]:
+    """The Namespace argparse would return for argv, read straight from
+    the table, or None.  argv must be a subcommand followed only by its
+    own flags spelled in full: `--flag value`, `--flag=value`, or a bare
+    store_true flag, each value converting through the flag's type.
+    Anything else, such as help, an abbreviation, an unknown flag, a
+    separate value that starts with '-', an '=' value of exactly '--'
+    (which argparse drops) or a value its type refuses, is left to
+    argparse, which parses, prints or refuses it."""
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return None
+    table = {f"--{flag}": (flag.replace("-", "_"), kw)
+             for flag, kw in _flag_table(argv[0]).items()}
+    values = {dest: kw.get("default", False if "action" in kw else None)
+              for dest, kw in table.values()}
+    rest = iter(argv[1:])
+    for arg in rest:
+        flag, eq, value = arg.partition("=")
+        if flag not in table:
+            return None
+        dest, kw = table[flag]
+        if "action" in kw:                          # store_true
+            if eq:
+                return None
+            values[dest] = True
+            continue
+        if not eq:
+            value = next(rest, "-")                 # "-": argv ended
+            if value.startswith("-"):
+                return None
+        elif value == "--":
+            return None
+        try:
+            values[dest] = kw.get("type", str)(value)
+        except ValueError:
+            return None
+    return argparse.Namespace(command=argv[0], fn=_SUBCOMMANDS[argv[0]][1],
+                              **values)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv).parse_args(argv)
+    args = _table_args(argv) or build_parser().parse_args(argv)
     try:
         for flag in ("trials", "samples", "size", "matrix-checks",
                      "sweep-points"):
@@ -597,8 +642,11 @@ def main(argv=None) -> int:
             if hasattr(args, flag):
                 setattr(args, flag,
                         _parse_counts(f"--{flag}", getattr(args, flag)))
-        if args.tol is not None and not math.isfinite(args.tol):
-            raise ValueError(f"--tol must be a finite number, got {args.tol}")
+        for flag in ("tol", "f0", "f1", "f2"):
+            value = getattr(args, flag, None)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"--{flag} must be a finite number, "
+                                 f"got {value}")
         epsilon = getattr(args, "epsilon", None)
         if epsilon is not None and not 0 < epsilon < math.inf:
             raise ValueError(f"--epsilon must be a positive finite number, "

@@ -25,7 +25,8 @@ def pytest_terminal_summary(terminalreporter):
 def _child_env(cwd):
     """The environment for CLI children: the source root of the imported
     package goes before any inherited PYTHONPATH, so a relative entry
-    such as `src` cannot stop resolving once the child's cwd moves.
+    such as `src` cannot stop resolving once the child's cwd moves, and
+    a deprecated API fails a child as it fails the tests in-process.
     Checked once per session: a child that fails to import `ncconvex`
     exits 1, which the CLI also uses for "falsified", so a wrong or
     missing package must fail here with the child's own error."""
@@ -37,6 +38,9 @@ def _child_env(cwd):
         env["PYTHONPATH"] = os.pathsep.join(
             [str(parent_file.parents[1])]
             + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+        env["PYTHONWARNINGS"] = ("error::DeprecationWarning,"
+                                 "error::PendingDeprecationWarning,"
+                                 "error::FutureWarning")
         probe = subprocess.run(
             [sys.executable, "-c", "import ncconvex; print(ncconvex.__file__)"],
             capture_output=True, text=True, cwd=cwd, env=env)

@@ -1,5 +1,7 @@
 """CLI: exit codes, JSON shape, witness files, determinism."""
 
+import contextlib
+import io
 import json
 from pathlib import Path
 from types import SimpleNamespace
@@ -11,10 +13,13 @@ from hypothesis import given, settings, strategies as st
 from cli_help_examples import (ARGPARSE_ERRORS, HELP, USAGE_ERRORS,
                                run_case)
 from conftest import run_cli
+from falsify_examples import CLI_EXAMPLES as FALSIFY_EXAMPLES
 from ncconvex import NcPowerSeries, Signature, parse_polynomial
-from ncconvex.cli import _dump, main
+from ncconvex.cli import (_FLAGS, _SUBCOMMANDS, _dump, _flag_table,
+                          _table_args, build_parser, main)
 from ncconvex.tuples import (derived_rng, draw_spectral, matrix_to_json,
                              spectral_lift)
+from readme_examples import EXAMPLES as README_EXAMPLES
 
 HELP_GOLDEN = json.loads((Path(__file__).parent / "data"
                           / "cli_help_golden.json").read_text())
@@ -301,43 +306,153 @@ def test_too_deeply_nested_tuple_file_exits_two(run, tmp_path):
     assert "nested too deeply" in _one_error_line(r.stderr)
 
 
-def test_main_builds_only_the_chosen_subcommands_flags(monkeypatch, capsys):
-    # one flag per add_argument: the chosen subcommand's, its -h and the
-    # top level's -h; with the subcommand first, no other is registered
+def _count_parser_builds(monkeypatch) -> dict:
+    """Counts every ArgumentParser built and every add_argument call from
+    here on; -h is one add_argument per parser."""
     import argparse
-    added, add = [], argparse._ActionsContainer.add_argument
+    counts = {"parsers": 0, "add_argument": 0}
+    init, add = (argparse.ArgumentParser.__init__,
+                 argparse._ActionsContainer.add_argument)
 
-    def counted(self, *args, **kwargs):
-        added.append(args)
+    def counted_init(self, *args, **kwargs):
+        counts["parsers"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_add(self, *args, **kwargs):
+        counts["add_argument"] += 1
         return add(self, *args, **kwargs)
 
-    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counted)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument",
+                        counted_add)
+    return counts
+
+
+def test_a_well_formed_command_line_builds_no_parser(monkeypatch, capsys):
+    counts = _count_parser_builds(monkeypatch)
     assert main(["eval", "--expr", "x1", "--x-tuple", "identity1"]) == 0
-    assert sorted(set(added) - {("-h", "--help")}) == sorted(
-        [("--expr",), ("--signature",), ("--preset",), ("--series-file",),
-         ("--a-tuple",), ("--x-tuple",), ("--seed",), ("--json-out",),
-         ("--tol",)])
-    assert len(added) == 2 + 9
+    assert counts == {"parsers": 0, "add_argument": 0}
 
 
-def test_a_flag_before_the_subcommand_registers_them_all(monkeypatch):
-    # argparse's top-level help and errors then see every subcommand, and
-    # the named one still gets its flags
-    import argparse
-    added, add = [], argparse._ActionsContainer.add_argument
-
-    def counted(self, *args, **kwargs):
-        added.append(args)
-        return add(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counted)
+def test_a_declined_command_line_builds_the_full_tree_once(monkeypatch):
+    # argparse's top-level help and errors see every subcommand, and
+    # each subcommand has its flags
+    counts = _count_parser_builds(monkeypatch)
+    full = {"parsers": 1 + len(_SUBCOMMANDS),
+            "add_argument": 1 + sum(1 + len(flags.split())
+                                    for _, _, flags, _ in
+                                    _SUBCOMMANDS.values())}
     monkeypatch.setenv("COLUMNS", "80")
     assert run_case(["-h", "eval"]) == {**HELP_GOLDEN["help"][0],
                                         "argv": ["-h", "eval"]}
+    assert counts == full
     r = run_case(["--bogus", "eval", "--expr", "x1", "--x-tuple", "identity1"])
     assert r["exit"] == 2 and r["stdout"] == ""
     assert r["stderr"].endswith("error: unrecognized arguments: --bogus\n")
-    assert len(added) == 2 * (8 + 9)
+    assert counts == {key: 2 * n for key, n in full.items()}
+
+
+def _argparse_args(argv):
+    """argparse's Namespace for argv, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return build_parser().parse_args(argv)
+        except SystemExit:
+            return None
+
+
+def _typed(args) -> dict:
+    # repr tells 1 from 1.0 and -0.0 from 0.0, and NaN equals itself
+    return {key: (type(v), repr(v)) for key, v in vars(args).items()}
+
+
+# values argparse reads in more than one way, and plain ones
+_VALUES = ("--", "-", "-1", "-x1", "", "nan", "1e400", "1_000", "a=b", " 5",
+           "0", "3", "0.25", "-0.5,0.5", "x1^2", "square")
+_TYPED_VALUES = {int: ("0", "3", "1_000", " 5", "-1"),
+                 float: ("0.25", "nan", "1e400", "1_000", "-0.5")}
+
+
+@st.composite
+def _argvs(draw):
+    # mostly the subcommand's own flags at values of their type, so that
+    # many argv are taken; then abbreviations, others' flags and junk
+    command = draw(st.sampled_from([*_SUBCOMMANDS, "-h", "nope"]))
+    table = _flag_table(command) if command in _SUBCOMMANDS else {}
+    name = st.sampled_from(sorted(_FLAGS))
+    other = st.one_of(
+        name.map(lambda f: f"--{f}"),
+        st.tuples(name, st.integers(1, 3)).map(
+            lambda t: "--" + t[0][:t[1]]),                  # --tri, --s
+        st.sampled_from(["--bogus", "-h", "--help", "-s", "x1"]))
+    argv = [command]
+    for _ in range(draw(st.integers(0, 4))):
+        if table and draw(st.integers(0, 3)):
+            flag = draw(st.sampled_from(sorted(table)))
+            kw, flag = table[flag], f"--{flag}"
+        else:
+            kw, flag = {}, draw(other)
+        values = _TYPED_VALUES.get(kw.get("type"), _VALUES)
+        value = draw(st.one_of(st.sampled_from(values),
+                               st.sampled_from(_VALUES)))
+        form = draw(st.integers(0, 5))
+        if form == 0 or "action" in kw and form < 4:
+            argv.append(flag)                               # bare
+        elif form % 2:
+            argv += [flag, value]
+        else:
+            argv.append(f"{flag}={value}")
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(_argvs())
+def test_the_table_reads_a_command_line_as_argparse_does(argv):
+    got = _table_args(argv)
+    if got is not None:
+        want = _argparse_args(argv)
+        assert want is not None, argv
+        assert _typed(got) == _typed(want), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["kraus", "--f2", "-2"], ["eval", "--expr=--"], ["eval", "--ex", "x1"],
+    ["eval", "--expr"], ["eval", "-h"], ["convexity", "--g-transform"],
+    ["monotone", "--g-transform=1"], ["convexity", "--trials", "many"],
+    ["--seed", "1", "eval"], ["eval", "--expr", "x1", "x1"],
+])
+def test_the_table_leaves_unusual_command_lines_to_argparse(argv):
+    assert _table_args(argv) is None
+
+
+def test_every_example_command_line_takes_the_table_path():
+    # each example names a subcommand and spells its flags in full, so a
+    # decline would be silent and build argparse's tree again on each run
+    for argv in (*README_EXAMPLES, *FALSIFY_EXAMPLES, *USAGE_ERRORS):
+        flags = _SUBCOMMANDS[argv[0]][2].split()
+        assert all(a.partition("=")[0][2:] in flags
+                   for a in argv[1:] if a.startswith("-")), argv
+        args = _table_args(argv)
+        assert args is not None and args == _argparse_args(argv), argv
+
+
+def test_the_flag_table_uses_only_what_the_table_path_models():
+    # the table path reads help, metavar, type, default and store_true,
+    # and takes a ValueError as a refused value, as int and float raise;
+    # argparse passes a string default through the flag's type, which the
+    # table path does not, so a typed flag takes no string default
+    rows = [*_FLAGS.values(), *(kw for _, _, _, own in _SUBCOMMANDS.values()
+                                for kw in own.values())]
+    for kw in rows:
+        assert set(kw) <= {"help", "metavar", "type", "default", "action"}, kw
+        assert kw.get("action", "store_true") == "store_true", kw
+        assert kw.get("type") in (None, int, float), kw
+    for name, (_, _, flags, own) in _SUBCOMMANDS.items():
+        assert set(own) <= set(flags.split()), name
+        for flag, kw in _flag_table(name).items():
+            assert not (isinstance(kw.get("default"), str) and "type" in kw), \
+                (name, flag)
 
 
 def test_help_and_argparse_errors_are_byte_identical(monkeypatch):
@@ -767,6 +882,33 @@ def test_a_non_finite_measure_is_a_usage_error(mu, message, tmp_path,
     # a NaN weight used to reach the trials as an all-NaN Kraus form
     monkeypatch.chdir(tmp_path)
     code = main(["kraus", "--mu", mu, "--trials", "5"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: {message}"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--f0", "nan"], "--f0 must be a finite number, got nan"),
+    (["--f1=inf"], "--f1 must be a finite number, got inf"),
+    (["--f2=-inf"], "--f2 must be a finite number, got -inf"),
+    (["--interval=-2,2"], "--interval (-2.0, 2.0) must lie inside (-1, 1)"),
+    (["--interval=-1,0.5"], "--interval (-1.0, 0.5) must lie inside (-1, 1)"),
+    (["--interval", "0,1"], "--interval (0.0, 1.0) must lie inside (-1, 1)"),
+    (["--interval", "a,b"], "bad --interval 'a,b', want 'lo,hi'"),
+    (["--mu="], "bad --mu '', want 'loc:weight,loc:weight'"),
+    (["--mu", "0.5:1:2"], "bad --mu '0.5:1:2', want 'loc:weight,loc:weight'"),
+    (["--mu", "half"], "bad --mu 'half', want 'loc:weight,loc:weight'"),
+], ids=["f0-nan", "f1-inf", "f2-minus-inf", "interval-wide",
+        "interval-at-minus-one", "interval-at-one", "interval-words",
+        "mu-empty", "mu-two-colons", "mu-word"])
+def test_kraus_refuses_a_bad_flag_by_name(argv, message, tmp_path,
+                                          monkeypatch, capsys):
+    # these said "the resolvent and spectral routes disagree by nan",
+    # "spectrum [-2, -2] not inside (-1, 1)" or "could not convert string
+    # to float", naming no flag
+    monkeypatch.chdir(tmp_path)
+    code = main(["kraus", *argv, "--trials", "5"])
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err.splitlines() == [f"error: {message}"]
