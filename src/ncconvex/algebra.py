@@ -19,7 +19,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import ShapeError, SignatureError, ResourceLimitError
+from .errors import (NcError, ResourceLimitError, ShapeError,
+                     SignatureError)
 from .tolerances import COEFF_DROP_TOL
 
 Letter = tuple[str, int]
@@ -77,8 +78,22 @@ def _word_key(word: Word):
     return (len(word), tuple((_KIND_RANK[k], i) for k, i in word))
 
 
+def _kept(c: complex) -> bool:
+    """Whether a coefficient stays, its magnitude at least COEFF_DROP_TOL;
+    one that is not finite raises, since NaN compares false against the
+    tolerance and would vanish as if it were zero."""
+    try:
+        magnitude = abs(c)
+    except OverflowError:
+        raise NcError(f"coefficient {c} has a modulus past the float "
+                      "range") from None
+    if not magnitude < math.inf:                    # inf or NaN
+        raise NcError(f"coefficient {c} is not finite")
+    return magnitude >= COEFF_DROP_TOL
+
+
 def _canonical(terms: dict) -> dict:
-    return {w: c for w, c in terms.items() if abs(c) >= COEFF_DROP_TOL}
+    return {w: c for w, c in terms.items() if _kept(c)}
 
 
 def _fmt_real(v: float) -> str:
@@ -218,7 +233,7 @@ class TrieAlgebra:
     equal sub-polynomials stay one node and a power of a sum costs a few
     nodes per factor.  Coefficients below COEFF_DROP_TOL are dropped,
     and zero parts are stored unsigned, as sums and products leave
-    them."""
+    them; a coefficient that is not finite raises NcError."""
 
     def __init__(self):
         self._nodes: dict = {}
@@ -226,7 +241,7 @@ class TrieAlgebra:
 
     def node(self, c: complex, kids: dict):
         kids = {l: kid for l, kid in kids.items() if kid is not None}
-        c = c + 0j if abs(c) >= COEFF_DROP_TOL else 0j
+        c = c + 0j if _kept(c) else 0j
         if not c and not kids:
             return None
         key = (c, frozenset([(l, id(kid)) for l, kid in kids.items()]))

@@ -175,9 +175,21 @@ def _tuple_from_arg(value: str, kind: str, g: int,
 # -- function sources ---------------------------------------------------------
 
 
+# `kraus`'s own function flags, and their values when none is given
+_KRAUS_DEFAULTS = {"f0": 0.0, "f1": 0.0, "f2": 2.0, "mu": "0.5:1"}
+
+
 def _function_desc(args) -> dict:
     """The descriptor of the function named by the flags; output and
-    witness files carry it, and the functions below rebuild from it."""
+    witness files carry it, and the functions below rebuild from it.
+    Flags that name two functions raise, naming both."""
+    sources = [f"--{flag}" for flag in ("preset", "series-file", "expr")
+               if getattr(args, flag.replace("-", "_"), None)]
+    sources += [f"--{flag}" for flag in _KRAUS_DEFAULTS     # one source
+                if getattr(args, flag, None) is not None][:1]
+    if len(sources) > 1:
+        raise ValueError(f"give one function source, not "
+                         f"{', '.join(sources[:-1])} and {sources[-1]}")
     if getattr(args, "preset", None):
         return {"preset": get_preset(args.preset).name}
     if getattr(args, "series_file", None):
@@ -187,8 +199,10 @@ def _function_desc(args) -> dict:
                else infer_signature(args.expr))
         return {"expr": args.expr, "signature": f"{sig.g_a},{sig.g_x}"}
     if hasattr(args, "mu"):                         # `kraus`'s own flags
-        return {"f0": args.f0, "f1": args.f1, "f2": args.f2,
-                "mu": _parse_measure(args.mu).to_json_dict()}
+        own = {flag: default if getattr(args, flag) is None
+               else getattr(args, flag)
+               for flag, default in _KRAUS_DEFAULTS.items()}
+        return {**own, "mu": _parse_measure(own["mu"]).to_json_dict()}
     series_flag = ", --series-file" if hasattr(args, "series_file") else ""
     raise ValueError(f"provide a function: --expr{series_flag} or --preset")
 
@@ -494,10 +508,10 @@ _FLAGS = {
     "series-file": {"help": "truncated power series JSON"},
     "a-tuple": {"help": "tuple JSON file, or identityN/zeroN"},
     "x-tuple": {"help": "tuple JSON file, or identityN/zeroN"},
-    "f0": {"type": float, "default": 0.0},
-    "f1": {"type": float, "default": 0.0},
-    "f2": {"type": float, "default": 2.0},
-    "mu": {"default": "0.5:1", "help": "atoms 'loc:weight,loc:weight'"},
+    "f0": {"type": float},
+    "f1": {"type": float},
+    "f2": {"type": float},
+    "mu": {"help": "atoms 'loc:weight,loc:weight'"},
     "interval": {"metavar": "LO,HI"},
     "points": {"type": int, "default": 5},
     "sweep-points": {"type": int, "default": 100},

@@ -382,6 +382,10 @@ def loewner_monotone_test(f: ScalarFn, interval: Optional[tuple] = None,
     is evidence, not proof.
     """
     lo, hi = _tested_interval(f, interval)
+    if not f.domain[0] <= lo < hi <= f.domain[1]:
+        # f's values out there would make a "conclusive" FAIL
+        raise DomainError(f"interval ({lo}, {hi}) is not inside the domain "
+                          f"{f.domain} of {f.name}")
     if points_per_trial < 2:
         raise ValueError("points_per_trial must be >= 2")
 
@@ -404,6 +408,11 @@ def verify_monotone_witness(f: ScalarFn, witness: dict) -> float:
     pts = np.asarray(witness["points"], dtype=float)
     if not (np.isfinite(pts).all() and len(set(pts.flat)) == pts.size):
         raise DomainError("witness: the points must be finite and distinct")
+    lo, hi = f.domain
+    outside = [t for t in pts.flat if not lo < t < hi]
+    if outside:
+        raise DomainError(f"witness: point {float(outside[0])!r} lies outside "
+                          f"the domain {f.domain} of {f.name}")
     return float(_defect_eigs(loewner_matrix(f, pts), "witness")[0])
 
 

@@ -13,19 +13,22 @@ signature has no a-variables.  Juxtaposition is not multiplication.  Number
 literals may carry a trailing 'i' for imaginary parts, so 2+3i is the sum
 of a real and an imaginary literal.
 
-parse_polynomial compiles without expanding: sums, products, powers and
-minus signs lower straight into the merged word trie (TrieAlgebra) that
-is the polynomial, with the star pushed down to the leaves.  Its Horner
-plan equals the one of the expanded term map, a cache filled only when
-something reads it.
+parse_polynomial compiles without expanding and without a syntax tree:
+one loop over the tokens, with a stack of the groups that open
+parentheses interrupt, reduces each power, product and sum straight into
+the merged word trie (TrieAlgebra) that is the polynomial.  The star is
+pushed down to the leaves.  A pre-pass pairs the parentheses, so the
+star parity of each operand (that of its group, flipped by each "'" of
+its postfix chain; a power commutes with the star) is known when the
+loop reaches it; under an odd parity literals are conjugated and
+products multiply in reverse.  The Horner plan equals the one of the
+expanded term map, a cache filled only when something reads it.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
-from typing import Union
 
 from .algebra import NcPolynomial, Signature, TrieAlgebra, _post_order
 from .errors import ParseError
@@ -43,57 +46,8 @@ _TOKEN_RE = re.compile(
 )
 
 
-class ExprAst:
-    """Base class for parsed expression nodes."""
-
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class Var(ExprAst):
-    kind: str
-    index: int
-
-
-@dataclass(frozen=True)
-class Lit(ExprAst):
-    value: complex
-
-
-@dataclass(frozen=True)
-class Star(ExprAst):
-    child: ExprAst
-
-
-@dataclass(frozen=True)
-class Neg(ExprAst):
-    child: ExprAst
-
-
-@dataclass(frozen=True)
-class Sum(ExprAst):
-    items: tuple
-
-
-@dataclass(frozen=True)
-class Prod(ExprAst):
-    items: tuple
-
-
-@dataclass(frozen=True)
-class Pow(ExprAst):
-    base: ExprAst
-    exponent: int
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # num | var | imag | op
-    text: str
-    pos: int
-
-
-def _tokenize(src: str) -> list[_Token]:
+def _tokenize(src: str) -> list:
+    """(kind, text, pos) per token, kind one of num, var, imag and op."""
     tokens = []
     pos = 0
     while pos < len(src):
@@ -101,179 +55,157 @@ def _tokenize(src: str) -> list[_Token]:
         if m is None:
             raise ParseError(f"unknown token {src[pos]!r}", pos)
         if m.lastgroup != "ws":
-            tokens.append(_Token(m.lastgroup, m.group(), pos))
+            tokens.append((m.lastgroup, m.group(), pos))
         pos = m.end()
     return tokens
 
 
-class _Parser:
-    def __init__(self, src: str, sig: Signature):
-        self.src = src
-        self.sig = Signature(*sig)
-        self.tokens = _tokenize(src)
-        self.i = 0
+def _letter(text: str, pos: int, sig: Signature) -> tuple:
+    kind, index = text[0], int(text[1:])
+    if kind == "z":
+        if sig.g_a != 0:
+            raise ParseError("alias z<k> is only valid when the signature "
+                             "has no a-variables", pos)
+        kind = "x"
+    if not 1 <= index <= (sig.g_a if kind == "a" else sig.g_x):
+        raise ParseError(f"variable {text} outside signature "
+                         f"({sig.g_a},{sig.g_x})", pos)
+    return kind, index
 
-    # -- token plumbing --------------------------------------------------
 
-    def _peek(self) -> Union[_Token, None]:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
+def _exponent(token: tuple) -> int:
+    kind, text, pos = token
+    if kind is None:
+        raise ParseError("unexpected end of input", pos)
+    if kind != "num" or not text.isdigit():
+        raise ParseError("exponent must be a plain non-negative integer", pos)
+    n = int(text)
+    if n > EXPONENT_CAP:
+        raise ParseError(f"exponent {n} exceeds cap {EXPONENT_CAP}", pos)
+    return n
 
-    def _next(self) -> _Token:
-        tok = self._peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", len(self.src))
-        self.i += 1
-        return tok
 
-    def _accept_op(self, *ops: str) -> Union[_Token, None]:
-        tok = self._peek()
-        if tok is not None and tok.kind == "op" and tok.text in ops:
-            self.i += 1
-            return tok
-        return None
+def _odd_stars(tokens: list, i: int) -> bool:
+    """Whether the postfix chain from token i has an odd number of "'"."""
+    odd = False
+    while i < len(tokens) and tokens[i][1] in ("'", "^"):
+        odd ^= tokens[i][1] == "'"
+        i += 1 if tokens[i][1] == "'" else 2       # '^' skips its exponent
+    return odd
 
-    # -- grammar ----------------------------------------------------------
 
-    def parse(self) -> ExprAst:
-        if not self.tokens:
-            raise ParseError("empty expression", 0)
-        node = self._sum()
-        tok = self._peek()
-        if tok is not None:
-            raise ParseError(f"unexpected token {tok.text!r}", tok.pos)
-        return node
+def _fold(ops: TrieAlgebra, factors: list):
+    """The product of the factors, multiplied in from the right."""
+    acc = ops.one
+    for factor in reversed(factors):
+        acc = ops.mul(factor, acc)
+    return acc
 
-    def _sum(self) -> ExprAst:
-        items = [self._unary()]
-        while True:
-            tok = self._accept_op("+", "-")
-            if tok is None:
+
+def _compile(tokens: list, sig: Signature, ops: TrieAlgebra) -> tuple:
+    """The trie of the expression the tokens spell, ended by a (None,
+    None, len(src)) token, and its lead: the parities (neg, star) of the
+    minus signs and stars that a syntax tree would stack above its
+    root, reading through a single term, a single factor, the stars
+    after its last '^' and parentheses."""
+    closing, opened = {}, []
+    for k, (_, text, _) in enumerate(tokens):
+        if text == "(":
+            opened.append(k)
+        elif text == ")" and opened:
+            closing[opened.pop()] = k
+    groups = []
+    # the current group: its star parity, its sum so far and its lead,
+    # None until its first term ends; the current term: its minus
+    # signs, its factors so far and the lead of its first factor
+    star, total, lead = False, None, None
+    negs, factors, first = 0, [], None
+    i = 0
+    while True:
+        kind, text, pos = tokens[i]
+        if not factors:                             # a term starts
+            negs = 0
+            while text == "-":
+                negs += 1
+                i += 1
+                kind, text, pos = tokens[i]
+        if text == "(":
+            groups.append((star, total, lead, negs, factors, first))
+            # an unmatched '(' fails to parse, whatever its parity
+            star ^= _odd_stars(tokens, closing.get(i, i) + 1)
+            total = lead = None
+            factors = []
+            i += 1
+            continue
+        if kind == "var":
+            value = ops.node(0j, {_letter(text, pos, sig): ops.one})
+        elif kind in ("num", "imag"):
+            c = (1j if kind == "imag" else complex(0.0, float(text[:-1]))
+                 if text.endswith("i") else complex(float(text), 0.0))
+            odd = star ^ _odd_stars(tokens, i + 1)
+            value = ops.node(c.conjugate() if odd else c, {})
+        elif kind is None:
+            raise ParseError("unexpected end of input", pos)
+        else:
+            raise ParseError(f"unexpected token {text!r}", pos)
+        inner = None
+        i += 1
+        while True:                                 # an operand is read
+            # its postfix chain: the stars are in the parity already
+            tail = powered = False
+            while tokens[i][1] in ("'", "^"):
+                if tokens[i][1] == "'":
+                    tail = not tail
+                    i += 1
+                    continue
+                value = _fold(ops, [value] * _exponent(tokens[i + 1]))
+                tail, powered = False, True
+                i += 2
+            if not factors:
+                first = ((False, tail) if powered or inner is None
+                         else (inner[0], inner[1] ^ tail))
+            factors.append(value)
+            kind, text, pos = tokens[i]
+            if text == "*":
+                i += 1
                 break
-            rhs = self._unary()
-            items.append(Neg(rhs) if tok.text == "-" else rhs)
-        return items[0] if len(items) == 1 else Sum(tuple(items))
-
-    def _unary(self) -> ExprAst:
-        if self._accept_op("-"):
-            return Neg(self._unary())
-        return self._product()
-
-    def _product(self) -> ExprAst:
-        items = [self._postfix()]
-        while self._accept_op("*"):
-            items.append(self._postfix())
-        return items[0] if len(items) == 1 else Prod(tuple(items))
-
-    def _postfix(self) -> ExprAst:
-        node = self._atom()
-        while True:
-            tok = self._peek()
-            if tok is None or tok.kind != "op":
-                break
-            if tok.text == "'":
-                self.i += 1
-                node = Star(node)
-            elif tok.text == "^":
-                self.i += 1
-                node = Pow(node, self._exponent())
+            # the term ends
+            odd = negs % 2 == 1
+            if len(factors) == 1:
+                term, term_lead = factors[0], (odd ^ first[0], first[1])
             else:
+                term = _fold(ops, factors[::-1] if star else factors)
+                term_lead = (odd, False)
+            for _ in range(negs):
+                term = ops.scale(term, -1.0)
+            total = ops.add(total, term)
+            lead = term_lead if lead is None else (False, False)
+            factors = []
+            if text in ("+", "-"):
+                i += text == "+"            # a '-' is the next term's minus
                 break
-        return node
-
-    def _exponent(self) -> int:
-        tok = self._next()
-        if tok.kind != "num" or not tok.text.isdigit():
-            raise ParseError("exponent must be a plain non-negative integer",
-                             tok.pos)
-        n = int(tok.text)
-        if n > EXPONENT_CAP:
-            raise ParseError(f"exponent {n} exceeds cap {EXPONENT_CAP}", tok.pos)
-        return n
-
-    def _atom(self) -> ExprAst:
-        tok = self._next()
-        if tok.kind == "num":
-            if tok.text.endswith("i"):
-                return Lit(complex(0.0, float(tok.text[:-1])))
-            return Lit(complex(float(tok.text), 0.0))
-        if tok.kind == "imag":
-            return Lit(1j)
-        if tok.kind == "var":
-            return self._variable(tok)
-        if tok.kind == "op" and tok.text == "(":
-            inner = self._sum()
-            if not self._accept_op(")"):
-                pos = self._peek().pos if self._peek() else len(self.src)
+            if not groups:
+                if kind is None:
+                    return total, lead
+                raise ParseError(f"unexpected token {text!r}", pos)
+            if text != ")":
                 raise ParseError("expected ')'", pos)
-            return inner
-        raise ParseError(f"unexpected token {tok.text!r}", tok.pos)
-
-    def _variable(self, tok: _Token) -> Var:
-        kind, index = tok.text[0], int(tok.text[1:])
-        if kind == "z":
-            if self.sig.g_a != 0:
-                raise ParseError(
-                    "alias z<k> is only valid when the signature has no "
-                    "a-variables", tok.pos)
-            kind = "x"
-        arity = self.sig.g_a if kind == "a" else self.sig.g_x
-        if not 1 <= index <= arity:
-            raise ParseError(
-                f"variable {tok.text} outside signature "
-                f"({self.sig.g_a},{self.sig.g_x})", tok.pos)
-        return Var(kind, index)
-
-
-def parse(src: str, sig: Signature) -> ExprAst:
-    """Parse source text against a signature; raises ParseError with the
-    offending offset on bad input."""
-    return _Parser(src, sig).parse()
-
-
-def _lower(ast: ExprAst, ops: TrieAlgebra, star: bool):
-    """The merged trie of an AST, or of its involution when star is set:
-    the star goes down to the leaves, reversing products and
-    conjugating literals on the way."""
-    if isinstance(ast, Star):
-        return _lower(ast.child, ops, not star)
-    if isinstance(ast, Neg):
-        return ops.scale(_lower(ast.child, ops, star), -1.0)
-    if isinstance(ast, Var):
-        return ops.node(0j, {(ast.kind, ast.index): ops.one})
-    if isinstance(ast, Lit):
-        return ops.node(ast.value.conjugate() if star else ast.value, {})
-    if isinstance(ast, Sum):
-        acc = None
-        for item in ast.items:
-            acc = ops.add(acc, _lower(item, ops, star))
-        return acc
-    if isinstance(ast, (Prod, Pow)):
-        factors = [_lower(item, ops, star) for item in
-                   (ast.items if isinstance(ast, Prod) else (ast.base,))]
-        acc = ops.one
-        for factor in ((factors if star else factors[::-1])
-                       * getattr(ast, "exponent", 1)):
-            acc = ops.mul(factor, acc)
-        return acc
-    raise TypeError(f"not an ExprAst: {ast!r}")
+            value, inner = total, lead
+            star, total, lead, negs, factors, first = groups.pop()
+            i += 1
 
 
 def parse_polynomial(src: str, sig: Signature) -> NcPolynomial:
-    """Parse and compile an expression, without expanding it."""
+    """Parse and compile an expression, without expanding it; raises
+    ParseError with the offending offset on bad input."""
     sig = Signature(*sig)
+    tokens = _tokenize(src)
+    if not tokens:
+        raise ParseError("empty expression", 0)
     ops = TrieAlgebra()
-    try:
-        ast = parse(src, sig)
-        root = _lower(ast, ops, False)
-    except RecursionError:
-        raise ParseError("expression is nested too deeply", 0) from None
+    root, (neg, star) = _compile(tokens + [(None, None, len(src))], sig, ops)
     # a leading '-' or "'" leaves the zero parts of every coefficient
     # signed as negating or conjugating the expanded terms would
-    neg = star = False
-    while isinstance(ast, (Neg, Star)):
-        neg ^= isinstance(ast, Neg)
-        star ^= isinstance(ast, Star)
-        ast = ast.child
     if root is not None and (neg or star):
         zr, zi = -0.0 if neg else 0.0, -0.0 if neg != star else 0.0
         for node in _post_order(root):
@@ -287,15 +219,15 @@ def infer_signature(src: str) -> Signature:
     z-aliases force g_a = 0."""
     g_a = g_x = 0
     saw_z = False
-    for tok in _tokenize(src):
-        if tok.kind != "var":
+    for kind, text, _ in _tokenize(src):
+        if kind != "var":
             continue
-        kind, index = tok.text[0], int(tok.text[1:])
-        if kind == "a":
+        letter, index = text[0], int(text[1:])
+        if letter == "a":
             g_a = max(g_a, index)
         else:
             g_x = max(g_x, index)
-            saw_z = saw_z or kind == "z"
+            saw_z = saw_z or letter == "z"
     if saw_z and g_a > 0:
         raise ParseError("expression mixes z-aliases with a-variables", 0)
     return Signature(g_a, g_x)

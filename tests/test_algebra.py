@@ -10,7 +10,8 @@ import ncconvex.algebra as algebra
 from ncconvex import NcPolynomial, Signature, parse_polynomial
 from ncconvex.algebra import (MatrixNcPolynomial, word_from_str, word_to_str,
                               x_count)
-from ncconvex.errors import ResourceLimitError, ShapeError, SignatureError
+from ncconvex.errors import (NcError, ResourceLimitError, ShapeError,
+                             SignatureError)
 
 SIG = Signature(1, 2)
 
@@ -70,6 +71,19 @@ def test_cancellation_is_canonical():
 def test_near_zero_coefficients_dropped():
     p = _x(SIG, 1).scale(1e-15)
     assert p.is_zero()
+
+
+@pytest.mark.parametrize("make", [
+    lambda p: (p * 1e300) * 1e300,
+    lambda p: -(p * 1e200 * 1e200),
+    lambda p: p.scale(complex(math.inf, 0.0)),
+    lambda p: p + math.nan,
+], ids=["overflow", "negated-overflow", "scale-inf", "add-nan"])
+def test_coefficients_that_are_not_finite_are_refused(make):
+    # NaN compared false against the drop tolerance and vanished, and
+    # inf stayed in the polynomial
+    with pytest.raises(NcError, match="is not finite"):
+        make(_x(SIG, 1))
 
 
 def test_word_string_round_trip():

@@ -406,8 +406,23 @@ def _argvs(draw):
     return argv
 
 
+# command lines that name two functions, each with the two flags named
+_TWO_SOURCES = [
+    (["convexity", "--preset", "square", "--expr", "x1^4"],
+     "--preset and --expr"),
+    (["kraus", "--preset", "kraus-halfmass", "--f2", "5"],
+     "--preset and --f2"),
+    (["kraus", "--preset=kraus-halfmass", "--mu=0.5:1", "--f0=0"],
+     "--preset and --f0"),
+    (["eval", "--series-file", "s.json", "--expr", "x1", "--x-tuple",
+      "identity2"], "--series-file and --expr"),
+    (["monotone", "--expr", "x1^3", "--preset", "square", "--seed", "1"],
+     "--preset and --expr"),
+]
+
+
 @settings(max_examples=400, deadline=None)
-@given(_argvs())
+@given(st.one_of(_argvs(), st.sampled_from([a for a, _ in _TWO_SOURCES])))
 def test_the_table_reads_a_command_line_as_argparse_does(argv):
     got = _table_args(argv)
     if got is not None:
@@ -424,6 +439,21 @@ def test_the_table_reads_a_command_line_as_argparse_does(argv):
 ])
 def test_the_table_leaves_unusual_command_lines_to_argparse(argv):
     assert _table_args(argv) is None
+
+
+@pytest.mark.parametrize("path", ["table", "argparse"])
+@pytest.mark.parametrize("argv, flags", _TWO_SOURCES,
+                         ids=[a[0] + "-" + f.split()[-1][2:]
+                              for a, f in _TWO_SOURCES])
+def test_two_function_sources_are_a_usage_error(argv, flags, path, run,
+                                                monkeypatch):
+    # the first source won and the other was silently ignored
+    if path == "argparse":
+        monkeypatch.setattr("ncconvex.cli._table_args", lambda argv: None)
+    r = run(argv)
+    assert r.returncode == 2 and r.stdout == ""
+    assert _one_error_line(r.stderr) == (f"error: give one function source, "
+                                         f"not {flags}")
 
 
 def test_every_example_command_line_takes_the_table_path():
@@ -720,6 +750,26 @@ def test_forged_witness_is_a_usage_error(kind, witness, message, tmp_path,
     assert _one_error_line(err) == f"error: witness: {message}"
 
 
+def test_monotone_refuses_what_lies_outside_the_domain(run, tmp_path):
+    # the interval ran past the pole of t^2/(1 - t/2) at t = 2, and the
+    # FAIL it issued there re-verified
+    r = run(["monotone", "--preset", "kraus-halfmass", "--interval=-3,3",
+             "--seed", "1"])
+    assert r.returncode == 2 and r.stdout == ""
+    assert _one_error_line(r.stderr) == (
+        "error: interval (-3.0, 3.0) is not inside the domain (-1.0, 1.0) "
+        "of kraus-halfmass-scalar")
+    assert list(tmp_path.iterdir()) == []
+    (tmp_path / "w.json").write_text(json.dumps({
+        "kind": "monotone", "function": {"preset": "kraus-halfmass"},
+        "witness": {"points": [0.5, 2.35, 2.88]}}))
+    r = run(["monotone", "--verify-witness", "w.json"])
+    assert r.returncode == 2 and r.stdout == ""
+    assert _one_error_line(r.stderr) == (
+        "error: witness: point 2.35 lies outside the domain (-1.0, 1.0) of "
+        "kraus-halfmass-scalar")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["monotone", "--preset", "square", "--points", "1000", "--trials", "1"],
      "could not draw well-separated points"),
@@ -732,20 +782,15 @@ def test_forged_witness_is_a_usage_error(kind, witness, message, tmp_path,
      "series file lacks 'parts'"),
     (["eval", "--series-file", "list.json", "--x-tuple", "identity2"],
      "series file is malformed: "),
-    *[(["eval", f"--expr={expr}", "--x-tuple", "identity2"],
-       "expression is nested too deeply (at offset 0)")
-      for expr in ("(" * 200 + "x1" + ")" * 200, "x1" + "'" * 3000,
-                   "-" * 3000 + "x1")],
     *[([command, "--preset", "kraus-halfmass", "--epsilon", "5",
         "--trials", "5"], "epsilon 5 is above the function's radius 2")
       for command in ("convexity", "certify")],
 ], ids=["points", "wide-interval", "kraus-interval", "series-keys",
-        "series-list", "deep-parens", "deep-stars", "deep-minus",
-        "convexity-radius", "certify-radius"])
+        "series-list", "convexity-radius", "certify-radius"])
 def test_crashes_are_usage_errors(argv, message, tmp_path, monkeypatch,
                                   capsys):
-    # these escaped as RuntimeError, OverflowError, KeyError,
-    # AttributeError and RecursionError tracebacks, which exit 1
+    # these escaped as RuntimeError, OverflowError, KeyError and
+    # AttributeError tracebacks, which exit 1
     # ("falsified"); the infinite Kraus interval printed numpy warnings
     # before its error, and certify beyond the radius wrote a witness
     # that lies where the function is not defined
@@ -759,12 +804,29 @@ def test_crashes_are_usage_errors(argv, message, tmp_path, monkeypatch,
     assert sorted(tmp_path.iterdir()) == before
 
 
+@pytest.mark.parametrize("expr, plain", [
+    ("(" * 10000 + "x1" + ")" * 10000, "x1"),
+    ("x1" + "'" * 3000, "x1"),
+    ("-" * 3001 + "x1", "-x1"),
+], ids=["deep-parens", "deep-stars", "deep-minus"])
+def test_deep_nesting_evaluates_like_the_plain_expression(expr, plain,
+                                                          tmp_path):
+    # a recursive-descent parser refused these as nested too deeply
+    args = ["eval", "--signature", "0,1", "--x-tuple", "identity2"]
+    deep = run_cli([*args, f"--expr={expr}"], tmp_path)
+    flat = run_cli([*args, f"--expr={plain}"], tmp_path)
+    assert deep.returncode == flat.returncode == 0
+    assert deep.stderr == ""
+    assert deep.stdout.replace(json.dumps(expr), json.dumps(plain)) \
+        == flat.stdout
+
+
 @pytest.mark.parametrize("argv, message", [
     (["convexity", "--preset", "quartic", "--epsilon", "1e200", "--trials",
       "5"], "trial 0: the defect matrix is not finite"),
     (["convexity1", "--expr", "x1^2", "--size", "1", "--trials", "2",
       "--interval=0,1e308"], "trial 0: the defect matrix is not finite"),
-    (["axioms", "--expr", "1e308*x1^2+1e308*x1^2", "--signature", "0,1",
+    (["axioms", "--expr", "1.79e308 + 1.79e308*x1^2", "--signature", "0,1",
       "--samples", "5", "--seed", "1"],
      "axioms sample 0: a deviation is not finite"),
     (["eval", "--expr", "x1^2", "--x-tuple", "big.json"],
@@ -951,7 +1013,21 @@ def test_a_non_finite_or_non_positive_epsilon_is_a_usage_error(
                                 f"number, got {float(epsilon)}"]
 
 
-_OVERFLOW = ["--expr", "1e308*x1^2 + 1e308*x1^2", "--signature", "0,1",
+@pytest.mark.parametrize("argv", [
+    ["convexity", "--expr", "x1^2 - 1e400*x1^4", "--seed", "1"],
+    ["eval", "--expr=-(1e200*1e200)*x1", "--x-tuple", "identity2"],
+    ["axioms", "--expr", "1e308*x1^2 + 1e308*x1^2", "--samples", "5"],
+], ids=["convexity", "eval", "axioms"])
+def test_a_coefficient_past_the_float_range_is_a_usage_error(argv, run):
+    # convexity passed as the square and eval printed the zero matrix:
+    # the NaN the minus sign made of inf was dropped as if it were zero
+    r = run(argv)
+    assert r.returncode == 2 and r.stdout == ""
+    assert _one_error_line(r.stderr) == ("error: coefficient (inf+0j) is "
+                                         "not finite")
+
+
+_OVERFLOW = ["--expr", "1.79e308 + 1.79e308*x1^2", "--signature", "0,1",
              "--seed", "1"]
 
 

@@ -330,6 +330,17 @@ def test_square_is_not_operator_monotone():
     assert again == min(rep.witness["loewner_eigs"])
 
 
+def test_loewner_refuses_points_outside_the_domain():
+    # f past its pole made a FAIL that re-verified
+    f = get_preset("kraus-halfmass").make_scalar()
+    with pytest.raises(DomainError, match=r"interval \(-3.0, 3.0\) is not "
+                                          r"inside the domain"):
+        loewner_monotone_test(f, (-3.0, 3.0), trials=5, seed=1)
+    assert loewner_monotone_test(f, f.domain, trials=5, seed=1).trials == 5
+    with pytest.raises(DomainError, match="point 2.35 lies outside"):
+        verify_monotone_witness(f, {"points": [0.5, 2.35]})
+
+
 def test_sqrt_is_operator_monotone():
     f = ScalarFn(math.sqrt, d1=lambda t: 0.5 / math.sqrt(t),
                  domain=(0.0, math.inf), name="sqrt")
