@@ -3,7 +3,7 @@
 Polynomials and truncated power series in letters a1..a_{g_a},
 x1..x_{g_x}, evaluated on tuples of Hermitian matrices; randomized
 matrix-convexity and operator-monotonicity testers with shrunken
-witnesses; Kraus / Pick representation evaluators; and slice-based
+witnesses; Kraus representation evaluators; and slice-based
 certification that a matrix-convex function has x-degree at most 2.
 """
 
@@ -17,8 +17,7 @@ from .evaluate import (CallableNcFunction, NcFunction, PolynomialNcFunction,
                        SeriesNcFunction, check_nc_function_axioms, eval_poly)
 from .onevar import (DiscreteMeasure, ScalarFn, convexity_test_1var,
                      g_transform, kraus_eval, loewner_monotone_test,
-                     pick_eval, verify_convexity1_witness,
-                     verify_monotone_witness)
+                     verify_convexity1_witness, verify_monotone_witness)
 from .parsing import load_corpus, parse_polynomial
 from .presets import KrausLiftFunction
 from .slices import (certify_degree_two, extract_slice_coefficients,
@@ -39,7 +38,7 @@ __all__ = [
     "check_nc_function_axioms", "convexity_test_1var", "eval_poly",
     "extract_slice_coefficients", "g_transform", "kraus_eval",
     "load_corpus", "loewner_monotone_test", "parse_polynomial",
-    "pick_eval", "slice_phi", "test_convexity_at_A", "test_convexity_at_CA",
+    "slice_phi", "test_convexity_at_A", "test_convexity_at_CA",
     "test_slice_convexity_transfer", "verify_convexity1_witness",
     "verify_convexity_witness", "verify_monotone_witness",
 ]

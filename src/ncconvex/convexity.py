@@ -70,9 +70,10 @@ from .tuples import (HermTuple, ca_element, derived_rng, derived_rngs,
 # trials per stacked chunk: large enough that per-call overhead is
 # shared (a 200-sample certify runs one stack per multiplicity), small
 # enough that a chunk stays a few MB.  The largest stacks are the
-# (c, 18, n, n) node values of a Kraus DFT extraction: 200 certify
-# samples over m = 1, 2, 3 (n up to 6) peak at about 4 MB under
-# tracemalloc, 256 samples all at n = 6 at about 14 MB
+# (c, 9, n, n) node values of one node set of a Kraus DFT extraction:
+# of 200 certify samples over m = 1, 2, 3 the m = 3 stack (n = 6)
+# peaks at about 1.8 MB under tracemalloc, 256 samples all at n = 6 at
+# about 7 MB
 CHUNK = 256
 _LEVEL_SALT = 999983
 # halving steps per stack of the witness shrink; on the presets' failing

@@ -7,11 +7,11 @@ integral representation
 
 for a finite measure, through linear solves rather than the spectral
 route, so the two paths can serve as independent oracles for each
-other.  pick_eval is the Nevanlinna-Pick sum.  g_transform implements
-g(t) = (f(t) - f(0))/t with the removable singularity handled by a
-Taylor patch: the raw quotient loses digits to cancellation for small
-t, so inside |t| <= 1e-3 the transform evaluates a degree-3 Taylor
-polynomial built from derivatives of f at 0 instead.
+other.  g_transform implements g(t) = (f(t) - f(0))/t with the
+removable singularity handled by a Taylor patch: the raw quotient
+loses digits to cancellation for small t, so inside |t| <= 1e-3 the
+transform evaluates a degree-3 Taylor polynomial built from
+derivatives of f at 0 instead.
 
 Monotonicity testing is the classical Loewner criterion: divided
 difference matrices with f' on the diagonal must be PSD.  Both testers
@@ -226,19 +226,26 @@ def kraus_eval(f0: float, f1: float, f2: float, mu: DiscreteMeasure,
 def _kraus_resolvent(f0: float, f1: float, f2: float, mu: DiscreteMeasure,
                      B: np.ndarray) -> np.ndarray:
     """f0 I + f1 B + (1/2) f2 sum_k w_k (I - lambda_k B)^{-1} B^2 for a
-    square matrix B or a stack of them, with no domain check; a singular
-    resolvent raises SingularityError."""
+    complex square matrix B or a stack of them, with no domain check; a
+    singular resolvent raises SingularityError."""
     eye = np.eye(B.shape[-1], dtype=complex)
     B2 = B @ B
-    acc = f0 * eye + f1 * B
+    # in place, so a stack keeps few copies of B alive; every value
+    # still takes the operations of the formula in its order
+    acc = f1 * B
+    acc += f0 * eye
     for l, w in mu.atoms:
         if w == 0.0:
             continue
+        M = B * l
+        np.subtract(eye, M, out=M)
         try:
-            acc = acc + 0.5 * f2 * w * np.linalg.solve(eye - l * B, B2)
+            S = np.linalg.solve(M, B2)
         except np.linalg.LinAlgError as exc:
             raise SingularityError(
                 f"resolvent at atom {l} is singular") from exc
+        S *= 0.5 * f2 * w
+        acc += S
     return acc
 
 
@@ -276,18 +283,6 @@ def kraus_scalar_fn(f0: float, f1: float, f2: float, mu: DiscreteMeasure,
                   name=name or "kraus-representation")
     fn._on_arrays = True
     return fn
-
-
-def pick_eval(alpha: float, beta: float, mu: DiscreteMeasure,
-              z: complex) -> complex:
-    """alpha z + beta + sum_k w_k (1/(lambda_k - z) - lambda_k/(lambda_k^2+1))."""
-    z = complex(z)
-    acc = alpha * z + beta
-    for l, w in mu.atoms:
-        if abs(l - z) <= 1e-12:
-            raise SingularityError(f"evaluation point {z} collides with atom {l}")
-        acc += w * (1.0 / (l - z) - l / (l * l + 1.0))
-    return acc
 
 
 def g_transform(f: ScalarFn) -> ScalarFn:
@@ -436,6 +431,10 @@ def convexity_test_1var(f: ScalarFn, interval: Optional[tuple] = None,
     worst sampled violation below -WITNESS_TOL ships as the witness.
     """
     lo, hi = _tested_interval(f, interval)
+    if not (lo < f.domain[1] and f.domain[0] < hi):
+        # no spectrum drawn there could ever be evaluated
+        raise DomainError(f"interval ({lo}, {hi}) does not meet the domain "
+                          f"{f.domain} of {f.name}")
     if size < 1:
         raise ValueError(f"size must be at least 1, got {size}")
 
@@ -447,14 +446,14 @@ def convexity_test_1var(f: ScalarFn, interval: Optional[tuple] = None,
         # every other trial pins t at the midpoint; the generator stays
         # with the sample for resampling
         t = 0.5 if k % 2 == 0 else rng.random()
-        return (t, rng) + spectra(rng)
+        return (k, t, rng) + spectra(rng)
 
     def evaluate(ts, draws):
         lam_a, parts_a, lam_b, parts_b = (np.array(d) for d in zip(*draws))
         A, B = spectral_lift(lam_a, parts_a), spectral_lift(lam_b, parts_b)
         return _defects_1var(f, A, B, np.array(ts)) + (A, B)
 
-    def resample(t, rng):
+    def resample(k, t, rng):
         # float dust pushed a mixed eigenvalue out: attempts 2-5 draw
         # on from a copy of the trial's own generator, which stays as
         # drawn for a replay of the chunk
@@ -463,13 +462,15 @@ def convexity_test_1var(f: ScalarFn, interval: Optional[tuple] = None,
             D, ok, A, B = evaluate([t], [spectra(rng)])
             if ok[0]:
                 return D[0], A[0], B[0]
-        raise DomainError("could not sample spectra inside the interval")
+        raise DomainError(f"trial {k}: could not sample spectra in the "
+                          f"interval ({lo}, {hi}) inside the domain "
+                          f"{f.domain} of {f.name}")
 
     def defects(samples):
-        ts = [s[0] for s in samples]
-        D, ok, A, B = evaluate(ts, [s[2:] for s in samples])
+        ts = [s[1] for s in samples]
+        D, ok, A, B = evaluate(ts, [s[3:] for s in samples])
         for i in np.flatnonzero(~ok):
-            D[i], A[i], B[i] = resample(*samples[i][:2])
+            D[i], A[i], B[i] = resample(*samples[i][:3])
         return D, list(zip(A, B, ts))
 
     def witness_of(data, eigs):

@@ -18,9 +18,10 @@ Numerics of the DFT route: coefficient i is recovered with noise about
 eps_machine * max|phi| / r^i, so small radii amplify high-order noise;
 the residual check on a rotated node set catches both that and
 aliasing, and the extractor refuses (ExtractionError) rather than
-returning digits it cannot back.  Both node sets, the interpolation
-nodes and the rotated check nodes, go through one F.at_points call over
-the points z X.
+returning digits it cannot back.  Each node set, first the
+interpolation nodes and then the rotated check nodes, goes through one
+F.at_points call over the points z X, so the values of only one set are
+alive at a time.
 
 Both routes work on a stack of samples (_extract);
 extract_slice_coefficients is its one-sample call.  The certificate's
@@ -35,9 +36,9 @@ phases:
   stack   the samples of one multiplicity m are lifted to
           U*(I_m (x) A)U, sampled in the x-ball and extracted as one
           stack: one Horner plan run per homogeneous part on the exact
-          route, one F.at_points call over the points z X on the DFT
-          route; the stack then yields each sample's largest |c_i|
-          above degree two and the first i that reaches it;
+          route, one F.at_points call per node set over the points z X
+          on the DFT route; the stack then yields each sample's largest
+          |c_i| above degree two and the first i that reaches it;
   replay  the samples are walked in order, one comparison each, for
           the largest coefficient above degree two, the skips and the
           witness.
@@ -121,14 +122,17 @@ def _compress(V: np.ndarray, M: np.ndarray) -> np.ndarray:
             @ V.reshape(lead + (-1, 1)))[..., 0, 0]
 
 
-def _phi_at(F, A: np.ndarray, X: np.ndarray, V: np.ndarray, zs) -> tuple:
+def _phi_at(F, A: np.ndarray, X: np.ndarray, V: np.ndarray,
+            node_sets) -> tuple:
     """(phi, refused) for a stack of points A (c, g_a, n, n), X
     (c, g_x, n, n) and unit vectors V (c, n): phi[j] holds
-    v_j* F(A_j, z X_j) v_j at every z in zs, from one F.at_points call
-    over the points z X_j of the samples that pass the z-free checks,
-    each with its own A_j, and refused[j] is the DomainError of a sample
-    that fails one (its row of phi stays 0)."""
-    zs = np.asarray(zs, dtype=complex)
+    v_j* F(A_j, z X_j) v_j at every z of the node sets in turn, from one
+    F.at_points call per node set over the points z X_j of the samples
+    that pass the z-free checks, each with its own A_j, and refused[j]
+    is the DomainError of a sample that fails one (its row of phi stays
+    0)."""
+    node_sets = [np.asarray(zs, dtype=complex) for zs in node_sets]
+    zs = np.concatenate(node_sets)
     phi = np.zeros((len(V), len(zs)), dtype=complex)
     if np.any(zs.imag != 0.0) and not F.analytic_in_z:
         return phi, [DomainError(
@@ -141,18 +145,27 @@ def _phi_at(F, A: np.ndarray, X: np.ndarray, V: np.ndarray, zs) -> tuple:
         for r in reach]
     ok = reach < F.radius
     if ok.any():
-        c, Z = int(ok.sum()), len(zs)
-        Xz = zs[:, None, None, None] * X[ok][:, None]
-        vals = F.at_points(np.repeat(A[ok], Z, axis=0),
-                           Xz.reshape((c * Z,) + X.shape[1:]))
-        phi[ok] = _compress(V[ok], vals.reshape((c, Z) + vals.shape[-2:]))
+        A, X, V = A[ok], X[ok], V[ok]
+        phi[ok] = np.concatenate([_compressed_values(F, A, X, V, zs)
+                                  for zs in node_sets], axis=1)
     return phi, refused
+
+
+def _compressed_values(F, A: np.ndarray, X: np.ndarray, V: np.ndarray,
+                       zs: np.ndarray) -> np.ndarray:
+    """The (c, Z) stack v_j* F(A_j, z X_j) v_j over the nodes zs, from
+    one F.at_points call; its node values are freed on return."""
+    c, Z = len(V), len(zs)
+    Xz = zs[:, None, None, None] * X[:, None]
+    vals = F.at_points(np.repeat(A, Z, axis=0),
+                       Xz.reshape((c * Z,) + X.shape[1:]))
+    return _compress(V, vals.reshape((c, Z) + vals.shape[-2:]))
 
 
 def slice_scalar(F, A: HermTuple, X: HermTuple, v, z: complex) -> complex:
     """phi(z) = v* F(A, zX) v; v is normalized on ingest."""
     phi, refused = _phi_at(as_nc_function(F), _one_point(A), _one_point(X),
-                           _unit_vectors([v]), [z])
+                           _unit_vectors([v]), [[z]])
     if refused[0] is not None:
         raise refused[0]
     return complex(phi[0, 0])
@@ -235,7 +248,7 @@ def _extract(F, A: np.ndarray, X: np.ndarray, vs, degree_cap: int,
     # each unit v is normalized again, as the per-node calls did:
     # dropping that pass moves the last digits of the coefficients
     V = _unit_vectors(V)
-    phi, refused = _phi_at(F, A, X, V, np.concatenate([nodes, check]))
+    phi, refused = _phi_at(F, A, X, V, (nodes, check))
     samples, actual = phi[:, :d + 1], phi[:, d + 1:]
     # c_i r^i = (1/n) sum_j phi_j e^{-2 pi i ij/n}; numpy's fft carries
     # the e^{-} kernel, so fft/n is the inverting transform here

@@ -770,6 +770,21 @@ def test_monotone_refuses_what_lies_outside_the_domain(run, tmp_path):
         "kraus-halfmass-scalar")
 
 
+@pytest.mark.parametrize("interval, message", [
+    ("2,3", "interval (2.0, 3.0) does not meet the domain (-1.0, 1.0) of "
+            "kraus-halfmass-scalar"),
+    ("-3,3", "trial 0: could not sample spectra in the interval (-3.0, 3.0) "
+             "inside the domain (-1.0, 1.0) of kraus-halfmass-scalar"),
+], ids=["disjoint", "wide"])
+def test_convexity1_refusal_names_the_interval_and_the_domain(
+        interval, message, run, tmp_path):
+    r = run(["convexity1", "--preset", "kraus-halfmass",
+             f"--interval={interval}", "--seed", "1"])
+    assert r.returncode == 2 and r.stdout == ""
+    assert _one_error_line(r.stderr) == f"error: {message}"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv, message", [
     (["monotone", "--preset", "square", "--points", "1000", "--trials", "1"],
      "could not draw well-separated points"),

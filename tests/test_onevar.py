@@ -9,8 +9,8 @@ import pytest
 
 from ncconvex import (DiscreteMeasure, ScalarFn, convexity_test_1var,
                       g_transform, kraus_eval, loewner_monotone_test,
-                      pick_eval, verify_convexity1_witness,
-                      verify_monotone_witness, parse_polynomial, Signature)
+                      verify_convexity1_witness, verify_monotone_witness,
+                      parse_polynomial, Signature)
 from ncconvex.errors import DomainError, ShapeError, SingularityError
 from ncconvex.onevar import (_loewner_stack, _values, kraus_scalar_fn,
                              loewner_matrix, matrix_apply)
@@ -231,6 +231,20 @@ def test_kraus_scalar_terms_are_left_folds_over_the_atoms(atoms):
 # -- Pick form -----------------------------------------------------------------
 
 
+def pick_eval(alpha, beta, mu, z):
+    """The Nevanlinna-Pick sum alpha z + beta
+    + sum_k w_k (1/(lambda_k - z) - lambda_k/(lambda_k^2+1)), a source of
+    operator-monotone functions."""
+    z = complex(z)
+    acc = alpha * z + beta
+    for l, w in mu.atoms:
+        if abs(l - z) <= 1e-12:
+            raise SingularityError(
+                f"evaluation point {z} collides with atom {l}")
+        acc += w * (1.0 / (l - z) - l / (l * l + 1.0))
+    return acc
+
+
 def test_pick_empty_measure_is_affine():
     mu = DiscreteMeasure(())
     assert pick_eval(2.0, 1.0, mu, 0.7) == pytest.approx(2.0 * 0.7 + 1.0)
@@ -339,6 +353,26 @@ def test_loewner_refuses_points_outside_the_domain():
     assert loewner_monotone_test(f, f.domain, trials=5, seed=1).trials == 5
     with pytest.raises(DomainError, match="point 2.35 lies outside"):
         verify_monotone_witness(f, {"points": [0.5, 2.35]})
+
+
+@pytest.mark.parametrize("interval, message", [
+    ((2.0, 3.0), "interval (2.0, 3.0) does not meet the domain (-1.0, 1.0) "
+                 "of kraus-halfmass-scalar"),
+    ((-3.0, 3.0), "trial 0: could not sample spectra in the interval "
+                  "(-3.0, 3.0) inside the domain (-1.0, 1.0) of "
+                  "kraus-halfmass-scalar"),
+    ((-1.2, 1.2), "trial 34: could not sample spectra in the interval "
+                  "(-1.2, 1.2) inside the domain (-1.0, 1.0) of "
+                  "kraus-halfmass-scalar"),
+], ids=["disjoint", "wide", "late-trial"])
+def test_convexity1_names_the_interval_and_the_domain(interval, message):
+    # a disjoint interval is refused before any trial runs; one that
+    # only overlaps the domain resamples, and the trial whose attempts
+    # run out is named
+    f = get_preset("kraus-halfmass").make_scalar()
+    with pytest.raises(DomainError) as exc:
+        convexity_test_1var(f, interval, seed=1)
+    assert str(exc.value) == message
 
 
 def test_sqrt_is_operator_monotone():

@@ -482,7 +482,7 @@ def test_kraus_stack_at_scaled_points_of_a_stack_equals_per_point_calls():
             assert np.array_equal(stack, np.concatenate(per_point))
 
 
-def test_certify_extracts_each_multiplicity_of_a_chunk_in_one_call():
+def test_certify_extracts_each_multiplicity_of_a_chunk_in_one_call_per_node_set():
     shapes = []
 
     class Counted(KrausLiftFunction):
@@ -497,15 +497,37 @@ def test_certify_extracts_each_multiplicity_of_a_chunk_in_one_call():
     rep = certify_degree_two(F, _empty_a(2), 0.5, samples=CHUNK + 10,
                              trials=5, seed=95, multiplicities=(1, 2, 3))
     assert rep.skipped == 0
-    # one stacked call per multiplicity per chunk, in the order of their
-    # first samples, and no rerun; each sample brings its 18 DFT nodes
-    # (9 to interpolate, 9 to check, at degree_cap 8)
+    # two stacked calls per multiplicity per chunk, in the order of their
+    # first samples, and no rerun: first each sample's 9 interpolation
+    # nodes, then its 9 check nodes (at degree_cap 8)
     want = []
     for ks in (range(CHUNK), range(CHUNK, CHUNK + 10)):
         ms = [(1, 2, 3)[k % 3] for k in ks]
-        want += [(18 * ms.count(m), 1, 2 * m, 2 * m)
-                 for m in dict.fromkeys(ms)]
+        want += [(9 * ms.count(m), 1, 2 * m, 2 * m)
+                 for m in dict.fromkeys(ms) for _ in range(2)]
     assert shapes == want
+
+
+def test_kraus_extraction_peak_is_a_few_node_set_stacks(monkeypatch):
+    # one node set's values of a full chunk at n = 6, c (d+1) n^2 complex
+    # numbers, is the unit; the interpolation and check sets are never
+    # alive together, and the resolvent keeps few copies of its stack
+    peaks = []
+
+    def traced(*args):
+        tracemalloc.start()
+        try:
+            return _extract(*args)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(slices, "_extract", traced)
+    F = KrausLiftFunction(0.0, 0.0, 2.0, DiscreteMeasure.point_mass(0.5))
+    rep = certify_degree_two(F, _empty_a(2), 0.5, samples=CHUNK, trials=5,
+                             seed=95, multiplicities=(3,))
+    assert rep.skipped == 0 and len(peaks) == 1
+    assert peaks[0] <= 7 * CHUNK * 9 * 6 ** 2 * 16
 
 
 def test_certify_outcome_does_not_depend_on_the_chunk(monkeypatch):
