@@ -474,6 +474,8 @@ def _cmd_kraus(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    if args.tol is not None and args.tol < 0:
+        raise ValueError(f"--tol must be non-negative, got {args.tol}")
     F, desc, epsilon, A = _function_at_base(args, 0.5)
     report = certify_degree_two(
         F, A, epsilon, samples=args.samples, trials=args.trials,

@@ -11,11 +11,12 @@ check (evaluate.py), the kraus command's resolvent/spectral cross-check
 samples in chunks of CHUNK, in three phases:
 
   draw    the client's draws(ks) yields a chunk's samples in order.
-          Through _streams each sample k takes its raw numbers from its
-          own generator, built for the chunk by derived_rngs(key, ks) in
-          one vectorised seeding pass and equal to derived_rng(*key, k)
-          bit for bit; the axioms check and the kraus cross-check take
-          all of them from one stream, and the shrink draws nothing;
+          Through _streams (certify: _slice_draws) each sample k takes
+          its raw numbers from its own generator, built for the chunk by
+          derived_rngs(key, ks) in one vectorised seeding pass and equal
+          to derived_rng(*key, k) bit for bit; the axioms check and the
+          kraus cross-check take all of them from one stream, and the
+          shrink draws nothing;
   stack   the client's stage turns a chunk's samples into results with
           stacked numpy calls, once per group of samples of one matrix
           size.  For the falsifiers that is sampling, evaluation through

@@ -23,25 +23,28 @@ interpolation nodes and then the rotated check nodes, goes through one
 F.at_points call over the points z X, so the values of only one set are
 alive at a time.
 
-Both routes work on a stack of samples (_extract);
-extract_slice_coefficients is its one-sample call.  The certificate's
+Both routes work on a stack of samples (_extract) and return one
+coefficient array for it; extract_slice_coefficients is its one-sample
+call, and only it wraps a row in SliceCoefficients.  The certificate's
 slice samples run on the sampling core of convexity.py, in its three
 phases:
 
   draw    sample k takes, from its stream derived_rng(seed, 7919, k),
           one normal draw for the Ginibre block of its Haar unitary and
           its x-ball block, the ball radius, then one normal draw for
-          its direction v; a chunk's streams are built together and
-          equal those of derived_rng;
-  stack   the samples of one multiplicity m are lifted to
-          U*(I_m (x) A)U, sampled in the x-ball and extracted as one
-          stack: one Horner plan run per homogeneous part on the exact
-          route, one F.at_points call per node set over the points z X
-          on the DFT route; the stack then yields each sample's largest
-          |c_i| above degree two and the first i that reaches it;
+          its direction v, written straight into the next row of its
+          multiplicity's stacks (_slice_draws); a chunk's streams are
+          built together and equal those of derived_rng;
+  stack   the rows of one multiplicity m are lifted to U*(I_m (x) A)U,
+          placed in the x-ball and extracted as one stack: one Horner
+          plan run per homogeneous part on the exact route, one
+          F.at_points call per node set over the points z X on the DFT
+          route; one magnitude call over the coefficient array then
+          yields each sample's largest |c_i| above degree two and the
+          first i that reaches it;
   replay  the samples are walked in order, one comparison each, for
-          the largest coefficient above degree two, the skips and the
-          witness.
+          the largest coefficient above degree two and the skips; the
+          witness is built once, from the offender's row.
 
 A sample that the extractor refuses (ExtractionError, DomainError) is
 skipped and counted; coefficients that are not finite are refused, so
@@ -57,18 +60,20 @@ chunk's slice matrices through one F.at_points call per size of T.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .convexity import (Report, _falsify, _one_point, _sampled, _streams,
+from .convexity import (Report, _falsify, _one_point, _sampled,
                         test_convexity_at_CA)
 from .errors import DomainError, ExtractionError
 from .evaluate import as_nc_function, eval_poly
 from .tolerances import COEFF_ZERO_TOL, EXTRACTION_RESIDUAL_TOL
-from .tuples import (HermTuple, _letters, ca_lift, draw_spectral,
-                     matrix_to_json, spectral_lift, stack_norms, x_ball_points)
+from .tuples import (HermTuple, _letters, _rescaled_points, ca_lift,
+                     derived_rngs, draw_spectral, matrix_to_json,
+                     spectral_lift, stack_norms)
 
 VERDICT_CONSISTENT = "CONSISTENT_DEGREE_LE_2"
 VERDICT_HYPOTHESIS_FAILS = "HYPOTHESIS_FAILS"
@@ -214,13 +219,13 @@ class SliceCoefficients:
 
 
 def _extract(F, A: np.ndarray, X: np.ndarray, vs, degree_cap: int,
-             radius: Optional[float], force_dft: bool) -> list:
+             radius: Optional[float], force_dft: bool) -> tuple:
     """extract_slice_coefficients for a stack of c samples: A
     (c, g_a, n, n) and X (c, g_x, n, n) arrays and c direction vectors
-    vs, each normalized on ingest.  Returns per sample its
-    SliceCoefficients, or the ExtractionError or DomainError that
-    refuses it, non-finite coefficients included; any other error
-    raises for the whole stack."""
+    vs, each normalized on ingest.  Returns the (c, degree_cap + 1)
+    coefficients, per sample None or the ExtractionError or DomainError
+    refusing it (non-finite coefficients too), the method, the radius
+    and per sample the residual; any other error raises for the stack."""
     if degree_cap < 2:
         raise ValueError("degree_cap must be >= 2")
     V = _unit_vectors(vs)
@@ -233,10 +238,9 @@ def _extract(F, A: np.ndarray, X: np.ndarray, vs, degree_cap: int,
             # a- and x-letters share the stack axis: one plan run per part
             coeffs[:, i] = _compress(V, eval_poly(parts[i], a, x,
                                                   n=V.shape[1]))
-        return [SliceCoefficients(coeffs=c, method="exact", radius=None,
-                                  residual=None)
-                if ok else ExtractionError(_NOT_FINITE)
-                for c, ok in zip(coeffs, _finite_rows(coeffs))]
+        return (coeffs, [None if ok else ExtractionError(_NOT_FINITE)
+                         for ok in _finite_rows(coeffs)],
+                "exact", None, [None] * len(V))
 
     r = 0.5 if radius is None else float(radius)
     if r <= 0:
@@ -248,7 +252,7 @@ def _extract(F, A: np.ndarray, X: np.ndarray, vs, degree_cap: int,
     # each unit v is normalized again, as the per-node calls did:
     # dropping that pass moves the last digits of the coefficients
     V = _unit_vectors(V)
-    phi, refused = _phi_at(F, A, X, V, (nodes, check))
+    phi, errors = _phi_at(F, A, X, V, (nodes, check))
     samples, actual = phi[:, :d + 1], phi[:, d + 1:]
     # c_i r^i = (1/n) sum_j phi_j e^{-2 pi i ij/n}; numpy's fft carries
     # the e^{-} kernel, so fft/n is the inverting transform here
@@ -258,19 +262,16 @@ def _extract(F, A: np.ndarray, X: np.ndarray, vs, degree_cap: int,
     # (c, d+1) @ (d+1, d+1) product rounds differently
     predicted = (powers @ coeffs[..., None])[..., 0]
     residuals = np.max(np.abs(predicted - actual), axis=-1).tolist()
-    out = []
-    for err, c, ok, res in zip(refused, coeffs, _finite_rows(coeffs),
-                               residuals):
-        if err is None and not ok:
-            err = ExtractionError(_NOT_FINITE)
-        elif err is None and not res <= EXTRACTION_RESIDUAL_TOL:  # NaN too
-            err = ExtractionError(
+    # a NaN residual fails the comparison and is refused too
+    for j, (ok, res) in enumerate(zip(_finite_rows(coeffs), residuals)):
+        if errors[j] is None and not ok:
+            errors[j] = ExtractionError(_NOT_FINITE)
+        elif errors[j] is None and not res <= EXTRACTION_RESIDUAL_TOL:
+            errors[j] = ExtractionError(
                 f"interpolation residual {res:.3e} exceeds "
                 f"{EXTRACTION_RESIDUAL_TOL}; raise degree_cap or shrink "
                 "radius")
-        out.append(err or SliceCoefficients(coeffs=c, method="dft",
-                                            radius=r, residual=res))
-    return out
+    return coeffs, errors, "dft", r, residuals
 
 
 def extract_slice_coefficients(F, A: HermTuple, X: HermTuple, v,
@@ -285,11 +286,13 @@ def extract_slice_coefficients(F, A: HermTuple, X: HermTuple, v,
     rotated node set; residual above EXTRACTION_RESIDUAL_TOL raises
     ExtractionError instead of returning unbacked digits.
     """
-    out = _extract(as_nc_function(F), _one_point(A), _one_point(X), [v],
-                   degree_cap, radius, force_dft)[0]
-    if isinstance(out, Exception):
-        raise out
-    return out
+    coeffs, [error], method, r, [residual] = _extract(
+        as_nc_function(F), _one_point(A), _one_point(X), [v], degree_cap,
+        radius, force_dft)
+    if error is not None:
+        raise error
+    return SliceCoefficients(coeffs=coeffs[0], method=method, radius=r,
+                             residual=residual)
 
 
 def test_slice_convexity_transfer(F, A: HermTuple, X: HermTuple, v,
@@ -334,17 +337,30 @@ def test_slice_convexity_transfer(F, A: HermTuple, X: HermTuple, v,
                     "slice_convexity_transfer", group_by=lambda s: s[0])
 
 
-def _draw_slice_sample(rng, n: int, g: int, ball_radius: float) -> tuple:
-    """(Haar block, (x-ball parts, radius), w) of one certify sample at
-    size n: the numbers of ca_lift's Ginibre block, of
-    draw_x_ball(g, n, ball_radius, 1, rng) and of v's real and imaginary
-    parts, in that order; v is w[:n] + 1j w[n:].  A generator's normals
-    do not depend on how a run of them is split between calls, so one
-    normal draw for the two blocks and one for v give the values and
-    final state of the separate draws."""
-    z = rng.standard_normal((1 + g) * 2 * n * n).reshape(1 + g, 2, n, n)
-    radius = ball_radius * rng.random() if g else 0.0
-    return z[0], (z[1:], radius), rng.standard_normal(2 * n)
+def _slice_draws(seed, kappa: int, g: int, ball_radius: float,
+                 multiplicities):
+    """certify's draws(ks) for _sampled.  Per distinct multiplicity m of
+    the chunk, of cnt samples at size n = kappa m, stacks Z
+    (cnt, 1 + g, 2, n, n), r (cnt,) and W (cnt, 2n); sample k at m =
+    multiplicities[k % len] fills row j of its m's stacks from
+    derived_rng(seed, 7919, k) in the order of ca_lift's Ginibre block,
+    draw_x_ball's parts and radius and v's parts (v = W[j, :n] +
+    1j W[j, n:]), and is yielded as (m, j, stacks)."""
+    def draws(ks):
+        ms = [int(multiplicities[k % len(multiplicities)]) for k in ks]
+        stacks = {m: (np.empty((c, 1 + g, 2, kappa * m, kappa * m)),
+                      np.zeros(c), np.empty((c, 2 * kappa * m)))
+                  for m, c in Counter(ms).items()}
+        last = dict.fromkeys(stacks, -1)        # per m, its last row
+        for m, rng in zip(ms, derived_rngs((seed, 7919), ks)):
+            Z, r, W = stacks[m]
+            j = last[m] = last[m] + 1
+            rng.standard_normal(out=Z[j].reshape(-1))
+            if g:
+                r[j] = ball_radius * rng.random()
+            rng.standard_normal(out=W[j])
+            yield m, j, stacks[m]
+    return draws
 
 
 @dataclass
@@ -397,8 +413,12 @@ def certify_degree_two(F, A: HermTuple, epsilon: float, samples: int = 50,
     F = as_nc_function(F)
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    if degree_cap < 2:
-        raise ValueError("degree_cap must be >= 2")
+    if degree_cap < 3:
+        raise ValueError("degree_cap must be >= 2" if degree_cap < 2 else
+                         "degree_cap 2 examines no coefficient above "
+                         "degree two; certify needs at least 3")
+    if not coeff_tol >= 0:                              # NaN too
+        raise ValueError(f"coeff_tol must be non-negative, got {coeff_tol}")
     convexity = test_convexity_at_CA(F, A, epsilon,
                                      multiplicities=multiplicities,
                                      trials=trials, seed=seed)
@@ -409,74 +429,65 @@ def certify_degree_two(F, A: HermTuple, epsilon: float, samples: int = 50,
             degree_cap=degree_cap, coeff_tol=coeff_tol,
             witness=convexity.witness)
 
-    g = F.signature.g_x
     extraction_radius = epsilon / 4.0
 
-    def draw(rng, k):
-        m = int(multiplicities[k % len(multiplicities)])
-        return (m, *_draw_slice_sample(rng, A.n * m, g, epsilon / 2.0))
-
     def stage(group):
-        # the core hands over one multiplicity at a time
-        ms, haars, balls, ws = zip(*group)
-        alphas = ca_lift(A, ms[0], np.array(haars))
-        X = x_ball_points(balls)
-        W = np.array(ws)
-        n = W.shape[1] // 2
-        vs = W[:, :n] + 1j * W[:, n:]
+        # the core hands over one multiplicity at a time, its rows in order
+        m, first, (Z, r, W) = group[0]
+        rows = slice(first, first + len(group))
+        alphas = ca_lift(A, m, Z[rows, 0])
+        X = _rescaled_points(Z[rows, 1:], r[rows])[0]
+        vs = W[rows, :A.n * m] + 1j * W[rows, A.n * m:]
         try:
-            out = _extract(F, alphas, X, vs, degree_cap, extraction_radius,
-                           False)
-        except (ExtractionError, DomainError) as exc:
+            coeffs, errors, method, _, _ = _extract(
+                F, alphas, X, vs, degree_cap, extraction_radius, False)
+        except (ExtractionError, DomainError):
             if len(group) > 1:
                 raise
-            out = [exc]
-        kept = [j for j, sc in enumerate(out)
-                if not isinstance(sc, Exception)]
-        # per kept sample, the largest |c_i| over i = 3..degree_cap and
-        # the first i that reaches it; column 2 holds a zero, so a
-        # sample without such a coefficient reads (0.0, 2)
-        mags = np.zeros((len(kept), degree_cap - 1))
-        if kept:
-            mags[:, 1:] = _magnitudes(np.array([out[j].coeffs[3:]
-                                                for j in kept]))
-        results = [None] * len(out)
-        for j, top, i in zip(kept, mags.max(axis=1).tolist(),
-                             (mags.argmax(axis=1) + 2).tolist()):
-            results[j] = (top, i, (out[j], ms[j], X[j], vs[j]))
-        return results
+            return [None]
+        # per sample, the largest |c_i| over i = 3..degree_cap and the
+        # first i that reaches it; column 2 holds a zero, so a sample
+        # without such a coefficient reads (0.0, 2)
+        mags = np.zeros((len(coeffs), degree_cap - 1))
+        mags[:, 1:] = _magnitudes(coeffs[:, 3:])
+        group_data = (m, X, vs, coeffs, method)
+        return [None if err else (top, i, j, group_data)
+                for j, (err, top, i) in enumerate(zip(
+                    errors, mags.max(axis=1).tolist(),
+                    (mags.argmax(axis=1) + 2).tolist()))]
 
     max_high = 0.0
     skipped = 0
     offender = None
-    for k, result in _sampled(samples, _streams((seed, 7919), draw), stage,
-                              group_by=lambda s: s[0]):
+    for k, result in _sampled(samples, _slice_draws(
+            seed, A.n, F.signature.g_x, epsilon / 2.0, multiplicities),
+            stage, group_by=lambda s: s[0]):
         if result is None:
             skipped += 1
             continue
         # the rules of a walk over i: a strict > keeps the first i and
         # the first sample that reach the maximum
-        top, i, data = result
+        top, i, j, group_data = result
         if top > max_high:
             max_high = top
             if top > coeff_tol:
-                offender = (k, i, data)
+                offender = (k, i, j, group_data)
     if skipped == samples:
         raise ExtractionError(
             f"all {samples} extraction samples failed; the verdict would "
             "be vacuous -- shrink the radius or raise degree_cap")
     witness = None
     if offender is not None:
-        k, i, (sc, m, X, v) = offender
+        k, i, j, (m, X, vs, coeffs, method) = offender
         witness = {
             "sample": k,
             "m": m,
             "i": i,
-            "c_i": [float(sc[i].real), float(sc[i].imag)],
-            "X": [matrix_to_json(x) for x in X],
-            "v": [[float(c.real), float(c.imag)] for c in v],
+            "c_i": [float(coeffs[j, i].real), float(coeffs[j, i].imag)],
+            "X": [matrix_to_json(x) for x in X[j]],
+            "v": [[float(c.real), float(c.imag)] for c in vs[j]],
             "alpha": {"kappa": A.n, "m": m},
-            "method": sc.method,
+            "method": method,
         }
     verdict = (VERDICT_HIGHER_ORDER if witness is not None
                else VERDICT_CONSISTENT)

@@ -933,6 +933,13 @@ def test_non_finite_loewner_matrix_exits_two(tmp_path, monkeypatch, capsys):
         "--samples", "5", "--witness-out", "w.json"], "degree_cap")
       for preset in ("quartic", "square")],
     (["eval", "--expr", "x1", "--x-tuple", "zero0"], "--x-tuple"),
+    # at a cap of 2 no coefficient above degree two is examined, and a
+    # negative --tol reads a zero coefficient as high-order; both used to
+    # exit 0 with CONSISTENT_DEGREE_LE_2
+    (["certify", "--preset", "kraus-halfmass", "--degree-cap", "2",
+      "--samples", "4", "--trials", "4", "--seed", "3"], "degree_cap"),
+    (["certify", "--preset", "square", "--samples", "5", "--trials", "5",
+      "--tol", "-1"], "--tol"),
 ])
 def test_zero_work_arguments_are_usage_errors(argv, flag, tmp_path,
                                               monkeypatch, capsys):

@@ -18,11 +18,12 @@ from ncconvex.errors import (DomainError, ExtractionError,
                              SingularityError)
 from ncconvex.presets import get_preset, random_base_tuple
 from ncconvex.slices import (VERDICT_CONSISTENT, VERDICT_HIGHER_ORDER,
-                             VERDICT_HYPOTHESIS_FAILS, _draw_slice_sample,
-                             _extract, _magnitudes, _unit_vectors,
-                             slice_matrix, slice_scalar)
-from ncconvex.tuples import (ca_element, derived_rng, draw_x_ball,
-                             matrix_from_json, sample_x_ball, tuple_norm)
+                             VERDICT_HYPOTHESIS_FAILS, _extract, _magnitudes,
+                             _slice_draws, _unit_vectors, slice_matrix,
+                             slice_scalar)
+from ncconvex.tuples import (ca_element, derived_rng, derived_rngs,
+                             draw_x_ball, matrix_from_json, sample_x_ball,
+                             tuple_norm)
 
 
 def _fn(expr, sig):
@@ -336,6 +337,32 @@ def test_certify_refuses_a_degree_cap_below_two_before_any_evaluation():
         certify_degree_two(F, _empty_a(2), 0.5, degree_cap=1, trials=5)
 
 
+@pytest.mark.parametrize("kw, message", [
+    ({"degree_cap": 2}, "degree_cap 2 examines no coefficient above degree "
+     "two; certify needs at least 3"),
+    ({"coeff_tol": -1.0}, "coeff_tol must be non-negative, got -1.0"),
+    ({"coeff_tol": float("nan")}, "coeff_tol must be non-negative, got nan"),
+])
+def test_certify_refuses_a_check_that_cannot_flag_before_any_evaluation(
+        kw, message):
+    # a cap of 2 examines no coefficient above degree two, and a negative
+    # tolerance flags a zero one: neither verdict would mean anything
+    def fn(A, X):
+        raise AssertionError("evaluated")
+
+    F = CallableNcFunction(fn, Signature(0, 1))
+    with pytest.raises(ValueError) as info:
+        certify_degree_two(F, _empty_a(2), 0.5, trials=5, **kw)
+    assert str(info.value) == message
+
+
+def test_extraction_still_takes_a_degree_cap_of_two():
+    sc = extract_slice_coefficients(_fn("x1^2", Signature(0, 1)),
+                                    _empty_a(2), _x_point(2, seed=99),
+                                    np.ones(2), degree_cap=2)
+    assert sc.method == "exact" and sc.coeffs.shape == (3,)
+
+
 def _nan_off_hermitian(A, X):
     # X^2 on the convexity stage's Hermitian points, NaN on every
     # complex scaling the slice stage asks for
@@ -426,18 +453,21 @@ def test_stacked_extraction_equals_one_sample_calls(make, kw):
     F = make()
     kw = {"degree_cap": 8, "radius": None, "force_dft": False, **kw}
     alphas, Xs, vs = _samples(F.signature, 2, 2, 12, seed=90, eps=0.9)
-    stacked = _extract(F, _stack(alphas), _stack(Xs), vs, **kw)
+    coeffs, errors, method, radius, residuals = _extract(
+        F, _stack(alphas), _stack(Xs), vs, **kw)
     kinds = set()
-    for A, X, v, got in zip(alphas, Xs, vs, stacked):
+    for A, X, v, got, error, residual in zip(alphas, Xs, vs, coeffs, errors,
+                                             residuals):
         try:
             want = extract_slice_coefficients(F, A, X, v, **kw)
         except (ExtractionError, DomainError) as exc:
             kinds.add("refused")
-            assert type(got) is type(exc) and str(got) == str(exc)
+            assert type(error) is type(exc) and str(error) == str(exc)
             continue
         kinds.add("coefficients")
-        assert np.array_equal(got.coeffs, want.coeffs)
-        assert (got.method, got.radius, got.residual) == (
+        assert error is None
+        assert np.array_equal(got, want.coeffs)
+        assert (method, radius, residual) == (
             want.method, want.radius, want.residual)
     assert kinds == ({"refused"} if "opaque" in F.name else
                      {"refused", "coefficients"} if F.name == "narrow"
@@ -594,23 +624,86 @@ def test_unit_vectors_refuse_a_zero_vector():
 
 @pytest.mark.parametrize("n", [2, 4, 6])
 @pytest.mark.parametrize("g", [0, 1, 2])
-def test_slice_sample_draw_equals_the_separate_draws(g, n):
+def test_slice_sample_draw_equals_the_separate_draws(g, n, monkeypatch):
     # the Haar block, draw_x_ball's parts and radius, and v's real and
     # imaginary parts, each from its own call, as certify drew them; v
-    # is built from the raw normals w as certify's stage builds it
-    merged, separate = derived_rng(70, g, n), derived_rng(70, g, n)
-    haar, (parts, radius), w = _draw_slice_sample(merged, n, g, 0.25)
-    W = w[None]
-    v = (W[:, :n] + 1j * W[:, n:])[0]
+    # is built from the raw normals W as certify's stage builds it
+    merged = []
+
+    def recorded(prefix, ks):
+        merged.extend(derived_rngs(prefix, ks))
+        return merged
+
+    monkeypatch.setattr(slices, "derived_rngs", recorded)
+    separate = derived_rng((70, g, n), 7919, 0)
+    [(m, j, (Z, r, W))] = _slice_draws((70, g, n), n, g, 0.25,
+                                       (1,))(range(1))
+    haar, parts, radius = Z[j, 0], Z[j, 1:], r[j]
+    v = (W[:, :n] + 1j * W[:, n:])[j]
     want_haar = separate.standard_normal((2, n, n))
     [(want_parts, want_radius)] = draw_x_ball(g, n, 0.25, 1, separate)
     want_v = separate.standard_normal(n) + 1j * separate.standard_normal(n)
+    assert (m, j) == (1, 0)
     assert np.array_equal(haar, want_haar)
     assert parts.shape == want_parts.shape == (g, 2, n, n)
     assert np.array_equal(parts, want_parts)
-    assert radius == want_radius and type(radius) is type(want_radius)
+    assert radius == want_radius
     assert np.array_equal(v, want_v)
-    assert merged.bit_generator.state == separate.bit_generator.state
+    assert merged[0].bit_generator.state == separate.bit_generator.state
+
+
+def _old_slice_sample(seed, k, n, g, ball_radius):
+    """Sample k's numbers drawn from derived_rng(seed, 7919, k) one call
+    at a time, in certify's order: the Haar block, draw_x_ball's parts
+    and radius, then v's real and imaginary parts."""
+    rng = derived_rng(seed, 7919, k)
+    haar = rng.standard_normal((2, n, n))
+    [(parts, radius)] = draw_x_ball(g, n, ball_radius, 1, rng)
+    return haar, parts, radius, rng.standard_normal(2 * n)
+
+
+@pytest.mark.parametrize("g", [0, 1, 2])
+@pytest.mark.parametrize("chunk", [7, 64, 256])
+@pytest.mark.parametrize("mults", [(1, 1), (2, 1, 3, 1), (3, 1)])
+def test_slice_draws_fill_each_multiplicitys_stacks_from_its_own_stream(
+        mults, chunk, g, monkeypatch):
+    # every sample's rows equal its own stream's draws in the old order,
+    # and a chunk's samples of one m fill rows 0, 1, ... of one stack set,
+    # which is what certify's stage slices
+    monkeypatch.setattr(convexity, "CHUNK", chunk)
+    count, seed = 2 * chunk + 3, (75, g)
+    draws = _slice_draws(seed, 2, g, 0.25, mults)
+    got = list(convexity._sampled(count, draws, lambda group: group,
+                                  group_by=lambda s: s[0]))
+    assert [k for k, _ in got] == list(range(count))
+    for start in range(0, count, chunk):
+        ks = range(start, min(start + chunk, count))
+        ms = [mults[k % len(mults)] for k in ks]
+        for m in set(ms):
+            rows = [got[k][1] for k, km in zip(ks, ms) if km == m]
+            assert [j for _, j, _ in rows] == list(range(len(rows)))
+            assert all(s is rows[0][2] for _, _, s in rows)
+            assert rows[0][2][0].shape[0] == len(rows)
+    for k, (m, j, (Z, r, W)) in got:
+        assert m == mults[k % len(mults)]
+        haar, parts, radius, w = _old_slice_sample(seed, k, 2 * m, g, 0.25)
+        assert np.array_equal(Z[j, 0], haar)
+        assert np.array_equal(Z[j, 1:], parts)
+        assert r[j] == radius and np.array_equal(W[j], w)
+
+
+@pytest.mark.parametrize("seed, top", [
+    (1, 0.0058530626102239235), (2, 0.006441656976916322),
+    (3, 0.006990473492294699), (4, 0.005867560827294945),
+    (5, 0.005744010656787841)])
+def test_certify_at_a_repeated_multiplicity_keeps_its_coefficients(seed, top):
+    # two list positions of one m share one stack set; the goldens do
+    # not run this list, so these pin the maxima recorded before the
+    # draws were stacked; a drawer keyed by list position moves them
+    rep = certify_degree_two(get_preset("kraus-halfmass").make(),
+                             _empty_a(2), 0.5, samples=60, trials=5,
+                             seed=seed, multiplicities=(1, 1))
+    assert rep.skipped == 0 and rep.max_high_order_coeff == top
 
 
 @pytest.mark.parametrize("preset, A", [
@@ -649,9 +742,8 @@ def test_stacked_replay_keeps_the_first_sample_and_index_at_the_maximum(
     rows[5, 8] = -1.0
 
     def scripted(F, A, X, vs, *args):
-        return [slices.SliceCoefficients(coeffs=c, method="dft", radius=0.1,
-                                         residual=0.0)
-                for c in rows[:len(vs)]]
+        c = len(vs)
+        return rows[:c], [None] * c, "dft", 0.1, [0.0] * c
 
     monkeypatch.setattr(slices, "_extract", scripted)
     rep = certify_degree_two(_fn("x1^2", Signature(0, 1)), _empty_a(2), 0.5,
