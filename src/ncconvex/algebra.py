@@ -365,12 +365,6 @@ class NcPolynomial:
             return -math.inf
         return max(len(w) for w in self._terms)
 
-    @property
-    def x_degree(self):
-        if not self._terms:
-            return -math.inf
-        return max(x_count(w) for w in self._terms)
-
     # -- algebra ----------------------------------------------------------
 
     def _operate(self, other, op):
@@ -504,173 +498,78 @@ class NcPolynomial:
         return cls(sig, terms)
 
 
-class MatrixNcPolynomial:
-    """Rectangular grid of NcPolynomial entries over one Signature."""
-
-    __slots__ = ("signature", "rows", "cols", "entries")
-
-    def __init__(self, entries: Iterable[Iterable[NcPolynomial]]):
-        grid = [list(row) for row in entries]
-        if not grid or not grid[0]:
-            raise ShapeError("matrix polynomial needs at least one entry")
-        cols = len(grid[0])
-        for row in grid:
-            if len(row) != cols:
-                raise ShapeError("ragged matrix polynomial")
-        sig = grid[0][0].signature
-        for row in grid:
-            for p in row:
-                if p.signature != sig:
-                    raise SignatureError("mixed signatures in matrix polynomial")
-        self.signature = sig
-        self.rows = len(grid)
-        self.cols = cols
-        self.entries = grid
-
-    @classmethod
-    def from_scalar(cls, p: NcPolynomial) -> "MatrixNcPolynomial":
-        return cls([[p]])
-
-    @classmethod
-    def zero(cls, signature: Signature, rows: int, cols: int) -> "MatrixNcPolynomial":
-        z = NcPolynomial.zero(signature)
-        return cls([[z for _ in range(cols)] for _ in range(rows)])
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.rows, self.cols)
-
-    def is_scalar(self) -> bool:
-        return self.rows == 1 and self.cols == 1
-
-    def __getitem__(self, ij: tuple[int, int]) -> NcPolynomial:
-        i, j = ij
-        return self.entries[i][j]
-
-    def x_degree(self):
-        degs = [p.x_degree for row in self.entries for p in row]
-        return max(degs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MatrixNcPolynomial):
-            return NotImplemented
-        return (self.shape == other.shape
-                and all(a == b for ra, rb in zip(self.entries, other.entries)
-                        for a, b in zip(ra, rb)))
-
-    def __repr__(self) -> str:
-        body = "; ".join(", ".join(str(p) for p in row) for row in self.entries)
-        return f"MatrixNcPolynomial[{self.rows}x{self.cols}]({body})"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "signature": {"g_a": self.signature.g_a, "g_x": self.signature.g_x},
-            "rows": self.rows,
-            "cols": self.cols,
-            "entries": [[p.to_json_dict()["terms"] for p in row]
-                        for row in self.entries],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "MatrixNcPolynomial":
-        sig = {"g_a": int(data["signature"]["g_a"]),
-               "g_x": int(data["signature"]["g_x"])}
-        grid = []
-        for row in data["entries"]:
-            grid.append([NcPolynomial.from_json_dict(
-                {"signature": sig, "terms": terms}) for terms in row])
-        out = cls(grid)
-        if out.shape != (int(data["rows"]), int(data["cols"])):
-            raise ShapeError("matrix polynomial JSON shape mismatch")
-        return out
-
-
 class NcPowerSeries:
-    """Truncated series F_0 + F_1 + ... + F_d, part i homogeneous of
-    x-degree i.  Parts are matrix polynomials (scalars are 1x1).  The
-    convergence radius is explicit metadata; evaluation enforces it.
+    """Truncated series F_0 + F_1 + ... + F_d, part i an NcPolynomial
+    homogeneous of x-degree i, so the series' value at size n is n x n.
+    The convergence radius is explicit metadata; evaluation enforces it.
+    Equality is identity.
     """
 
     __slots__ = ("signature", "parts", "radius")
 
-    def __init__(self, parts: Iterable, radius: float = 1.0):
-        norm_parts: list[MatrixNcPolynomial] = []
-        for p in parts:
-            if isinstance(p, NcPolynomial):
-                p = MatrixNcPolynomial.from_scalar(p)
-            norm_parts.append(p)
-        if not norm_parts:
+    def __init__(self, parts: Iterable[NcPolynomial], radius: float = 1.0):
+        parts = list(parts)
+        if not parts:
             raise ShapeError("series needs at least one part")
-        sig = norm_parts[0].signature
-        shape = norm_parts[0].shape
-        for i, part in enumerate(norm_parts):
+        sig = parts[0].signature
+        for i, part in enumerate(parts):
             if part.signature != sig:
                 raise SignatureError("mixed signatures in series parts")
-            if part.shape != shape:
-                raise ShapeError("series parts must share one shape")
-            for row in part.entries:
-                for q in row:
-                    for w, _ in q.items():
-                        if x_count(w) != i:
-                            raise ValueError(
-                                f"part {i} contains a word of x-degree {x_count(w)}")
+            for w in part._terms:
+                if x_count(w) != i:
+                    raise ValueError(
+                        f"part {i} contains a word of x-degree {x_count(w)}")
         if radius <= 0:
             raise ValueError("radius must be positive")
         self.signature = sig
-        self.parts = norm_parts
+        self.parts = parts
         self.radius = float(radius)
 
     @classmethod
-    def from_polynomial(cls, p, radius: float = math.inf) -> "NcPowerSeries":
+    def from_polynomial(cls, p: NcPolynomial,
+                        radius: float = math.inf) -> "NcPowerSeries":
         """Split a polynomial into x-homogeneous parts.  Polynomials are
         entire, so the default radius is infinite."""
-        if isinstance(p, NcPolynomial):
-            p = MatrixNcPolynomial.from_scalar(p)
-        d = p.x_degree()
-        d = 0 if d == -math.inf else int(d)
-        split = [[q.x_parts() for q in row] for row in p.entries]
+        split = p.x_parts()
         zero = NcPolynomial.zero(p.signature)
-        return cls([MatrixNcPolynomial([[parts.get(i, zero) for parts in row]
-                                        for row in split])
-                    for i in range(d + 1)], radius=radius)
+        return cls([split.get(i, zero)
+                    for i in range(max(split, default=0) + 1)], radius=radius)
 
     @property
     def order(self) -> int:
         return len(self.parts) - 1
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.parts[0].shape
+    def __getitem__(self, i: int) -> NcPolynomial:
+        return self.parts[i]
 
-    def __getitem__(self, i: int) -> MatrixNcPolynomial:
-        if 0 <= i < len(self.parts):
-            return self.parts[i]
-        return MatrixNcPolynomial.zero(self.signature, *self.shape)
-
-    def __iter__(self) -> Iterator[MatrixNcPolynomial]:
+    def __iter__(self) -> Iterator[NcPolynomial]:
         return iter(self.parts)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NcPowerSeries):
-            return NotImplemented
-        d = max(self.order, other.order)
-        return all(self[i] == other[i] for i in range(d + 1))
-
     def __repr__(self) -> str:
-        return (f"NcPowerSeries(order={self.order}, shape={self.shape}, "
-                f"radius={self.radius})")
+        return f"NcPowerSeries(order={self.order}, radius={self.radius})"
 
     def to_json_dict(self) -> dict:
+        """Each part is written as a 1 x 1 grid of term lists, the file
+        format's one cell."""
+        sig = {"g_a": self.signature.g_a, "g_x": self.signature.g_x}
         return {
-            "signature": {"g_a": self.signature.g_a, "g_x": self.signature.g_x},
+            "signature": sig,
             "radius": self.radius if math.isfinite(self.radius) else "inf",
-            "parts": [part.to_json_dict() for part in self.parts],
+            "parts": [{"signature": sig, "rows": 1, "cols": 1,
+                       "entries": [[part.to_json_dict()["terms"]]]}
+                      for part in self.parts],
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "NcPowerSeries":
         radius = data.get("radius", 1.0)
         radius = math.inf if radius == "inf" else float(radius)
-        parts = [MatrixNcPolynomial.from_json_dict(d) for d in data["parts"]]
+        parts = []
+        for i, d in enumerate(data["parts"]):
+            grid = d["entries"]
+            if (int(d["rows"]), int(d["cols"])) != (1, 1) or [
+                    len(row) for row in grid] != [1]:
+                raise ShapeError(f"series part {i} is not a 1x1 grid")
+            parts.append(NcPolynomial.from_json_dict(
+                {"signature": d["signature"], "terms": grid[0][0]}))
         return cls(parts, radius=radius)
-

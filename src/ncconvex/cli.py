@@ -90,10 +90,11 @@ def _emit(args, payload: dict, code: int) -> int:
     payload = dict(payload)
     payload["schema"] = SCHEMA
     text = _dump(payload)
-    print(text)
+    # the file first, so a write that fails leaves stdout empty
     if getattr(args, "json_out", None):
         with open(args.json_out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
+    print(text)
     return code
 
 
@@ -650,10 +651,12 @@ def main(argv=None) -> int:
     args = _table_args(argv) or build_parser().parse_args(argv)
     try:
         for flag in ("trials", "samples", "size", "matrix-checks",
-                     "sweep-points"):
+                     "sweep-points", "points"):
+            least = 2 if flag == "points" else 1
             value = getattr(args, flag.replace("-", "_"), None)
-            if value is not None and value < 1:
-                raise ValueError(f"--{flag} must be at least 1, got {value}")
+            if value is not None and value < least:
+                raise ValueError(
+                    f"--{flag} must be at least {least}, got {value}")
         for flag in ("sizes", "multiplicities"):
             if hasattr(args, flag):
                 setattr(args, flag,

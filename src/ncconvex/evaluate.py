@@ -1,20 +1,21 @@
 """Evaluate nc polynomials and truncated x-power series on matrix tuples.
 
-Each NcPolynomial compiles once, on first evaluation, into a Horner plan
-over its word trie with equal sub-polynomials merged
+Every value is graded: at a point of size n an nc function is an n x n
+matrix.  Each NcPolynomial compiles once, on first evaluation, into a
+Horner plan over its word trie with equal sub-polynomials merged
 (NcPolynomial.horner_plan); a parsed expression brings that trie from
 its parse, so it evaluates without ever being expanded into words.
 Evaluation runs the plan in a loop, so products group right to left and
-a step's matrix is dropped after its last use.  Matrix polynomials
-assemble their evaluated entries into one block matrix.  The a- and
-x-matrices may share one leading stack axis of points, each point with
-its own A and its own X; the plan then runs once on the whole stack,
-with the same arithmetic per member as a member evaluated alone.
+a step's matrix is dropped after its last use.  The a- and x-matrices
+may share one leading stack axis of points, each point with its own A
+and its own X; the plan then runs once on the whole stack, with the
+same arithmetic per member as a member evaluated alone.
 
 The NcFunction wrappers give testers a uniform evaluator contract:
-F(A, X) -> square complex matrix at one point, F.at_points(A, Xs) -> F
-over a stack of points, plus optional exact x-homogeneous parts when
-the function is an explicit polynomial or series.
+F(A, X) -> n x n complex matrix at a point of size n,
+F.at_points(A, Xs) -> F over a stack of points, plus optional exact
+x-homogeneous parts when the function is an explicit polynomial or
+series.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import (MatrixNcPolynomial, NcPolynomial, NcPowerSeries,
-                      Signature)
+from .algebra import NcPolynomial, NcPowerSeries, Signature
 from .errors import DomainError, NcError, ShapeError, SignatureError
 from .tolerances import AXIOM_TOL
 from .tuples import (HermTuple, _check_unitary, _haar_q, _letters,
@@ -106,24 +106,19 @@ def _run_plan(plan: tuple, mats: list, shape: tuple) -> np.ndarray:
     return out if out.shape == shape else np.broadcast_to(out, shape).copy()
 
 
-def eval_poly(p, A=None, X=None, n: Optional[int] = None) -> np.ndarray:
-    """p(A, X) = sum_w p_w (A,X)^w.
+def eval_poly(p: NcPolynomial, A=None, X=None,
+              n: Optional[int] = None) -> np.ndarray:
+    """p(A, X) = sum_w p_w (A,X)^w, an n x n matrix at a point of size n,
+    from one run of p's Horner plan.
 
     A and X may be HermTuples or plain sequences of square matrices (the
     latter admit non-Hermitian entries, used by the complex-z slices).
     The a- and x-matrices may share one leading stack axis of points; a
     matrix without it serves every point, and the value carries the
-    axis.  For matrix polynomials the result is the (rows*n) x (cols*n)
-    block assembly.
+    axis.
     """
-    if isinstance(p, NcPolynomial):
-        p = MatrixNcPolynomial.from_scalar(p)
     a_mats, x_mats, shape = _resolve_point(p.signature, A, X, n)
-    mats = a_mats + x_mats
-    if p.is_scalar():
-        return _run_plan(p.entries[0][0].horner_plan, mats, shape)
-    return np.block([[_run_plan(q.horner_plan, mats, shape) for q in row]
-                     for row in p.entries])
+    return _run_plan(p.horner_plan, a_mats + x_mats, shape)
 
 
 def eval_series(F: NcPowerSeries, A=None, X=None, n: Optional[int] = None):
@@ -169,16 +164,18 @@ def _read_only(M: np.ndarray) -> np.ndarray:
 class NcFunction:
     """Uniform evaluator contract for the testers.
 
-    __call__(A, X) takes the a-part and x-part (HermTuple or plain
-    matrix sequences sharing one size n) and returns a square matrix
-    whose side is a multiple of n.  x_parts() returns the exact
-    homogeneous decomposition when one is known, else None; the slice
-    extractor falls back to Fourier sampling in that case, which
-    requires the evaluator to be analytic in a complex scale z on the
-    extraction disk (analytic_in_z flag).
+    F is graded: __call__(A, X) takes the a-part and x-part (HermTuple or
+    plain matrix sequences sharing one size n) and returns an n x n
+    matrix.  The testers assume it: the axioms check compares values
+    across direct sums and conjugations, and the slice certificate
+    compresses a value with a unit vector of length n.  x_parts()
+    returns the exact homogeneous decomposition when one is known, else
+    None; the slice extractor falls back to Fourier sampling in that
+    case, which requires the evaluator to be analytic in a complex scale
+    z on the extraction disk (analytic_in_z flag).
 
     at_points(A, Xs) is the one stacked form.  It returns the stack of
-    F(A_j, Xs[j]), shape (c, N, N), for a (c, g_x, n, n) array Xs of
+    F(A_j, Xs[j]), shape (c, n, n), for a (c, g_x, n, n) array Xs of
     x-tuples and A either one a-tuple for every point (A_j = A) or a
     (c, g_a, n, n) array with one per point (A_j = A[j]).  The testers
     pass Hermitian x-tuples; the slice extractor's DFT route passes the
@@ -216,9 +213,7 @@ class NcFunction:
 
 
 class PolynomialNcFunction(NcFunction):
-    def __init__(self, p, name: Optional[str] = None):
-        if isinstance(p, NcPolynomial):
-            p = MatrixNcPolynomial.from_scalar(p)
+    def __init__(self, p: NcPolynomial, name: Optional[str] = None):
         self.poly = p
         self.signature = p.signature
         self.radius = math.inf
@@ -283,7 +278,7 @@ class CallableNcFunction(NcFunction):
 def as_nc_function(F) -> NcFunction:
     if isinstance(F, NcFunction):
         return F
-    if isinstance(F, (NcPolynomial, MatrixNcPolynomial)):
+    if isinstance(F, NcPolynomial):
         return PolynomialNcFunction(F)
     if isinstance(F, NcPowerSeries):
         return SeriesNcFunction(F)

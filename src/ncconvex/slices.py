@@ -118,13 +118,16 @@ def slice_phi(F, A: HermTuple, X: HermTuple, xi: np.ndarray) -> np.ndarray:
 
 def _compress(V: np.ndarray, M: np.ndarray) -> np.ndarray:
     """v_j* M_j v_j for a (c, N) stack of vectors and a (c, ..., N, N)
-    stack of matrices, from one product."""
+    stack of matrices, from one product.  Values near the top of the
+    float range overflow silently; the extractor refuses the rows that
+    are not finite."""
     if M.shape[-1] != V.shape[1]:
         raise ValueError(f"direction vector has length {V.shape[1]}, "
                          f"evaluation is {M.shape[-2:]}")
     lead = (len(V),) + (1,) * (M.ndim - 3)
-    return (V.conj().reshape(lead + (1, -1)) @ M
-            @ V.reshape(lead + (-1, 1)))[..., 0, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (V.conj().reshape(lead + (1, -1)) @ M
+                @ V.reshape(lead + (-1, 1)))[..., 0, 0]
 
 
 def _phi_at(F, A: np.ndarray, X: np.ndarray, V: np.ndarray,
@@ -254,14 +257,17 @@ def _extract(F, A: np.ndarray, X: np.ndarray, vs, degree_cap: int,
     V = _unit_vectors(V)
     phi, errors = _phi_at(F, A, X, V, (nodes, check))
     samples, actual = phi[:, :d + 1], phi[:, d + 1:]
-    # c_i r^i = (1/n) sum_j phi_j e^{-2 pi i ij/n}; numpy's fft carries
-    # the e^{-} kernel, so fft/n is the inverting transform here
-    coeffs = np.fft.fft(samples) / (d + 1) / r ** np.arange(d + 1)
-    powers = check[:, None] ** np.arange(d + 1)[None, :]
-    # one matrix-vector product per sample, as one sample gets alone; a
-    # (c, d+1) @ (d+1, d+1) product rounds differently
-    predicted = (powers @ coeffs[..., None])[..., 0]
-    residuals = np.max(np.abs(predicted - actual), axis=-1).tolist()
+    # finite values near the top of the float range overflow here; the
+    # finiteness and residual checks below refuse those samples
+    with np.errstate(over="ignore", invalid="ignore"):
+        # c_i r^i = (1/n) sum_j phi_j e^{-2 pi i ij/n}; numpy's fft
+        # carries the e^{-} kernel, so fft/n is the inverting transform
+        coeffs = np.fft.fft(samples) / (d + 1) / r ** np.arange(d + 1)
+        powers = check[:, None] ** np.arange(d + 1)[None, :]
+        # one matrix-vector product per sample, as one sample gets
+        # alone; a (c, d+1) @ (d+1, d+1) product rounds differently
+        predicted = (powers @ coeffs[..., None])[..., 0]
+        residuals = np.max(np.abs(predicted - actual), axis=-1).tolist()
     # a NaN residual fails the comparison and is refused too
     for j, (ok, res) in enumerate(zip(_finite_rows(coeffs), residuals)):
         if errors[j] is None and not ok:

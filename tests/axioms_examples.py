@@ -81,7 +81,6 @@ def _library_runs() -> list:
     import numpy as np
 
     import ncconvex as nc
-    from ncconvex.algebra import MatrixNcPolynomial
 
     def poly(expr, sig):
         return nc.PolynomialNcFunction(
@@ -102,9 +101,6 @@ def _library_runs() -> list:
             return M @ M
         return nc.CallableNcFunction(fn, nc.Signature(0, 1))
 
-    p = nc.parse_polynomial("x1", nc.Signature(0, 1))
-    q = nc.parse_polynomial("x1^2", nc.Signature(0, 1))
-    block = nc.PolynomialNcFunction(MatrixNcPolynomial([[p, q], [q, p]]))
     check = nc.check_nc_function_axioms
     return [
         ("trace seed 3", lambda: check(trace_evaluator(), samples=40,
@@ -131,8 +127,6 @@ def _library_runs() -> list:
                                                   samples=40, seed=47)),
         ("callable refuses size 3", lambda: check(refuse_size(3),
                                                   samples=40, seed=48)),
-        ("block matrix polynomial", lambda: check(block, samples=10,
-                                                  seed=49)),
     ]
 
 

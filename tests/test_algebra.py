@@ -1,5 +1,6 @@
 """Free-algebra arithmetic: canonical term maps, grading, involution."""
 
+import json
 import math
 import operator
 
@@ -7,9 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ncconvex.algebra as algebra
-from ncconvex import NcPolynomial, Signature, parse_polynomial
-from ncconvex.algebra import (MatrixNcPolynomial, word_from_str, word_to_str,
-                              x_count)
+from ncconvex import NcPolynomial, NcPowerSeries, Signature, parse_polynomial
+from ncconvex.algebra import word_from_str, word_to_str, x_count
 from ncconvex.errors import (NcError, ResourceLimitError, ShapeError,
                              SignatureError)
 
@@ -229,19 +229,45 @@ def test_json_round_trip():
     assert q == p
 
 
-# -- matrix polynomials --------------------------------------------------------
+# -- power series ------------------------------------------------------------
 
 
-def test_matrix_poly_shapes_and_star():
-    x1, x2 = (_x(SIG, i) for i in (1, 2))
-    M = MatrixNcPolynomial([[x1, x2], [x2.involute(), x1 * x1]])
-    assert M.shape == (2, 2)
-    assert all(M[(i, j)] == M[(j, i)].involute()
-               for i in range(2) for j in range(2))
+def _cell(*terms):
+    """A series part as the file format writes it: a 1x1 grid."""
+    return {"signature": {"g_a": 1, "g_x": 1}, "rows": 1, "cols": 1,
+            "entries": [[[{"word": w, "re": re, "im": im}
+                          for w, re, im in terms]]]}
 
 
-def test_matrix_poly_ragged_rejected():
-    x1 = _x(SIG, 1)
-    with pytest.raises(ShapeError):
-        MatrixNcPolynomial([[x1, x1], [x1]])
+SERIES_JSON = {
+    "signature": {"g_a": 1, "g_x": 1},
+    "radius": "inf",
+    "parts": [_cell(("a1", 3.0, 0.0)),
+              _cell(),
+              _cell(("x1 x1", 1.0, 0.0), ("x1 a1 x1", 0.0, -0.5))],
+}
 
+
+def test_series_descriptor_bytes_are_pinned():
+    # output and witness files carry this descriptor; its bytes must not
+    # drift, zero parts and key order included
+    p = parse_polynomial("3*a1 - 0.5i*x1*a1*x1 + x1^2", Signature(1, 1))
+    series = NcPowerSeries.from_polynomial(p)
+    assert json.dumps(series.to_json_dict()) == json.dumps(SERIES_JSON)
+    assert [str(q) for q in series] == ["3*a1", "0", "x1^2 - 0.5i*x1*a1*x1"]
+    back = NcPowerSeries.from_json_dict(SERIES_JSON)
+    assert json.dumps(back.to_json_dict()) == json.dumps(SERIES_JSON)
+    with pytest.raises(IndexError):
+        series[3]
+
+
+@pytest.mark.parametrize("rows, cols, entries", [
+    (2, 2, [[[], []], [[], []]]),
+    (1, 1, [[[], []]]),
+    (1, 2, [[[], []]]),
+], ids=["2x2", "declared-1x1", "1x2"])
+def test_a_series_part_that_is_not_one_cell_is_refused(rows, cols, entries):
+    data = json.loads(json.dumps(SERIES_JSON))
+    data["parts"][1].update(rows=rows, cols=cols, entries=entries)
+    with pytest.raises(ShapeError, match="series part 1 is not a 1x1 grid"):
+        NcPowerSeries.from_json_dict(data)

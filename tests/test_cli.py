@@ -503,6 +503,17 @@ def test_json_out_matches_stdout(run, tmp_path):
     assert json.loads(out.read_text()) == json.loads(r.stdout)
 
 
+def test_a_json_out_that_cannot_be_written_leaves_stdout_empty(run,
+                                                               tmp_path):
+    # the file is written before stdout, so a run that exits 2 on the
+    # write prints no result
+    r = run(["eval", "--expr", "x1", "--x-tuple", "identity1",
+             "--json-out", str(tmp_path / "missing" / "x.json")])
+    assert r.returncode == 2 and r.stdout == ""
+    assert _one_error_line(r.stderr).startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_same_seed_byte_identical(run):
     args = ["convexity", "--preset", "mixed-ax", "--size", "2",
             "--trials", "40", "--seed", "11"]
@@ -940,6 +951,7 @@ def test_non_finite_loewner_matrix_exits_two(tmp_path, monkeypatch, capsys):
       "--samples", "4", "--trials", "4", "--seed", "3"], "degree_cap"),
     (["certify", "--preset", "square", "--samples", "5", "--trials", "5",
       "--tol", "-1"], "--tol"),
+    (["monotone", "--preset", "square", "--points", "1"], "--points"),
 ])
 def test_zero_work_arguments_are_usage_errors(argv, flag, tmp_path,
                                               monkeypatch, capsys):
@@ -1104,6 +1116,29 @@ def test_series_file_runs_like_its_expression(expr, sig, run, tmp_path):
         verdicts = [(r.returncode, json.loads(r.stdout).get("pass"),
                      json.loads(r.stdout).get("verdict")) for r in runs]
         assert verdicts[0] == verdicts[1], argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--x-tuple", "identity2"],
+    ["convexity", "--trials", "5"],
+    ["axioms", "--samples", "5"],
+    ["certify", "--trials", "5", "--samples", "5"],
+], ids=lambda a: a[0])
+def test_a_series_part_that_is_not_one_polynomial_is_a_usage_error(
+        argv, tmp_path):
+    # F's value at size n is n x n, so a part is one polynomial, written
+    # as a 1x1 grid; every command refuses another grid before any work
+    series = NcPowerSeries.from_polynomial(
+        parse_polynomial("x1^2", Signature(0, 1))).to_json_dict()
+    terms = series["parts"][2]["entries"][0][0]
+    series["parts"][2].update(rows=2, cols=2,
+                              entries=[[terms, []], [[], terms]])
+    (tmp_path / "f.json").write_text(json.dumps(series))
+    r = run_cli([*argv, "--series-file", "f.json"], tmp_path)
+    assert r.returncode == 2 and r.stdout == ""
+    assert _one_error_line(r.stderr) == \
+        "error: series part 2 is not a 1x1 grid"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.json"]
 
 
 def test_tol_overrides_the_verdict(run, tmp_path):

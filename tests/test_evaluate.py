@@ -11,7 +11,6 @@ from ncconvex import (CallableNcFunction, HermTuple, NcPolynomial,
                       Signature, certify_degree_two, check_nc_function_axioms,
                       eval_poly, parse_polynomial)
 from ncconvex import test_convexity_at_A as convexity_at_A
-from ncconvex.algebra import MatrixNcPolynomial
 from ncconvex.errors import DomainError, ShapeError, SignatureError
 from ncconvex.evaluate import eval_series
 from ncconvex.presets import get_preset, random_base_tuple
@@ -161,9 +160,6 @@ def _mixed_ax():
 
 RAW = {
     "polynomial": (_mixed_ax, PolynomialNcFunction),
-    "matrix polynomial": (
-        lambda: MatrixNcPolynomial.from_scalar(_mixed_ax()),
-        PolynomialNcFunction),
     "series": (lambda: NcPowerSeries.from_polynomial(_mixed_ax()),
                SeriesNcFunction),
 }
@@ -290,22 +286,6 @@ def test_merging_fires_only_on_equal_sub_polynomials():
                                x1 @ x2 @ x1 + x2 @ x1, rtol=0, atol=1e-12)
 
 
-def test_plan_matches_reference_for_matrix_polynomial():
-    sig = Signature(1, 2)
-    rng = np.random.default_rng(9)
-    grid = [[_random_poly(sig, rng, 12, 4) for _ in range(3)]
-            for _ in range(2)]
-    P = MatrixNcPolynomial(grid)
-    a_mats = _unit_norm_mats(1, 4, rng)
-    x_mats = _unit_norm_mats(2, 4, rng)
-    got = eval_poly(P, HermTuple(a_mats, kind="a", n=4),
-                    HermTuple(x_mats, kind="x", n=4))
-    want = np.block([[_reference(q, a_mats, x_mats, 4) for q in row]
-                     for row in grid])
-    assert got.shape == (8, 12)
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-
-
 def test_plan_matches_reference_on_non_hermitian_matrices():
     # the complex-z slices evaluate at plain, non-Hermitian matrices
     sig = Signature(1, 2)
@@ -362,13 +342,6 @@ def test_unmerged_plan_keeps_memory_bounded():
 # -- stacked evaluation --------------------------------------------------------
 
 
-def _matrix_2x2():
-    sig = Signature(1, 2)
-    x1, x2, a1 = (parse_polynomial(e, sig) for e in ("x1", "x2", "a1"))
-    return MatrixNcPolynomial([[x1 * x2 + x2 * x1, a1 * x1 + 2],
-                               [x1 * a1 + 2, x2 * a1 * x2 - 3 * a1]])
-
-
 def _series():
     sig = Signature(1, 1)
     return NcPowerSeries([parse_polynomial(e, sig) for e in
@@ -381,7 +354,6 @@ STACKED = {
         parse_polynomial("a1 + x1^2 + 2", Signature(1, 1))),
     "a-only": lambda: PolynomialNcFunction(
         parse_polynomial("a1^2 + 2*a1 - 1", Signature(1, 1))),
-    "2x2 matrix polynomial": lambda: PolynomialNcFunction(_matrix_2x2()),
     "series": lambda: SeriesNcFunction(_series()),
     "kraus lift": lambda: get_preset("kraus-halfmass").make(),
     "callable": lambda: CallableNcFunction(

@@ -411,6 +411,19 @@ def test_exact_coefficients_past_the_float_range_are_refused():
                                    _empty_a(1), big, np.array([1.0]))
 
 
+@pytest.mark.parametrize("c3", [1e308 * (1 + 1j), 1.5e308 * (1 + 1j)],
+                         ids=["fft-overflow", "matmul-invalid"])
+def test_dft_coefficients_past_the_float_range_are_refused(c3):
+    # finite slice values whose transform (fft) or compression (matmul)
+    # overflows are refused, with no numpy warning to raise first under
+    # -W error
+    F = CallableNcFunction(lambda A, X: [[c3 * complex(X[0][0, 0]) ** 3]],
+                           Signature(0, 1), analytic_in_z=True)
+    with pytest.raises(ExtractionError, match="not finite"):
+        extract_slice_coefficients(F, _empty_a(1), HermTuple([[[1.0]]]),
+                                   [1.0], degree_cap=8, radius=1.0)
+
+
 # -- certify's stacked samples ------------------------------------------------
 
 
