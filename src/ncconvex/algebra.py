@@ -572,4 +572,10 @@ class NcPowerSeries:
                 raise ShapeError(f"series part {i} is not a 1x1 grid")
             parts.append(NcPolynomial.from_json_dict(
                 {"signature": d["signature"], "terms": grid[0][0]}))
-        return cls(parts, radius=radius)
+        series = cls(parts, radius=radius)
+        sig = data.get("signature", series.signature._asdict())
+        sig = (int(sig["g_a"]), int(sig["g_x"]))
+        if sig != series.signature:
+            raise SignatureError(f"series signature {sig} differs from its "
+                                 f"parts' {tuple(series.signature)}")
+        return series

@@ -64,9 +64,9 @@ import numpy as np
 from .errors import DomainError, NcError
 from .evaluate import _per_group, as_nc_function, hermitian_deviation
 from .tolerances import EVAL_HERMITIAN_TOL, PSD_TOL, WITNESS_TOL
-from .tuples import (HermTuple, ca_element, derived_rng, derived_rngs,
-                     draw_x_ball, hermitian_stack, stack_norms,
-                     tuple_from_json, tuple_to_json, x_ball_points)
+from .tuples import (HermTuple, _hermitian_from, ca_element, derived_rng,
+                     derived_rngs, draw_x_ball, stack_norms, tuple_from_json,
+                     tuple_to_json, x_ball_points)
 
 # trials per stacked chunk: large enough that per-call overhead is
 # shared (a 200-sample certify runs one stack per multiplicity), small
@@ -113,7 +113,7 @@ def _hermitian_eigs(D: np.ndarray) -> list:
     (c, N, N) stack, from one eigvalsh; None where the part is not
     finite, since NaN compares false against every threshold and would
     otherwise pass."""
-    H = (D + D.conj().swapaxes(-1, -2)) / 2
+    H = _hermitian_from(D)
     finite = np.isfinite(H).all(axis=(-2, -1))
     out = [None] * len(H)
     if finite.any():
@@ -225,12 +225,19 @@ def _falsify(runs: list, defects, witness_of, test: str,
                   trial_min_eigs=trial_eigs)
 
 
-def _mix(X: np.ndarray, Y: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """X.scale(t) + Y.scale(1 - t) on (c, g, n, n) stacks, with the
-    ingest HermTuple runs after each scale and after the sum."""
-    t = t[:, None, None, None]
-    return hermitian_stack(hermitian_stack(t * X)
-                           + hermitian_stack((1.0 - t) * Y))
+def _midpoints(X: np.ndarray, Y: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The points [X; Y; tX + (1-t)Y] of c midpoint trials as one (3c, ...)
+    stack, for (c, ...) stacks X and Y and their (c,) mixing parameters."""
+    t = t.reshape((-1,) + (1,) * (X.ndim - 1))
+    return np.concatenate([X, Y, t * X + (1.0 - t) * Y])
+
+
+def _midpoint_defects(V: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The c midpoint defects t V_X + (1-t) V_Y - V_M from the (3c, N, N)
+    values V at a _midpoints stack."""
+    c = len(t)
+    t = t[:, None, None]
+    return t * V[:c] + (1.0 - t) * V[c:2 * c] - V[2 * c:]
 
 
 def _defects(F, A, X: np.ndarray, Y: np.ndarray, t: np.ndarray) -> tuple:
@@ -238,11 +245,9 @@ def _defects(F, A, X: np.ndarray, Y: np.ndarray, t: np.ndarray) -> tuple:
     deviation of F(A,X) and F(A,Y)) for stacks of points, from one
     F.at_points call over the X, Y and mixed points."""
     c = len(t)
-    vals = F.at_points(A, np.concatenate([X, Y, _mix(X, Y, t)]))
-    FX, FY, FM = vals[:c], vals[c:2 * c], vals[2 * c:]
-    dev = np.maximum(hermitian_deviation(FX), hermitian_deviation(FY))
-    t = t[:, None, None]
-    return t * FX + (1.0 - t) * FY - FM, dev
+    vals = F.at_points(A, _midpoints(X, Y, t))
+    dev = hermitian_deviation(vals[:2 * c]).reshape(2, c).max(axis=0)
+    return _midpoint_defects(vals, t), dev
 
 
 def _one_point(T: HermTuple) -> np.ndarray:
@@ -261,15 +266,14 @@ def _shrink_witness(F, A, X, Y, t, start_eig):
     and Y of shape (g, n, n).  Step j spreads s = 2^-(j+1); a chunk of
     _SHRINK_STEP steps runs as one stack on _sampled and the replay stops
     at the first step that no longer violates, so F runs at most
-    _SHRINK_STEP - 1 steps past it.  Every scale and sum is followed by
-    the ingest HermTuple arithmetic runs."""
-    P = _mix(X[None], Y[None], np.array([t]))
-    D = hermitian_stack(X - Y)
+    _SHRINK_STEP - 1 steps past it."""
+    P = _midpoints(X[None], Y[None], np.array([t]))[2:]
+    D = X - Y
 
     def stage(js):
         s = np.ldexp(1.0, -1 - np.array(js))[:, None, None, None]
-        Xs = hermitian_stack(P + hermitian_stack(s * (1.0 - t) * D))
-        Ys = hermitian_stack(P - hermitian_stack(s * t * D))
+        Xs = P + s * (1.0 - t) * D
+        Ys = P - s * t * D
         defect, _ = _defects(F, A, Xs, Ys, np.full(len(js), t))
         return zip(Xs, Ys, _hermitian_eigs(defect))
 

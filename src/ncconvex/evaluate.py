@@ -29,8 +29,8 @@ import numpy as np
 from .algebra import NcPolynomial, NcPowerSeries, Signature
 from .errors import DomainError, NcError, ShapeError, SignatureError
 from .tolerances import AXIOM_TOL
-from .tuples import (HermTuple, _check_unitary, _haar_q, _letters,
-                     _rescaled_points, as_rng, block_diag, hermitian_stack,
+from .tuples import (HermTuple, _check_unitary, _haar_q, _hermitian_from,
+                     _letters, _rescaled_points, as_rng, block_diag,
                      stack_norms, tuple_to_json)
 
 
@@ -353,8 +353,7 @@ def _axioms_points(chunk: list) -> list:
     their drawn norms, the Haar unitary, the direct sums A1 (+) A2 and
     X1 (+) X2, and the conjugates U*A1U and U*X1U.  Each kind of array
     is built by stacked calls, once per matrix size (per pair of sizes
-    for the direct sums), each followed by the ingest a HermTuple
-    runs."""
+    for the direct sums); the conjugates are symmetrized."""
     ks, n1s, n2s, raws, gins = zip(*chunk)
     P = [[None] * 9 for _ in chunk]
     slots = [(j, s) for j in range(len(chunk)) for s in range(4)]
@@ -373,14 +372,14 @@ def _axioms_points(chunk: list) -> list:
         U = _haar_q(np.array([gins[j] for j in idx]))
         _check_unitary(U, n, stacked=True)
         Uh = U.conj().swapaxes(-1, -2)[:, None]
-        AC, XC = (hermitian_stack(Uh @ np.array([P[j][s] for j in idx])
+        AC, XC = (_hermitian_from(Uh @ np.array([P[j][s] for j in idx])
                                   @ U[:, None]) for s in (0, 1))
         for j, *row in zip(idx, U, AC, XC):
             P[j][4], P[j][7], P[j][8] = row
     for idx in _groups(zip(n1s, n2s)).values():
-        AJ, XJ = (hermitian_stack(block_diag(
-            np.array([P[j][s] for j in idx]),
-            np.array([P[j][s + 2] for j in idx]))) for s in (0, 1))
+        AJ, XJ = (block_diag(np.array([P[j][s] for j in idx]),
+                             np.array([P[j][s + 2] for j in idx]))
+                  for s in (0, 1))
         for j, aj, xj in zip(idx, AJ, XJ):
             P[j][5], P[j][6] = aj, xj
     return P

@@ -18,8 +18,8 @@ difference matrices with f' on the diagonal must be PSD.  Both testers
 run on the sampling core of convexity.py, which compares min
 eigenvalues against -PSD_TOL and requires the stricter -WITNESS_TOL
 band before a counterexample is reported, and both hand it whole
-chunks: one stacked eigh per matrix family, one (c, k, k) stack of
-Loewner matrices.  _values evaluates f on a chunk's eigenvalues or
+chunks: one stacked eigh over the _midpoints stack, one (c, k, k)
+stack of Loewner matrices.  _values evaluates f on a chunk's eigenvalues or
 points.  A ScalarFn the package builds from plain arithmetic (a
 Horner polynomial, a Kraus sum) runs once on the whole array, with
 the same operations in the same order, so every value keeps the bits
@@ -36,7 +36,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .convexity import Report, _defect_eigs, _falsify, _witness_t
+from .convexity import (Report, _defect_eigs, _falsify, _midpoint_defects,
+                        _midpoints, _witness_t)
 from .errors import DomainError, ShapeError, SingularityError
 from .tolerances import KRAUS_POLE_TOL, ONEVAR_INGEST_TOL
 from .tuples import (draw_spectral, matrix_from_json, matrix_to_json,
@@ -44,6 +45,7 @@ from .tuples import (draw_spectral, matrix_from_json, matrix_to_json,
 
 _FD_STEP = 1e-6
 _TAYLOR_ZONE = 1e-3
+_MASS_TOL = 1e-12
 
 
 def _richardson(step_fn: Callable[[float], float], h: float) -> float:
@@ -121,14 +123,14 @@ class DiscreteMeasure:
     def total_mass(self) -> float:
         return sum(w for _, w in self.atoms)
 
-    def check_kraus(self, tol: float = 1e-12) -> None:
+    def check_kraus(self) -> None:
         """Kraus use requires atoms in [-1, 1] and a probability measure."""
         for l, _ in self.atoms:
             if not -1.0 <= l <= 1.0:
                 raise ValueError(f"atom {l} outside [-1, 1]")
-        if not abs(self.total_mass - 1.0) <= tol:
-            raise ValueError(
-                f"weights sum to {self.total_mass!r}, want 1 within {tol}")
+        if not abs(self.total_mass - 1.0) <= _MASS_TOL:
+            raise ValueError(f"weights sum to {self.total_mass!r}, want 1 "
+                             f"within {_MASS_TOL}")
 
     def to_json_dict(self) -> dict:
         return {"atoms": [[l, w] for l, w in self.atoms]}
@@ -138,12 +140,12 @@ class DiscreteMeasure:
         return cls(tuple((p[0], p[1]) for p in data["atoms"]))
 
 
-def _ingest_hermitian(B, stacked: int = 0) -> np.ndarray:
-    """(B + B*)/2 of a square matrix, or of each member of a stack with
-    `stacked` leading axes; a member further than ONEVAR_INGEST_TOL from
-    its adjoint is refused."""
+def _ingest_hermitian(B) -> np.ndarray:
+    """(B + B*)/2 of a square matrix, or of each member of a (..., n, n)
+    stack; a member further than ONEVAR_INGEST_TOL from its adjoint is
+    refused."""
     B = np.asarray(B, dtype=complex)
-    if B.ndim != 2 + stacked or B.shape[-1] != B.shape[-2]:
+    if B.ndim < 2 or B.shape[-1] != B.shape[-2]:
         raise ShapeError(f"matrix argument has shape {B.shape}")
     Bh = B.conj().swapaxes(-1, -2)
     dev = np.max(np.abs(B - Bh), axis=(-2, -1))
@@ -166,16 +168,14 @@ def _values(f: ScalarFn, P: np.ndarray) -> np.ndarray:
                     dtype=float).reshape(P.shape)
 
 
-def _spectral_apply(f: ScalarFn, B: np.ndarray, active=None) -> tuple:
-    """f(B) = V diag(f(lambda)) V* for each member of an ingested (c, n, n)
-    stack, from one eigh.  Returns (values, eigenvalues, ok): ok marks
-    the members of `active` whose spectrum lies inside f's domain, and
-    f runs on those members' eigenvalues only."""
+def _spectral_apply(f: ScalarFn, B: np.ndarray) -> tuple:
+    """f(B) = V diag(f(lambda)) V* for each member of a Hermitian
+    (c, n, n) stack, from one eigh.  Returns (values, eigenvalues, ok):
+    ok marks the members whose spectrum lies inside f's domain, and f
+    runs on those members' eigenvalues only."""
     lam, V = np.linalg.eigh(B)
     lo, hi = f.domain
     ok = ((lo < lam) & (lam < hi)).all(axis=-1)
-    if active is not None:
-        ok &= active
     fvals = np.zeros(lam.shape)
     fvals[ok] = _values(f, lam[ok])
     return (V * fvals[..., None, :]) @ V.conj().swapaxes(-1, -2), lam, ok
@@ -185,8 +185,7 @@ def matrix_apply(f: ScalarFn, B) -> np.ndarray:
     """Spectral calculus: f(B) = V diag(f(lambda)) V*, for a Hermitian
     (n, n) matrix or a (..., n, n) stack of them.  The first member with
     an eigenvalue outside f's domain raises, as it would alone."""
-    B = np.asarray(B, dtype=complex)
-    B = _ingest_hermitian(B, max(B.ndim - 2, 0))
+    B = _ingest_hermitian(B)
     values, lam, ok = _spectral_apply(f, B.reshape((-1,) + B.shape[-2:]))
     bad = np.flatnonzero(~ok)
     if bad.size:
@@ -203,8 +202,7 @@ def kraus_eval(f0: float, f1: float, f2: float, mu: DiscreteMeasure,
     Hermitian (n, n) matrix or a (..., n, n) stack of them.  The first
     member whose spectrum leaves (-1, 1) or comes near a pole raises, as
     it would alone, and a singular solve raises SingularityError."""
-    B = np.asarray(B, dtype=complex)
-    B = _ingest_hermitian(B, max(B.ndim - 2, 0))
+    B = _ingest_hermitian(B)
     mu.check_kraus()
     lam = np.linalg.eigvalsh(B)
     if lam.size:
@@ -413,14 +411,11 @@ def verify_monotone_witness(f: ScalarFn, witness: dict) -> float:
 
 def _defects_1var(f: ScalarFn, A: np.ndarray, B: np.ndarray,
                   t: np.ndarray) -> tuple:
-    """(t f(A) + (1-t) f(B) - f(tA + (1-t)B), ok) for (c, n, n) stacks;
-    ok marks the members whose three spectra lie inside f's domain."""
-    t = t[:, None, None]
-    FA, _, ok = _spectral_apply(f, _ingest_hermitian(A, True))
-    FB, _, ok = _spectral_apply(f, _ingest_hermitian(B, True), ok)
-    FM, _, ok = _spectral_apply(
-        f, _ingest_hermitian(t * A + (1.0 - t) * B, True), ok)
-    return t * FA + (1.0 - t) * FB - FM, ok
+    """(t f(A) + (1-t) f(B) - f(tA + (1-t)B), ok) for Hermitian (c, n, n)
+    stacks, from one _spectral_apply over the _midpoints stack; ok marks
+    the members whose three spectra lie inside f's domain."""
+    V, _, ok = _spectral_apply(f, _midpoints(A, B, t))
+    return _midpoint_defects(V, t), ok.reshape(3, -1).all(axis=0)
 
 
 def convexity_test_1var(f: ScalarFn, interval: Optional[tuple] = None,

@@ -29,7 +29,7 @@ from .evaluate import NcFunction, PolynomialNcFunction
 from .onevar import (DiscreteMeasure, ScalarFn, _kraus_resolvent,
                      kraus_scalar_fn)
 from .parsing import parse_polynomial
-from .tuples import HermTuple, random_hermitian, tuple_norm, as_rng
+from .tuples import HermTuple, _rescaled_points, as_rng
 
 
 class KrausLiftFunction(NcFunction):
@@ -157,14 +157,12 @@ def get_preset(name: str) -> Preset:
             f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}")
 
 
-def random_base_tuple(g: int, kappa: int, seed, norm: float = 0.9,
-                      kind: str = "a") -> HermTuple:
-    """Random Hermitian g-tuple of size kappa scaled to the given tuple
-    norm; with norm < 1 every entry has spectrum inside (-1, 1)."""
-    rng = as_rng(seed)
-    if g == 0:
-        return HermTuple([], kind=kind, n=kappa)
-    T = HermTuple([random_hermitian(kappa, rng) for _ in range(g)],
-                  kind=kind, n=kappa)
-    tn = tuple_norm(T)
-    return T.scale(norm / tn) if tn > 0 else T
+def random_base_tuple(g: int, kappa: int, seed,
+                      norm: float = 0.9) -> HermTuple:
+    """Random Hermitian a-tuple of g entries of size kappa at the given
+    tuple norm, _rescaled_points of one (1, g, 2, kappa, kappa) Ginibre
+    block; with norm < 1 every entry has spectrum inside (-1, 1)."""
+    Z = as_rng(seed).standard_normal((1, g, 2, kappa, kappa))
+    T = _rescaled_points(Z, np.array([norm]))[0][0]
+    T.flags.writeable = False
+    return HermTuple._trusted(T, "a", kappa)

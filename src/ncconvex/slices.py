@@ -66,8 +66,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .convexity import (Report, _falsify, _one_point, _sampled,
-                        test_convexity_at_CA)
+from .convexity import (Report, _falsify, _midpoint_defects, _midpoints,
+                        _one_point, _sampled, test_convexity_at_CA)
 from .errors import DomainError, ExtractionError
 from .evaluate import as_nc_function, eval_poly
 from .tolerances import COEFF_ZERO_TOL, EXTRACTION_RESIDUAL_TOL
@@ -327,12 +327,9 @@ def test_slice_convexity_transfer(F, A: HermTuple, X: HermTuple, v,
         T1, T2 = (spectral_lift(np.array([lam for lam, _ in Ts]),
                                 np.array([parts for _, parts in Ts]))
                   for Ts in (T1s, T2s))
-        t = np.array(ts)[:, None, None]
-        c = len(ts)
-        P = slice_matrix(F, A, X, v,
-                         np.concatenate([T1, T2, t * T1 + (1.0 - t) * T2]))
-        return (t * P[:c] + (1.0 - t) * P[c:2 * c] - P[2 * c:],
-                list(zip(T1, T2, ts)))
+        t = np.array(ts)
+        P = slice_matrix(F, A, X, v, _midpoints(T1, T2, t))
+        return _midpoint_defects(P, t), list(zip(T1, T2, ts))
 
     def witness_of(data, eigs):
         T1, T2, t = data

@@ -34,7 +34,7 @@ UNITARY_TOL = 1e-10
 CA_UNITARY_TOL = 1e-12
 
 # Hermiticity gate on the matrix arguments of the one-variable calculus
-# (matrix_apply, kraus_eval and the one-variable testers).
+# (matrix_apply and kraus_eval).
 ONEVAR_INGEST_TOL = 1e-10
 
 # Slice-coefficient extraction: interpolation residual above this is an

@@ -211,11 +211,11 @@ class HermTuple:
 
     @classmethod
     def _trusted(cls, matrices, kind: str, n: int) -> "HermTuple":
-        """A tuple over matrices that have already passed ingest (for
-        instance the rows of hermitian_stack's output); no check, no
-        copy.  On the slice extractor's DFT route the matrices are the
-        complex multiples z X of ingested ones, and such tuples reach
-        only evaluators declared analytic_in_z."""
+        """A tuple over matrices that are Hermitian already (for
+        instance the rows of hermitian_stack's or _rescaled_points'
+        output); no check, no copy.  On the slice extractor's DFT route
+        the matrices are the complex multiples z X of Hermitian ones,
+        and such tuples reach only evaluators declared analytic_in_z."""
         T = object.__new__(cls)
         T.entries = tuple(matrices)
         T.n = n
@@ -347,13 +347,15 @@ def haar_unitary(n: int, rng) -> np.ndarray:
     return _haar_q(as_rng(rng).standard_normal((2, n, n)))
 
 
-def _hermitian_from(g: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    return scale * (g + g.conj().swapaxes(-1, -2)) / 2
+def _hermitian_from(M: np.ndarray) -> np.ndarray:
+    """(M + M*)/2 of a matrix or of each member of a (..., n, n) stack,
+    unchecked; it is Hermitian exactly, so ingest returns it unchanged."""
+    return (M + M.conj().swapaxes(-1, -2)) / 2
 
 
 def random_hermitian(n: int, rng, scale: float = 1.0) -> np.ndarray:
-    return _hermitian_from(_complex(as_rng(rng).standard_normal((2, n, n))),
-                           scale)
+    return scale * _hermitian_from(
+        _complex(as_rng(rng).standard_normal((2, n, n))))
 
 
 def draw_spectral(rng, n: int, lo: float, hi: float) -> tuple:
@@ -366,16 +368,12 @@ def draw_spectral(rng, n: int, lo: float, hi: float) -> tuple:
 
 
 def spectral_lift(lam: np.ndarray, parts: np.ndarray) -> np.ndarray:
-    """U* diag(lam) U, symmetrized, for stacks lam (..., n) and parts
-    (..., 2, n, n) of draw_spectral output.  The product stays the
-    matmul by diag(lam) that one matrix always got, so no kernel can
-    round a stack member differently."""
+    """The Hermitian part of (U* lam) U, the columns of U* scaled by the
+    eigenvalues, for stacks lam (..., n) and parts (..., 2, n, n) of
+    draw_spectral output."""
     u = _haar_q(parts)
-    diag = np.zeros(lam.shape + lam.shape[-1:])
-    idx = np.arange(lam.shape[-1])
-    diag[..., idx, idx] = lam
-    m = u.conj().swapaxes(-1, -2) @ diag @ u
-    return (m + m.conj().swapaxes(-1, -2)) / 2
+    return _hermitian_from((u.conj().swapaxes(-1, -2) * lam[..., None, :])
+                           @ u)
 
 
 def hermitian_stack(M: np.ndarray) -> np.ndarray:
@@ -419,22 +417,22 @@ def _letters(T: np.ndarray) -> list:
 
 def x_ball_points(draws) -> np.ndarray:
     """Stacked x-tuples (c, g, n, n) from draw_x_ball samples: Hermitian
-    parts, ingested and rescaled to tuple norm r, ingested again."""
+    parts rescaled to tuple norm r."""
     return _rescaled_points(np.array([z for z, _ in draws]),
                            np.array([r for _, r in draws]))[0]
 
 
 def _rescaled_points(Z: np.ndarray, r: np.ndarray) -> tuple:
     """(X, zero) for a (c, g, 2, n, n) stack Z of raw Ginibre parts and
-    c radii r: X holds the Hermitian parts, ingested, rescaled to tuple
-    norm r and ingested again, and zero marks the tuples of g > 0
-    entries whose norm is not positive; those stay unscaled."""
-    H = hermitian_stack(_hermitian_from(_complex(Z)))
+    c radii r: X holds the Hermitian parts rescaled to tuple norm r, and
+    zero marks the tuples of g > 0 entries whose norm is not positive;
+    those stay unscaled."""
+    H = _hermitian_from(_complex(Z))
     if not Z.shape[1]:
         return H, np.zeros(len(H), dtype=bool)
     nx = stack_norms(_letters(H))
     pos = nx > 0
-    X = hermitian_stack((r / np.where(pos, nx, 1.0))[:, None, None, None] * H)
+    X = (r / np.where(pos, nx, 1.0))[:, None, None, None] * H
     if not pos.all():
         X[~pos] = H[~pos]
     return X, ~pos

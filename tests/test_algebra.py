@@ -271,3 +271,14 @@ def test_a_series_part_that_is_not_one_cell_is_refused(rows, cols, entries):
     data["parts"][1].update(rows=rows, cols=cols, entries=entries)
     with pytest.raises(ShapeError, match="series part 1 is not a 1x1 grid"):
         NcPowerSeries.from_json_dict(data)
+
+
+def test_a_series_signature_unlike_its_parts_is_refused():
+    data = json.loads(json.dumps(SERIES_JSON))
+    data["signature"] = {"g_a": 3, "g_x": 7}
+    with pytest.raises(SignatureError, match=r"series signature \(3, 7\) "
+                       r"differs from its parts' \(1, 1\)"):
+        NcPowerSeries.from_json_dict(data)
+    # a file without the key reads as before
+    del data["signature"]
+    assert NcPowerSeries.from_json_dict(data).signature == Signature(1, 1)

@@ -1141,6 +1141,21 @@ def test_a_series_part_that_is_not_one_polynomial_is_a_usage_error(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["f.json"]
 
 
+def test_a_series_signature_unlike_its_parts_is_a_usage_error(tmp_path):
+    # the file's own signature was ignored, and eval exited 0 with the
+    # parts' signature
+    series = NcPowerSeries.from_polynomial(
+        parse_polynomial("1 + 2*x1", Signature(0, 1))).to_json_dict()
+    series["signature"] = {"g_a": 3, "g_x": 7}
+    (tmp_path / "s.json").write_text(json.dumps(series))
+    r = run_cli(["eval", "--series-file", "s.json", "--x-tuple",
+                 "identity2"], tmp_path)
+    assert r.returncode == 2 and r.stdout == ""
+    assert _one_error_line(r.stderr) == (
+        "error: series signature (3, 7) differs from its parts' (0, 1)")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
+
+
 def test_tol_overrides_the_verdict(run, tmp_path):
     argv = ["convexity", "--preset", "quartic", "--size", "2", "--trials",
             "40", "--seed", "7"]

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ncconvex.convexity as convexity
 from ncconvex import (CallableNcFunction, DomainError, HermTuple, NcError,
@@ -16,11 +17,12 @@ from ncconvex import (CallableNcFunction, DomainError, HermTuple, NcError,
 from ncconvex import test_convexity_at_A as convexity_at_A
 from ncconvex import test_convexity_at_CA as convexity_at_CA
 from ncconvex import test_slice_convexity_transfer as slice_transfer
-from ncconvex.convexity import CHUNK, _falsify
+from ncconvex.convexity import CHUNK, _falsify, _midpoints
 from ncconvex.presets import get_preset, random_base_tuple
 from ncconvex.tolerances import WITNESS_TOL
-from ncconvex.tuples import (ca_element, derived_rng, hermitian_stack,
-                             sample_x_ball, tuple_to_json)
+from ncconvex.tuples import (_rescaled_points, block_diag, ca_element,
+                             derived_rng, hermitian_stack, sample_x_ball,
+                             spectral_lift, tuple_to_json)
 
 
 def _fn(expr, sig):
@@ -471,10 +473,21 @@ def test_ca_shrinks_once_on_the_worst_level(monkeypatch):
     assert rep.witness["alpha"] == {"kappa": 2, "m": ms[worst]}
 
 
+def _ingested_mix(X, Y, t):
+    """tX + (1-t)Y on (c, g, n, n) stacks with the ingest of HermTuple
+    after each scale and after the sum, as the shrink once computed its
+    mixing point; the package's shrink must get the same bits without
+    those ingests."""
+    t = t[:, None, None, None]
+    return hermitian_stack(hermitian_stack(t * X)
+                           + hermitian_stack((1.0 - t) * Y))
+
+
 def _sequential_shrink(F, A, X, Y, t, start_eig):
     """The witness shrink as one evaluation and eigensolve per halving,
-    stopping at the first step that no longer violates -WITNESS_TOL."""
-    P = convexity._mix(X[None], Y[None], np.array([t]))
+    stopping at the first step that no longer violates -WITNESS_TOL,
+    with every scale and sum ingested."""
+    P = _ingested_mix(X[None], Y[None], np.array([t]))
     D = hermitian_stack(X[None] - Y[None])
     s = 1.0
     best = (X, Y, start_eig)
@@ -550,7 +563,7 @@ def test_shrink_keeps_its_witness_when_f_raises_past_the_stop():
                               eig)
     stop = len(calls) // 3 - 1          # X, Y and the mix per step
     assert stop < 7
-    P = convexity._mix(X[None], Y[None], np.array([t]))
+    P = _ingested_mix(X[None], Y[None], np.array([t]))
     D = hermitian_stack(X[None] - Y[None])
     past = [hermitian_stack(P + hermitian_stack(
         2.0 ** -(j + 1) * (1.0 - t) * D))[0, 0] for j in range(stop + 1, 8)]
@@ -565,6 +578,39 @@ def test_shrink_keeps_its_witness_when_f_raises_past_the_stop():
     got = convexity._shrink_witness(CallableNcFunction(refusing, sig), T, X,
                                     Y, t, eig)
     assert refused and _bits(got) == _bits(want)
+
+
+class _Recorder:
+    """An F that keeps every stack of points it is evaluated at and
+    returns zeros there, so a shrink stops after its first stack."""
+
+    def __init__(self):
+        self.seen = []
+
+    def at_points(self, A, Xs):
+        self.seen.append(Xs)
+        return np.zeros(Xs.shape[:1] + Xs.shape[-2:], dtype=complex)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(0, 3),
+       st.integers(1, 4), st.sampled_from([0.0, 0.5, None]))
+@settings(max_examples=60, deadline=None)
+def test_stacks_the_package_builds_pass_ingest_unchanged(seed, c, g, n, t0):
+    # the testers, the shrink and the axioms check feed these stacks on
+    # without the ingest of HermTuple, which must return them bit for bit
+    rng = derived_rng(seed)
+    P, _ = _rescaled_points(rng.standard_normal((2 * c, g, 2, n, n)),
+                            rng.uniform(0.0, 2.0, 2 * c))
+    X, Y = P[:c], P[c:]
+    S = spectral_lift(rng.uniform(-2.0, 2.0, (2 * c, n)),
+                      rng.standard_normal((2 * c, 2, n, n)))
+    t = rng.random(c) if t0 is None else np.full(c, t0)
+    F = _Recorder()
+    convexity._shrink_witness(F, None, X[0], Y[0], float(t[0]), -1.0)
+    stacks = [P, S, _midpoints(X, Y, t), _midpoints(S[:c], S[c:], t),
+              block_diag(X, Y), *F.seen]
+    for M in stacks:
+        assert hermitian_stack(M).tobytes() == M.tobytes()
 
 
 def _ca_reference(F, A, epsilon, ms, trials, seed):

@@ -218,6 +218,8 @@ SURVIVORS = {
     "NcPolynomial.involute": "the algebra's involution: test_algebra "
     "checks that it reverses the operators' products, and test_evaluate "
     "that evaluation is a *-homomorphism",
+    "random_hermitian": "one Gaussian Hermitian matrix; the reference "
+    "tests build tuples from it one entry at a time",
 }
 
 
@@ -231,6 +233,8 @@ TRACER_ONLY = {
     "tuples.haar_unitary": "one Haar unitary; also the point-by-point "
     "reference that tests/test_axioms_golden.py checks the stacked "
     "axioms check against",
+    "tuples.tuple_norm": "the norm of one tuple; the package takes "
+    "stack_norms of whole stacks",
 }
 
 
@@ -250,6 +254,57 @@ def test_tracer_only_definitions_are_named():
     assert {f.split(" ")[0] for f in found} == set(TRACER_ONLY)
     assert {name.split(".")[1] for name in TRACER_ONLY} <= {
         qual for _, qual in _layer_roots()}
+
+
+# the Hermiticity checks on arrays that enter the package, and the
+# functions that may run them: a stack the package builds itself is
+# Hermitian exactly, so checking it again is waste
+INGESTS = ("hermitian_stack", "_ingest_hermitian")
+INGEST_SITES = ["onevar.kraus_eval", "onevar.matrix_apply",
+                "tuples.HermTuple.__init__", "tuples.ca_lift"]
+
+
+def ingest_sites(paths) -> list:
+    """`module.scope` of every place the modules name an ingest other
+    than its own definition, one entry per mention, sorted; the scope
+    is the chain of enclosing classes and functions."""
+    found = []
+
+    def visit(node, path, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            scope = scope + (node.name,)
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute) else None)
+        if name in INGESTS:
+            found.append(".".join((path.stem,) + scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, scope)
+
+    for path in paths:
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, ())
+    return sorted(found)
+
+
+def test_checker_finds_every_ingest_site(tmp_path):
+    a = tmp_path / "a.py"
+    a.write_text("from .tuples import hermitian_stack\n"
+                 "from . import onevar\n\n\n"
+                 "def hermitian_stack_of(M):\n    return M\n\n\n"
+                 "class T:\n    def __init__(self, M):\n"
+                 "        self.M = hermitian_stack(M)\n\n\n"
+                 "def f(Ms):\n"
+                 "    def g(M):\n"
+                 "        return onevar._ingest_hermitian(M)\n"
+                 "    return list(map(hermitian_stack, Ms)), g\n")
+    # imports and definitions are no mentions; a bare reference is one
+    assert ingest_sites([a]) == ["a.T.__init__", "a.f", "a.f.g"]
+
+
+def test_only_the_boundary_ingests():
+    # HermTuple's constructor, C_A's lift (its product is checked) and
+    # the one-variable calculus on its caller's matrices
+    assert ingest_sites(PACKAGE_FILES) == INGEST_SITES
 
 
 def test_every_traced_layer_resolves():
