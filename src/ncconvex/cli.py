@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .algebra import NcPowerSeries
-from .convexity import (_sampled, test_convexity_at_CA,
+from .convexity import (_sampled, _violates, test_convexity_at_CA,
                         verify_convexity_witness)
 from .errors import NcError, ShapeError
 from .evaluate import (NcFunction, PolynomialNcFunction, SeriesNcFunction,
@@ -33,7 +33,7 @@ from .parsing import (_parse_signature_field, infer_signature,
 from .presets import (KrausLiftFunction, get_preset, random_base_tuple,
                       scalar_from_polynomial)
 from .slices import certify_degree_two
-from .tolerances import AXIOM_TOL, COEFF_ZERO_TOL, WITNESS_TOL
+from .tolerances import AXIOM_TOL, COEFF_ZERO_TOL
 from .tuples import (HermTuple, derived_rng, draw_spectral, identity_tuple,
                      matrix_to_json, spectral_lift, tuple_from_json,
                      zero_tuple)
@@ -290,19 +290,11 @@ def _function_at_base(args, default_epsilon: float) -> tuple:
     return F, desc, epsilon, A
 
 
-def _passed(args, report) -> bool:
-    """The report's verdict, or its min_eig against --tol if given."""
-    if args.tol is None:
-        return report.passed
-    return (report.min_eig >= -args.tol
-            and report.extra.get("hermitian_ok", True))
-
-
 def _conclude(args, payload: dict, passed: bool, kind: str,
               witness: Optional[dict]) -> int:
-    """Exit 0 on a pass; otherwise write the witness, if there is one,
-    as a file of the given kind and exit 1."""
-    if not passed and witness is not None:
+    """Write the witness, if there is one, as a file of the given kind;
+    exit 0 on a pass, else 1.  A run that passes has no witness."""
+    if witness is not None:
         path = getattr(args, "witness_out", None) or "witness.json"
         # serialized before the file opens, so a refused payload leaves
         # no empty witness behind
@@ -316,13 +308,12 @@ def _conclude(args, payload: dict, passed: bool, kind: str,
 
 def _conclude_report(args, command: str, desc: dict, report,
                      **fields) -> int:
-    """A falsifier's run: its payload of the command's fields, the
-    report's and the verdict under --tol, concluded with the report's
+    """A falsifier's run: its payload of the command's fields and the
+    report's, concluded with the report's verdict and witness, the
     witness as a file of the command's kind."""
-    passed = _passed(args, report)
     payload = {"command": command, "function": desc, "seed": args.seed,
-               **fields, **report.to_json_dict(), "pass": passed}
-    return _conclude(args, payload, passed, command, report.witness)
+               **fields, **report.to_json_dict()}
+    return _conclude(args, payload, report.passed, command, report.witness)
 
 
 # witness kind -> (the subcommand that re-checks it, the loader of its
@@ -356,7 +347,7 @@ def _verify(args) -> int:
         raise ValueError(f"{kind} witness file lacks {exc}") from exc
     except (TypeError, IndexError, AttributeError, ShapeError) as exc:
         raise ValueError(f"{kind} witness file is malformed: {exc}") from exc
-    violates = eig < -WITNESS_TOL
+    violates = _violates(eig)
     return _emit(args, {"command": f"{command}-verify", "min_eig": eig,
                         "violates": violates}, 0 if violates else 1)
 
@@ -459,24 +450,22 @@ def _cmd_kraus(args) -> int:
 
     report = convexity_test_1var(fn, interval, size=args.size,
                                  trials=args.trials, seed=args.seed)
-    passed = _passed(args, report)
     payload = {
         "command": "kraus", "function": desc, "seed": args.seed,
         "interval": list(interval),
         "sweep": {"points": [float(t) for t in ts], "values": values},
         "cross_check_max_dev": cross_dev,
         "convexity": report.to_json_dict(),
-        "pass": passed,
+        "pass": report.passed,
     }
     if args.csv_out:
         _write_csv(args.csv_out, "t,f", list(zip(payload["sweep"]["points"],
                                                  values)))
-    return _conclude(args, payload, passed, "convexity1", report.witness)
+    return _conclude(args, payload, report.passed, "convexity1",
+                     report.witness)
 
 
 def _cmd_certify(args) -> int:
-    if args.tol is not None and args.tol < 0:
-        raise ValueError(f"--tol must be non-negative, got {args.tol}")
     F, desc, epsilon, A = _function_at_base(args, 0.5)
     report = certify_degree_two(
         F, A, epsilon, samples=args.samples, trials=args.trials,
@@ -537,7 +526,7 @@ _FLAGS = {
 }
 
 _FN = "expr signature preset"
-_COMMON = "seed json-out tol"
+_COMMON = "seed json-out"
 _BASE = {"a-tuple": {"help": "base tuple JSON (default: random)"},
          "size": {"default": None, "help": "base size kappa"}}
 
@@ -545,7 +534,7 @@ _BASE = {"a-tuple": {"help": "base tuple JSON (default: random)"},
 # by which its flags differ from _FLAGS)
 _SUBCOMMANDS = {
     "eval": ("evaluate a function at a tuple", _cmd_eval,
-             f"{_FN} series-file a-tuple x-tuple {_COMMON}", {}),
+             f"{_FN} series-file a-tuple x-tuple json-out", {}),
     "convexity": (
         "matrix convexity over C_A levels", _cmd_convexity,
         f"{_FN} series-file a-tuple size epsilon trials multiplicities "
@@ -572,11 +561,11 @@ _SUBCOMMANDS = {
     "certify": (
         "x-degree <= 2 certificate", _cmd_certify,
         f"{_FN} series-file a-tuple size epsilon trials samples degree-cap "
-        f"multiplicities witness-out {_COMMON}",
+        f"multiplicities witness-out {_COMMON} tol",
         {**_BASE, "trials": {"help": "convexity subtest trials"},
          "samples": {"default": 50, "help": "slice extraction samples"}}),
     "axioms": ("direct-sum / unitary axiom check", _cmd_axioms,
-               f"{_FN} series-file samples sizes {_COMMON}", {}),
+               f"{_FN} series-file samples sizes {_COMMON} tol", {}),
 }
 
 
@@ -670,6 +659,9 @@ def main(argv=None) -> int:
         if epsilon is not None and not 0 < epsilon < math.inf:
             raise ValueError(f"--epsilon must be a positive finite number, "
                              f"got {epsilon}")
+        tol = getattr(args, "tol", None)
+        if tol is not None and tol < 0:
+            raise ValueError(f"--tol must be non-negative, got {tol}")
         # overflow and NaN reach each path's own finiteness check, which
         # exits 2 with one line; numpy's warnings would print before it
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

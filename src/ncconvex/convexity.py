@@ -131,6 +131,12 @@ def _defect_eigs(D: np.ndarray, where: str) -> np.ndarray:
     return eigs
 
 
+def _violates(eig: float) -> bool:
+    """Whether a defect eigenvalue is a counterexample: the one witness
+    cut, for the testers, the shrink and the verifiers."""
+    return eig < -WITNESS_TOL
+
+
 def _streams(key: tuple, draw):
     """_sampled's draws when sample k is draw(derived_rng(*key, k), k),
     a chunk's generators built by one derived_rngs pass."""
@@ -197,8 +203,9 @@ def _falsify(runs: list, defects, witness_of, test: str,
 
     The run passes when the smallest defect eigenvalue is >= -PSD_TOL.
     The replay keeps the worst trial's (data, eigs); after it,
-    witness_of runs once on them if the minimum is below -WITNESS_TOL,
-    so a minimum between the two bands fails without a witness.
+    witness_of runs once on them if the minimum _violates, so a run
+    with a witness never passes and a minimum between the two bands
+    fails without one.
     """
     for _, trials, _ in runs:
         if trials < 1:
@@ -219,7 +226,7 @@ def _falsify(runs: list, defects, witness_of, test: str,
             trial_eigs.append(eig)
             if eig < min_eig:
                 min_eig, worst = eig, (data, eigs)
-    witness = witness_of(*worst) if min_eig < -WITNESS_TOL else None
+    witness = witness_of(*worst) if _violates(min_eig) else None
     return Report(test=test, passed=min_eig >= -PSD_TOL, min_eig=min_eig,
                   trials=len(trial_eigs), witness=witness,
                   trial_min_eigs=trial_eigs)
@@ -262,8 +269,8 @@ def _defect_min_eig(F, A, X: np.ndarray, Y: np.ndarray, t: float) -> float:
 
 def _shrink_witness(F, A, X, Y, t, start_eig):
     """(X', Y', eig) with the spread around the mixing point halved for
-    as long as the defect still violates -WITNESS_TOL, for the points X
-    and Y of shape (g, n, n).  Step j spreads s = 2^-(j+1); a chunk of
+    as long as the defect still _violates, for the points X and Y of
+    shape (g, n, n).  Step j spreads s = 2^-(j+1); a chunk of
     _SHRINK_STEP steps runs as one stack on _sampled and the replay stops
     at the first step that no longer violates, so F runs at most
     _SHRINK_STEP - 1 steps past it."""
@@ -282,7 +289,7 @@ def _shrink_witness(F, A, X, Y, t, start_eig):
     for _, (Xs, Ys, eigs) in _sampled(40, iter, stage, step=_SHRINK_STEP):
         if eigs is None:
             raise NcError("witness: the defect matrix is not finite")
-        if not eigs[0] < -WITNESS_TOL:
+        if not _violates(eigs[0]):
             break
         best = (Xs, Ys, float(eigs[0]))
     return best

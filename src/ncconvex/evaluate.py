@@ -29,9 +29,9 @@ import numpy as np
 from .algebra import NcPolynomial, NcPowerSeries, Signature
 from .errors import DomainError, NcError, ShapeError, SignatureError
 from .tolerances import AXIOM_TOL
-from .tuples import (HermTuple, _check_unitary, _haar_q, _hermitian_from,
-                     _letters, _rescaled_points, as_rng, block_diag,
-                     stack_norms, tuple_to_json)
+from .tuples import (HermTuple, _haar_q, _hermitian_from, _letters,
+                     _rescaled_points, as_rng, block_diag, stack_norms,
+                     tuple_to_json)
 
 
 def _as_matrices(T) -> list:
@@ -368,9 +368,8 @@ def _axioms_points(chunk: list) -> list:
                           f"the drawn {'ax'[kind]}-tuple has norm 0")
         for (j, s), t in zip(group, T):
             P[j][s] = t
-    for n, idx in _groups(n1s).items():
+    for idx in _groups(n1s).values():
         U = _haar_q(np.array([gins[j] for j in idx]))
-        _check_unitary(U, n, stacked=True)
         Uh = U.conj().swapaxes(-1, -2)[:, None]
         AC, XC = (_hermitian_from(Uh @ np.array([P[j][s] for j in idx])
                                   @ U[:, None]) for s in (0, 1))
@@ -431,7 +430,8 @@ def check_nc_function_axioms(F, sizes=(1, 2, 3, 4), samples: int = 100,
     size).  Failures are report content, not exceptions; the first
     offending sample is kept as a self-contained counterexample.  A
     deviation that is not finite raises NcError naming its sample,
-    since NaN compares false against tol and would pass.
+    since NaN compares false against tol and would pass; a tol that is
+    negative or NaN raises ValueError before any sample.
 
     The check runs on the sampling loop of convexity.py (_sampled), but
     keeps one stream, as_rng(seed), for all its samples, taken in sample
@@ -452,6 +452,8 @@ def check_nc_function_axioms(F, sizes=(1, 2, 3, 4), samples: int = 100,
     if sizes.ndim != 1 or not sizes.size or not (sizes >= 1).all():
         raise ValueError(f"sizes must list matrix sizes of at least 1, "
                          f"got {sizes.tolist()}")
+    if not tol >= 0:                                    # NaN too
+        raise ValueError(f"tol must be non-negative, got {tol}")
     sig = F.signature
     rng = as_rng(seed)
 

@@ -11,7 +11,8 @@ mint a fake counterexample.
 PSD_TOL = 1e-8
 
 # A defect eigenvalue must drop below -WITNESS_TOL before the sample is
-# reported as a genuine counterexample.
+# reported as a genuine counterexample; convexity._violates is the one
+# comparison with it.
 WITNESS_TOL = 1e-6
 
 # Hermiticity gate on tuple ingest; inputs farther than this from their
@@ -28,10 +29,6 @@ COEFF_DROP_TOL = 1e-14
 
 # Unitarity gate for conjugation inputs.
 UNITARY_TOL = 1e-10
-
-# Unitarity gate for the conjugators of C_A elements, checked in
-# ca_lift; tighter than UNITARY_TOL, since these come from a QR factor.
-CA_UNITARY_TOL = 1e-12
 
 # Hermiticity gate on the matrix arguments of the one-variable calculus
 # (matrix_apply and kraus_eval).

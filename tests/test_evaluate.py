@@ -154,6 +154,19 @@ def test_axioms_report_json_shape():
     assert "samples" in d and "tol" in d
 
 
+@pytest.mark.parametrize("tol", [-1.0, float("nan")])
+def test_axioms_refuse_a_negative_or_nan_tol_before_any_evaluation(tol):
+    # -1 failed x1^2 at a deviation of 1.7e-16, and NaN failed it with
+    # no counterexample
+    def fn(A, X):
+        raise AssertionError("evaluated")
+
+    F = CallableNcFunction(fn, Signature(0, 1))
+    with pytest.raises(ValueError) as info:
+        check_nc_function_axioms(F, samples=3, tol=tol)
+    assert str(info.value) == f"tol must be non-negative, got {tol}"
+
+
 def _mixed_ax():
     return parse_polynomial("a1*x1*a1 + x1*a1*x1 + x1^2", Signature(1, 1))
 

@@ -7,7 +7,8 @@ from pathlib import Path
 
 from ncconvex import convexity
 
-from falsify_examples import CLI_EXAMPLES, _library_runs, run_cli, run_library
+from falsify_examples import (CLI_EXAMPLES, WITNESS, _library_runs, run_cli,
+                              run_library)
 
 GOLDEN = json.loads((Path(__file__).parent / "data"
                      / "falsify_golden.json").read_text())
@@ -19,6 +20,29 @@ def test_cli_runs_are_byte_identical(tmp_path, monkeypatch, dump_spy):
     for rec in GOLDEN["cli"]:
         assert run_cli(rec["argv"]) == rec, rec["argv"]
     assert len(dump_spy) >= len(GOLDEN["cli"])
+
+
+def test_a_witness_comes_exactly_with_a_falsified_run():
+    # read from the recorded runs: a run that passes prints no witness
+    # and writes no file, and every falsified run wrote the witness it
+    # prints (kraus prints its report under "convexity")
+    for rec in GOLDEN["cli"]:
+        if "--verify-witness" in rec["argv"] or rec["exit"] == 2:
+            continue
+        doc = json.loads(rec["stdout"])
+        report = doc.get("convexity", doc)
+        if rec["exit"] == 0:
+            assert not {"witness", "witness_file"} & (set(doc) | set(report))
+            assert WITNESS not in rec["files"], rec["argv"]
+            continue
+        assert rec["exit"] == 1 and doc["pass"] is False, rec["argv"]
+        if "--witness-out" in rec["argv"]:
+            assert doc["witness_file"] == WITNESS
+            written = json.loads(rec["files"][WITNESS])
+            assert written["witness"] == report["witness"], rec["argv"]
+        else:                       # the default file, which is not kept
+            assert doc["witness_file"] == "witness.json", rec["argv"]
+            assert "witness" in report
 
 
 def test_library_reports_are_byte_identical():

@@ -7,7 +7,11 @@ annotations and quoted forward references such as `-> "HermTuple"`.
 """
 
 import ast
+import contextlib
+import functools
 import importlib
+import inspect
+import io
 import os
 import re
 import subprocess
@@ -17,6 +21,7 @@ from pathlib import Path
 import pytest
 
 import ncconvex
+from readme_examples import EXAMPLES as README_EXAMPLES, run_example
 
 PACKAGE = Path(ncconvex.__file__).resolve().parent
 PACKAGE_FILES = sorted(PACKAGE.glob("*.py"))
@@ -235,6 +240,8 @@ TRACER_ONLY = {
     "axioms check against",
     "tuples.tuple_norm": "the norm of one tuple; the package takes "
     "stack_norms of whole stacks",
+    "tuples.HermTuple.scale": "a tuple times a real number; "
+    "random_base_tuple rescales whole stacks instead",
 }
 
 
@@ -247,13 +254,122 @@ def test_package_has_no_unreferenced_definitions():
 
 
 def test_tracer_only_definitions_are_named():
-    # without the tracer's roots the check flags exactly TRACER_ONLY, so
-    # no new definition lives on the tracer alone unnoticed
+    # without the tracer's roots the check flags exactly TRACER_ONLY's
+    # functions, so no new definition lives on the tracer alone
+    # unnoticed; its methods are the runtime gate's below
     roots = set(ncconvex.__all__) | set(SURVIVORS)
     found = unreferenced_definitions(PACKAGE_FILES, roots)
-    assert {f.split(" ")[0] for f in found} == set(TRACER_ONLY)
-    assert {name.split(".")[1] for name in TRACER_ONLY} <= {
+    assert {f.split(" ")[0] for f in found} == {
+        name for name in TRACER_ONLY if name.count(".") == 1}
+    assert {name.split(".", 1)[1] for name in TRACER_ONLY} <= {
         qual for _, qual in _layer_roots()}
+
+
+# methods that no README run calls: library users reach them, or
+# command lines the README does not show
+LIBRARY_ONLY = {
+    **dict.fromkeys(
+        [f"NcPolynomial.{m}" for m in (
+            "__add__", "__radd__", "__sub__", "__rsub__", "__neg__",
+            "__mul__", "__rmul__", "__pow__", "_operate", "scale",
+            "__eq__", "__hash__")],
+        "polynomial arithmetic and equality for library users; an "
+        "expression compiles straight to its trie"),
+    **dict.fromkeys(
+        [f"{cls}.__repr__" for cls in (
+            "CallableNcFunction", "HermTuple", "KrausLiftFunction",
+            "NcPolynomial", "NcPowerSeries", "PolynomialNcFunction",
+            "ScalarFn", "SeriesNcFunction")] + ["NcPolynomial.__str__"],
+        "how a value prints in a session or a failing test"),
+    **dict.fromkeys(
+        ["HermTuple.__getitem__", "HermTuple.__len__",
+         "NcPowerSeries.__iter__", "SliceCoefficients.__getitem__"],
+        "container access for library users; the package reads the "
+        "arrays directly"),
+    **dict.fromkeys(
+        ["CallableNcFunction.__init__", "CallableNcFunction.__call__",
+         "NcFunction.__call__", "NcFunction.at_points"],
+        "the black-box evaluator contract and its per-point defaults; "
+        "every function the command line builds overrides them"),
+    **dict.fromkeys(
+        ["NcPolynomial.to_json_dict", "NcPolynomial.from_json_dict",
+         "NcPowerSeries.to_json_dict", "NcPowerSeries.from_json_dict",
+         "SeriesNcFunction.__init__", "SeriesNcFunction.__call__",
+         "SeriesNcFunction.x_parts"],
+        "the --series-file path, which no README command line takes"),
+    **dict.fromkeys(
+        ["Signature.check_letter", "Signature.check_word",
+         "ParseError.__init__"],
+        "refusals of bad input: a term map handed to NcPolynomial, an "
+        "expression that does not parse"),
+    "HermTuple.conjugate": "the point-by-point reference that "
+    "tests/test_axioms_golden.py checks the stacked axioms conjugates "
+    "against",
+}
+
+
+def package_methods():
+    """(class, name, attribute) of every function defined in a package
+    class body, dunders, properties and class and static methods
+    included.  The methods that dataclass and NamedTuple generate are
+    compiled from strings or live in the standard library, not in the
+    package's files, and are left out."""
+    for path in PACKAGE_FILES:
+        if path.stem in ("__init__", "__main__"):   # no classes; runs main
+            continue
+        mod = importlib.import_module(f"ncconvex.{path.stem}")
+        for cls in vars(mod).values():
+            if not (isinstance(cls, type) and cls.__module__ == mod.__name__):
+                continue
+            for name, attr in vars(cls).items():
+                fn = (attr.fget if isinstance(attr, property)
+                      else getattr(attr, "__func__", attr))
+                if (inspect.isfunction(fn) and Path(
+                        fn.__code__.co_filename).resolve().parent == PACKAGE):
+                    yield cls, name, attr
+
+
+def _probed(attr, key: str, called: set):
+    """attr with its functions wrapped to add key to called when run."""
+    def probe(fn):
+        @functools.wraps(fn)
+        def run(*args, **kwargs):
+            called.add(key)
+            return fn(*args, **kwargs)
+        return run
+
+    if isinstance(attr, property):                  # none has a setter
+        return property(probe(attr.fget), doc=attr.__doc__)
+    if isinstance(attr, (staticmethod, classmethod)):
+        return type(attr)(probe(attr.__func__))
+    return probe(attr)
+
+
+def test_every_method_a_readme_run_skips_is_named(tmp_path, monkeypatch):
+    # the static check above cannot see a method whose name another
+    # class shares (TrieAlgebra.scale, complex.conjugate) or a dunder;
+    # this one runs the README's library quick start and command lines
+    # with every package method probed, and the methods they never call
+    # are exactly the named ones
+    called, probed = set(), set()
+    for cls, name, attr in list(package_methods()):
+        key = f"{cls.__name__}.{name}"
+        probed.add(key)
+        monkeypatch.setattr(cls, name, _probed(attr, key, called))
+    assert "Signature.check_letter" in probed
+    assert {"Report.__init__", "Signature.__new__"}.isdisjoint(probed)
+    monkeypatch.chdir(tmp_path)
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    with contextlib.redirect_stdout(io.StringIO()):
+        exec(block, {})
+        for argv in README_EXAMPLES:
+            run_example(argv)
+    named = ({name for name in SURVIVORS if "." in name}
+             | {name.split(".", 1)[1] for name in TRACER_ONLY
+                if name.count(".") == 2}
+             | set(LIBRARY_ONLY))
+    assert probed - called == named
 
 
 # the Hermiticity checks on arrays that enter the package, and the
