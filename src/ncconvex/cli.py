@@ -332,7 +332,8 @@ _VERIFIERS = {
 
 
 def _verify(args) -> int:
-    """Re-check a witness file; exit 0 iff it still violates."""
+    """Re-check a witness file; exit 0 iff it still violates.  Function
+    flags on the command line must name the file's function."""
     data = _load_json(args.verify_witness)
     kind = data.get("kind") if isinstance(data, dict) else None
     if kind not in _VERIFIERS:
@@ -341,8 +342,20 @@ def _verify(args) -> int:
     if command != args.command:
         raise ValueError(f"a {kind} witness is re-checked by "
                          f"'{command} --verify-witness', not '{args.command}'")
+    named = None
+    if any(getattr(args, flag, None) for flag in ("preset", "expr",
+                                                  "series_file")):
+        named = _function_desc(args)
+        if getattr(args, "g_transform", False):
+            named["g_transform"] = True
     try:
-        eig = verify(load(data["function"]), data["witness"])
+        function = data["function"]
+        if named is not None and named != function:
+            raise ValueError(
+                "the witness file is about the function "
+                f"{json.dumps(function, sort_keys=True)}, but the command "
+                f"line names {json.dumps(named, sort_keys=True)}")
+        eig = verify(load(function), data["witness"])
     except KeyError as exc:
         raise ValueError(f"{kind} witness file lacks {exc}") from exc
     except (TypeError, IndexError, AttributeError, ShapeError) as exc:
@@ -522,7 +535,7 @@ _FLAGS = {
     "verify-witness": {"metavar": "FILE"},
     "seed": {"type": int, "default": 0},
     "json-out": {"metavar": "FILE", "help": "also write JSON here"},
-    "tol": {"type": float, "help": "override the pass threshold"},
+    "tol": {"type": float},
 }
 
 _FN = "expr signature preset"
@@ -563,9 +576,13 @@ _SUBCOMMANDS = {
         f"{_FN} series-file a-tuple size epsilon trials samples degree-cap "
         f"multiplicities witness-out {_COMMON} tol",
         {**_BASE, "trials": {"help": "convexity subtest trials"},
-         "samples": {"default": 50, "help": "slice extraction samples"}}),
+         "samples": {"default": 50, "help": "slice extraction samples"},
+         "tol": {"help": "largest |c_i| above degree two that counts as "
+                         f"zero (default {COEFF_ZERO_TOL:g})"}}),
     "axioms": ("direct-sum / unitary axiom check", _cmd_axioms,
-               f"{_FN} series-file samples sizes {_COMMON} tol", {}),
+               f"{_FN} series-file samples sizes {_COMMON} tol",
+               {"tol": {"help": "largest accepted deviation (default "
+                                f"{AXIOM_TOL:g})"}}),
 }
 
 

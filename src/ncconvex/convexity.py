@@ -34,8 +34,7 @@ few MB, see CHUNK), not by the sample count.  A chunk whose stacked
 stage raises runs again one sample at a time, up to CHUNK of them, on
 the samples it stored, each on a one-sample stack, so an error names
 the sample that caused it.  No stage writes into a sample, so the
-replay sees the bits the stacked attempt saw; convexity_test_1var,
-whose samples carry their generator, draws on from a copy of it.
+replay sees the bits the stacked attempt saw.
 
 Convexity witnesses are shrunk by halving the spread X - Y around the
 fixed mixing point while the violation persists, on the worst trial's

@@ -15,8 +15,9 @@ derivatives of f at 0 instead.
 
 Monotonicity testing is the classical Loewner criterion: divided
 difference matrices with f' on the diagonal must be PSD.  Both testers
-run on the sampling core of convexity.py, which compares min
-eigenvalues against -PSD_TOL and requires the stricter -WITNESS_TOL
+sample an interval inside f's domain (_tested_interval refuses any
+other) and run on the sampling core of convexity.py, which compares
+min eigenvalues against -PSD_TOL and requires the stricter -WITNESS_TOL
 band before a counterexample is reported, and both hand it whole
 chunks: one stacked eigh over the _midpoints stack, one (c, k, k)
 stack of Loewner matrices.  _values evaluates f on a chunk's eigenvalues or
@@ -29,7 +30,6 @@ point with a float.  Derivatives are always taken point by point.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -359,10 +359,14 @@ def _distinct_points(rng, lo: float, hi: float, k: int) -> np.ndarray:
 
 def _tested_interval(f: ScalarFn, interval: Optional[tuple]) -> tuple:
     """The interval a tester samples, by default f's domain; it must be
-    non-empty and of finite width."""
+    non-empty, of finite width and inside f's domain, since f's values
+    outside it would make a "conclusive" FAIL."""
     lo, hi = interval if interval is not None else f.domain
     if not (lo < hi and math.isfinite(float(hi) - float(lo))):
         raise ValueError(f"need a finite interval, got ({lo}, {hi})")
+    if not f.domain[0] <= lo < hi <= f.domain[1]:
+        raise DomainError(f"interval ({lo}, {hi}) is not inside the domain "
+                          f"{f.domain} of {f.name}")
     return lo, hi
 
 
@@ -375,10 +379,6 @@ def loewner_monotone_test(f: ScalarFn, interval: Optional[tuple] = None,
     is evidence, not proof.
     """
     lo, hi = _tested_interval(f, interval)
-    if not f.domain[0] <= lo < hi <= f.domain[1]:
-        # f's values out there would make a "conclusive" FAIL
-        raise DomainError(f"interval ({lo}, {hi}) is not inside the domain "
-                          f"{f.domain} of {f.name}")
     if points_per_trial < 2:
         raise ValueError("points_per_trial must be >= 2")
 
@@ -409,64 +409,38 @@ def verify_monotone_witness(f: ScalarFn, witness: dict) -> float:
     return float(_defect_eigs(loewner_matrix(f, pts), "witness")[0])
 
 
-def _defects_1var(f: ScalarFn, A: np.ndarray, B: np.ndarray,
-                  t: np.ndarray) -> tuple:
-    """(t f(A) + (1-t) f(B) - f(tA + (1-t)B), ok) for Hermitian (c, n, n)
-    stacks, from one _spectral_apply over the _midpoints stack; ok marks
-    the members whose three spectra lie inside f's domain."""
-    V, _, ok = _spectral_apply(f, _midpoints(A, B, t))
-    return _midpoint_defects(V, t), ok.reshape(3, -1).all(axis=0)
-
-
 def convexity_test_1var(f: ScalarFn, interval: Optional[tuple] = None,
                         size: int = 2, trials: int = 300, seed=0) -> Report:
     """Midpoint-plus-random matrix convexity falsifier for one variable.
 
     Defect D = t f(A) + (1-t) f(B) - f(tA + (1-t)B) must stay PSD; the
-    worst sampled violation below -WITNESS_TOL ships as the witness.
+    worst sampled violation below -WITNESS_TOL ships as the witness.  A
+    trial whose spectrum float dust pushes out of f's domain raises,
+    naming the trial.
     """
     lo, hi = _tested_interval(f, interval)
-    if not (lo < f.domain[1] and f.domain[0] < hi):
-        # no spectrum drawn there could ever be evaluated
-        raise DomainError(f"interval ({lo}, {hi}) does not meet the domain "
-                          f"{f.domain} of {f.name}")
     if size < 1:
         raise ValueError(f"size must be at least 1, got {size}")
 
-    def spectra(rng):
-        return draw_spectral(rng, size, lo, hi) + draw_spectral(rng, size,
-                                                                lo, hi)
-
     def draw(rng, k):
-        # every other trial pins t at the midpoint; the generator stays
-        # with the sample for resampling
+        # every other trial pins t at the midpoint
         t = 0.5 if k % 2 == 0 else rng.random()
-        return (k, t, rng) + spectra(rng)
-
-    def evaluate(ts, draws):
-        lam_a, parts_a, lam_b, parts_b = (np.array(d) for d in zip(*draws))
-        A, B = spectral_lift(lam_a, parts_a), spectral_lift(lam_b, parts_b)
-        return _defects_1var(f, A, B, np.array(ts)) + (A, B)
-
-    def resample(k, t, rng):
-        # float dust pushed a mixed eigenvalue out: attempts 2-5 draw
-        # on from a copy of the trial's own generator, which stays as
-        # drawn for a replay of the chunk
-        rng = copy.deepcopy(rng)
-        for _ in range(4):
-            D, ok, A, B = evaluate([t], [spectra(rng)])
-            if ok[0]:
-                return D[0], A[0], B[0]
-        raise DomainError(f"trial {k}: could not sample spectra in the "
-                          f"interval ({lo}, {hi}) inside the domain "
-                          f"{f.domain} of {f.name}")
+        return ((k, t) + draw_spectral(rng, size, lo, hi)
+                + draw_spectral(rng, size, lo, hi))
 
     def defects(samples):
-        ts = [s[1] for s in samples]
-        D, ok, A, B = evaluate(ts, [s[3:] for s in samples])
-        for i in np.flatnonzero(~ok):
-            D[i], A[i], B[i] = resample(*samples[i][:3])
-        return D, list(zip(A, B, ts))
+        ks, ts, *spectra = zip(*samples)
+        lam_a, parts_a, lam_b, parts_b = map(np.array, spectra)
+        A, B = spectral_lift(lam_a, parts_a), spectral_lift(lam_b, parts_b)
+        t = np.array(ts)
+        # one _spectral_apply over the _midpoints stack; f runs only on
+        # the members whose spectra lie inside its domain
+        V, _, ok = _spectral_apply(f, _midpoints(A, B, t))
+        bad = np.flatnonzero(~ok.reshape(3, -1).all(axis=0))
+        if bad.size:
+            raise DomainError(f"trial {ks[bad[0]]}: a spectrum leaves the "
+                              f"domain {f.domain} of {f.name}")
+        return _midpoint_defects(V, t), list(zip(A, B, ts))
 
     def witness_of(data, eigs):
         A, B, t = data

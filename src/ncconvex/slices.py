@@ -308,11 +308,16 @@ def test_slice_convexity_transfer(F, A: HermTuple, X: HermTuple, v,
 
     This is the transfer step: convexity of F near (A, 0) pushes down
     to the compressed one-variable slice on a matrix interval around
-    the identity.
+    the identity.  Every lift X (x) T must lie inside F's radius, so
+    (1 + delta)|X| at or past it is refused.
     """
     F = as_nc_function(F)
     v = _unit_vectors([v])[0]
     lo, hi = 1.0 - delta, 1.0 + delta
+    reach = hi * float(stack_norms(X.entries))
+    if not reach < F.radius:
+        raise DomainError(f"(1+delta)*|X| = {reach:.6g} is outside the "
+                          f"radius {F.radius:.6g}")
 
     def draw(rng, k):
         d = int(rng.integers(1, t_size + 1))

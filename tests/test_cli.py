@@ -707,6 +707,37 @@ def test_verify_witness_of_another_kind_is_a_usage_error(
     assert f"'{name} --verify-witness'" in line
 
 
+def test_verify_witness_refuses_flags_that_name_another_function(tmp_path):
+    # a quartic witness re-checked under --preset square used to exit 0
+    # with "violates": true; without function flags the file's function
+    # is used, as before
+    r = run_cli(["convexity", "--preset", "quartic", "--size", "2",
+                 "--trials", "40", "--seed", "7", "--witness-out", "w.json"],
+                tmp_path)
+    assert r.returncode == 1, r.stderr
+    r = run_cli(["convexity", "--preset", "square", "--verify-witness",
+                 "w.json"], tmp_path)
+    assert r.returncode == 2 and r.stdout == ""
+    assert _one_error_line(r.stderr) == (
+        'error: the witness file is about the function {"preset": '
+        '"quartic"}, but the command line names {"preset": "square"}')
+    for flags in (["--preset", "quartic"], []):
+        r = run_cli(["convexity", *flags, "--verify-witness", "w.json"],
+                    tmp_path)
+        assert r.returncode == 0 and json.loads(r.stdout)["violates"]
+    # --g-transform names a function of its own
+    r = run_cli([*_WITNESS_RUNS["monotone"], "--witness-out", "m.json"],
+                tmp_path)
+    assert r.returncode == 1, r.stderr
+    r = run_cli(["monotone", "--preset", "square", "--g-transform",
+                 "--verify-witness", "m.json"], tmp_path)
+    assert r.returncode == 2 and r.stdout == ""
+    assert _one_error_line(r.stderr) == (
+        'error: the witness file is about the function {"preset": '
+        '"square"}, but the command line names {"g_transform": true, '
+        '"preset": "square"}')
+
+
 def test_higher_order_witness_has_no_verifier(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     path = _witness_file("higher_order_present", tmp_path, capsys)
@@ -781,18 +812,26 @@ def test_monotone_refuses_what_lies_outside_the_domain(run, tmp_path):
         "kraus-halfmass-scalar")
 
 
-@pytest.mark.parametrize("interval, message", [
-    ("2,3", "interval (2.0, 3.0) does not meet the domain (-1.0, 1.0) of "
-            "kraus-halfmass-scalar"),
-    ("-3,3", "trial 0: could not sample spectra in the interval (-3.0, 3.0) "
-             "inside the domain (-1.0, 1.0) of kraus-halfmass-scalar"),
-], ids=["disjoint", "wide"])
+_OUTSIDE = {"disjoint": ("2,3", "(2.0, 3.0)"),
+            "wide": ("-3,3", "(-3.0, 3.0)"),
+            "overlap": ("-1.05,1.05", "(-1.05, 1.05)")}
+
+
+@pytest.mark.parametrize("command, interval, lo_hi", [
+    (command, *_OUTSIDE[case]) for command in ("convexity1", "monotone")
+    for case in _OUTSIDE], ids=[
+        prefix + case for prefix in ("", "monotone-") for case in _OUTSIDE])
 def test_convexity1_refusal_names_the_interval_and_the_domain(
-        interval, message, run, tmp_path):
-    r = run(["convexity1", "--preset", "kraus-halfmass",
+        command, interval, lo_hi, run, tmp_path):
+    # both one-variable testers refuse an interval that leaves the
+    # domain before they evaluate anything; convexity1 used to sample
+    # where the interval meets the domain
+    r = run([command, "--preset", "kraus-halfmass",
              f"--interval={interval}", "--seed", "1"])
     assert r.returncode == 2 and r.stdout == ""
-    assert _one_error_line(r.stderr) == f"error: {message}"
+    assert _one_error_line(r.stderr) == (
+        f"error: interval {lo_hi} is not inside the domain (-1.0, 1.0) of "
+        "kraus-halfmass-scalar")
     assert list(tmp_path.iterdir()) == []
 
 

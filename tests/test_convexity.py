@@ -250,10 +250,8 @@ def _nc_box(kind):
 
 
 def _scalar_box(kind):
-    """t^2 that raises past 0.5, or all NaN or inf.  Its domain is
-    narrower than the tested interval (-1, 1), so convexity_test_1var
-    resamples some trials, and with seed 8 the first trial that raises
-    does so on spectra it resampled."""
+    """t^2 that raises past 0.5, or all NaN or inf, on the domain
+    (-0.95, 0.95), which the one-variable testers sample."""
     def f(t):
         if kind != "raises":
             return float(kind)
@@ -275,9 +273,9 @@ _TESTERS = {
         F, _empty_a(2), HermTuple([np.diag([0.7, -0.2])], kind="x"),
         [1.0, 0.5], trials=30, seed=8),
     "axioms": lambda F, f: check_nc_function_axioms(F, samples=30, seed=8),
-    "convexity_1var": lambda F, f: convexity_test_1var(f, (-1.0, 1.0),
+    # the one-variable testers refuse an interval that leaves f's domain
+    "convexity_1var": lambda F, f: convexity_test_1var(f, f.domain,
                                                        trials=30, seed=8),
-    # the Loewner tester refuses an interval that leaves f's domain
     "loewner": lambda F, f: loewner_monotone_test(f, f.domain, trials=30,
                                                   seed=8),
 }

@@ -7,8 +7,8 @@ from pathlib import Path
 
 from ncconvex import convexity
 
-from falsify_examples import (CLI_EXAMPLES, WITNESS, _library_runs, run_cli,
-                              run_library)
+from falsify_examples import (CLI_EXAMPLES, DEFAULT_WITNESS, WITNESS,
+                              _library_runs, run_cli, run_library)
 
 GOLDEN = json.loads((Path(__file__).parent / "data"
                      / "falsify_golden.json").read_text())
@@ -36,13 +36,10 @@ def test_a_witness_comes_exactly_with_a_falsified_run():
             assert WITNESS not in rec["files"], rec["argv"]
             continue
         assert rec["exit"] == 1 and doc["pass"] is False, rec["argv"]
-        if "--witness-out" in rec["argv"]:
-            assert doc["witness_file"] == WITNESS
-            written = json.loads(rec["files"][WITNESS])
-            assert written["witness"] == report["witness"], rec["argv"]
-        else:                       # the default file, which is not kept
-            assert doc["witness_file"] == "witness.json", rec["argv"]
-            assert "witness" in report
+        path = WITNESS if "--witness-out" in rec["argv"] else DEFAULT_WITNESS
+        assert doc["witness_file"] == path, rec["argv"]
+        written = json.loads(rec["files"][path])
+        assert written["witness"] == report["witness"], rec["argv"]
 
 
 def test_library_reports_are_byte_identical():

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from ncconvex import convexity, onevar
 from ncconvex import (DiscreteMeasure, ScalarFn, convexity_test_1var,
                       g_transform, kraus_eval, loewner_monotone_test,
                       verify_convexity1_witness, verify_monotone_witness,
@@ -355,24 +356,39 @@ def test_loewner_refuses_points_outside_the_domain():
         verify_monotone_witness(f, {"points": [0.5, 2.35]})
 
 
-@pytest.mark.parametrize("interval, message", [
-    ((2.0, 3.0), "interval (2.0, 3.0) does not meet the domain (-1.0, 1.0) "
-                 "of kraus-halfmass-scalar"),
-    ((-3.0, 3.0), "trial 0: could not sample spectra in the interval "
-                  "(-3.0, 3.0) inside the domain (-1.0, 1.0) of "
-                  "kraus-halfmass-scalar"),
-    ((-1.2, 1.2), "trial 34: could not sample spectra in the interval "
-                  "(-1.2, 1.2) inside the domain (-1.0, 1.0) of "
-                  "kraus-halfmass-scalar"),
-], ids=["disjoint", "wide", "late-trial"])
-def test_convexity1_names_the_interval_and_the_domain(interval, message):
-    # a disjoint interval is refused before any trial runs; one that
-    # only overlaps the domain resamples, and the trial whose attempts
-    # run out is named
+@pytest.mark.parametrize("interval", [(2.0, 3.0), (-3.0, 3.0), (-1.2, 1.2)],
+                         ids=["disjoint", "wide", "late-trial"])
+def test_convexity1_names_the_interval_and_the_domain(interval):
+    # an interval that leaves the domain is refused before any trial
+    # runs, as the Loewner tester refuses it; one that only overlaps
+    # the domain used to resample, and stopped at a random trial
     f = get_preset("kraus-halfmass").make_scalar()
     with pytest.raises(DomainError) as exc:
         convexity_test_1var(f, interval, seed=1)
-    assert str(exc.value) == message
+    assert str(exc.value) == (f"interval {interval} is not inside the "
+                              "domain (-1.0, 1.0) of kraus-halfmass-scalar")
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 256])
+def test_convexity1_names_the_trial_whose_spectrum_leaves_the_domain(
+        chunk, monkeypatch):
+    # only float dust at an end of the domain can push a drawn spectrum
+    # out; here trial 3's first spectrum is drawn past the end, and the
+    # trial is named whether its chunk is stacked or replayed
+    calls = []
+
+    def draw(rng, n, lo, hi):
+        lam, parts = draw_spectral(rng, n, lo, hi)
+        calls.append(None)
+        return (lam + 2.0 if len(calls) == 7 else lam), parts
+
+    monkeypatch.setattr(convexity, "CHUNK", chunk)
+    monkeypatch.setattr(onevar, "draw_spectral", draw)
+    with pytest.raises(DomainError) as exc:
+        convexity_test_1var(get_preset("kraus-halfmass").make_scalar(),
+                            (-0.5, 0.5), trials=10, seed=1)
+    assert str(exc.value) == ("trial 3: a spectrum leaves the domain "
+                              "(-1.0, 1.0) of kraus-halfmass-scalar")
 
 
 def test_sqrt_is_operator_monotone():

@@ -158,6 +158,22 @@ def test_slice_transfer_for_square():
     assert rep.min_eig >= -1e-10
 
 
+def test_slice_transfer_refuses_lifts_past_the_radius():
+    # |X (x) T| reached 2.28 past the pole at radius 2, and the run
+    # FAILed there with min_eig -24,401 and a witness
+    lift = get_preset("kraus-halfmass").make()
+
+    def run(top):
+        X = HermTuple([np.diag([top, 0.3])], kind="x")
+        return slice_transfer(lift, _empty_a(2), X, [1.0, 0.0], delta=0.2,
+                              t_size=2, trials=50, seed=1)
+
+    with pytest.raises(DomainError) as exc:
+        run(1.9)
+    assert str(exc.value) == "(1+delta)*|X| = 2.28 is outside the radius 2"
+    assert run(1.5).passed
+
+
 def test_slice_transfer_witness_reproduces_its_defect():
     # T1 and T2 are complex Hermitian; stored as their real parts, this
     # witness gave the defect +0.101 where the run had found -0.0166
