@@ -10,6 +10,7 @@ with identical seeds produce byte-identical JSON; no timestamps.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -42,29 +43,34 @@ SCHEMA = "ncconvex/1"
 _A_SALT = 1299709
 
 
+def _swap_grids(v, grids: list):
+    """v with each matrix grid in it (a non-empty list of non-empty rows
+    of [float, float] cells) appended to grids and replaced by a
+    placeholder.  A module function, not a closure in _dump: a closure
+    that calls itself is a reference cycle, and it would keep every grid
+    alive until the cyclic collector ran."""
+    if type(v) is dict:
+        return {k: _swap_grids(x, grids) for k, x in v.items()}
+    if type(v) is not list or not v or type(v[0]) not in (list, dict):
+        return v
+    cells = (list(chain.from_iterable(v))
+             if all([type(row) is list and row for row in v]) else [v])
+    if (set(map(type, cells)) == {list} and set(map(len, cells)) == {2}
+            and set(map(type, chain.from_iterable(cells))) == {float}):
+        grids.append(v)
+        return f"\0grid{len(grids) - 1}\0"
+    return [_swap_grids(x, grids) for x in v]
+
+
 def _dump(payload: dict) -> str:
     """json.dumps(payload, indent=2, sort_keys=True, allow_nan=False),
     byte for byte; a non-finite number raises ValueError (exit 2) instead
     of printing Infinity or NaN, which strict JSON parsers reject.
-    indent=2 runs json's pure-Python encoder, so each matrix grid (a
-    non-empty list of non-empty rows of [float, float] cells) goes in as
-    a placeholder and comes out as float reprs in fixed templates."""
+    indent=2 runs json's pure-Python encoder, so each matrix grid goes
+    in as a placeholder and comes out as float reprs in fixed
+    templates."""
     grids: list = []
-
-    def swap(v):
-        if type(v) is dict:
-            return {k: swap(x) for k, x in v.items()}
-        if type(v) is not list or not v or type(v[0]) not in (list, dict):
-            return v
-        cells = (list(chain.from_iterable(v))
-                 if all([type(row) is list and row for row in v]) else [v])
-        if (set(map(type, cells)) == {list} and set(map(len, cells)) == {2}
-                and set(map(type, chain.from_iterable(cells))) == {float}):
-            grids.append(v)
-            return f"\0grid{len(grids) - 1}\0"
-        return [swap(x) for x in v]
-
-    swapped = swap(payload)
+    swapped = _swap_grids(payload, grids)
     try:
         text = json.dumps(swapped, indent=2, sort_keys=True, allow_nan=False)
         for k, grid in enumerate(grids):
@@ -346,10 +352,12 @@ def _verify(args) -> int:
     if any(getattr(args, flag, None) for flag in ("preset", "expr",
                                                   "series_file")):
         named = _function_desc(args)
-        if getattr(args, "g_transform", False):
-            named["g_transform"] = True
     try:
         function = data["function"]
+        if getattr(args, "g_transform", False):
+            # g[f] of the flags' f, else of the file's
+            named = {**(function if named is None else named),
+                     "g_transform": True}
         if named is not None and named != function:
             raise ValueError(
                 "the witness file is about the function "
@@ -654,8 +662,15 @@ def _table_args(argv) -> Optional[argparse.Namespace]:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _table_args(argv) or build_parser().parse_args(argv)
+    # the run goes with the cyclic collector paused: json.load and tolist
+    # build trees of tens of thousands of lists that it would walk again
+    # and again, and the package makes almost no reference cycles.  The
+    # caller's state comes back on every way out, argparse's SystemExit
+    # included; library calls leave the collector alone
+    collecting = gc.isenabled()
+    gc.disable()
     try:
+        args = _table_args(argv) or build_parser().parse_args(argv)
         for flag in ("trials", "samples", "size", "matrix-checks",
                      "sweep-points", "points"):
             least = 2 if flag == "points" else 1
@@ -690,6 +705,9 @@ def main(argv=None) -> int:
         # a bare MemoryError carries no message
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -275,7 +275,7 @@ def _check_unitary(U: np.ndarray, n: int) -> None:
     if U.shape != (n, n):
         raise ShapeError(f"conjugator has shape {U.shape}, want ({n},{n})")
     dev = float(np.max(np.abs(U.conj().T @ U - np.eye(n))))
-    if dev > UNITARY_TOL:
+    if not dev <= UNITARY_TOL:                      # NaN fails too
         raise UnitarityError("matrix is not unitary: max |U*U - I| = "
                              f"{dev:.3e}")
 
@@ -373,21 +373,23 @@ def spectral_lift(lam: np.ndarray, parts: np.ndarray) -> np.ndarray:
 
 def hermitian_stack(M: np.ndarray) -> np.ndarray:
     """The ingest of HermTuple, for one tuple of shape (g, n, n) or a
-    stack of them (..., g, n, n): an entry further than
-    HERMITIAN_INGEST_TOL from its adjoint is refused, naming its index
-    in the tuple, and otherwise (M + M*)/2 is returned."""
+    stack of them (..., g, n, n): an entry that is not finite, or that
+    is further than HERMITIAN_INGEST_TOL from its adjoint, is refused,
+    naming its index in the tuple, and otherwise (M + M*)/2 is
+    returned."""
     Mh = M.conj().swapaxes(-1, -2)
     diff = np.abs(M - Mh)
-    # one whole-stack reduction when all is well; per entry, a NaN
-    # deviation compares false against the tolerance and passes, as it
-    # always has
+    # one whole-stack reduction when all is well; a NaN or infinite
+    # number anywhere makes a NaN or infinite deviation, which fails the
+    # `<=` tests here and per entry
     if diff.size and not diff.max() <= HERMITIAN_INGEST_TOL:
         dev = diff.max(axis=(-2, -1))
-        over = np.flatnonzero(dev > HERMITIAN_INGEST_TOL)
-        if over.size:
-            bad = int(over[0])
-            raise ValueError(f"entry {bad % M.shape[-3]} is not Hermitian: "
-                             f"max deviation {float(dev.flat[bad]):.3e}")
+        bad = int(np.flatnonzero(~(dev <= HERMITIAN_INGEST_TOL))[0])
+        entry = bad % M.shape[-3]
+        if not np.isfinite(M.reshape((-1,) + M.shape[-2:])[bad]).all():
+            raise ValueError(f"entry {entry} is not finite")
+        raise ValueError(f"entry {entry} is not Hermitian: "
+                         f"max deviation {float(dev.flat[bad]):.3e}")
     return (M + Mh) / 2
 
 

@@ -1,8 +1,11 @@
 """Shared pytest plumbing: the acceptance module records one line per
 criterion here; the terminal summary prints them after the run so the
 pass/fail ledger is visible without -s.  `run_cli` starts the CLI as a
-child process that imports the same `ncconvex` as the test process."""
+child process that imports the same `ncconvex` as the test process.
+Every test must leave Python's cyclic collector on or off as it found
+it, since `cli.main` pauses the collector for a run."""
 
+import gc
 import os
 import subprocess
 import sys
@@ -20,6 +23,18 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_sep("-", "acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(autouse=True)
+def _collector_state_kept():
+    """Fails a test that leaves the cyclic collector switched otherwise
+    than it found it, and switches it back for the tests after it."""
+    before = gc.isenabled()
+    yield
+    if gc.isenabled() != before:
+        (gc.enable if before else gc.disable)()
+        pytest.fail(f"the test left gc.isenabled() {not before}, it found "
+                    f"it {before}", pytrace=False)
 
 
 def _child_env(cwd):

@@ -1,6 +1,7 @@
 """CLI: exit codes, JSON shape, witness files, determinism."""
 
 import contextlib
+import gc
 import io
 import json
 from pathlib import Path
@@ -304,6 +305,25 @@ def test_too_deeply_nested_tuple_file_exits_two(run, tmp_path):
     r = run(["eval", "--expr", "x1", "--x-tuple", str(path)])
     assert r.returncode == 2 and r.stdout == ""
     assert "nested too deeply" in _one_error_line(r.stderr)
+
+
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity"])
+def test_a_tuple_entry_that_is_not_finite_exits_two(number, tmp_path):
+    # json.load reads NaN and Infinity, and ingest let them through: the
+    # run then exited 2 blaming the function ("eval: the value is not
+    # finite", "trial 0: the defect matrix is not finite")
+    rows = f"[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [{number}, 0.0]]]"
+    (tmp_path / "t.json").write_text(
+        f'[{{"n": 2, "entries": [[[1.0, 0.0], [0.0, 0.0]], '
+        f'[[0.0, 0.0], [1.0, 0.0]]]}}, {{"n": 2, "entries": {rows}}}]')
+    for argv in (["eval", "--expr", "x1 + x2", "--x-tuple", "t.json"],
+                 ["convexity", "--expr", "a1*x1*a1 + a2*x1*a2",
+                  "--signature", "2,1", "--a-tuple", "t.json",
+                  "--trials", "3"]):
+        r = run_cli(argv, tmp_path)
+        assert r.returncode == 2 and r.stdout == "", r.stderr
+        assert _one_error_line(r.stderr) == "error: entry 1 is not finite"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.json"]
 
 
 def _count_parser_builds(monkeypatch) -> dict:
@@ -736,6 +756,40 @@ def test_verify_witness_refuses_flags_that_name_another_function(tmp_path):
         'error: the witness file is about the function {"preset": '
         '"square"}, but the command line names {"g_transform": true, '
         '"preset": "square"}')
+
+
+_G_WITNESS_RUNS = {
+    "monotone": ["monotone", "--preset", "quartic", "--g-transform",
+                 "--seed", "1"],
+    "convexity1": ["convexity1", "--preset", "quartic", "--g-transform",
+                   "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("command", ["monotone", "convexity1"])
+def test_g_transform_alone_names_g_of_the_file_function(command, tmp_path,
+                                                        monkeypatch, capsys):
+    # the flag alone names g[f] of the file's f; a plain monotone
+    # witness re-checked under it used to exit 0 with "violates": true
+    monkeypatch.chdir(tmp_path)
+    plain = _witness_file(command, tmp_path, capsys)
+    code, out, err = _main([command, "--g-transform", "--verify-witness",
+                            plain], capsys)
+    assert code == 2 and out == ""
+    function = json.loads(Path(plain).read_text())["function"]
+    named = {**function, "g_transform": True}
+    assert _one_error_line(err) == (
+        "error: the witness file is about the function "
+        f"{json.dumps(function, sort_keys=True)}, but the command line "
+        f"names {json.dumps(named, sort_keys=True)}")
+    code, _, err = _main([*_G_WITNESS_RUNS[command], "--witness-out",
+                          "g.json"], capsys)
+    assert code == 1, err
+    for flags in (["--g-transform"], []):
+        code, out, err = _main([command, *flags, "--verify-witness",
+                                "g.json"], capsys)
+        assert code == 0, err
+        assert json.loads(out)["violates"] is True
 
 
 def test_higher_order_witness_has_no_verifier(tmp_path, monkeypatch, capsys):
@@ -1242,3 +1296,74 @@ def test_a_series_signature_unlike_its_parts_is_a_usage_error(tmp_path):
 def test_convexity1_expression_defaults_to_the_unit_interval(run):
     r = run(["convexity1", "--expr", "x1^4", "--trials", "20"])
     assert json.loads(r.stdout)["interval"] == [-1.0, 1.0]
+
+
+_PAUSE_RUNS = [
+    (["eval", "--expr", "x1", "--x-tuple", "identity2"], 0),
+    (_WITNESS_RUNS["monotone"], 1),
+    (["eval", "--x-tuple", "identity2"], 2),
+    (["eval", "-h"], SystemExit(0)),
+    (["eval", "--no-such-flag"], SystemExit(2)),
+]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("argv, code", _PAUSE_RUNS,
+                         ids=["exit0", "exit1", "exit2", "help", "unknown"])
+def test_main_pauses_the_collector_and_puts_it_back(argv, code, enabled,
+                                                    tmp_path, monkeypatch,
+                                                    capsys):
+    from ncconvex import cli
+    monkeypatch.chdir(tmp_path)
+    during, table_args = [], cli._table_args
+
+    def spy(argv):
+        during.append(gc.isenabled())
+        return table_args(argv)
+
+    monkeypatch.setattr(cli, "_table_args", spy)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if isinstance(code, SystemExit):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == code.code
+        else:
+            assert main(argv) == code
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert during == [False]
+
+
+_CERTIFY_KRAUS = ["certify", "--preset", "kraus-halfmass", "--seed", "1"]
+
+
+@pytest.mark.parametrize("short, long", [
+    ([*_CERTIFY_KRAUS, "--samples", "200"],
+     [*_CERTIFY_KRAUS, "--samples", "2000"]),
+    (["eval", "--expr", "x1", "--x-tuple", "identity2"],
+     ["eval", "--expr", "x1", "--x-tuple", "identity64"]),
+], ids=["certify-samples", "eval-size"])
+def test_garbage_left_by_a_run_does_not_grow_with_its_size(short, long,
+                                                            tmp_path,
+                                                            monkeypatch,
+                                                            capsys):
+    # the package makes almost no reference cycles, so a run with the
+    # collector paused leaves the same few objects at any length or
+    # matrix size; `_dump`'s grid swap used to be a closure that called
+    # itself, a cycle that held every grid it printed.  The collector
+    # stays off until the count, so that no automatic collection after
+    # the run takes the garbage first
+    monkeypatch.chdir(tmp_path)
+    left = []
+    gc.disable()
+    try:
+        for argv in (short, long):
+            gc.collect()
+            code, _, err = _main(argv, capsys)
+            assert code in (0, 1), err
+            left.append(gc.collect())
+    finally:
+        gc.enable()
+    assert left[0] == left[1]

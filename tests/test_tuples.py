@@ -40,6 +40,35 @@ def test_ingest_names_the_entry_and_symmetrizes_read_only():
     assert not T[1].flags.writeable
 
 
+@pytest.mark.parametrize("entry", [
+    [[np.nan, 0.0], [0.0, 1.0]],                    # NaN on the diagonal
+    [[1.0, np.inf], [np.inf, 1.0]],                 # inf - inf is NaN
+    [[1.0, np.inf], [0.0, 1.0]],                    # an infinite deviation
+    [[1.0, 0.0], [0.0, complex(0.0, -np.inf)]],
+], ids=["nan", "inf-pair", "inf-corner", "inf-imag"])
+def test_ingest_refuses_an_entry_that_is_not_finite(entry):
+    with np.errstate(invalid="ignore"), pytest.raises(
+            ValueError, match="^entry 1 is not finite$"):
+        HermTuple([np.eye(2), entry], kind="x")
+    # in a stack of tuples the index is the entry's place in its tuple
+    stack = np.array([np.eye(2), np.eye(2), np.eye(2), entry], dtype=complex)
+    with np.errstate(invalid="ignore"), pytest.raises(
+            ValueError, match="^entry 1 is not finite$"):
+        tuples.hermitian_stack(stack.reshape(2, 2, 2, 2))
+    # finite numbers whose deviation overflows are not Hermitian, not
+    # "not finite"
+    with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match="entry 0 is not Hermitian: max deviation inf"):
+        HermTuple([[[0.0, 1e308], [-1e308, 0.0]]], kind="x")
+
+
+def test_conjugation_refuses_a_conjugator_that_is_not_finite():
+    T = _rand_tuple(1, 2, seed=12)
+    with np.errstate(invalid="ignore"), pytest.raises(
+            UnitarityError, match=r"max \|U\*U - I\| = nan"):
+        T.conjugate(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
 def test_empty_tuple_needs_explicit_size():
     with pytest.raises(ShapeError):
         HermTuple([], kind="a")
