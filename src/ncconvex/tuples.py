@@ -378,7 +378,9 @@ def hermitian_stack(M: np.ndarray) -> np.ndarray:
     naming its index in the tuple, and otherwise (M + M*)/2 is
     returned."""
     Mh = M.conj().swapaxes(-1, -2)
-    diff = np.abs(M - Mh)
+    # numpy's warning would come before the ValueError naming the entry
+    with np.errstate(invalid="ignore", over="ignore"):
+        diff = np.abs(M - Mh)
     # one whole-stack reduction when all is well; a NaN or infinite
     # number anywhere makes a NaN or infinite deviation, which fails the
     # `<=` tests here and per entry
@@ -458,8 +460,12 @@ def ca_lift(A: HermTuple, m: int, parts: np.ndarray) -> np.ndarray:
     the raw Ginibre parts of Haar unitaries U, n = m * A.n, the ingested
     tuples U*(I_m (x) A)U as a (c, g, n, n) stack.  One kron per letter
     of A and one broadcast product over the stack, so every member has
-    the bits it gets alone."""
+    the bits it gets alone.  For an F with no a-variables the Haar block
+    is still drawn, so no stream moves, but no unitary is formed: every
+    level of the empty tuple is the empty tuple."""
     n = A.n * m
+    if not A.arity:
+        return np.zeros((len(parts), 0, n, n), dtype=complex)
     U = _haar_q(parts)
     L = np.array([np.kron(np.eye(m), a) for a in A.entries])
     Uh = U.conj().swapaxes(-1, -2)

@@ -1367,3 +1367,27 @@ def test_garbage_left_by_a_run_does_not_grow_with_its_size(short, long,
     finally:
         gc.enable()
     assert left[0] == left[1]
+
+
+@pytest.mark.parametrize("argv, sizes", [
+    (["certify", "--preset", "square"], set()),
+    (["convexity", "--preset", "kraus-halfmass", "--multiplicities", "1,2,3"],
+     set()),
+    (["certify", "--preset", "mixed-ax", "--size", "2",
+      "--multiplicities", "1,2,3"], {2, 4, 6}),
+], ids=["certify-square", "convexity-kraus", "certify-mixed-ax"])
+def test_a_free_function_forms_no_haar_unitary(argv, sizes, run,
+                                               monkeypatch):
+    # every C_A level of an empty A-tuple is the empty tuple, so no QR
+    # is run for it; an a-letter still costs one per multiplicity, at
+    # matrix size kappa * m
+    seen, qr = [], np.linalg.qr
+
+    def counted(M, *args, **kwargs):
+        seen.append(M.shape[-1])
+        return qr(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    r = run(argv)
+    assert r.returncode == 0, r.stderr
+    assert set(seen) == sizes

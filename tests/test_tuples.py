@@ -47,25 +47,24 @@ def test_ingest_names_the_entry_and_symmetrizes_read_only():
     [[1.0, 0.0], [0.0, complex(0.0, -np.inf)]],
 ], ids=["nan", "inf-pair", "inf-corner", "inf-imag"])
 def test_ingest_refuses_an_entry_that_is_not_finite(entry):
-    with np.errstate(invalid="ignore"), pytest.raises(
-            ValueError, match="^entry 1 is not finite$"):
+    # the suite turns numpy's RuntimeWarning into an error, so the
+    # ValueError naming the entry comes first or not at all
+    with pytest.raises(ValueError, match="^entry 1 is not finite$"):
         HermTuple([np.eye(2), entry], kind="x")
     # in a stack of tuples the index is the entry's place in its tuple
     stack = np.array([np.eye(2), np.eye(2), np.eye(2), entry], dtype=complex)
-    with np.errstate(invalid="ignore"), pytest.raises(
-            ValueError, match="^entry 1 is not finite$"):
+    with pytest.raises(ValueError, match="^entry 1 is not finite$"):
         tuples.hermitian_stack(stack.reshape(2, 2, 2, 2))
     # finite numbers whose deviation overflows are not Hermitian, not
     # "not finite"
-    with np.errstate(over="ignore"), pytest.raises(
+    with pytest.raises(
             ValueError, match="entry 0 is not Hermitian: max deviation inf"):
         HermTuple([[[0.0, 1e308], [-1e308, 0.0]]], kind="x")
 
 
 def test_conjugation_refuses_a_conjugator_that_is_not_finite():
     T = _rand_tuple(1, 2, seed=12)
-    with np.errstate(invalid="ignore"), pytest.raises(
-            UnitarityError, match=r"max \|U\*U - I\| = nan"):
+    with pytest.raises(UnitarityError, match=r"max \|U\*U - I\| = nan"):
         T.conjugate(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
@@ -149,6 +148,21 @@ def test_ca_lift_equals_ca_element_per_member():
         assert stack.shape == (5, 2, 2 * m, 2 * m)
         for rng, lifted in zip(rngs, stack):
             assert np.array_equal(lifted, np.array(ca_element(A, m, rng)))
+
+
+def test_ca_lift_of_an_empty_tuple_draws_but_forms_no_unitary():
+    A = HermTuple([], kind="a", n=3)
+    for m in (1, 2):
+        n = 3 * m
+        stack = ca_lift(A, m, derived_rng(17, m).standard_normal((4, 2, n, n)))
+        assert stack.shape == (4, 0, n, n) and stack.dtype == complex
+        rng, twin = derived_rng(18, m), derived_rng(18, m)
+        el = ca_element(A, m, rng)
+        # an immutable empty tuple: nothing in it can be written
+        assert el.kind == "a" and el.n == n and el.entries == ()
+        # the Haar block is still taken from the stream
+        twin.standard_normal((1, 2, n, n))
+        assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_unitarity_check_refuses_a_stack():
