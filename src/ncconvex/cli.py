@@ -13,6 +13,8 @@ import argparse
 import gc
 import json
 import math
+import os
+import stat
 import sys
 from itertools import chain
 from typing import Optional
@@ -92,23 +94,37 @@ def _dump(payload: dict) -> str:
         return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write text to path as the file's whole content, in place: the
+    file is opened without O_TRUNC (mode 0o666 less the umask when it is
+    new, as open(path, "w") makes it) and a regular file is cut to the
+    written length afterwards.  On ext4 with auto_da_alloc, closing a
+    file that was truncated to zero and written again forces a flush
+    to disk, which costs more than the rest of a small write.  A device
+    such as /dev/null is written and never truncated.  A write that
+    fails partway leaves the new bytes followed by the old tail."""
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wb") as fh:
+        fh.write(data)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            fh.truncate()
+
+
 def _emit(args, payload: dict, code: int) -> int:
     payload = dict(payload)
     payload["schema"] = SCHEMA
     text = _dump(payload)
     # the file first, so a write that fails leaves stdout empty
     if getattr(args, "json_out", None):
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write_text(args.json_out, text + "\n")
     print(text)
     return code
 
 
 def _write_csv(path: str, header: str, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(str(v) for v in row) + "\n")
+    _write_text(path, "\n".join([header, *(",".join(map(str, row))
+                                           for row in rows)]) + "\n")
 
 
 def _parse_interval(text: str) -> tuple:
@@ -290,9 +306,13 @@ def _function_at_base(args, default_epsilon: float) -> tuple:
         raise ValueError(f"epsilon {epsilon:g} is above the function's "
                          f"radius {F.radius:g}")
     g_a = F.signature.g_a
-    A = (_tuple_from_arg(args.a_tuple, "a", g_a, n=args.size) if args.a_tuple
-         else random_base_tuple(g_a, args.size or 2,
-                                derived_rng(args.seed, _A_SALT)))
+    if args.a_tuple:
+        A = _tuple_from_arg(args.a_tuple, "a", g_a, n=args.size)
+    elif g_a:
+        A = random_base_tuple(g_a, args.size or 2,
+                              derived_rng(args.seed, _A_SALT))
+    else:                       # the empty tuple: no generator, no draw
+        A = HermTuple([], kind="a", n=args.size or 2)
     return F, desc, epsilon, A
 
 
@@ -306,8 +326,7 @@ def _conclude(args, payload: dict, passed: bool, kind: str,
         # no empty witness behind
         text = _dump({"kind": kind, "function": payload["function"],
                       "witness": witness, "schema": SCHEMA})
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write_text(path, text + "\n")
         payload["witness_file"] = path
     return _emit(args, payload, 0 if passed else 1)
 

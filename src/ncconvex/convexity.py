@@ -294,6 +294,16 @@ def _shrink_witness(F, A, X, Y, t, start_eig):
     return best
 
 
+def _ca_level(A: HermTuple, m: int, seed, li: int) -> HermTuple:
+    """ca_element of level li's own stream (seed, li, _LEVEL_SALT).  Every
+    level of an empty A-tuple is the empty tuple, so an A-free level
+    builds no generator and draws nothing; the stream is the level's
+    alone, so no other draw moves."""
+    if A.arity or m < 1:
+        return ca_element(A, m, derived_rng(seed, li, _LEVEL_SALT))
+    return HermTuple([], kind=A.kind, n=A.n * m)
+
+
 def _convexity(F, A: HermTuple, epsilon: float, trials: int, seed,
                multiplicities: Optional[Sequence[int]]) -> Report:
     """Both testers as one run over levels: A itself on the stream
@@ -311,7 +321,7 @@ def _convexity(F, A: HermTuple, epsilon: float, trials: int, seed,
         raise ValueError("multiplicities must name at least one level")
     else:
         levels = [((seed, li), {"kappa": A.n, "m": int(m)},
-                   ca_element(A, int(m), derived_rng(seed, li, _LEVEL_SALT)))
+                   _ca_level(A, int(m), seed, li))
                   for li, m in enumerate(multiplicities)]
     if not 0 < epsilon < math.inf:
         raise ValueError("epsilon must be positive and finite")

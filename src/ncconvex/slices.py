@@ -39,7 +39,10 @@ phases:
           placed in the x-ball and extracted as one stack: one Horner
           plan run per homogeneous part on the exact route, one
           F.at_points call per node set over the points z X on the DFT
-          route; one magnitude call over the coefficient array then
+          route, whose radius check takes each sample's reach
+          max|z| |X| from the ball radius X was scaled to (0 for a
+          zero-norm row), not from a second norm eigensolve; one
+          magnitude call over the coefficient array then
           yields each sample's largest |c_i| above degree two and the
           first i that reaches it;
   replay  the samples are walked in order, one comparison each, for
@@ -130,32 +133,39 @@ def _compress(V: np.ndarray, M: np.ndarray) -> np.ndarray:
                 @ V.reshape(lead + (-1, 1)))[..., 0, 0]
 
 
-def _phi_at(F, A: np.ndarray, X: np.ndarray, V: np.ndarray,
+def _phi_at(F, A: np.ndarray, X: np.ndarray, V: np.ndarray, norms,
             node_sets) -> tuple:
     """(phi, refused) for a stack of points A (c, g_a, n, n), X
-    (c, g_x, n, n) and unit vectors V (c, n): phi[j] holds
+    (c, g_x, n, n), unit vectors V (c, n) and the tuple norms of the X_j
+    (a (c,) array, or one number for all): phi[j] holds
     v_j* F(A_j, z X_j) v_j at every z of the node sets in turn, from one
     F.at_points call per node set over the points z X_j of the samples
-    that pass the z-free checks, each with its own A_j, and refused[j]
-    is the DomainError of a sample that fails one (its row of phi stays
-    0)."""
+    whose reach max|z| |X_j| lies inside F's radius, each with its own
+    A_j, and refused[j] is the DomainError of a sample that fails a
+    z-free check (its row of phi stays 0)."""
     node_sets = [np.asarray(zs, dtype=complex) for zs in node_sets]
     zs = np.concatenate(node_sets)
-    phi = np.zeros((len(V), len(zs)), dtype=complex)
+    c = len(V)
     if np.any(zs.imag != 0.0) and not F.analytic_in_z:
-        return phi, [DomainError(
+        return np.zeros((c, len(zs)), dtype=complex), [DomainError(
             f"evaluator {F.name} is not declared analytic in z; "
-            "complex slices are unavailable")] * len(V)
-    reach = float(np.max(np.abs(zs))) * np.broadcast_to(
-        stack_norms(_letters(X)), len(V))
-    refused = [None if r < F.radius else DomainError(
-        f"|z|*|X| = {r:.6g} is outside the radius {F.radius:.6g}")
-        for r in reach]
-    ok = reach < F.radius
+            "complex slices are unavailable")] * c
+    reach = float(np.max(np.abs(zs))) * np.broadcast_to(norms, c)
+    ok = reach < F.radius                           # NaN is refused too
+
+    def values(A, X, V):
+        return np.concatenate([_compressed_values(F, A, X, V, zs)
+                               for zs in node_sets], axis=1, dtype=complex)
+
+    refused = [None] * c
+    if ok.all():
+        return values(A, X, V), refused
+    phi = np.zeros((c, len(zs)), dtype=complex)
+    for j in np.flatnonzero(~ok).tolist():
+        refused[j] = DomainError(f"|z|*|X| = {reach[j]:.6g} is outside the "
+                                 f"radius {F.radius:.6g}")
     if ok.any():
-        A, X, V = A[ok], X[ok], V[ok]
-        phi[ok] = np.concatenate([_compressed_values(F, A, X, V, zs)
-                                  for zs in node_sets], axis=1)
+        phi[ok] = values(A[ok], X[ok], V[ok])
     return phi, refused
 
 
@@ -173,7 +183,7 @@ def _compressed_values(F, A: np.ndarray, X: np.ndarray, V: np.ndarray,
 def slice_scalar(F, A: HermTuple, X: HermTuple, v, z: complex) -> complex:
     """phi(z) = v* F(A, zX) v; v is normalized on ingest."""
     phi, refused = _phi_at(as_nc_function(F), _one_point(A), _one_point(X),
-                           _unit_vectors([v]), [[z]])
+                           _unit_vectors([v]), stack_norms(X.entries), [[z]])
     if refused[0] is not None:
         raise refused[0]
     return complex(phi[0, 0])
@@ -221,14 +231,16 @@ class SliceCoefficients:
         return complex(self.coeffs[i])
 
 
-def _extract(F, A: np.ndarray, X: np.ndarray, vs, degree_cap: int,
+def _extract(F, A: np.ndarray, X: np.ndarray, vs, norms, degree_cap: int,
              radius: Optional[float], force_dft: bool) -> tuple:
     """extract_slice_coefficients for a stack of c samples: A
-    (c, g_a, n, n) and X (c, g_x, n, n) arrays and c direction vectors
-    vs, each normalized on ingest.  Returns the (c, degree_cap + 1)
-    coefficients, per sample None or the ExtractionError or DomainError
-    refusing it (non-finite coefficients too), the method, the radius
-    and per sample the residual; any other error raises for the stack."""
+    (c, g_a, n, n) and X (c, g_x, n, n) arrays, c direction vectors vs,
+    each normalized on ingest, and the tuple norms of the X_j, which
+    only the DFT route's radius check reads.  Returns the
+    (c, degree_cap + 1) coefficients, per sample None or the
+    ExtractionError or DomainError refusing it (non-finite coefficients
+    too), the method, the radius and per sample the residual; any other
+    error raises for the stack."""
     if degree_cap < 2:
         raise ValueError("degree_cap must be >= 2")
     V = _unit_vectors(vs)
@@ -255,7 +267,7 @@ def _extract(F, A: np.ndarray, X: np.ndarray, vs, degree_cap: int,
     # each unit v is normalized again, as the per-node calls did:
     # dropping that pass moves the last digits of the coefficients
     V = _unit_vectors(V)
-    phi, errors = _phi_at(F, A, X, V, (nodes, check))
+    phi, errors = _phi_at(F, A, X, V, norms, (nodes, check))
     samples, actual = phi[:, :d + 1], phi[:, d + 1:]
     # finite values near the top of the float range overflow here; the
     # finiteness and residual checks below refuse those samples
@@ -293,8 +305,8 @@ def extract_slice_coefficients(F, A: HermTuple, X: HermTuple, v,
     ExtractionError instead of returning unbacked digits.
     """
     coeffs, [error], method, r, [residual] = _extract(
-        as_nc_function(F), _one_point(A), _one_point(X), [v], degree_cap,
-        radius, force_dft)
+        as_nc_function(F), _one_point(A), _one_point(X), [v],
+        stack_norms(X.entries), degree_cap, radius, force_dft)
     if error is not None:
         raise error
     return SliceCoefficients(coeffs=coeffs[0], method=method, radius=r,
@@ -444,11 +456,14 @@ def certify_degree_two(F, A: HermTuple, epsilon: float, samples: int = 50,
         m, first, (Z, r, W) = group[0]
         rows = slice(first, first + len(group))
         alphas = ca_lift(A, m, Z[rows, 0])
-        X = _rescaled_points(Z[rows, 1:], r[rows])[0]
+        X, zero = _rescaled_points(Z[rows, 1:], r[rows])
         vs = W[rows, :A.n * m] + 1j * W[rows, A.n * m:]
         try:
+            # each X_j was just scaled to its drawn radius, so that is its
+            # norm up to rounding; a zero-norm row stays unscaled at 0
             coeffs, errors, method, _, _ = _extract(
-                F, alphas, X, vs, degree_cap, extraction_radius, False)
+                F, alphas, X, vs, np.where(zero, 0.0, r[rows]), degree_cap,
+                extraction_radius, False)
         except (ExtractionError, DomainError):
             if len(group) > 1:
                 raise

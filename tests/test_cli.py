@@ -3,7 +3,10 @@
 import contextlib
 import gc
 import io
+import ast
 import json
+import os
+import stat
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -16,6 +19,7 @@ from cli_help_examples import (ARGPARSE_ERRORS, HELP, USAGE_ERRORS,
 from conftest import run_cli
 from falsify_examples import CLI_EXAMPLES as FALSIFY_EXAMPLES
 from ncconvex import NcPowerSeries, Signature, parse_polynomial
+import ncconvex.cli as cli
 from ncconvex.cli import (_FLAGS, _SUBCOMMANDS, _dump, _flag_table,
                           _table_args, build_parser, main)
 from ncconvex.tuples import (derived_rng, draw_spectral, matrix_to_json,
@@ -532,6 +536,96 @@ def test_a_json_out_that_cannot_be_written_leaves_stdout_empty(run,
     assert r.returncode == 2 and r.stdout == ""
     assert _one_error_line(r.stderr).startswith("error: ")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_shorter_witness_over_a_longer_file_leaves_exactly_its_bytes(
+        run, tmp_path):
+    argv = _WITNESS_RUNS["monotone"]
+    assert run([*argv, "--witness-out", "fresh.json"]).returncode == 1
+    fresh = (tmp_path / "fresh.json").read_bytes()
+    old = tmp_path / "old.json"
+    old.write_bytes(b"x" * (3 * len(fresh)))
+    assert run([*argv, "--witness-out", "old.json"]).returncode == 1
+    assert old.read_bytes() == fresh
+
+
+def test_a_shorter_report_and_csv_over_longer_files_leave_their_bytes(
+        run, tmp_path):
+    argv = ["convexity", "--preset", "square", "--trials", "4"]
+    assert run([*argv, "--json-out", "a.json", "--csv-out", "a.csv"]
+               ).returncode == 0
+    for name in ("b.json", "b.csv"):
+        (tmp_path / name).write_text("y" * 100_000)
+    assert run([*argv, "--json-out", "b.json", "--csv-out", "b.csv"]
+               ).returncode == 0
+    for ext in ("json", "csv"):
+        assert ((tmp_path / f"b.{ext}").read_bytes()
+                == (tmp_path / f"a.{ext}").read_bytes())
+
+
+def test_a_witness_followed_by_an_old_tail_is_refused(run, tmp_path):
+    # what a rewrite that fails before its truncation would leave
+    argv = _WITNESS_RUNS["monotone"]
+    assert run([*argv, "--witness-out", "w.json"]).returncode == 1
+    path = tmp_path / "w.json"
+    text = path.read_text()
+    path.write_text(text + text[len(text) // 2:])
+    r = run(["monotone", "--verify-witness", "w.json"])
+    assert r.returncode == 2 and r.stdout == ""
+    assert _one_error_line(r.stderr).startswith("error: Extra data")
+
+
+def test_json_out_to_dev_null_exits_zero(run):
+    r = run(["axioms", "--expr", "x1^2", "--signature", "0,1",
+             "--samples", "10", "--json-out", os.devnull])
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["pass"] is True
+
+
+def test_a_witness_out_symlink_is_written_through(run, tmp_path):
+    argv = _WITNESS_RUNS["monotone"]
+    assert run([*argv, "--witness-out", "plain.json"]).returncode == 1
+    target = tmp_path / "target.json"
+    target.write_text("z" * 50_000)
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    assert run([*argv, "--witness-out", "link.json"]).returncode == 1
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == (tmp_path / "plain.json").read_bytes()
+
+
+@pytest.mark.parametrize("mask", [0o022, 0o077, 0o002])
+def test_a_new_file_gets_the_mode_open_w_gives(mask, run, tmp_path):
+    before = os.umask(mask)
+    try:
+        with open(tmp_path / "ref", "w"):
+            pass
+        r = run(["axioms", "--expr", "x1^2", "--signature", "0,1",
+                 "--samples", "5", "--json-out", "new.json"])
+    finally:
+        os.umask(before)
+    assert r.returncode == 0, r.stderr
+    assert (stat.S_IMODE((tmp_path / "new.json").stat().st_mode)
+            == stat.S_IMODE((tmp_path / "ref").stat().st_mode))
+
+
+def test_every_file_the_cli_writes_goes_through_one_writer():
+    # an open() for writing anywhere else would truncate and rewrite
+    tree = ast.parse(Path(cli.__file__).read_text())
+    writers = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "open"):
+                mode = (node.args[1:2] or [kw.value for kw in node.keywords
+                                           if kw.arg == "mode"]
+                        or [ast.Constant("r")])[0]
+                if not (isinstance(mode, ast.Constant)
+                        and set(mode.value) <= set("rbt")):
+                    writers.add(fn.name)
+    assert writers == {"_write_text"}
 
 
 def test_same_seed_byte_identical(run):
@@ -1391,3 +1485,19 @@ def test_a_free_function_forms_no_haar_unitary(argv, sizes, run,
     r = run(argv)
     assert r.returncode == 0, r.stderr
     assert set(seen) == sizes
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--preset", "square", "--samples", "10", "--trials", "10"],
+    ["convexity", "--preset", "kraus-halfmass", "--trials", "10"]],
+    ids=["certify-square", "convexity-kraus"])
+def test_an_a_free_base_tuple_builds_no_generator(argv, run, monkeypatch):
+    want = run(argv)
+    assert want.returncode == 0, want.stderr
+
+    def drawn(*args):
+        raise AssertionError("an A-free base tuple was drawn")
+
+    monkeypatch.setattr(cli, "random_base_tuple", drawn)
+    got = run(argv)
+    assert (got.returncode, got.stdout) == (0, want.stdout)

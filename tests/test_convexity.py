@@ -693,3 +693,28 @@ def test_stacks_are_bounded_by_the_chunk(monkeypatch):
 def test_zero_work_arguments_raise(run):
     with pytest.raises(ValueError):
         run(_fn("x1^2", Signature(0, 1)))
+
+
+def test_an_a_free_level_builds_no_generator_and_draws_nothing(monkeypatch):
+    # every C_A level of an empty A-tuple is the empty tuple at size
+    # kappa * m, so its private stream (seed, li, salt) is never built
+    F = get_preset("square").make()
+    A = HermTuple([], kind="a", n=2)
+    run = dict(multiplicities=(1, 2, 3), trials=20, seed=5)
+    want = convexity_at_CA(F, A, 0.5, **run).to_json_dict()
+
+    def drawn(*args):
+        raise AssertionError("an A-free level built a generator")
+
+    for name in ("derived_rng", "ca_element"):
+        monkeypatch.setattr(convexity, name, drawn)
+    assert convexity_at_CA(F, A, 0.5, **run).to_json_dict() == want
+
+
+@pytest.mark.parametrize("preset, A", [
+    ("square", HermTuple([], kind="a", n=2)),
+    ("mixed-ax", random_base_tuple(1, 2, 3))], ids=["a-free", "a-letter"])
+def test_a_multiplicity_below_one_is_refused(preset, A):
+    with pytest.raises(ValueError, match=r"^multiplicity must be >= 1$"):
+        convexity_at_CA(get_preset(preset).make(), A, 0.5,
+                        multiplicities=(1, 0), trials=5)

@@ -21,8 +21,9 @@ from ncconvex.slices import (VERDICT_CONSISTENT, VERDICT_HIGHER_ORDER,
                              VERDICT_HYPOTHESIS_FAILS, _extract, _magnitudes,
                              _slice_draws, _unit_vectors, slice_matrix,
                              slice_scalar)
-from ncconvex.tuples import (ca_element, derived_rng, derived_rngs,
-                             draw_x_ball, matrix_from_json, sample_x_ball,
+from ncconvex.tuples import (_letters, _rescaled_points, ca_element, ca_lift,
+                             derived_rng, derived_rngs, draw_x_ball,
+                             matrix_from_json, sample_x_ball, stack_norms,
                              tuple_norm)
 
 
@@ -482,8 +483,9 @@ def test_stacked_extraction_equals_one_sample_calls(make, kw):
     F = make()
     kw = {"degree_cap": 8, "radius": None, "force_dft": False, **kw}
     alphas, Xs, vs = _samples(F.signature, 2, 2, 12, seed=90, eps=0.9)
+    X = _stack(Xs)
     coeffs, errors, method, radius, residuals = _extract(
-        F, _stack(alphas), _stack(Xs), vs, **kw)
+        F, _stack(alphas), X, vs, stack_norms(_letters(X)), **kw)
     kinds = set()
     for A, X, v, got, error, residual in zip(alphas, Xs, vs, coeffs, errors,
                                              residuals):
@@ -565,6 +567,62 @@ def test_certify_extracts_each_multiplicity_of_a_chunk_in_one_call_per_node_set(
         want += [(9 * ms.count(m), 1, 2 * m, 2 * m)
                  for m in dict.fromkeys(ms) for _ in range(2)]
     assert shapes == want
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_a_rescaled_point_has_its_drawn_radius_for_norm(g, n):
+    # certify reads each slice sample's reach from the radius its X was
+    # scaled to; that is its norm up to rounding, and 0 on a zero row
+    rng = derived_rng(96, g, n)
+    Z = rng.standard_normal((40, g, 2, n, n))
+    r = rng.random(40)
+    r[:3] = [0.0, 1.0, 0.5]
+    Z[5:7] = 0.0
+    X, zero = _rescaled_points(Z, r)
+    norms = stack_norms(_letters(X))
+    assert zero.tolist() == [k in (5, 6) for k in range(40)]
+    assert (norms[zero] == 0.0).all()
+    u = np.finfo(float).eps / 2
+    assert (np.abs(norms - r)[~zero] <= 8 * n * u * r[~zero]).all()
+
+
+def test_reach_from_the_drawn_radii_refuses_what_recomputed_norms_do():
+    # a black box whose radius cuts through the sampled reaches: the
+    # drawn radii and the recomputed norms refuse the same samples, and
+    # the others get the same coefficients
+    draws = _slice_draws(97, 2, 1, 1.0, (2,))
+    *_, (m, _, (Z, r, W)) = draws(range(60))
+    Z[7] = 0.0                                  # a zero-norm row
+    X, zero = _rescaled_points(Z[:, 1:], r)
+    A = ca_lift(_empty_a(2), m, Z[:, 0])
+    vs = W[:, :4] + 1j * W[:, 4:]
+    F = _narrow()
+    runs = [_extract(F, A, X, vs, norms, 8, 0.25, False)
+            for norms in (np.where(zero, 0.0, r), stack_norms(_letters(X)))]
+    (c1, e1, *rest1), (c2, e2, *rest2) = runs
+    refused = [type(e) for e in e1]
+    assert refused == [type(e) for e in e2]
+    assert refused.count(DomainError) in range(10, 50)
+    assert refused[7] is type(None)
+    assert np.array_equal(c1, c2) and rest1 == rest2
+
+
+def test_certify_passes_each_slice_sample_its_drawn_radius(monkeypatch):
+    seen = []
+
+    def traced(F, A, X, vs, norms, *args):
+        seen.append((X, norms))
+        return _extract(F, A, X, vs, norms, *args)
+
+    monkeypatch.setattr(slices, "_extract", traced)
+    rep = certify_degree_two(get_preset("kraus-halfmass").make(), _empty_a(2),
+                             0.5, samples=30, trials=5, seed=98,
+                             multiplicities=(1, 2))
+    assert rep.skipped == 0 and [len(X) for X, _ in seen] == [15, 15]
+    for X, norms in seen:
+        want = stack_norms(_letters(X))
+        assert (np.abs(norms - want) <= 1e-15 * want).all()
 
 
 def test_kraus_extraction_peak_is_a_few_node_set_stacks(monkeypatch):
