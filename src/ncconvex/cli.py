@@ -10,6 +10,7 @@ with identical seeds produce byte-identical JSON; no timestamps.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import json
 import math
@@ -295,16 +296,12 @@ def _scalar_from_descriptor(desc: dict) -> ScalarFn:
 
 def _function_at_base(args, default_epsilon: float) -> tuple:
     """(F, descriptor, epsilon, A) of a run over C_A: --epsilon, else the
-    preset's, else the given default, at most F's radius; --a-tuple at
-    its own size, which an explicit --size must match, else a random
-    base tuple of --size (default 2)."""
+    preset's, else the given default, which the tester refuses above
+    F's radius; --a-tuple at its own size, which an explicit --size must
+    match, else a random base tuple of --size (default 2)."""
     F, desc, preset = _nc_function(args)
     epsilon = (args.epsilon if args.epsilon is not None
                else preset.epsilon if preset else default_epsilon)
-    if epsilon > F.radius:
-        # a witness out there lies where F is not defined
-        raise ValueError(f"epsilon {epsilon:g} is above the function's "
-                         f"radius {F.radius:g}")
     g_a = F.signature.g_a
     if args.a_tuple:
         A = _tuple_from_arg(args.a_tuple, "a", g_a, n=args.size)
@@ -613,70 +610,24 @@ _SUBCOMMANDS = {
 }
 
 
-def _flag_table(command: str) -> dict:
-    """The flags of a subcommand in help order -> their add_argument
-    keywords."""
-    _, _, flags, own = _SUBCOMMANDS[command]
-    return {flag: {**_FLAGS[flag], **own.get(flag, {})}
-            for flag in flags.split()}
-
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's full argparse tree: every subcommand with its flags.
-    `main` builds it only for a command line that `_table_args`
-    declines, so it prints the help texts and usage errors and reads
-    abbreviations and unusual values."""
+    """The CLI's full argparse tree: every subcommand with its flags and
+    its runner as `fn`.  It is built once per process and reads every
+    command line `main` is given; parse_args leaves the tree as it was,
+    so each run starts from the same defaults."""
     ap = argparse.ArgumentParser(
         prog="ncconvex",
         description="nc polynomial evaluation, matrix convexity and "
                     "monotonicity testing, degree-2 certification")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, (help_line, fn, _, _) in _SUBCOMMANDS.items():
+    for name, (help_line, fn, flags, own) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_line)
         p.set_defaults(fn=fn)
-        for flag, keywords in _flag_table(name).items():
-            p.add_argument(f"--{flag}", **keywords)
+        for flag in flags.split():
+            p.add_argument(f"--{flag}", **{**_FLAGS[flag],
+                                             **own.get(flag, {})})
     return ap
-
-
-def _table_args(argv) -> Optional[argparse.Namespace]:
-    """The Namespace argparse would return for argv, read straight from
-    the table, or None.  argv must be a subcommand followed only by its
-    own flags spelled in full: `--flag value`, `--flag=value`, or a bare
-    store_true flag, each value converting through the flag's type.
-    Anything else, such as help, an abbreviation, an unknown flag, a
-    separate value that starts with '-', an '=' value of exactly '--'
-    (which argparse drops) or a value its type refuses, is left to
-    argparse, which parses, prints or refuses it."""
-    if not argv or argv[0] not in _SUBCOMMANDS:
-        return None
-    table = {f"--{flag}": (flag.replace("-", "_"), kw)
-             for flag, kw in _flag_table(argv[0]).items()}
-    values = {dest: kw.get("default", False if "action" in kw else None)
-              for dest, kw in table.values()}
-    rest = iter(argv[1:])
-    for arg in rest:
-        flag, eq, value = arg.partition("=")
-        if flag not in table:
-            return None
-        dest, kw = table[flag]
-        if "action" in kw:                          # store_true
-            if eq:
-                return None
-            values[dest] = True
-            continue
-        if not eq:
-            value = next(rest, "-")                 # "-": argv ended
-            if value.startswith("-"):
-                return None
-        elif value == "--":
-            return None
-        try:
-            values[dest] = kw.get("type", str)(value)
-        except ValueError:
-            return None
-    return argparse.Namespace(command=argv[0], fn=_SUBCOMMANDS[argv[0]][1],
-                              **values)
 
 
 def main(argv=None) -> int:
@@ -689,7 +640,7 @@ def main(argv=None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        args = _table_args(argv) or build_parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
         for flag in ("trials", "samples", "size", "matrix-checks",
                      "sweep-points", "points"):
             least = 2 if flag == "points" else 1

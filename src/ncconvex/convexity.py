@@ -325,6 +325,10 @@ def _convexity(F, A: HermTuple, epsilon: float, trials: int, seed,
                   for li, m in enumerate(multiplicities)]
     if not 0 < epsilon < math.inf:
         raise ValueError("epsilon must be positive and finite")
+    if epsilon > F.radius:
+        # a witness out there lies where F is not defined
+        raise ValueError(f"epsilon {epsilon:g} is above the function's "
+                         f"radius {F.radius:g}")
     sig = F.signature
     if A.arity != sig.g_a:
         raise ValueError(

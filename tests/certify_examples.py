@@ -98,8 +98,8 @@ def _library_runs() -> list:
         return x @ x
 
     bomb = CallableNcFunction(boom, sig, analytic_in_z=True, name="bomb")
-    # the radius check skips the samples whose r*|X| reaches 0.01
-    narrow = CallableNcFunction(lambda A, X: X[0] @ X[0], sig, radius=0.01,
+    # the radius check skips the samples whose reach |z|*|X| gets to 10
+    narrow = CallableNcFunction(lambda A, X: X[0] @ X[0], sig, radius=10.0,
                                 analytic_in_z=True, name="narrow")
 
     # refuses the large complex slice points with DomainError: a skip
@@ -133,7 +133,7 @@ def _library_runs() -> list:
             bomb, a2, 0.5, samples=100, trials=20, seed=32,
             multiplicities=(1, 2))),
         ("narrow black box", lambda: certify_degree_two(
-            narrow, a2, 0.5, samples=100, trials=20, seed=37,
+            narrow, a2, 10.0, samples=100, trials=20, seed=37,
             multiplicities=(1, 2))),
         ("picky black box", lambda: certify_degree_two(
             picky, a2, 0.5, samples=100, trials=20, seed=38,

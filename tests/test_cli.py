@@ -1,8 +1,6 @@
 """CLI: exit codes, JSON shape, witness files, determinism."""
 
-import contextlib
 import gc
-import io
 import ast
 import json
 import os
@@ -17,14 +15,11 @@ from hypothesis import given, settings, strategies as st
 from cli_help_examples import (ARGPARSE_ERRORS, HELP, USAGE_ERRORS,
                                run_case)
 from conftest import run_cli
-from falsify_examples import CLI_EXAMPLES as FALSIFY_EXAMPLES
 from ncconvex import NcPowerSeries, Signature, parse_polynomial
 import ncconvex.cli as cli
-from ncconvex.cli import (_FLAGS, _SUBCOMMANDS, _dump, _flag_table,
-                          _table_args, build_parser, main)
+from ncconvex.cli import _FLAGS, _SUBCOMMANDS, _dump, build_parser, main
 from ncconvex.tuples import (derived_rng, draw_spectral, matrix_to_json,
                              spectral_lift)
-from readme_examples import EXAMPLES as README_EXAMPLES
 
 HELP_GOLDEN = json.loads((Path(__file__).parent / "data"
                           / "cli_help_golden.json").read_text())
@@ -352,82 +347,82 @@ def _count_parser_builds(monkeypatch) -> dict:
     return counts
 
 
-def test_a_well_formed_command_line_builds_no_parser(monkeypatch, capsys):
-    counts = _count_parser_builds(monkeypatch)
-    assert main(["eval", "--expr", "x1", "--x-tuple", "identity1"]) == 0
-    assert counts == {"parsers": 0, "add_argument": 0}
-
-
-def test_a_declined_command_line_builds_the_full_tree_once(monkeypatch):
+def test_the_argparse_tree_is_built_once_per_process(monkeypatch, capsys):
     # argparse's top-level help and errors see every subcommand, and
-    # each subcommand has its flags
+    # each subcommand has its flags; the first command line builds them
+    # all, and no later one builds a parser, whatever it is
+    for name, (_, _, flags, own) in _SUBCOMMANDS.items():
+        assert set(own) <= set(flags.split()), name
+    assert set(_FLAGS) == {flag for _, _, flags, _ in _SUBCOMMANDS.values()
+                           for flag in flags.split()}
+    build_parser.cache_clear()
     counts = _count_parser_builds(monkeypatch)
     full = {"parsers": 1 + len(_SUBCOMMANDS),
             "add_argument": 1 + sum(1 + len(flags.split())
                                     for _, _, flags, _ in
                                     _SUBCOMMANDS.values())}
-    monkeypatch.setenv("COLUMNS", "80")
-    assert run_case(["-h", "eval"]) == {**HELP_GOLDEN["help"][0],
-                                        "argv": ["-h", "eval"]}
+    assert full["parsers"] == 1 + 7
+    assert main(["eval", "--expr", "x1", "--x-tuple", "identity1"]) == 0
     assert counts == full
-    r = run_case(["--bogus", "eval", "--expr", "x1", "--x-tuple", "identity1"])
-    assert r["exit"] == 2 and r["stdout"] == ""
-    assert r["stderr"].endswith("error: unrecognized arguments: --bogus\n")
-    assert counts == {key: 2 * n for key, n in full.items()}
-
-
-def _argparse_args(argv):
-    """argparse's Namespace for argv, or None where it exits."""
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()):
+    for argv, code in ((["eval", "--expr", "x1", "--x-tuple", "identity1"], 0),
+                       (["eval", "--ex", "x1", "--x-tuple", "identity1"], 0),
+                       (["eval", "--expr", "x1^"], 2),
+                       (["--bogus", "eval"], 2), (["-h"], 0),
+                       (["eval", "-h"], 0)):
         try:
-            return build_parser().parse_args(argv)
-        except SystemExit:
-            return None
+            assert main(argv) == code, argv
+        except SystemExit as exc:
+            assert exc.code == code, argv
+    assert counts == full
 
 
-def _typed(args) -> dict:
-    # repr tells 1 from 1.0 and -0.0 from 0.0, and NaN equals itself
-    return {key: (type(v), repr(v)) for key, v in vars(args).items()}
+def test_a_parse_leaves_the_cached_tree_as_it_was(run, monkeypatch):
+    # each parse starts from the tree's own defaults: a value or a
+    # store_true flag given once is not the next run's default
+    parser, seen = build_parser(), []
+    parse = parser.parse_args
+
+    def spy(argv):
+        seen.append(parse(argv))
+        return seen[-1]
+
+    monkeypatch.setattr(parser, "parse_args", spy)
+    docs = [json.loads(run(argv).stdout) for argv in (
+        ["convexity", "--preset", "square", "--trials", "3"],
+        ["convexity", "--preset", "square"],
+        ["monotone", "--preset", "square", "--g-transform"],
+        ["monotone", "--preset", "square"])]
+    assert [args.trials for args in seen[:2]] == [3, 200]
+    assert [doc["trials"] for doc in docs[:2]] == [3 * 2, 200 * 2]
+    assert [args.g_transform for args in seen[2:]] == [True, False]
+    assert ["g_transform" in doc["function"] for doc in docs[2:]] == [True,
+                                                                     False]
+    monkeypatch.setenv("COLUMNS", "80")
+    for rec in HELP_GOLDEN["help"]:
+        assert run_case(rec["argv"]) == rec, rec["argv"]
 
 
-# values argparse reads in more than one way, and plain ones
-_VALUES = ("--", "-", "-1", "-x1", "", "nan", "1e400", "1_000", "a=b", " 5",
-           "0", "3", "0.25", "-0.5,0.5", "x1^2", "square")
-_TYPED_VALUES = {int: ("0", "3", "1_000", " 5", "-1"),
-                 float: ("0.25", "nan", "1e400", "1_000", "-0.5")}
-
-
-@st.composite
-def _argvs(draw):
-    # mostly the subcommand's own flags at values of their type, so that
-    # many argv are taken; then abbreviations, others' flags and junk
-    command = draw(st.sampled_from([*_SUBCOMMANDS, "-h", "nope"]))
-    table = _flag_table(command) if command in _SUBCOMMANDS else {}
-    name = st.sampled_from(sorted(_FLAGS))
-    other = st.one_of(
-        name.map(lambda f: f"--{f}"),
-        st.tuples(name, st.integers(1, 3)).map(
-            lambda t: "--" + t[0][:t[1]]),                  # --tri, --s
-        st.sampled_from(["--bogus", "-h", "--help", "-s", "x1"]))
-    argv = [command]
-    for _ in range(draw(st.integers(0, 4))):
-        if table and draw(st.integers(0, 3)):
-            flag = draw(st.sampled_from(sorted(table)))
-            kw, flag = table[flag], f"--{flag}"
-        else:
-            kw, flag = {}, draw(other)
-        values = _TYPED_VALUES.get(kw.get("type"), _VALUES)
-        value = draw(st.one_of(st.sampled_from(values),
-                               st.sampled_from(_VALUES)))
-        form = draw(st.integers(0, 5))
-        if form == 0 or "action" in kw and form < 4:
-            argv.append(flag)                               # bare
-        elif form % 2:
-            argv += [flag, value]
-        else:
-            argv.append(f"{flag}={value}")
-    return argv
+def test_argparse_reads_every_command_line():
+    # one parser: the package builds no Namespace of its own and parses
+    # only on the cached tree
+    parses = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = (func.attr if isinstance(func, ast.Attribute)
+                    else getattr(func, "id", None))
+            where = f"{path.name}:{node.lineno}"
+            assert name != "Namespace", where
+            if name and name.startswith("parse_") and name.endswith("args"):
+                assert (name == "parse_args"
+                        and isinstance(func, ast.Attribute)
+                        and isinstance(func.value, ast.Call)
+                        and getattr(func.value.func, "id", None)
+                        == "build_parser" and not func.value.args), where
+                parses.append(where)
+    assert [where.partition(":")[0] for where in parses] == ["cli.py"]
 
 
 # command lines that name two functions, each with the two flags named
@@ -445,72 +440,19 @@ _TWO_SOURCES = [
 ]
 
 
-@settings(max_examples=400, deadline=None)
-@given(st.one_of(_argvs(), st.sampled_from([a for a, _ in _TWO_SOURCES])))
-def test_the_table_reads_a_command_line_as_argparse_does(argv):
-    got = _table_args(argv)
-    if got is not None:
-        want = _argparse_args(argv)
-        assert want is not None, argv
-        assert _typed(got) == _typed(want), argv
-
-
-@pytest.mark.parametrize("argv", [
-    ["kraus", "--f2", "-2"], ["eval", "--expr=--"], ["eval", "--ex", "x1"],
-    ["eval", "--expr"], ["eval", "-h"], ["convexity", "--g-transform"],
-    ["monotone", "--g-transform=1"], ["convexity", "--trials", "many"],
-    ["--seed", "1", "eval"], ["eval", "--expr", "x1", "x1"],
-])
-def test_the_table_leaves_unusual_command_lines_to_argparse(argv):
-    assert _table_args(argv) is None
-
-
-@pytest.mark.parametrize("path", ["table", "argparse"])
 @pytest.mark.parametrize("argv, flags", _TWO_SOURCES,
                          ids=[a[0] + "-" + f.split()[-1][2:]
                               for a, f in _TWO_SOURCES])
-def test_two_function_sources_are_a_usage_error(argv, flags, path, run,
-                                                monkeypatch):
+def test_two_function_sources_are_a_usage_error(argv, flags, run):
     # the first source won and the other was silently ignored
-    if path == "argparse":
-        monkeypatch.setattr("ncconvex.cli._table_args", lambda argv: None)
     r = run(argv)
     assert r.returncode == 2 and r.stdout == ""
     assert _one_error_line(r.stderr) == (f"error: give one function source, "
                                          f"not {flags}")
 
 
-def test_every_example_command_line_takes_the_table_path():
-    # each example names a subcommand and spells its flags in full, so a
-    # decline would be silent and build argparse's tree again on each run
-    for argv in (*README_EXAMPLES, *FALSIFY_EXAMPLES, *USAGE_ERRORS):
-        flags = _SUBCOMMANDS[argv[0]][2].split()
-        assert all(a.partition("=")[0][2:] in flags
-                   for a in argv[1:] if a.startswith("-")), argv
-        args = _table_args(argv)
-        assert args is not None and args == _argparse_args(argv), argv
-
-
-def test_the_flag_table_uses_only_what_the_table_path_models():
-    # the table path reads help, metavar, type, default and store_true,
-    # and takes a ValueError as a refused value, as int and float raise;
-    # argparse passes a string default through the flag's type, which the
-    # table path does not, so a typed flag takes no string default
-    rows = [*_FLAGS.values(), *(kw for _, _, _, own in _SUBCOMMANDS.values()
-                                for kw in own.values())]
-    for kw in rows:
-        assert set(kw) <= {"help", "metavar", "type", "default", "action"}, kw
-        assert kw.get("action", "store_true") == "store_true", kw
-        assert kw.get("type") in (None, int, float), kw
-    for name, (_, _, flags, own) in _SUBCOMMANDS.items():
-        assert set(own) <= set(flags.split()), name
-        for flag, kw in _flag_table(name).items():
-            assert not (isinstance(kw.get("default"), str) and "type" in kw), \
-                (name, flag)
-
-
 def test_help_and_argparse_errors_are_byte_identical(monkeypatch):
-    # every subcommand's flags are built only when it is the one chosen
+    # one cached tree answers every case, each from its own defaults
     monkeypatch.setenv("COLUMNS", "80")
     assert [rec["argv"] for rec in HELP_GOLDEN["help"]] == list(HELP)
     assert ([rec["argv"] for rec in HELP_GOLDEN["argparse_errors"]]
@@ -1407,15 +1349,15 @@ _PAUSE_RUNS = [
 def test_main_pauses_the_collector_and_puts_it_back(argv, code, enabled,
                                                     tmp_path, monkeypatch,
                                                     capsys):
-    from ncconvex import cli
     monkeypatch.chdir(tmp_path)
-    during, table_args = [], cli._table_args
+    during, parser = [], build_parser()
+    parse = parser.parse_args
 
     def spy(argv):
         during.append(gc.isenabled())
-        return table_args(argv)
+        return parse(argv)
 
-    monkeypatch.setattr(cli, "_table_args", spy)
+    monkeypatch.setattr(parser, "parse_args", spy)
     (gc.enable if enabled else gc.disable)()
     try:
         if isinstance(code, SystemExit):

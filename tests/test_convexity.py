@@ -121,6 +121,21 @@ def test_epsilon_must_be_positive():
         convexity_at_A(F, _empty_a(2), epsilon=0.0, trials=10, seed=0)
 
 
+@pytest.mark.parametrize("tester", [
+    lambda F, A: convexity_at_A(F, A, 3.0, trials=100, seed=1),
+    lambda F, A: convexity_at_CA(F, A, 3.0, trials=100, seed=1),
+    lambda F, A: certify_degree_two(F, A, 3.0, trials=100, seed=1),
+], ids=["at_A", "at_CA", "certify"])
+def test_an_epsilon_above_the_radius_is_refused(tester):
+    # the kraus-halfmass lift has its pole at radius 2; at epsilon 3 the
+    # C_A tester FAILed with min_eig -6,700.9 at a point where F is not
+    # defined.  The message is the one the CLI prints after "error: "
+    lift = get_preset("kraus-halfmass").make()
+    with pytest.raises(ValueError) as exc:
+        tester(lift, _empty_a(2))
+    assert str(exc.value) == "epsilon 3 is above the function's radius 2"
+
+
 def test_a_tuple_of_the_wrong_arity_raises():
     F = _fn("a1*x1*a1", Signature(1, 1))
     with pytest.raises(ValueError, match="A-tuple arity 0 does not match "

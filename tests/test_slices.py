@@ -220,6 +220,19 @@ def test_certify_hypothesis_fails_for_quartic():
     assert not rep.convexity.passed
 
 
+def test_certify_refuses_an_epsilon_above_a_narrow_radius():
+    # the golden's "narrow black box" ran these arguments, epsilon 0.5
+    # over a radius of 0.01, before the tester refused them
+    narrow = CallableNcFunction(lambda A, X: X[0] @ X[0], Signature(0, 1),
+                                radius=0.01, analytic_in_z=True,
+                                name="narrow")
+    with pytest.raises(ValueError) as exc:
+        certify_degree_two(narrow, _empty_a(2), 0.5, samples=100, trials=20,
+                           seed=37, multiplicities=(1, 2))
+    assert str(exc.value) == ("epsilon 0.5 is above the function's radius "
+                              "0.01")
+
+
 def test_certify_report_json():
     F = get_preset("mixed-ax").make()
     A = random_base_tuple(1, 2, derived_rng(73))
