@@ -376,6 +376,33 @@ def test_the_argparse_tree_is_built_once_per_process(monkeypatch, capsys):
     assert counts == full
 
 
+def test_a_well_formed_command_line_builds_no_parser(monkeypatch, capsys):
+    # once the tree is built, a command line only parses with it
+    build_parser()
+    counts = _count_parser_builds(monkeypatch)
+    assert main(["eval", "--expr", "x1", "--x-tuple", "identity1"]) == 0
+    assert counts == {"parsers": 0, "add_argument": 0}
+
+
+def test_a_declined_command_line_builds_the_full_tree_once(monkeypatch):
+    # argparse's top-level help and errors see every subcommand, and
+    # each subcommand has its flags; a second declined line reuses them
+    build_parser.cache_clear()
+    counts = _count_parser_builds(monkeypatch)
+    full = {"parsers": 1 + len(_SUBCOMMANDS),
+            "add_argument": 1 + sum(1 + len(flags.split())
+                                    for _, _, flags, _ in
+                                    _SUBCOMMANDS.values())}
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_case(["-h", "eval"]) == {**HELP_GOLDEN["help"][0],
+                                        "argv": ["-h", "eval"]}
+    assert counts == full
+    r = run_case(["--bogus", "eval", "--expr", "x1", "--x-tuple", "identity1"])
+    assert r["exit"] == 2 and r["stdout"] == ""
+    assert r["stderr"].endswith("error: unrecognized arguments: --bogus\n")
+    assert counts == full
+
+
 def test_a_parse_leaves_the_cached_tree_as_it_was(run, monkeypatch):
     # each parse starts from the tree's own defaults: a value or a
     # store_true flag given once is not the next run's default
